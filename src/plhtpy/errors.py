@@ -83,5 +83,13 @@ class NotCertifiablySimplyConnected(PlhtpyError):
     pass
 
 
+class InvalidGroup(PlhtpyError):
+    """Abelian group data with a negative rank or bad torsion orders."""
+
+
+class NotAChainComplex(PlhtpyError):
+    """Boundary matrices whose composite is not zero."""
+
+
 class FormatError(PlhtpyError):
     """Malformed SCX / SCX-M input."""

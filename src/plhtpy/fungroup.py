@@ -17,9 +17,8 @@ from collections import deque
 from .complexes import Complex, Simplex, SubcomplexRef, simplex, sname
 from .errors import (BaseVertexMismatch, NotCertifiablySimplyConnected,
                      NotClosed, NotConnected, StartNotInA)
-from .homology import (AbelianGroup, HomologyData, chain_complex, homology,
-                       identity_matrix, integer_solvable, smith_normal_form,
-                       unimodular_inverse)
+from .homology import (AbelianGroup, AbelianQuotient, HomologyData,
+                       chain_complex, homology)
 
 
 # ---------------------------------------------------------------------------
@@ -235,58 +234,28 @@ def edge_path_presentation(K: Complex, x0: str) -> Presentation:
 # Abelianization
 # ---------------------------------------------------------------------------
 
-class Abelianization:
+class Abelianization(AbelianQuotient):
     """Quotient of Z^gens by the relator exponent lattice, in Smith
     normal form coordinates (torsion coordinates first, then free)."""
 
     def __init__(self, pres: Presentation):
         self.pres = pres
-        k = pres.ngens()
-        self.k = k
-        cols = [pres.exponent_vector(r) for r in pres.relators]
-        if k == 0:
-            self.U = []
-            self.Uinv = []
-            self.invs = []
-        elif not cols:
-            self.U = identity_matrix(k)
-            self.Uinv = identity_matrix(k)
-            self.invs = [0] * k
-        else:
-            R = [[col[i] for col in cols] for i in range(k)]
-            U, S, _ = smith_normal_form(R)
-            self.U = U
-            self.Uinv = unimodular_inverse(U)
-            rank = sum(1 for i in range(min(k, len(cols))) if S[i][i] != 0)
-            self.invs = [S[i][i] for i in range(rank)] + [0] * (k - rank)
-        self.coord_idx = [i for i in range(k) if self.invs[i] != 1]
-        torsion = [self.invs[i] for i in self.coord_idx if self.invs[i] > 1]
-        rank = sum(1 for i in self.coord_idx if self.invs[i] == 0)
-        self.group = AbelianGroup(rank, torsion)
+        super().__init__(pres.ngens(),
+                         [pres.exponent_vector(r) for r in pres.relators])
 
-    def project_vector(self, e: list[int]) -> tuple[int, ...]:
-        y = [sum(self.U[i][j] * e[j] for j in range(self.k))
-             for i in range(self.k)]
-        out = []
-        for i in self.coord_idx:
-            d = self.invs[i]
-            out.append(y[i] % d if d > 1 else y[i])
-        return tuple(out)
+    project_vector = AbelianQuotient.coords
+    generator_exponents = AbelianQuotient.generator
 
     def project(self, w: Word) -> tuple[int, ...]:
-        return self.project_vector(self.pres.exponent_vector(w))
-
-    def generator_exponents(self, j: int) -> list[int]:
-        """Exponent vector representing the j-th group generator."""
-        i = self.coord_idx[j]
-        return [self.Uinv[r][i] for r in range(self.k)]
-
-    def ngens(self) -> int:
-        return len(self.coord_idx)
+        return self.coords(self.pres.exponent_vector(w))
 
 
 def abelianization(pres: Presentation) -> Abelianization:
-    return Abelianization(pres)
+    """The abelianization of `pres`, built once per presentation."""
+    ab = getattr(pres, "_abelianization", None)
+    if ab is None:
+        ab = pres._abelianization = Abelianization(pres)
+    return ab
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +297,7 @@ def group_verdict(pres: Presentation) -> GroupVerdict:
         return GroupVerdict.Trivial
     if not relators:
         return GroupVerdict.Nontrivial  # free of positive rank
-    if not Abelianization(pres).group.is_trivial():
+    if not abelianization(pres).group.is_trivial():
         return GroupVerdict.Nontrivial
     return GroupVerdict.Unknown
 
@@ -348,7 +317,7 @@ class Hurewicz1:
 
     def __init__(self, K: Complex, x0: str):
         self.pres = Presentation(K, x0)
-        self.ab = Abelianization(self.pres)
+        self.ab = abelianization(self.pres)
         self.h1 = HomologyData(chain_complex(K), 1)
         self.gen_classes = [
             self.h1.coords_of_chain(
@@ -358,36 +327,22 @@ class Hurewicz1:
     def class_of(self, w: Word) -> tuple[int, ...]:
         """H_1 class of a word, in the homology group's coordinates."""
         e = self.pres.exponent_vector(w)
-        out = []
-        for j, i in enumerate(self.h1.coord_idx):
-            d = self.h1.invs[i]
-            s = sum(e[g] * self.gen_classes[g][j]
-                    for g in range(self.pres.ngens()))
-            out.append(s % d if d > 1 else s)
-        return tuple(out)
+        return self.h1.reduce(
+            [sum(x * c[j] for x, c in zip(e, self.gen_classes))
+             for j in range(self.h1.ngens())])
 
     def kills_relators(self) -> bool:
         zero = (0,) * self.h1.ngens()
         return all(self.class_of(r) == zero for r in self.pres.relators)
 
     def is_surjective(self) -> bool:
-        """Every H_1 generator is the class of some word."""
+        """Every H_1 generator is the class of some word: the generator
+        classes and the torsion relations span Z^m, i.e. their quotient
+        (one Smith normal form) is trivial."""
         m = self.h1.ngens()
-        if m == 0:
-            return True
-        tors = [self.h1.invs[i] for i in self.h1.coord_idx
-                if self.h1.invs[i] > 1]
-        cols = [list(c) for c in self.gen_classes]
-        for t, d in enumerate(tors):
-            col = [0] * m
-            col[t] = d
-            cols.append(col)
-        A = [[col[i] for col in cols] for i in range(m)]
-        for j in range(m):
-            b = [1 if i == j else 0 for i in range(m)]
-            if not integer_solvable(A, b):
-                return False
-        return True
+        tors = [[d if i == t else 0 for i in range(m)]
+                for t, d in enumerate(self.h1.group.torsion)]
+        return AbelianQuotient(m, self.gen_classes + tors).group.is_trivial()
 
     def is_isomorphism(self) -> bool:
         """True when abelianized pi_1 -> H_1 is an isomorphism.
@@ -446,7 +401,7 @@ def naturality_check(psi, src: Presentation, dst: Presentation,
         return True
     if not dst.relators:
         return False  # free group: reduced words are normal forms
-    ab = Abelianization(dst)
+    ab = abelianization(dst)
     return ab.project(lhs) == ab.project(rhs)
 
 
@@ -478,7 +433,7 @@ def pi2_via_hurewicz(K: Complex, x0: str,
         raise NotCertifiablySimplyConnected(
             "caller did not assert simple connectivity")
     pres = Presentation(K, x0)
-    ab = Abelianization(pres)
+    ab = abelianization(pres)
     if not ab.group.is_trivial():
         raise NotCertifiablySimplyConnected(
             f"abelianized fundamental group is {ab.group}, not trivial")

@@ -5,15 +5,22 @@ sorted order of their vertex identifiers.  Everything is computed over the
 integers with exact arithmetic: homology groups, relative homology of a
 closed pair, maps induced by simplicial maps, connecting homomorphisms, and
 an exactness check for the long sequence of a pair.
+
+One Smith normal form kernel serves all of it.  It returns the unimodular
+transforms together with their inverses, so H_n needs no rational solve:
+the SNF U D_n V = S of the boundary map gives the cycles (the columns of V
+past the rank r) and, through V^-1, cycle coordinates (rows r.. of V^-1 v);
+a second SNF of the boundaries in those coordinates gives the group.  The
+quotient of Z^k by a lattice of relations, with its coordinates and
+generators, is the class `AbelianQuotient`, shared with the abelianized
+fundamental group.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .complexes import Complex, Simplex, sdim, sname
-from .errors import NotClosed, NotSimplicial, NotSubcomplex
-from .linalg import solve_linear
+from .errors import (InvalidGroup, NotAChainComplex, NotClosed,
+                     NotSimplicial, NotSubcomplex)
 
 
 # ---------------------------------------------------------------------------
@@ -38,46 +45,66 @@ def mat_mul(A, B):
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
+def transpose(A, m):
+    """Transpose of a matrix with m columns (m is needed when A has no rows)."""
+    return [[row[j] for row in A] for j in range(m)]
+
 def smith_normal_form(A):
     """U @ A @ V = S with U, V unimodular and S in Smith normal form.
 
-    Returns (U, S, V).  Pivoting on the smallest nonzero entry keeps
-    coefficient growth in check; arbitrary-precision ints absorb the rest.
+    Returns (U, S, V, Uinv, Vinv).  The inverses follow the inverse
+    elementary operations: a row operation on U is the opposite column
+    operation on Uinv, a column operation on V the opposite row operation
+    on Vinv.  Pivoting on the smallest nonzero entry keeps coefficient
+    growth in check; arbitrary-precision ints absorb the rest.
     """
     S = [list(r) for r in A]
     n = len(S)
     m = len(S[0]) if n else 0
     U = identity_matrix(n)
-    V = identity_matrix(m)
+    Vinv = identity_matrix(m)
+    # kept transposed, so that their column operations act on rows
+    Uinv_t = identity_matrix(n)
+    V_t = identity_matrix(m)
 
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
         U[i], U[j] = U[j], U[i]
+        Uinv_t[i], Uinv_t[j] = Uinv_t[j], Uinv_t[i]
 
     def swap_cols(i, j):
         for r in S:
             r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
+        V_t[i], V_t[j] = V_t[j], V_t[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def addmul_row(dst, src, c):
         S[dst] = [x + c * y for x, y in zip(S[dst], S[src])]
         U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
+        Uinv_t[src] = [x - c * y for x, y in zip(Uinv_t[src], Uinv_t[dst])]
 
     def addmul_col(dst, src, c):
         for r in S:
             r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
+        V_t[dst] = [x + c * y for x, y in zip(V_t[dst], V_t[src])]
+        Vinv[src] = [x - c * y for x, y in zip(Vinv[src], Vinv[dst])]
+
+    def pivot(t):
+        """First entry of least absolute value in the block t.., if any."""
+        best = None
+        for i in range(t, n):
+            row = S[i]
+            for j in range(t, m):
+                x = abs(row[j])
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+                    if x == 1:      # nothing later is smaller
+                        return best
+        return best
 
     t = 0
     while t < min(n, m):
-        # smallest nonzero pivot in the remaining block
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if S[i][j] != 0 and (best is None or abs(S[i][j]) < best[0]):
-                    best = (abs(S[i][j]), i, j)
+        best = pivot(t)
         if best is None:
             break
         _, bi, bj = best
@@ -101,28 +128,25 @@ def smith_normal_form(A):
                         dirty = True
             if not dirty:
                 break
-        # enforce divisibility of the rest of the block by the pivot
+        # enforce divisibility of the rest of the block by the pivot (a
+        # unit pivot divides everything)
         piv = S[t][t]
-        offender = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if S[i][j] % piv != 0:
-                    offender = (i, j)
-                    break
-            if offender:
-                break
-        if offender:
-            addmul_row(t, offender[0], 1)
-            continue
+        if abs(piv) > 1:
+            offender = next((i for i in range(t + 1, n)
+                             for j in range(t + 1, m) if S[i][j] % piv), None)
+            if offender is not None:
+                addmul_row(t, offender, 1)
+                continue
         if piv < 0:
             S[t] = [-x for x in S[t]]
             U[t] = [-x for x in U[t]]
+            Uinv_t[t] = [-x for x in Uinv_t[t]]
         t += 1
-    return U, S, V
+    return U, S, transpose(V_t, m), transpose(Uinv_t, n), Vinv
 
-def snf_diagonal(A):
-    _, S, _ = smith_normal_form(A)
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0)) if S[i][i] != 0]
+def snf_rank(S):
+    """Number of nonzero invariant factors of a Smith normal form."""
+    return sum(1 for i in range(min(len(S), len(S[0]) if S else 0)) if S[i][i])
 
 def kernel_basis(A):
     """Lattice basis of {x : A x = 0} (columns of V past the SNF rank)."""
@@ -131,46 +155,24 @@ def kernel_basis(A):
     if m == 0:
         return []
     if n == 0:
-        return [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    _, S, V = smith_normal_form(A)
-    rank = sum(1 for i in range(min(n, m)) if S[i][i] != 0)
-    return [[V[i][j] for i in range(m)] for j in range(rank, m)]
-
-def integer_solvable(A, b):
-    """Is A x = b solvable over the integers?"""
-    n = len(A)
-    if n == 0:
-        return True
-    U, S, _ = smith_normal_form(A)
-    m = len(A[0])
-    ub = [sum(U[i][j] * b[j] for j in range(n)) for i in range(n)]
-    for i in range(n):
-        if i < min(n, m) and S[i][i] != 0:
-            if ub[i] % S[i][i] != 0:
-                return False
-        elif ub[i] != 0:
-            return False
-    return True
+        return identity_matrix(m)
+    _, S, V, _, _ = smith_normal_form(A)
+    return transpose(V, m)[snf_rank(S):]
 
 def lattice_subset(gens_a, gens_b):
     """Is the lattice spanned by gens_a contained in the one spanned by
     gens_b?  Generators are vectors in Z^n."""
     if not gens_a:
         return True
-    n = len(gens_a[0])
-    B = [[g[i] for g in gens_b] for i in range(n)]
-    return all(integer_solvable(B, list(g)) for g in gens_a)
+    quotient = AbelianQuotient(len(gens_a[0]), gens_b)
+    return not any(any(quotient.coords(g)) for g in gens_a)
 
 def unimodular_inverse(U):
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(U)
-    rows = [[Fraction(x) for x in r] for r in U]
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        sol = solve_linear(rows, e)
-        cols.append([int(x) for x in sol])
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    """Inverse of a unimodular integer matrix: P U Q = I gives U^-1 = Q P."""
+    P, S, Q, _, _ = smith_normal_form(U)
+    if S != identity_matrix(len(U)):
+        raise ValueError("matrix is not unimodular")
+    return mat_mul(Q, P)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +184,13 @@ class AbelianGroup:
 
     def __init__(self, rank: int, torsion=()):
         torsion = tuple(int(d) for d in torsion)
-        assert rank >= 0 and all(d > 1 for d in torsion)
-        assert all(torsion[i + 1] % torsion[i] == 0 for i in range(len(torsion) - 1))
+        if rank < 0:
+            raise InvalidGroup(f"negative rank {rank}")
+        if any(d <= 1 for d in torsion):
+            raise InvalidGroup(f"torsion orders {torsion} must exceed 1")
+        if any(b % a for a, b in zip(torsion, torsion[1:])):
+            raise InvalidGroup(
+                f"torsion orders {torsion} must each divide the next")
         self.rank = rank
         self.torsion = torsion
 
@@ -208,6 +215,57 @@ class AbelianGroup:
             parts.append(f"Z^{self.rank}")
         parts.extend(f"Z/{d}" for d in self.torsion)
         return " + ".join(parts) if parts else "0"
+
+
+class AbelianQuotient:
+    """Z^k modulo the lattice spanned by `relations` (vectors of Z^k),
+    with coordinates and generators from one Smith normal form.
+
+    With U R V = S for the relation matrix R, the class of x in Z^k has
+    SNF coordinates U x.  Coordinates with invariant factor 1 are dropped;
+    the rest are the group's: torsion ones (order d > 1) first, in
+    divisibility order, then free ones (order 0).  Generator j is the
+    matching column of U^-1.
+    """
+
+    def __init__(self, k: int, relations: list[list[int]]):
+        if k and relations:
+            U, S, _, Uinv, _ = smith_normal_form(
+                [[rel[i] for rel in relations] for i in range(k)])
+        else:
+            U, S, Uinv = identity_matrix(k), [], identity_matrix(k)
+        r = snf_rank(S)
+        invs = [S[i][i] for i in range(r)] + [0] * (k - r)
+        self.U, self.Uinv = U, Uinv
+        self.coord_idx = [i for i in range(k) if invs[i] != 1]
+        self.orders = [invs[i] for i in self.coord_idx]
+        self.group = AbelianGroup(self.orders.count(0),
+                                  [d for d in self.orders if d])
+
+    def ngens(self) -> int:
+        return len(self.coord_idx)
+
+    def reduce(self, c) -> tuple[int, ...]:
+        """Group coordinates with each torsion entry reduced mod its order."""
+        return tuple(x % d if d else x for x, d in zip(c, self.orders))
+
+    def coords(self, x: list[int]) -> tuple[int, ...]:
+        """Class of x in Z^k, in group coordinates."""
+        support = [(j, v) for j, v in enumerate(x) if v]
+        return self.reduce([sum(self.U[i][j] * v for j, v in support)
+                            for i in self.coord_idx])
+
+    def generator(self, j: int) -> list[int]:
+        """Vector of Z^k representing the j-th group generator."""
+        i = self.coord_idx[j]
+        return [row[i] for row in self.Uinv]
+
+    def negate(self, j: int) -> None:
+        """Replace the j-th generator by its negative."""
+        i = self.coord_idx[j]
+        self.U[i] = [-x for x in self.U[i]]
+        for row in self.Uinv:
+            row[i] = -row[i]
 
 
 class ChainComplex:
@@ -237,7 +295,8 @@ class ChainComplex:
             self.boundary[n] = D
         for n in range(2, self.dim + 1):
             prod = mat_mul(self.boundary[n - 1], self.boundary[n])
-            assert all(x == 0 for row in prod for x in row), "dd != 0"
+            if any(x for row in prod for x in row):
+                raise NotAChainComplex(f"d_{n - 1} d_{n} != 0")
 
     def chain_vector(self, n: int, chain: dict[Simplex, int]) -> list[int]:
         v = [0] * len(self.basis.get(n, []))
@@ -277,8 +336,18 @@ def chain_complex(K: Complex, rel=None) -> ChainComplex:
     return ChainComplex(basis)
 
 
-class HomologyData:
-    """H_n of a chain complex with explicit generators and coordinates."""
+class HomologyData(AbelianQuotient):
+    """H_n of a chain complex with explicit generators and coordinates.
+
+    Computed over the integers from two Smith normal forms.  The SNF
+    U D_n V = S of rank r gives the cycle lattice Z_n: its basis is the
+    columns r.. of V, and a vector v has cycle coordinates rows r.. of
+    V^-1 v (rows ..r vanish exactly when v is a cycle).  The boundaries,
+    the columns of D_{n+1}, are cycles; their cycle coordinates are the
+    relations of H_n as an `AbelianQuotient` of Z^(rank Z_n).  Generators
+    are signed so that their first nonzero simplex coefficient is
+    positive.
+    """
 
     def __init__(self, cc: ChainComplex, n: int):
         self.cc = cc
@@ -286,97 +355,48 @@ class HomologyData:
         self.simplices = cc.basis.get(n, [])
         k = len(self.simplices)
         Dn = cc.boundary.get(n)
-        if Dn is None or not Dn:
-            cycles = identity_matrix(k) if k else []
-            cycles = [[row[j] for row in cycles] for j in range(k)]
+        if Dn:
+            _, S, V, _, self.Vinv = smith_normal_form(Dn)
+            self.r = snf_rank(S)
         else:
-            cycles = kernel_basis(Dn)
-        self.cycles = cycles  # list of cycle vectors, a lattice basis of Z_n
-        nz = len(cycles)
-        Dn1 = cc.boundary.get(n + 1)
-        bcols = []
-        if Dn1 and Dn1[0]:
-            ncols = len(Dn1[0])
-            bcols = [[Dn1[i][j] for i in range(len(Dn1))] for j in range(ncols)]
-        # boundaries in cycle coordinates (always integral: cycle basis
-        # spans the saturated kernel lattice)
-        M = [[0] * len(bcols) for _ in range(nz)]
-        if bcols:
-            Zrows = [[Fraction(cycles[j][i]) for j in range(nz)] for i in range(k)]
-            for c, b in enumerate(bcols):
-                sol = solve_linear(Zrows, [Fraction(x) for x in b])
-                assert sol is not None
-                for r in range(nz):
-                    assert sol[r].denominator == 1
-                    M[r][c] = int(sol[r])
-        if nz == 0:
-            self.U = []
-            self.Uinv = []
-            invs = []
-        elif not bcols:
-            self.U = identity_matrix(nz)
-            self.Uinv = identity_matrix(nz)
-            invs = [0] * nz
-        else:
-            U, S, _ = smith_normal_form(M)
-            self.U = U
-            self.Uinv = unimodular_inverse(U)
-            rank = sum(1 for i in range(min(nz, len(bcols))) if S[i][i] != 0)
-            invs = [S[i][i] for i in range(rank)] + [0] * (nz - rank)
-        self.invs = invs
-        # surviving coordinates: torsion (d>1) first by SNF order, then free
-        self.coord_idx = [i for i in range(nz) if invs[i] != 1]
-        # canonical generator signs: first nonzero coefficient positive
-        for i in self.coord_idx:
-            x = [self.Uinv[r][i] for r in range(nz)]
-            v = [sum(self.cycles[c][r] * x[c] for c in range(nz))
-                 for r in range(k)]
-            lead = next((e for e in v if e != 0), 0)
-            if lead < 0:
-                for j in range(nz):
-                    self.U[i][j] = -self.U[i][j]
-                    self.Uinv[j][i] = -self.Uinv[j][i]
-        torsion = [invs[i] for i in self.coord_idx if invs[i] > 1]
-        rank = sum(1 for i in self.coord_idx if invs[i] == 0)
-        self.group = AbelianGroup(rank, torsion)
+            V = self.Vinv = identity_matrix(k)
+            self.r = 0
+        # lattice basis of Z_n, one vector per cycle coordinate
+        self.cycles = transpose(V, k)[self.r:]
+        D1 = cc.boundary.get(n + 1)
+        bnd = transpose(D1, len(D1[0])) if D1 else []
+        super().__init__(len(self.cycles),
+                         [self._cycle_coords(b)[self.r:] for b in bnd])
+        for j in range(self.ngens()):
+            if next((e for e in self.generator_vector(j) if e), 0) < 0:
+                self.negate(j)
+
+    def _cycle_coords(self, v: list[int]) -> list[int]:
+        """Rows of V^-1 v: zero up to r exactly when v is a cycle."""
+        support = [(j, x) for j, x in enumerate(v) if x]
+        return [sum(row[j] * x for j, x in support) for row in self.Vinv]
 
     def coords_of_vector(self, v: list[int]) -> tuple[int, ...]:
         """Class of a cycle vector in group coordinates (torsion reduced)."""
-        nz = len(self.cycles)
-        if nz == 0:
-            if any(x != 0 for x in v):
-                raise ValueError("not a cycle of a trivial group")
-            return ()
-        Zrows = [[Fraction(self.cycles[j][i]) for j in range(nz)]
-                 for i in range(len(v))]
-        sol = solve_linear(Zrows, [Fraction(x) for x in v])
-        if sol is None or any(s.denominator != 1 for s in sol):
+        y = self._cycle_coords(v)
+        if any(y[:self.r]):
             raise ValueError("vector is not a cycle")
-        x = [int(s) for s in sol]
-        y = [sum(self.U[i][j] * x[j] for j in range(nz)) for i in range(nz)]
-        out = []
-        for i in self.coord_idx:
-            d = self.invs[i]
-            out.append(y[i] % d if d > 1 else y[i])
-        return tuple(out)
+        return self.coords(y[self.r:])
 
     def coords_of_chain(self, chain: dict[Simplex, int]) -> tuple[int, ...]:
         return self.coords_of_vector(self.cc.chain_vector(self.n, chain))
 
     def generator_vector(self, j: int) -> list[int]:
         """Cycle vector representing the j-th group generator."""
-        nz = len(self.cycles)
-        i = self.coord_idx[j]
-        x = [self.Uinv[r][i] for r in range(nz)]
-        k = len(self.simplices)
-        return [sum(self.cycles[c][r] * x[c] for c in range(nz)) for r in range(k)]
+        v = [0] * len(self.simplices)
+        for z, x in zip(self.cycles, self.generator(j)):
+            if x:
+                v = [a + x * b for a, b in zip(v, z)]
+        return v
 
     def generator_chain(self, j: int) -> dict[Simplex, int]:
         v = self.generator_vector(j)
         return {s: c for s, c in zip(self.simplices, v) if c}
-
-    def ngens(self) -> int:
-        return len(self.coord_idx)
 
 
 def homology(K: Complex, n: int) -> AbelianGroup:
@@ -523,8 +543,6 @@ def _exact_at(f: HomologyClassMap, g: HomologyClassMap) -> bool:
     A = [[cols[j][i] for j in range(len(cols))] for i in range(ktgt)]
     ker_full = kernel_basis(A) if A else identity_matrix(kmid + len(rel3))
     ker = [k[:kmid] for k in ker_full]
-    if not im:
-        im = [[0] * kmid] if kmid else []
     return lattice_subset(im, ker) and lattice_subset(ker, im)
 
 

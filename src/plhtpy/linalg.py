@@ -3,8 +3,8 @@
 Everything in this module works on ``fractions.Fraction`` entries and makes
 no floating point detours.  Matrices are plain lists of lists; vectors are
 tuples.  This is the arithmetic substrate for all geometric predicates:
-barycentric coordinates, affine independence, facet hyperplanes and the
-strict-feasibility test used to decide whether two open simplices meet.
+barycentric coordinates, affine independence and the strict-feasibility
+test used to decide whether two open simplices meet.
 """
 
 from __future__ import annotations
@@ -26,17 +26,8 @@ def vec(xs) -> Vec:
     return tuple(frac(x) for x in xs)
 
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vscale(c, a: Vec) -> Vec:
-    c = frac(c)
-    return tuple(c * x for x in a)
 
 
 def vcomb(coeffs: Sequence[Fraction], points: Sequence[Vec]) -> Vec:
@@ -125,42 +116,6 @@ def barycentric_coords(points: Sequence[Vec], x: Vec) -> Optional[list[Fraction]
     rhs = list(x) + [F1]
     sol = solve_linear(rows, rhs)
     return sol
-
-
-def facet_functional(points: Sequence[Vec], inside: Vec) -> tuple[Vec, Fraction]:
-    """Affine functional (n, c) with n.x + c = 0 on aff(points) and
-    n.inside + c > 0.  `points` must span a hyperplane of their ambient
-    affine span; used for facet hyperplanes of simplices."""
-    dim = len(inside)
-    # find (n, c) with n.p + c = 0 for all p, nontrivial on `inside`
-    rows = [list(p) + [F1] for p in points]
-    # nullspace search: try unit vectors for the "free" normalization
-    nr = len(rows)
-    for free in range(dim + 1):
-        cols = [c for c in range(dim + 1) if c != free]
-        sub = [[r[c] for c in cols] for r in rows]
-        rhs = [-r[free] for r in rows]
-        sol = solve_linear(sub, rhs)
-        if sol is None:
-            continue
-        full = [F0] * (dim + 1)
-        full[free] = F1
-        for c, v in zip(cols, sol):
-            full[c] = v
-        n = tuple(full[:dim])
-        c0 = full[dim]
-        val = sum(ni * xi for ni, xi in zip(n, inside)) + c0
-        if val != 0:
-            if val < 0:
-                n = tuple(-x for x in n)
-                c0 = -c0
-            return n, c0
-    raise ValueError("points do not span a hyperplane relative to the witness point")
-
-
-def eval_functional(fn: tuple[Vec, Fraction], x: Vec) -> Fraction:
-    n, c = fn
-    return sum(ni * xi for ni, xi in zip(n, x)) + c
 
 
 # ---------------------------------------------------------------------------

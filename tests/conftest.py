@@ -17,6 +17,21 @@ def corpus():
 
 
 @pytest.fixture(scope="session")
+def lattice_spaces(corpus):
+    """(label, complex, {name: subcomplex members}) for every corpus
+    complex at subdivision depth 0 and 1, and the disk at depth 2."""
+    out = []
+    for name, (K, subs) in sorted(corpus.items()):
+        for r in ((0, 1, 2) if name == "disk" else (0, 1)):
+            w = sd.iterated_subdivision(K, r)
+            members = {sub: frozenset(t for t in w.fine.simplices
+                                      if w.carrier[t] in ref.members)
+                       for sub, ref in subs.items()}
+            out.append((f"{name}@{r}", w.fine, members))
+    return out
+
+
+@pytest.fixture(scope="session")
 def tri3(corpus):
     return corpus["tri3"][0]
 

@@ -199,3 +199,31 @@ def test_loop_chain_orientation(tri3):
     pres = fg.Presentation(tri3, "a")
     chain = pres.loop_chain(["a", "b", "c", "a"])
     assert chain == {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): -1}
+
+
+def test_abelianization_coordinates(lattice_spaces):
+    for label, K, _ in lattice_spaces:
+        pres = fg.Presentation(K, min(K.vertex_ids()))
+        ab = fg.abelianization(pres)
+        assert fg.abelianization(pres) is ab
+        m = ab.ngens()
+        for j in range(m):
+            assert ab.project_vector(ab.generator_exponents(j)) == \
+                tuple(int(i == j) for i in range(m)), (label, j)
+        assert all(ab.project(r) == (0,) * m for r in pres.relators), label
+
+
+def test_hurewicz_surjectivity(corpus):
+    h = fg.hurewicz_h1(corpus["tri3"][0], "a")
+    assert h.is_surjective()
+    h.gen_classes = [(2,)]
+    assert not h.is_surjective()
+    h.gen_classes = [(-1,)]
+    assert h.is_surjective()
+    # H_1 = Z/2: an odd class generates it, even ones do not
+    h = fg.hurewicz_h1(corpus["rp6"][0], "p1")
+    others = [(0,)] * (len(h.gen_classes) - 1)
+    h.gen_classes = [(2,)] + others
+    assert not h.is_surjective()
+    h.gen_classes = [(3,)] + others
+    assert h.is_surjective()

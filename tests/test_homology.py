@@ -1,19 +1,26 @@
 """Integer simplicial homology: SNF groups, induced maps, exact sequences."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import plhtpy
 from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
 from plhtpy.complexes import proper_faces, simplex, validate
 from plhtpy.errors import NotClosed, NotSimplicial, NotSubcomplex
 from plhtpy.homology import (AbelianGroup, ChainComplex, HomologyData,
                              chain_complex, euler_characteristic,
-                             fundamental_class, homology, induced_map,
-                             induced_map_on_vertices, mat_mul,
-                             relative_homology, smith_normal_form,
+                             fundamental_class, homology, identity_matrix,
+                             induced_map, induced_map_on_vertices,
+                             lattice_subset, mat_mul, relative_homology,
+                             smith_normal_form, unimodular_inverse,
                              verify_les)
 from conftest import make_deg2, make_rot
 
@@ -25,8 +32,10 @@ Z_MOD2 = AbelianGroup(0, (2,))
 
 def test_smith_normal_form_transforms():
     A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    U, S, V = smith_normal_form(A)
+    U, S, V, Uinv, Vinv = smith_normal_form(A)
     assert mat_mul(mat_mul(U, A), V) == S
+    assert mat_mul(U, Uinv) == identity_matrix(3)
+    assert mat_mul(V, Vinv) == identity_matrix(3)
     diag = [S[i][i] for i in range(3)]
     # frozen oracle: d1 = gcd of entries = 2, d1*d2 = gcd of 2x2 minors = 4,
     # d1*d2*d3 = |det A| = 624
@@ -35,6 +44,19 @@ def test_smith_normal_form_transforms():
         for j in range(3):
             if i != j:
                 assert S[i][j] == 0
+
+
+def test_lattice_subset():
+    assert lattice_subset([[2, 0]], [[1, 0]])
+    assert not lattice_subset([[1, 0]], [[2, 0]])
+    assert lattice_subset([[1, 1]], [[1, 0], [0, 1]])
+    assert not lattice_subset([[0, 1]], [[1, 0]])
+    # 6Z + 4Z = 2Z
+    assert lattice_subset([[2]], [[6], [4]])
+    assert not lattice_subset([[3]], [[6], [4]])
+    assert lattice_subset([[0, 0]], [])
+    assert not lattice_subset([[0, 1]], [])
+    assert lattice_subset([], [[1, 0]])
 
 
 def test_chain_complex_shapes(corpus):
@@ -226,3 +248,72 @@ def test_group_printing():
     assert str(AbelianGroup(2, (2,))) == "Z^2 + Z/2"
     assert str(Z) == "Z"
     assert str(ZERO) == "0"
+
+
+def unit(j, m):
+    return tuple(int(i == j) for i in range(m))
+
+
+def test_integer_homology_coordinates(lattice_spaces):
+    for label, K, subs in lattice_spaces:
+        ccs = [chain_complex(K)] + [chain_complex(K, rel=m)
+                                    for m in subs.values()]
+        for cc in ccs:
+            for n in range(K.dim() + 1):
+                H = HomologyData(cc, n)
+                m = H.ngens()
+                for j in range(m):
+                    assert H.coords_of_chain(H.generator_chain(j)) == \
+                        unit(j, m), (label, n, j)
+                D1 = cc.boundary.get(n + 1)
+                for col in zip(*D1) if D1 else ():
+                    assert H.coords_of_vector(list(col)) == (0,) * m
+                k = len(cc.basis.get(n, []))
+                Dn = cc.boundary.get(n) or []
+                moved = [j for j in range(k) if any(row[j] for row in Dn)]
+                if moved:
+                    with pytest.raises(ValueError):
+                        H.coords_of_vector(list(unit(moved[0], k)))
+
+
+def test_smith_normal_form_inverses_on_boundaries(lattice_spaces):
+    for label, K, _ in lattice_spaces:
+        for n, D in chain_complex(K).boundary.items():
+            rows, cols = len(D), len(D[0])
+            U, S, V, Uinv, Vinv = smith_normal_form(D)
+            assert mat_mul(mat_mul(U, D), V) == S, (label, n)
+            assert mat_mul(U, Uinv) == identity_matrix(rows), (label, n)
+            assert mat_mul(V, Vinv) == identity_matrix(cols), (label, n)
+            assert mat_mul(unimodular_inverse(U), U) == identity_matrix(rows)
+            diag = [S[i][i] for i in range(min(rows, cols))]
+            assert all(S[i][j] == 0 for i in range(rows) for j in range(cols)
+                       if i != j)
+            assert all(d >= 0 for d in diag)
+            assert all(b % a == 0 if a else b == 0
+                       for a, b in zip(diag, diag[1:]))
+
+
+def test_validation_survives_python_O():
+    code = textwrap.dedent("""
+        from plhtpy.errors import InvalidGroup, NotAChainComplex
+        from plhtpy.homology import AbelianGroup, ChainComplex
+        print(__debug__)
+        for rank, torsion in [(-1, (0, 4, 6)), (0, (4, 6)), (-1, ())]:
+            try:
+                AbelianGroup(rank, torsion)
+            except InvalidGroup:
+                print("InvalidGroup")
+        try:
+            # an unsorted triangle misses its face (b, a): dd != 0
+            ChainComplex({0: [("a",), ("b",), ("c",)],
+                          1: [("a", "b"), ("a", "c"), ("b", "c")],
+                          2: [("b", "a", "c")]})
+        except NotAChainComplex:
+            print("NotAChainComplex")
+    """)
+    src = str(Path(plhtpy.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == ["False"] + ["InvalidGroup"] * 3 + [
+        "NotAChainComplex"], proc.stderr
