@@ -38,7 +38,10 @@ def _parse_carrier_lines(lines) -> dict[Simplex, Simplex]:
         parts = line.split()
         if len(parts) != 3 or parts[1] != "->":
             raise FormatError(f"bad carrier line {line!r}")
-        out[scx.parse_simplex_name(parts[0])] = scx.parse_simplex_name(parts[2])
+        fine = scx.parse_simplex_name(parts[0])
+        if fine in out:
+            raise FormatError(f"duplicate carrier line {line!r}")
+        out[fine] = scx.parse_simplex_name(parts[2])
     return out
 
 

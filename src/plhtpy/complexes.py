@@ -45,6 +45,11 @@ def proper_faces(s: Simplex):
         yield from combinations(s, k)
 
 
+def facets(s: Simplex) -> list[Simplex]:
+    """The codimension-1 faces; none for a vertex."""
+    return [s[:i] + s[i + 1:] for i in range(len(s))] if len(s) > 1 else []
+
+
 def faces_with_self(s: Simplex):
     for k in range(1, len(s) + 1):
         yield from combinations(s, k)
@@ -288,6 +293,10 @@ def validate(ambient_dim: int, vertex_coords: dict[str, Sequence],
 
 
 def check_pairwise_disjoint(K: Complex) -> None:
+    """Raise OverlappingSimplices naming the first pair of open simplices
+    that meet.  For raw, untrusted input: pairs are screened by bounding
+    box, by spanning one geometric simplex, and by an exact separating
+    hyperplane before the exact LP decides."""
     sims = sorted(K.simplices)
     boxes = {}
     for s in sims:
@@ -301,6 +310,9 @@ def check_pairwise_disjoint(K: Complex) -> None:
         union = sorted(set(a) | set(b))
         if linalg.affinely_independent([K.vertices[v] for v in union]):
             continue  # both are faces of one geometric simplex
-        if linalg.convex_positions_intersect(K.points(a), K.points(b)):
+        pa, pb = K.points(a), K.points(b)
+        if linalg.hyperplane_separated(pa, pb):
+            continue
+        if linalg.convex_positions_intersect(pa, pb):
             raise OverlappingSimplices(
                 f"open simplices {sname(a)} and {sname(b)} intersect")

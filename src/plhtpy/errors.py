@@ -91,5 +91,9 @@ class NotAChainComplex(PlhtpyError):
     """Boundary matrices whose composite is not zero."""
 
 
+class ValueOutOfRange(PlhtpyError):
+    """A PL function value outside [0, 1]."""
+
+
 class FormatError(PlhtpyError):
     """Malformed SCX / SCX-M input."""

@@ -118,6 +118,42 @@ def barycentric_coords(points: Sequence[Vec], x: Vec) -> Optional[list[Fraction]
     return sol
 
 
+def _separates(pts: Sequence[Vec], other: Sequence[Vec]) -> bool:
+    dim = len(pts[0])
+    if len(pts) == dim + 1:
+        # barycentric coordinate i vanishes on facet i and is positive on
+        # the open simplex: `other` must sit on its closed negative side
+        coords = [barycentric_coords(pts, q) for q in other]
+        return any(all(c[i] <= 0 for c in coords)
+                   and any(c[i] < 0 for c in coords) for i in range(dim + 1))
+    if len(pts) == dim:
+        # the coordinate of a point off the hull vanishes exactly on the
+        # hull: `other` must sit on one closed side, not all on the hull
+        for axis in range(dim):
+            off = tuple(x + (F1 if i == axis else F0)
+                        for i, x in enumerate(pts[0]))
+            frame = list(pts) + [off]
+            if affinely_independent(frame):
+                break
+        vals = [barycentric_coords(frame, q)[-1] for q in other]
+        return ((all(v >= 0 for v in vals) or all(v <= 0 for v in vals))
+                and any(v != 0 for v in vals))
+    return False
+
+
+def hyperplane_separated(pts_a: Sequence[Vec], pts_b: Sequence[Vec]) -> bool:
+    """Exact sufficient test that the open simplices on two affinely
+    independent point lists are disjoint.
+
+    The candidate hyperplanes are the facet hyperplanes of a
+    full-dimensional simplex and the hull of a codimension-1 simplex; one
+    separates when every vertex of the other simplex lies on one closed
+    side of it (for a facet, the side away from the simplex) and at least
+    one lies strictly off it.  False means undecided, not intersecting.
+    """
+    return _separates(pts_a, pts_b) or _separates(pts_b, pts_a)
+
+
 # ---------------------------------------------------------------------------
 # Exact LP: strict feasibility for open-simplex intersection.
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .complexes import (Complex, SubcomplexRef, Simplex, faces_with_self,
                         proper_faces, sdim, simplex, sname)
 from .errors import (BarrierViolation, CarrierClash, FixedSetMismatch,
                      Incompatible, NotClosed, NotFull, NotSimplicial,
-                     NotSubcomplex, RoundsExhausted)
+                     NotSubcomplex, RoundsExhausted, ValueOutOfRange)
 from .subdivision import (SubdivisionWitness, barycentric_subdivide,
                           identity_witness)
 
@@ -345,7 +345,10 @@ class PLFunction:
     def __init__(self, witness: SubdivisionWitness, values: dict[str, Fraction]):
         self.witness = witness
         self.values = {v: linalg.frac(x) for v, x in values.items()}
-        assert all(0 <= x <= 1 for x in self.values.values())
+        bad = sorted(v for v, x in self.values.items() if not 0 <= x <= 1)
+        if bad:
+            raise ValueOutOfRange(
+                f"values outside [0, 1] at {' '.join(bad)}")
 
     def evaluate(self, x) -> Fraction:
         t, coords = self.witness.fine.locate(linalg.vec(x))

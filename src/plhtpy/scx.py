@@ -12,6 +12,10 @@ SCX-M extends SCX with per-vertex images and per-simplex carriers:
     image <vertex-id> <q_1> ... <q_p>
     carrier <fine-simplex-name> -> <coarse-simplex-name>
 
+Each vertex, image, carrier and subcomplex is declared at most once and
+`ambient` exactly once; a repeated declaration is a FormatError naming its
+line, never a silent override.
+
 Emission is canonical (sorted declarations, reduced fractions), so content
 digests are stable across runs.
 """
@@ -43,6 +47,14 @@ def coord_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _declare(table: dict, key, value, what: str) -> None:
+    """Record a declaration; a second one for the same key is an error,
+    never a silent override."""
+    if key in table:
+        raise ValueError(f"duplicate {what}")
+    table[key] = value
+
+
 def parse_scx(text: str):
     """Parse SCX (and SCX-M) text into raw pieces."""
     ambient = None
@@ -59,19 +71,28 @@ def parse_scx(text: str):
         kind = toks[0]
         try:
             if kind == "ambient":
+                if ambient is not None:
+                    raise ValueError("repeated 'ambient' declaration")
                 ambient = int(toks[1])
             elif kind == "vertex":
-                vertices[toks[1]] = tuple(_parse_coord(t) for t in toks[2:])
+                _declare(vertices, toks[1],
+                         tuple(_parse_coord(t) for t in toks[2:]),
+                         f"vertex {toks[1]}")
             elif kind == "simplex":
                 simplices.append(toks[1:])
             elif kind == "subcomplex":
-                subcomplexes[toks[1]] = [parse_simplex_name(t) for t in toks[2:]]
+                _declare(subcomplexes, toks[1],
+                         [parse_simplex_name(t) for t in toks[2:]],
+                         f"subcomplex {toks[1]}")
             elif kind == "image":
-                images[toks[1]] = tuple(_parse_coord(t) for t in toks[2:])
+                _declare(images, toks[1],
+                         tuple(_parse_coord(t) for t in toks[2:]),
+                         f"image {toks[1]}")
             elif kind == "carrier":
                 if toks[2] != "->":
                     raise FormatError("carrier syntax: carrier <fine> -> <coarse>")
-                carriers[parse_simplex_name(toks[1])] = parse_simplex_name(toks[3])
+                _declare(carriers, parse_simplex_name(toks[1]),
+                         parse_simplex_name(toks[3]), f"carrier {toks[1]}")
             else:
                 raise FormatError(f"unknown declaration {kind!r}")
         except (IndexError, ValueError) as exc:

@@ -3,8 +3,12 @@ homeomorphisms.
 
 A subdivision is always carried as a witness: the fine complex, the coarse
 complex, and for each fine simplex the coarse simplex whose interior
-contains it.  Verification is exact — containment by barycentric support and
-coverage by rational relative volumes — never by sampling.
+contains it.  Verification is exact, never by sampling, and linear in the
+number of fine simplices: the fine simplices must partition every coarse
+simplex, which `partition_violations` proves from containment by barycentric
+support, closedness, face-to-face matching of the facets (two top cofaces on
+opposite sides inside, one on the boundary) and relative volumes summing to
+1.  The images under a normal homeomorphism are checked the same way.
 
 Barycenter vertices are named ``<v1>.<v2>...<vk>^bary`` (dot-joined vertex
 identifiers of the subdivided simplex); user vertex identifiers must not
@@ -15,11 +19,10 @@ simplex names stay unambiguous.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from . import linalg
-from .complexes import (Complex, SubcomplexRef, Simplex, faces_with_self,
-                        proper_faces, sdim, simplex, sname)
+from .complexes import (Complex, SubcomplexRef, Simplex, facets,
+                        proper_faces, simplex, sname)
 from .errors import NotClosed, NotNormal, NotNormalInput, NotSubcomplex
 
 F1 = Fraction(1)
@@ -84,18 +87,13 @@ def iterated_subdivision(K: Complex, rounds: int) -> SubdivisionWitness:
     return w
 
 
-def relative_volume(coarse_pts, fine_pts) -> Fraction:
+def relative_volume(rows) -> Fraction:
     """vol(fine simplex) / vol(coarse simplex), both of the same dimension,
-    via the determinant of the barycentric coordinate matrix."""
-    rows = []
-    for p in fine_pts:
-        coords = linalg.barycentric_coords(coarse_pts, p)
-        if coords is None:
-            return Fraction(0)
-        rows.append(list(coords))
-    n = len(rows)
-    det = F1
+    from the barycentric coordinates of the fine vertices in the coarse
+    simplex (one row per fine vertex): the absolute determinant."""
     m = [list(r) for r in rows]
+    n = len(m)
+    det = F1
     for c in range(n):
         piv = next((i for i in range(c, n) if m[i][c] != 0), None)
         if piv is None:
@@ -112,27 +110,117 @@ def relative_volume(coarse_pts, fine_pts) -> Fraction:
     return abs(det)
 
 
-def verify_subdivision(w: SubdivisionWitness):
-    """(ok, violations): exact containment per carrier plus exact coverage
-    of every coarse simplex by same-dimension fine pieces."""
+def partition_violations(coarse: Complex, pieces, point, carrier,
+                         what: str = "") -> list:
+    """Why the open simplices `pieces`, with vertex v placed at `point[v]`
+    and piece t claimed inside open `carrier[t]`, fail to partition every
+    simplex of `coarse` (an empty list when they do).
+
+    Exact and linear in the number of pieces.  Each piece must lie inside
+    its carrier.  Then, for every coarse simplex c of dimension d, over the
+    pieces carried by c:
+
+    * closed: every facet of a piece is a piece, unless it lies on a face
+      of c that `coarse` leaves out;
+    * the top (d-dimensional) pieces are nondegenerate and their relative
+      volumes sum to 1;
+    * every lower-dimensional piece is a face of a top piece;
+    * every facet carried by c has exactly two top cofaces, on opposite
+      sides of it;
+    * every facet carried by a facet of c has exactly one top coface.
+
+    The facet conditions make the number of top pieces over a generic point
+    of c constant, the volume sum makes that number 1, and closedness with
+    the face condition puts every lower piece on the shared boundaries: the
+    pieces partition c.  Messages start with `what`.
+    """
     violations = []
-    by_coarse: dict[Simplex, list[Simplex]] = {s: [] for s in w.coarse.simplices}
-    for t in sorted(w.fine.simplices):
-        c = w.carrier.get(t)
-        if c is None or c not in w.coarse.simplices:
-            violations.append((t, c, "carrier missing"))
-            continue
-        if not w.coarse.simplex_inside(w.fine.points(t), c):
-            violations.append((t, c, "not inside carrier"))
-            continue
-        by_coarse[c].append(t)
-    for c in sorted(w.coarse.simplices):
-        cpts = w.coarse.points(c)
-        total = sum((relative_volume(cpts, w.fine.points(t))
-                     for t in by_coarse[c] if sdim(t) == sdim(c)),
-                    Fraction(0))
+    by_coarse: dict[Simplex, list[Simplex]] = {c: [] for c in coarse.simplices}
+    coords: dict[tuple[str, Simplex], list | None] = {}
+
+    def bary(v, c):
+        key = (v, c)
+        if key not in coords:
+            coords[key] = linalg.barycentric_coords(coarse.points(c), point[v])
+        return coords[key]
+
+    def support(s, c):
+        """Face of c whose interior holds open s, or None if s leaves the
+        closure of c."""
+        on = set()
+        for v in s:
+            b = bary(v, c)
+            if b is None or any(x < 0 for x in b):
+                return None
+            on.update(i for i, x in enumerate(b) if x > 0)
+        return tuple(c[i] for i in sorted(on))
+
+    for t in sorted(pieces):
+        c = carrier.get(t)
+        if c is None or c not in coarse.simplices:
+            violations.append((t, c, what + "carrier missing"))
+        elif support(t, c) != c:
+            violations.append((t, c, what + "not inside carrier"))
+        else:
+            by_coarse[c].append(t)
+
+    for c in sorted(coarse.simplices, key=lambda c: (-len(c), c)):
+        mine = by_coarse[c]
+        for t in mine:
+            for f in facets(t):
+                if f not in pieces and support(f, c) in coarse.simplices:
+                    violations.append((f, c, f"{what}face of {sname(t)} "
+                                             "missing"))
+        total = Fraction(0)
+        faces: set[Simplex] = set()
+        cofaces: dict[Simplex, list[Simplex]] = {}
+        for t in mine:
+            if len(t) != len(c):
+                continue
+            vol = relative_volume([bary(v, c) for v in t])
+            if vol == 0:
+                violations.append((t, c, what + "degenerate"))
+                continue
+            total += vol
+            faces.update(proper_faces(t))
+            for f in facets(t):
+                cofaces.setdefault(f, []).append(t)
+        for t in mine:
+            if len(t) < len(c) and t not in faces:
+                violations.append((t, c, what + "not a face of a top piece"))
+        for f, tops in sorted(cofaces.items()):
+            if f not in pieces:
+                continue
+            if carrier.get(f) != c:
+                if len(tops) != 1:
+                    violations.append((f, c, f"{what}boundary facet with "
+                                             f"{len(tops)} top cofaces"))
+            elif len(tops) != 2:
+                violations.append((f, c, f"{what}interior facet with "
+                                         f"{len(tops)} top cofaces"))
+            else:
+                t1, t2 = tops
+                (u1,), (u2,) = set(t1) - set(f), set(t2) - set(f)
+                lam = linalg.barycentric_coords([point[v] for v in t1],
+                                                point[u2])
+                if lam[t1.index(u1)] >= 0:
+                    violations.append((f, c, f"{what}top cofaces on one "
+                                             "side"))
+        for e in facets(c):
+            for f in by_coarse.get(e, ()):
+                if len(f) == len(e) and f not in cofaces:
+                    violations.append((f, c, f"{what}boundary facet with "
+                                             "0 top cofaces"))
         if total != 1:
-            violations.append((None, c, f"coverage {total} != 1"))
+            violations.append((None, c, f"{what}coverage {total} != 1"))
+    return violations
+
+
+def verify_subdivision(w: SubdivisionWitness):
+    """(ok, violations): the fine simplices partition every coarse simplex,
+    each inside its carrier (see `partition_violations`)."""
+    violations = partition_violations(w.coarse, w.fine.simplices,
+                                      w.fine.vertices, w.carrier)
     return (not violations), violations
 
 
@@ -188,51 +276,29 @@ class NormalityReport:
 def verify_normal(phi: PLHomeo, partition_targets=None) -> NormalityReport:
     """Check the three normality conditions of a PL homeomorphism.
 
-    (1) images of fine simplices partition each coarse simplex, (2) the
-    domain is a genuine subdivision, (3) each fine simplex maps into the
-    interior of its own carrier.  `partition_targets`, if given, is a
+    (1) the images of the fine simplices partition each coarse simplex:
+    `partition_violations` on the image points, each image carried by its
+    target carrier; (2) the fine simplices themselves partition each
+    coarse simplex (`verify_subdivision`); (3) each fine simplex maps into
+    the interior of its own carrier.  `partition_targets`, if given, is a
     collection of fine-simplex sets whose unions must be unions of image
-    pieces — here each set must simply be a subcomplex-saturated set of
+    pieces -- here each set must simply be a subcomplex-saturated set of
     fine simplices (exactness of the partition is then automatic).
     """
     w = phi.witness
-    violations = []
-    sub_ok, sub_violations = verify_subdivision(w)
-    violations.extend(sub_violations)
+    sub_ok, violations = verify_subdivision(w)
 
     carrier_ok = True
-    part_ok = True
-    images: dict[Simplex, list[tuple[Simplex, list]]] = \
-        {s: [] for s in w.coarse.simplices}
     for t in sorted(w.fine.simplices):
-        ipts = phi.image_points(t)
-        if not linalg.affinely_independent(ipts):
-            part_ok = False
-            violations.append((t, None, "image degenerate"))
-            continue
         car = w.carrier.get(t)
-        if car is not None and not w.coarse.simplex_inside(ipts, car):
+        if car in w.coarse.simplices \
+                and not w.coarse.simplex_inside(phi.image_points(t), car):
             carrier_ok = False
             violations.append((t, car, "image leaves carrier"))
-        tgt = phi.target_carrier.get(t)
-        if tgt is None or tgt not in w.coarse.simplices \
-                or not w.coarse.simplex_inside(ipts, tgt):
-            part_ok = False
-            violations.append((t, tgt, "image not inside target carrier"))
-            continue
-        images[tgt].append((t, ipts))
-    for c in sorted(w.coarse.simplices):
-        cpts = w.coarse.points(c)
-        tops = [(t, ipts) for t, ipts in images[c] if len(ipts) == len(c)]
-        total = sum((relative_volume(cpts, ipts) for _, ipts in tops),
-                    Fraction(0))
-        if total != 1:
-            part_ok = False
-            violations.append((None, c, f"image coverage {total} != 1"))
-        for (t1, p1), (t2, p2) in combinations(tops, 2):
-            if linalg.convex_positions_intersect(p1, p2):
-                part_ok = False
-                violations.append((t1, t2, "images overlap"))
+    image_violations = partition_violations(
+        w.coarse, w.fine.simplices, phi.vertex_image, phi.target_carrier,
+        "image ")
+    violations.extend(image_violations)
 
     targets_ok = None
     if partition_targets is not None:
@@ -243,7 +309,8 @@ def verify_normal(phi: PLHomeo, partition_targets=None) -> NormalityReport:
             if not members <= w.fine.simplices:
                 targets_ok = False
                 violations.append((None, None, "target not fine-saturated"))
-    return NormalityReport(part_ok, sub_ok, carrier_ok, violations, targets_ok)
+    return NormalityReport(not image_violations, sub_ok, carrier_ok,
+                           violations, targets_ok)
 
 
 def extend_normal(K: Complex, K_Z: SubcomplexRef, phi0: PLHomeo) -> PLHomeo:

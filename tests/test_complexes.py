@@ -1,9 +1,11 @@
 """Geometric complex kernel: validation, closure, stars, cores, location."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from plhtpy import linalg, scx
 from plhtpy.complexes import (Complex, proper_faces, simplex, sname,
                               validate)
 from plhtpy.errors import (AffinelyDependent, DuplicateSimplex,
@@ -38,6 +40,54 @@ def test_validate_overlapping_triangles():
     sims = [[v] for v in verts] + [["a", "b", "c"], ["d", "e", "f"]]
     with pytest.raises(OverlappingSimplices):
         validate(2, verts, sims)
+
+
+def random_simplex(rng, dim, k):
+    """k affinely independent points with coordinates in {0, 1/2, ..., 2},
+    a grid coarse enough that shared planes and touching faces are common."""
+    while True:
+        pts = [tuple(F(rng.randint(0, 4), 2) for _ in range(dim))
+               for _ in range(k)]
+        if len(set(pts)) == k and linalg.affinely_independent(pts):
+            return pts
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hyperplane_separation_is_sound(dim):
+    rng = random.Random(1000 + dim)
+    separated = undecided = 0
+    for ka in range(1, dim + 2):
+        for kb in range(1, dim + 2):
+            for _ in range(15):
+                pa = random_simplex(rng, dim, ka)
+                pb = random_simplex(rng, dim, kb)
+                if linalg.hyperplane_separated(pa, pb):
+                    separated += 1
+                    assert not linalg.convex_positions_intersect(pa, pb), \
+                        (pa, pb)
+                else:
+                    undecided += 1
+    assert separated and undecided
+
+
+@pytest.mark.parametrize("name", ["cube2", "disk", "s2"])
+def test_validate_names_every_overlap_shape(name):
+    # every shape the overlap tamper draws: a triangle on one edge of a
+    # triangle of K, its third vertex strictly inside that triangle
+    K, _ = scx.load_corpus(name)
+    for tri in sorted(s for s in K.simplices if len(s) == 3):
+        for wts in [(1, 1, 1), (1, 2, 4), (4, 1, 1)]:
+            z = linalg.vcomb([F(x, sum(wts)) for x in wts], K.points(tri))
+            coords = " ".join(scx.coord_str(q) for q in z)
+            for u, v in [(tri[0], tri[1]), (tri[0], tri[2]),
+                         (tri[1], tri[2])]:
+                text = (scx.emit_scx(K) + f"vertex tamper {coords}\n"
+                        f"simplex {u} {v} tamper\n")
+                with pytest.raises(OverlappingSimplices) as exc:
+                    scx.load_complex(text)
+                message = str(exc.value)
+                assert sname(tri) in message
+                assert sname(simplex((u, v, "tamper"))) in message
 
 
 def test_validate_rejects_aliased_vertices():

@@ -310,10 +310,20 @@ def test_validation_survives_python_O():
                           2: [("b", "a", "c")]})
         except NotAChainComplex:
             print("NotAChainComplex")
+        from plhtpy.complexes import validate
+        from plhtpy.errors import ValueOutOfRange
+        from plhtpy.plmaps import PLFunction
+        from plhtpy.subdivision import identity_witness
+        K = validate(1, {"a": (0,), "b": (1,)}, [["a"], ["b"], ["a", "b"]])
+        for values in [{"a": 0, "b": 2}, {"a": -1, "b": 1}]:
+            try:
+                PLFunction(identity_witness(K), values)
+            except ValueOutOfRange:
+                print("ValueOutOfRange")
     """)
     src = str(Path(plhtpy.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.split() == ["False"] + ["InvalidGroup"] * 3 + [
-        "NotAChainComplex"], proc.stderr
+        "NotAChainComplex"] + ["ValueOutOfRange"] * 2, proc.stderr

@@ -10,6 +10,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from plhtpy import certio, scx
+from plhtpy import subdivision as sd
 from plhtpy.cli import main
 from plhtpy.errors import FormatError
 from plhtpy.homology import euler_characteristic
@@ -54,6 +55,40 @@ def test_scx_errors():
         scx.load_complex("ambient 1\nvertex a zero\n")
     with pytest.raises(FormatError):
         scx.load_complex("ambient 1\nimage a 0\n")  # SCX-M line in SCX
+
+
+SEGMENT = "ambient 1\nvertex a 0\nvertex b 1\nsimplex a\nsimplex b\n"
+
+
+@pytest.mark.parametrize("extra, lineno", [
+    ("vertex a 1/2\n", 6),
+    ("ambient 1\n", 6),
+    ("image a 0\nimage b 1\nimage a 1\n", 8),
+    ("carrier a -> a\ncarrier b -> b\ncarrier a -> b\n", 8),
+    ("subcomplex ends a b\nsubcomplex ends a\n", 7),
+])
+def test_scx_duplicate_declarations(extra, lineno):
+    # a later line must never silently override an earlier one
+    with pytest.raises(FormatError,
+                       match=f"^line {lineno}: .*(duplicate|repeated)"):
+        scx.parse_scx(SEGMENT + extra)
+
+
+def test_cli_verify_normal_rejects_duplicate_image(tmp_path, disk):
+    phi = sd.identity_homeo_on(sd.barycentric_subdivide(disk))
+    obj = certio.homeo_to_obj(phi)
+    center = "a.b.c^bary"
+    obj["scxm"] += f"image {center} 1/2 0\n"
+    path = tmp_path / "dup.json"
+    path.write_text(certio.dumps(obj))
+    code, out = run_cli("verify-normal", str(path))
+    assert code == 2
+    assert "FormatError" in out and f"duplicate image {center}" in out
+    obj = certio.homeo_to_obj(phi)
+    obj["witness"].append(obj["witness"][0].split(" -> ")[0] + " -> a")
+    path.write_text(certio.dumps(obj))
+    code, out = run_cli("verify-normal", str(path))
+    assert code == 2 and "duplicate carrier line" in out
 
 
 def test_scxm_round_trip(rot):

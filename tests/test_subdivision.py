@@ -4,11 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from plhtpy import certio, linalg
 from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
-from plhtpy.complexes import simplex, validate
+from plhtpy.complexes import Complex, simplex, validate
 from plhtpy.errors import NotClosed, NotNormal, NotNormalInput, NotSubcomplex
 from plhtpy.homology import euler_characteristic
+from test_scx_cli import run_cli
 
 TETRA_VERTS = {"p": (0, 0, 0), "q": (1, 0, 0), "r": (0, 1, 0),
                "s": (0, 0, 1)}
@@ -80,6 +82,111 @@ def test_verify_subdivision_flags_swapped_carrier(disk):
     bad = sd.SubdivisionWitness(w.fine, w.coarse, carrier)
     ok, violations = sd.verify_subdivision(bad)
     assert not ok and violations
+
+
+def forged_witness(disk, closed):
+    """The standard triangle abc "refined" by (a, b, p) and (a, c, q), with
+    p = (0, 1/2) on ac and q = (1/2, 0) on ab: relative volumes 1/2 + 1/2,
+    overlapping near a and leaving a gap along bc.  Open: only the two
+    triangles are added.  Closed: every face is declared and carried."""
+    whole = ("a", "b", "c")
+    verts = dict(disk.vertices)
+    verts["p"] = (F(0), F(1, 2))
+    verts["q"] = (F(1, 2), F(0))
+    carrier = {s: s for s in disk.simplices if s != whole}
+    carrier[("a", "b", "p")] = whole
+    carrier[("a", "c", "q")] = whole
+    if closed:
+        carrier.update({("p",): ("a", "c"), ("a", "p"): ("a", "c"),
+                        ("q",): ("a", "b"), ("a", "q"): ("a", "b"),
+                        ("b", "p"): whole, ("c", "q"): whole})
+    fine = Complex(2, verts, carrier)
+    assert fine.is_closed() == closed
+    return sd.SubdivisionWitness(fine, disk, carrier)
+
+
+def test_forged_partition_open_is_not_closed(disk):
+    ok, violations = sd.verify_subdivision(forged_witness(disk, False))
+    assert not ok
+    assert (("a", "p"), ("a", "b", "c"), "face of a-b-p missing") \
+        in violations
+
+
+def test_forged_partition_closed_fails_the_facet_rule(disk):
+    ok, violations = sd.verify_subdivision(forged_witness(disk, True))
+    assert not ok
+    assert violations[0] == (("b", "p"), ("a", "b", "c"),
+                             "interior facet with 1 top cofaces")
+    # the gap along bc: its edge has no top coface inside abc
+    assert (("b", "c"), ("a", "b", "c"),
+            "boundary facet with 0 top cofaces") in violations
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_cli_verify_cert_rejects_forged_partition(tmp_path, disk, closed):
+    ref = forged_witness(disk, closed)
+    f = pm.identity_map(disk)
+    step = pm.HomotopyStep(f, f, ref, ref.carrier)
+    cert = pm.HomotopyCertificate([step], disk.subcomplex(()))
+    path = tmp_path / "forged.json"
+    certio.save(str(path), certio.cert_to_obj(cert))
+    code, out = run_cli("verify-cert", str(path))
+    assert code == 1
+    assert "check_cert_valid: fail" in out
+    witness = next(line for line in out.splitlines()
+                   if line.startswith("witness_cert_valid:"))
+    if closed:
+        assert "('b', 'p'), ('a', 'b', 'c'), 'interior facet" in witness
+    else:
+        assert "('b', 'p'), ('a', 'b', 'c'), 'face of a-b-p missing'" \
+            in witness
+
+
+def test_verify_normal_rejects_folded_images(disk):
+    # move one interior vertex's image across an interior edge of its link:
+    # the two top images on that edge then lie on one side of it
+    w = sd.iterated_subdivision(disk, 2)
+    phi = sd.identity_homeo_on(w)
+    whole = ("a", "b", "c")
+    v = "a.b.c^bary"
+    x, y = next(e for e in sorted(w.fine.by_dim(1))
+                if w.carrier[e] == whole and v not in e
+                and simplex(e + (v,)) in w.fine.simplices)
+    mid = linalg.vcomb([F(1, 2)] * 2, [w.fine.vertices[x], w.fine.vertices[y]])
+    phi.vertex_image[v] = linalg.vcomb([F(3, 2), F(-1, 2)],
+                                       [mid, w.fine.vertices[v]])
+    report = sd.verify_normal(phi)
+    assert report.is_subdivision and report.carrier_respecting
+    assert not report.partitions_simplices and not report.normal
+    assert ((x, y), whole, "image top cofaces on one side") \
+        in report.violations
+
+
+def test_partition_checks_never_call_the_lp(monkeypatch, disk,
+                                            disk_boundary):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("convex_positions_intersect called")
+    monkeypatch.setattr(linalg, "convex_positions_intersect", no_lp)
+    boundary = disk_boundary.as_complex()
+    for r in (1, 2, 3):
+        w = sd.iterated_subdivision(disk, r)
+        assert sd.verify_subdivision(w)[0]
+        assert sd.verify_normal(sd.identity_homeo_on(w)).normal
+        phi0 = sd.identity_homeo_on(sd.iterated_subdivision(boundary, r))
+        phi = sd.extend_normal(disk, disk_boundary, phi0)
+        assert sd.verify_normal(phi).normal
+    tetra = closed_tetra()
+    faces = tetra.subcomplex([s for s in tetra.simplices if len(s) <= 3])
+    phi0 = sd.identity_homeo_on(sd.barycentric_subdivide(faces.as_complex()))
+    assert sd.verify_normal(sd.extend_normal(tetra, faces, phi0)).normal
+
+
+def test_subdivision_of_an_open_complex():
+    # closedness is relative to the coarse complex: faces on coarse
+    # simplices it leaves out are not required
+    K = validate(2, {"a": (0, 0), "b": (1, 0), "c": (0, 1)},
+                 [["a", "b", "c"], ["a", "b"]], check_disjoint=False)
+    assert sd.verify_subdivision(sd.identity_witness(K)) == (True, [])
 
 
 def test_iterated_subdivision(tri3):
