@@ -45,6 +45,16 @@ def _parse_carrier_lines(lines) -> dict[Simplex, Simplex]:
     return out
 
 
+def _load_images(text: str):
+    """SCX-M text -> (fine, images, carriers), with an image for every
+    vertex of a fine simplex."""
+    fine, images, carriers = scx.load_scxm(text)
+    missing = sorted({v for s in fine.simplices for v in s} - images.keys())
+    if missing:
+        raise FormatError(f"no image line for fine vertex {missing[0]}")
+    return fine, images, carriers
+
+
 def _expect(obj, fmt: str):
     if not isinstance(obj, dict) or obj.get("format") != fmt:
         raise FormatError(f"expected a {fmt} file")
@@ -60,7 +70,7 @@ def _map_entry(f: PLMap) -> dict:
 
 
 def _load_map_entry(entry: dict, domain: Complex, codomain: Complex) -> PLMap:
-    fine, images, carriers = scx.load_scxm(entry["scxm"])
+    fine, images, carriers = _load_images(entry["scxm"])
     wit = SubdivisionWitness(fine, domain, _parse_carrier_lines(entry["witness"]))
     return PLMap(domain, codomain, wit, images, carriers)
 
@@ -96,7 +106,7 @@ def homeo_to_obj(phi: PLHomeo) -> dict:
 def homeo_from_obj(obj: dict) -> PLHomeo:
     _expect(obj, HOMEO_FORMAT)
     coarse, _ = scx.load_complex(obj["complex"], check_disjoint=False)
-    fine, images, carriers = scx.load_scxm(obj["scxm"])
+    fine, images, carriers = _load_images(obj["scxm"])
     wit = SubdivisionWitness(fine, coarse, _parse_carrier_lines(obj["witness"]))
     return PLHomeo(wit, images, carriers)
 

@@ -4,7 +4,9 @@ Reports are line-oriented ``key: value`` text (or JSON behind
 ``--format json``) and byte-stable for identical inputs, so their
 digests can be compared across runs; elapsed time goes to stderr only.
 Exit codes: 0 all checks pass, 1 a check failed (the report names a
-witness), 2 input or usage error.
+witness), 2 input or usage error: every toolkit error (`PlhtpyError`)
+that escapes a command is reported once, in `main`, as
+``error: <Type>: <message>``.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ import time
 
 from . import certio, cylinders, fungroup, homology, plmaps, scx, subdivision
 from .complexes import Complex, sdim, sname
-from .errors import (Incompatible, NotCertifiablySimplyConnected,
-                     PlhtpyError, RoundsExhausted)
-
-DEFAULT_SEED = 20260101
+from .errors import (NotCertifiablySimplyConnected, PlhtpyError,
+                     RoundsExhausted)
 
 
 class InputProblem(Exception):
@@ -61,8 +61,6 @@ def load_input(source: str, check_disjoint: bool = True):
             return scx.load_complex(fh.read(), check_disjoint=check_disjoint)
     except OSError as exc:
         raise InputProblem(f"cannot read {source!r}: {exc}") from exc
-    except PlhtpyError as exc:
-        raise InputProblem(f"{type(exc).__name__}: {exc}") from exc
 
 
 def named_sub(subs: dict, name: str):
@@ -77,8 +75,6 @@ def load_container(path: str, want_fmt: str):
         fmt, obj = certio.load(path)
     except OSError as exc:
         raise InputProblem(f"cannot read {path!r}: {exc}") from exc
-    except PlhtpyError as exc:
-        raise InputProblem(f"{type(exc).__name__}: {exc}") from exc
     if fmt != want_fmt:
         raise InputProblem(f"{path}: expected {want_fmt}, found {fmt}")
     return obj
@@ -123,10 +119,7 @@ def cmd_validate(args, report: Report):
 
 def cmd_subdivide(args, report: Report):
     K, _ = load_input(args.input)
-    try:
-        w = subdivision.iterated_subdivision(K, args.rounds)
-    except PlhtpyError as exc:
-        raise InputProblem(f"{type(exc).__name__}: {exc}") from exc
+    w = subdivision.iterated_subdivision(K, args.rounds)
     ok, violations = subdivision.verify_subdivision(w)
     report.add("rounds", args.rounds)
     report.add("fine_simplices", len(w.fine.simplices))
@@ -165,13 +158,10 @@ def cmd_core(args, report: Report):
 def cmd_extend_normal(args, report: Report):
     K, subs = load_input(args.input)
     K_Z = named_sub(subs, args.sub)
-    try:
-        Z = K_Z.as_complex()
-        wz = subdivision.iterated_subdivision(Z, args.rounds)
-        phi0 = subdivision.identity_homeo_on(wz)
-        phi = subdivision.extend_normal(K, K_Z, phi0)
-    except PlhtpyError as exc:
-        raise InputProblem(f"{type(exc).__name__}: {exc}") from exc
+    Z = K_Z.as_complex()
+    wz = subdivision.iterated_subdivision(Z, args.rounds)
+    phi0 = subdivision.identity_homeo_on(wz)
+    phi = subdivision.extend_normal(K, K_Z, phi0)
     rep = subdivision.verify_normal(phi)
     report.add("fine_simplices", len(phi.witness.fine.simplices))
     report.check("partitions_simplices", rep.partitions_simplices,
@@ -239,8 +229,6 @@ def cmd_simplicialize(args, report: Report):
         report.check("simplicialized", False,
                      "vertices " + " ".join(sorted(exc.failing_vertices)))
         return
-    except PlhtpyError as exc:
-        raise InputProblem(f"{type(exc).__name__}: {exc}") from exc
     report.add("output_fine", len(g.fine.simplices))
     report.check("simplicialized", True)
     _report_cert(report, cert)
@@ -270,11 +258,8 @@ def cmd_extend_homotopy(args, report: Report):
     f, fsubs = load_container(args.fmap, certio.MAP_FORMAT)
     H, _ = load_container(args.hmap, certio.MAP_FORMAT)
     members = named_sub(fsubs, args.sub).members if args.sub else frozenset()
-    try:
-        r = cylinders.cylinder_retraction(f.domain, members)
-        G = cylinders.extend_homotopy(f, H, r)
-    except (Incompatible, PlhtpyError) as exc:
-        raise InputProblem(f"{type(exc).__name__}: {exc}") from exc
+    r = cylinders.cylinder_retraction(f.domain, members)
+    G = cylinders.extend_homotopy(f, H, r)
     report.add("cylinder_simplices", len(G.domain.simplices))
     report.add("output_fine", len(G.fine.simplices))
     bottom_ok = all(
@@ -295,10 +280,7 @@ def _homology_report(args, report: Report, relative: bool):
     rel = named_sub(subs, args.sub) if getattr(args, "sub", None) else None
     if relative and rel is None:
         raise InputProblem("relative homology needs --sub")
-    try:
-        cc = homology.chain_complex(K, rel=rel)
-    except PlhtpyError as exc:
-        raise InputProblem(f"{type(exc).__name__}: {exc}") from exc
+    cc = homology.chain_complex(K, rel=rel)
     dims = [args.dim] if args.dim is not None else list(range(K.dim() + 1))
     for n in dims:
         group = homology.HomologyData(cc, n).group
@@ -317,10 +299,7 @@ def cmd_rel_homology(args, report: Report):
 def cmd_les(args, report: Report):
     K, subs = load_input(args.input)
     K_A = named_sub(subs, args.sub)
-    try:
-        result = homology.verify_les(K, K_A)
-    except PlhtpyError as exc:
-        raise InputProblem(f"{type(exc).__name__}: {exc}") from exc
+    result = homology.verify_les(K, K_A)
     for n in sorted(result["pair_groups"]):
         ha, hx, hp = result["pair_groups"][n]
         report.add(f"H{n}", f"A={ha} X={hx} pair={hp}")
@@ -341,10 +320,7 @@ def cmd_pi0(args, report: Report):
 def cmd_pi1(args, report: Report):
     K, _ = load_input(args.input)
     x0 = base_vertex(K, args.base)
-    try:
-        pres = fungroup.edge_path_presentation(K, x0)
-    except PlhtpyError as exc:
-        raise InputProblem(f"{type(exc).__name__}: {exc}") from exc
+    pres = fungroup.edge_path_presentation(K, x0)
     report.add("base", x0)
     report.add("generators", pres.ngens())
     report.add("relators", len(pres.relators))
@@ -356,10 +332,7 @@ def cmd_pi1(args, report: Report):
 def cmd_hurewicz(args, report: Report):
     K, _ = load_input(args.input)
     x0 = base_vertex(K, args.base)
-    try:
-        h = fungroup.hurewicz_h1(K, x0)
-    except PlhtpyError as exc:
-        raise InputProblem(f"{type(exc).__name__}: {exc}") from exc
+    h = fungroup.hurewicz_h1(K, x0)
     report.add("base", x0)
     report.add("abelianized_pi1", h.ab.group)
     report.add("H1", h.h1.group)
@@ -378,8 +351,6 @@ def cmd_pi2(args, report: Report):
     except NotCertifiablySimplyConnected as exc:
         report.check("simply_connected", False, exc)
         return
-    except PlhtpyError as exc:
-        raise InputProblem(f"{type(exc).__name__}: {exc}") from exc
     report.check("simply_connected", True)
     report.add("pi2", res.group)
     report.add("provenance", res.provenance)
@@ -420,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "(SCX complexes, subdivision, homology, certificates).")
     p.add_argument("--format", choices=["text", "json"], default="text",
                    help="report format (default: text)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="seed for randomized checks")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def add(name, fn, **kw):
@@ -528,12 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     report = Report(args.cmd)
-    report.add("seed", args.seed)
     start = time.monotonic()
     try:
         args.fn(args, report)
-    except InputProblem as exc:
-        report.add("error", exc)
+    except (InputProblem, PlhtpyError) as exc:
+        named = isinstance(exc, PlhtpyError)
+        report.add("error", f"{type(exc).__name__}: {exc}" if named else exc)
         sys.stdout.write(report.render(args.format))
         return 2
     finally:

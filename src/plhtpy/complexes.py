@@ -55,6 +55,20 @@ def faces_with_self(s: Simplex):
         yield from combinations(s, k)
 
 
+def support_face(s: Simplex, rows) -> Optional[Simplex]:
+    """Face of closed s spanned by the positive entries of the barycentric
+    rows (one row per point, in the vertex order of s): the face whose
+    interior holds the open hull of the points.  None when a row is missing
+    (a point off the affine hull of s) or has a negative entry (a point
+    outside closed s)."""
+    on = [False] * len(s)
+    for row in rows:
+        if row is None or any(x < 0 for x in row):
+            return None
+        on = [hit or x > 0 for hit, x in zip(on, row)]
+    return tuple(v for v, hit in zip(s, on) if hit)
+
+
 class Complex:
     """Immutable set of open simplices with a shared vertex table."""
 
@@ -63,7 +77,6 @@ class Complex:
         self.ambient_dim = ambient_dim
         self.vertices = dict(vertices)
         self.simplices = frozenset(tuple(s) for s in simplices)
-        self._locate_cache: dict[Point, tuple[Simplex, tuple[Fraction, ...]]] = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -115,13 +128,11 @@ class Complex:
     # -- point location -----------------------------------------------------
 
     def try_locate(self, x: Point) -> Optional[tuple[Simplex, tuple[Fraction, ...]]]:
-        hit = self._locate_cache.get(x)
-        if hit is not None:
-            return hit
+        """Global scan for the open simplex holding x; callers that know a
+        closed simplex holding x should use `support` instead."""
         for s in sorted(self.simplices):
             coords = linalg.barycentric_coords(self.points(s), x)
             if coords is not None and all(c > 0 for c in coords):
-                self._locate_cache[x] = (s, tuple(coords))
                 return s, tuple(coords)
         return None
 
@@ -131,27 +142,15 @@ class Complex:
             raise PointOutsidePolyhedron(f"point {x} is not in the polyhedron")
         return hit
 
-    def point_in_closure(self, s: Simplex, x: Point) -> bool:
-        coords = linalg.barycentric_coords(self.points(s), x)
-        return coords is not None and all(c >= 0 for c in coords)
-
-    def simplex_inside(self, small: Sequence[Point], s: Simplex) -> bool:
-        """Exact test: is the open simplex on `small` contained in open s?
-
-        Containment holds iff every vertex of `small` lies in closure(s) and
-        the centroid of `small` lies in open s (support of barycentric
-        weights is constant over a relatively open simplex).
-        """
+    def support(self, s: Simplex, points) -> Optional[Simplex]:
+        """Face of closed s whose interior holds the open hull of the
+        points, or None if a point lies outside closed s."""
         spts = self.points(s)
-        support = [False] * len(spts)
-        for p in small:
-            coords = linalg.barycentric_coords(spts, p)
-            if coords is None or any(c < 0 for c in coords):
-                return False
-            for i, c in enumerate(coords):
-                if c > 0:
-                    support[i] = True
-        return all(support)
+        return support_face(s, (linalg.barycentric_coords(spts, p)
+                                for p in points))
+
+    def point_in_closure(self, s: Simplex, x: Point) -> bool:
+        return self.support(s, [x]) is not None
 
     # -- star / core / skeleton --------------------------------------------
 

@@ -322,6 +322,7 @@ def extend_homotopy(f: PLMap, H: PLMap, r: CylinderRetraction) -> PLMap:
     for s in rm.fine.simplices:
         for v in s:
             if v not in gimgs:
-                gimgs[v] = Hprime.evaluate(rm.vertex_image[v])
+                gimgs[v] = Hprime.evaluate_in(rm.target_carrier[s],
+                                              rm.vertex_image[v])
     gcar = {t: tcar[rm.target_carrier[t]] for t in rm.fine.simplices}
     return PLMap(P.cylinder, Z, rm.dom_subdivision, gimgs, gcar)

@@ -8,6 +8,11 @@ maps is certified per simplex: if both images of a simplex closure lie in
 one closed codomain simplex, the straight-line segment between them stays
 inside the polyhedron by convexity.  Certificates carry these witnesses so
 they can be re-verified independently of how they were produced.
+
+The pipelines evaluate through the witnesses in hand, never by searching a
+complex: `PLMap.evaluate_in` takes a fine simplex whose closure holds the
+point, and `carrier_face` finds a minimal carrier inside a known one.
+`PLMap.evaluate` keeps the global scan for points with no witness.
 """
 
 from __future__ import annotations
@@ -16,10 +21,11 @@ from fractions import Fraction
 
 from . import linalg, subdivision
 from .complexes import (Complex, SubcomplexRef, Simplex, faces_with_self,
-                        proper_faces, sdim, simplex, sname)
+                        proper_faces, simplex, sname, support_face)
 from .errors import (BarrierViolation, CarrierClash, FixedSetMismatch,
                      Incompatible, NotClosed, NotFull, NotSimplicial,
-                     NotSubcomplex, RoundsExhausted, ValueOutOfRange)
+                     NotSubcomplex, PointOutsidePolyhedron, RoundsExhausted,
+                     ValueOutOfRange)
 from .subdivision import (SubdivisionWitness, barycentric_subdivide,
                           identity_witness)
 
@@ -36,16 +42,9 @@ def minimal_carrier(L: Complex, points) -> Simplex | None:
 
 
 def carrier_face(L: Complex, sigma: Simplex, points) -> Simplex | None:
-    """Smallest face of closed sigma containing the points (all of which
-    must lie in its closure); the unique minimal closed carrier."""
-    spts = L.points(sigma)
-    support = set()
-    for p in points:
-        coords = linalg.barycentric_coords(spts, p)
-        if coords is None or any(c < 0 for c in coords):
-            return None
-        support.update(i for i, c in enumerate(coords) if c > 0)
-    return simplex(sigma[i] for i in support)
+    """Smallest face of closed sigma containing the points, or None if one
+    lies outside it; the unique minimal closed carrier."""
+    return L.support(sigma, points)
 
 
 class PLMap:
@@ -84,6 +83,14 @@ class PLMap:
 
     def evaluate(self, x):
         t, coords = self.fine.locate(linalg.vec(x))
+        return linalg.vcomb(coords, self.image_points(t))
+
+    def evaluate_in(self, t: Simplex, x):
+        """Value at a point x of the closed fine simplex t."""
+        coords = linalg.barycentric_coords(self.fine.points(t), linalg.vec(x))
+        if support_face(t, [coords]) is None:
+            raise PointOutsidePolyhedron(
+                f"point {x} is not in closed {sname(t)}")
         return linalg.vcomb(coords, self.image_points(t))
 
     def simplicial_vertex_map(self) -> dict | None:
@@ -147,14 +154,16 @@ def simplicial_map_on(w: SubdivisionWitness, L: Complex,
 
 def subdivide_map(f: PLMap) -> PLMap:
     """Same map on the once-more barycentrically subdivided domain, with
-    carriers recomputed as minimal faces of the parent carriers."""
+    carriers recomputed as minimal faces of the parent carriers.  A new
+    vertex is the barycenter of its carrier, so its image is the average
+    of that simplex's vertex images."""
     step = barycentric_subdivide(f.fine)
     w = f.dom_subdivision.compose(step)
     verts = {}
-    for s in step.fine.simplices:
-        for v in s:
-            if v not in verts:
-                verts[v] = f.evaluate(step.fine.vertices[v])
+    for t, s in step.carrier.items():
+        if len(t) == 1:
+            pts = f.image_points(s)
+            verts[t[0]] = linalg.vcomb([Fraction(1, len(pts))] * len(pts), pts)
     carrier = {}
     for t in step.fine.simplices:
         parent = f.target_carrier[step.carrier[t]]
@@ -255,12 +264,22 @@ class HomotopyCertificate:
 def verify_certificate(cert: HomotopyCertificate):
     """Independent re-check of every witness in a certificate.
 
-    Returns (ok, problems).  Checks per step: the refinement covers the
-    shared fine domain, each refinement simplex has a common closed carrier
-    containing both images of its closure, consecutive steps agree, and
-    every step is constant on the fixed set.
+    Returns (ok, problems).  Checks per step: both maps live on a genuine
+    subdivision of the domain, the refinement covers the shared fine
+    domain, each refinement simplex has a common closed carrier containing
+    both images of its closure, consecutive steps agree, and every step is
+    constant on the fixed set.  Images are evaluated through the proved
+    refinement carriers, never by searching the domain.
     """
     problems = []
+    proved = {}   # domain subdivision -> its violations, checked once
+
+    def domain_violations(w):
+        key = (w.coarse, w.fine, frozenset(w.carrier.items()))
+        if key not in proved:
+            proved[key] = subdivision.verify_subdivision(w)[1]
+        return proved[key]
+
     for i, step in enumerate(cert.steps):
         f, g = step.frm, step.to
         if f.codomain != g.codomain:
@@ -268,6 +287,11 @@ def verify_certificate(cert: HomotopyCertificate):
             continue
         if f.fine != g.fine:
             problems.append((i, None, "domain subdivision mismatch"))
+            continue
+        viol = (domain_violations(f.dom_subdivision)
+                or domain_violations(g.dom_subdivision))
+        if viol:
+            problems.append((i, None, f"bad domain subdivision: {viol[:3]}"))
             continue
         if step.refinement.coarse != f.fine:
             problems.append((i, None, "refinement base mismatch"))
@@ -282,10 +306,11 @@ def verify_certificate(cert: HomotopyCertificate):
             if c is None or c not in L.simplices:
                 problems.append((i, t, "missing carrier"))
                 continue
+            host = step.refinement.carrier[t]
             for v in t:
                 x = step.refinement.fine.vertices[v]
                 for h in (f, g):
-                    if not L.point_in_closure(c, h.evaluate(x)):
+                    if not L.point_in_closure(c, h.evaluate_in(host, x)):
                         problems.append((i, t, "image outside carrier"))
                         break
         if i > 0:
@@ -316,9 +341,10 @@ def straight_line_homotopy(f: PLMap, g: PLMap,
     L = f.codomain
     carriers = {}
     for t in sorted(f.fine.simplices):
-        pts = f.image_points(t) + g.image_points(t)
-        c = minimal_carrier(L, pts)
-        if c is None:
+        faces = [carrier_face(L, h.target_carrier[t], h.image_points(t))
+                 for h in (f, g)]
+        c = None if None in faces else simplex(set(faces[0]) | set(faces[1]))
+        if c not in L.simplices:
             raise CarrierClash(
                 f"no common carrier for images of {sname(t)}")
         carriers[t] = c
@@ -433,33 +459,20 @@ def simplicialize_rel(f: PLMap, K_C: SubcomplexRef | None,
     if not combinatorial_closed_star(fine, e_members) <= d_members:
         raise BarrierViolation("barrier nesting failed")
 
-    verts = {}
-    for s in fine.simplices:
-        for v in s:
-            if v not in verts:
-                lv = lam.values[v]
-                fv = base.vertex_image[v]
-                mv = mu.vertex_image[v]
-                verts[v] = tuple((1 - lv) * p + lv * q
-                                 for p, q in zip(fv, mv))
-    carriers = {}
+    # blend (1 - lam) * base + lam * mu: the Urysohn values are 0 or 1, so
+    # every blended vertex is a vertex image of base or of mu, and both lie
+    # in base's carriers (mu's vertices were chosen among them); PLMap._check
+    # re-proves it
+    verts = {v: (mu if lv else base).vertex_image[v]
+             for v, lv in lam.values.items()}
     L = f.codomain
-    for t in sorted(fine.simplices):
-        c = cert_mu.steps[-1].carriers[t]
-        if all(L.point_in_closure(c, verts[v]) for v in t):
-            carriers[t] = c
-        else:
-            c2 = minimal_carrier(L, [verts[v] for v in t]
-                                 + base.image_points(t) + mu.image_points(t))
-            if c2 is None:
-                raise CarrierClash(f"no blend carrier for {sname(t)}")
-            carriers[t] = c2
-    result = PLMap(f.domain, L, base.dom_subdivision, verts, carriers)
+    result = PLMap(f.domain, L, base.dom_subdivision, verts,
+                   base.target_carrier)
 
     step_carriers = {}
     for t in fine.simplices:
         pts = base.image_points(t) + mu.image_points(t) + result.image_points(t)
-        c = minimal_carrier(L, pts)
+        c = carrier_face(L, result.target_carrier[t], pts)
         if c is None:
             raise CarrierClash(f"no common carrier over {sname(t)}")
         step_carriers[t] = c

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import linalg
 from .complexes import (Complex, SubcomplexRef, Simplex, facets,
-                        proper_faces, simplex, sname)
+                        proper_faces, simplex, sname, support_face)
 from .errors import NotClosed, NotNormal, NotNormalInput, NotSubcomplex
 
 F1 = Fraction(1)
@@ -145,15 +145,7 @@ def partition_violations(coarse: Complex, pieces, point, carrier,
         return coords[key]
 
     def support(s, c):
-        """Face of c whose interior holds open s, or None if s leaves the
-        closure of c."""
-        on = set()
-        for v in s:
-            b = bary(v, c)
-            if b is None or any(x < 0 for x in b):
-                return None
-            on.update(i for i, x in enumerate(b) if x > 0)
-        return tuple(c[i] for i in sorted(on))
+        return support_face(c, (bary(v, c) for v in s))
 
     for t in sorted(pieces):
         c = carrier.get(t)
@@ -292,7 +284,7 @@ def verify_normal(phi: PLHomeo, partition_targets=None) -> NormalityReport:
     for t in sorted(w.fine.simplices):
         car = w.carrier.get(t)
         if car in w.coarse.simplices \
-                and not w.coarse.simplex_inside(phi.image_points(t), car):
+                and w.coarse.support(car, phi.image_points(t)) != car:
             carrier_ok = False
             violations.append((t, car, "image leaves carrier"))
     image_violations = partition_violations(

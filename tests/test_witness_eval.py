@@ -1,0 +1,203 @@
+"""Witness-driven evaluation: the support primitive, `PLMap.evaluate_in`,
+pipelines that never search a complex, and the verifier checks that make
+evaluating through a witness sound."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from plhtpy import certio
+from plhtpy import cylinders as cy
+from plhtpy import plmaps as pm
+from plhtpy import subdivision as sd
+from plhtpy.complexes import Complex, support_face
+from plhtpy.errors import NotClosed, PointOutsidePolyhedron
+
+from test_cylinders import wall_homotopy
+from test_scx_cli import run_cli
+
+
+def test_support_face():
+    s = ("a", "b", "c")
+    assert support_face(s, [[F(1), F(0), F(0)]]) == ("a",)
+    assert support_face(s, [[F(1, 2), F(1, 2), F(0)],
+                            [F(0), F(1, 2), F(1, 2)]]) == s
+    assert support_face(s, [[F(1, 2), F(1, 2), F(0)], None]) is None
+    assert support_face(s, [[F(2), F(-1), F(0)]]) is None
+
+
+def test_support_in_complex(disk):
+    abc = ("a", "b", "c")
+    assert disk.support(abc, [(F(1, 2), F(0))]) == ("a", "b")
+    assert disk.support(abc, [(F(1, 2), F(0)), (F(0), F(1, 2))]) == abc
+    assert disk.support(abc, [(F(1), F(1))]) is None
+    assert disk.point_in_closure(abc, (F(0), F(1)))
+    assert not disk.point_in_closure(abc, (F(1), F(1)))
+
+
+@pytest.mark.parametrize("name", ["rot", "deg2", "perturbed_disk"])
+def test_evaluate_in_matches_evaluate(request, name):
+    f = request.getfixturevalue(name)
+    for t in f.fine.simplices:
+        for x in f.fine.points(t) + [f.fine.barycenter(t)]:
+            assert f.evaluate_in(t, x) == f.evaluate(x), (t, x)
+
+
+def test_evaluate_in_rejects_a_point_outside(rot):
+    t = ("a", "a.b^bary")
+    with pytest.raises(PointOutsidePolyhedron):
+        rot.evaluate_in(t, rot.fine.vertices["c"])
+
+
+@pytest.fixture
+def no_scans(monkeypatch):
+    """Make both global searches raise: code that still scans fails."""
+    def scan(*args, **kwargs):
+        raise AssertionError("global location scan")
+    monkeypatch.setattr(Complex, "try_locate", scan)
+    monkeypatch.setattr(pm, "minimal_carrier", scan)
+
+
+@pytest.mark.parametrize("name", ["rot", "deg2", "perturbed_disk"])
+def test_producers_and_verifier_never_scan(request, name):
+    f = request.getfixturevalue(name)
+    request.getfixturevalue("no_scans")
+    g, cert = pm.simplicial_approximation(f)
+    assert g.is_simplicial()
+    assert pm.verify_certificate(cert) == (True, [])
+    f2 = pm.subdivide_map(f)
+    assert pm.verify_certificate(pm.straight_line_homotopy(f2, f2))[0]
+
+
+def test_simplicialize_rel_never_scans(perturbed_disk, disk_boundary, no_scans):
+    g, cert = pm.simplicialize_rel(perturbed_disk, disk_boundary)
+    assert pm.verify_certificate(cert) == (True, [])
+
+
+def test_extend_homotopy_never_scans(request, corpus, tri3, disk):
+    cube1 = corpus["cube1"][0]
+    cases = []
+    r = cy.cylinder_retraction(cube1, frozenset({("u0",)}))
+    cases.append((pm.identity_map(cube1),
+                  wall_homotopy(cube1, r.prism, cube1,
+                                {"u0": {0: (F(0),), 1: (F(1),)}}), r))
+    r = cy.cylinder_retraction(disk, frozenset({("a",)}))
+    cases.append((pm.constant_map(disk, tri3, tri3.vertices["a"]),
+                  wall_homotopy(disk, r.prism, tri3,
+                                {"a": {0: tri3.vertices["a"],
+                                       1: tri3.vertices["b"]}}), r))
+    expected = [cy.extend_homotopy(f, H, r).vertex_image for f, H, r in cases]
+    request.getfixturevalue("no_scans")
+    for (f, H, r), images in zip(cases, expected):
+        assert cy.extend_homotopy(f, H, r).vertex_image == images
+
+
+def test_cli_pipelines_never_scan(tmp_path, rot, perturbed_disk, disk,
+                                  no_scans):
+    mapfile = tmp_path / "rot.json"
+    certio.save(str(mapfile), certio.map_to_obj(rot))
+    pfile = tmp_path / "pert.json"
+    certio.save(str(pfile), certio.map_to_obj(
+        perturbed_disk, {"boundary": [s for s in disk.simplices
+                                      if len(s) <= 2]}))
+    cert1, cert2 = tmp_path / "c1.json", tmp_path / "c2.json"
+    assert run_cli("approximate", str(mapfile), "--cert", str(cert1))[0] == 0
+    assert run_cli("simplicialize", str(pfile), "--fixed", "boundary",
+                   "--cert", str(cert2))[0] == 0
+    for cert in (cert1, cert2):
+        code, out = run_cli("verify-cert", str(cert))
+        assert code == 0 and "check_cert_valid: pass" in out
+
+
+def test_wrong_refinement_carrier_rejected_before_evaluation(rot, monkeypatch):
+    _, cert = pm.simplicial_approximation(rot)
+    step = cert.steps[0]
+    edge = ("a", "a.b^bary")
+    step.refinement.carrier[edge] = ("a.b^bary",)
+
+    def evaluate(*args):
+        raise AssertionError("evaluated before the refinement was proved")
+    monkeypatch.setattr(pm.PLMap, "evaluate_in", evaluate)
+    monkeypatch.setattr(pm.PLMap, "evaluate", evaluate)
+    ok, problems = pm.verify_certificate(cert)
+    assert not ok
+    assert problems[0][2].startswith("bad refinement")
+
+
+def skeleton_certificate(disk):
+    """Identity homotopy of maps defined on the 1-skeleton of the disk only:
+    the fine complex leaves the open triangle a-b-c uncovered."""
+    edges = [s for s in disk.simplices if len(s) <= 2]
+    fine = disk.restrict(edges)
+    w = sd.SubdivisionWitness(fine, disk, {s: s for s in edges})
+    f = pm.PLMap(disk, disk, w, dict(fine.vertices), {s: s for s in edges})
+    return pm.straight_line_homotopy(f, f)
+
+
+def test_certificate_on_a_non_subdivision_is_rejected(disk):
+    ok, problems = pm.verify_certificate(skeleton_certificate(disk))
+    assert not ok
+    i, t, msg = problems[0]
+    assert (i, t) == (0, None) and msg.startswith("bad domain subdivision")
+    assert "('a', 'b', 'c')" in msg
+
+
+def test_cli_verify_cert_rejects_a_non_subdivision(tmp_path, disk):
+    path = tmp_path / "skeleton.json"
+    certio.save(str(path), certio.cert_to_obj(skeleton_certificate(disk)))
+    code, out = run_cli("verify-cert", str(path))
+    assert code == 1
+    assert "check_cert_valid: fail" in out
+    assert "witness_cert_valid: step 0 simplex -: bad domain subdivision" \
+        in out
+
+
+def drop_image(scxm: str, v: str) -> str:
+    return "".join(line for line in scxm.splitlines(True)
+                   if line.split()[:2] != ["image", v])
+
+
+def test_cli_missing_image_line_exits_2(tmp_path, rot, disk):
+    center = "a.b.c^bary"
+    path = tmp_path / "bad.json"
+
+    obj = certio.map_to_obj(rot)
+    obj["scxm"] = drop_image(obj["scxm"], "a")
+    path.write_text(certio.dumps(obj))
+    code, out = run_cli("approximate", str(path))
+    assert code == 2
+    assert "error: FormatError: no image line for fine vertex a\n" in out
+
+    _, cert = pm.simplicial_approximation(rot)
+    obj = certio.cert_to_obj(cert)
+    obj["steps"][0]["to"]["scxm"] = drop_image(obj["steps"][0]["to"]["scxm"],
+                                               "b")
+    path.write_text(certio.dumps(obj))
+    code, out = run_cli("verify-cert", str(path))
+    assert code == 2
+    assert "error: FormatError: no image line for fine vertex b\n" in out
+
+    phi = sd.identity_homeo_on(sd.barycentric_subdivide(disk))
+    obj = certio.homeo_to_obj(phi)
+    obj["scxm"] = drop_image(obj["scxm"], center)
+    path.write_text(certio.dumps(obj))
+    code, out = run_cli("verify-normal", str(path))
+    assert code == 2
+    assert f"error: FormatError: no image line for fine vertex {center}\n" \
+        in out
+
+
+def test_cli_reports_any_toolkit_error_once(monkeypatch):
+    def core(self):
+        raise NotClosed("no core today")
+    monkeypatch.setattr(Complex, "core", core)
+    code, out = run_cli("core", "corpus:disk")
+    assert code == 2
+    assert out == "command: core\nerror: NotClosed: no core today\n"
+
+
+def test_cli_has_no_seed():
+    code, out = run_cli("euler", "corpus:disk")
+    assert code == 0 and "seed" not in out
+    with pytest.raises(SystemExit):
+        run_cli("--seed", "1", "euler", "corpus:disk")
