@@ -77,11 +77,19 @@ class Complex:
         self.ambient_dim = ambient_dim
         self.vertices = dict(vertices)
         self.simplices = frozenset(tuple(s) for s in simplices)
+        self._frames: dict[Simplex, linalg.AffineFrame] = {}
 
     # -- basic queries ------------------------------------------------------
 
     def points(self, s: Simplex) -> list[Point]:
         return [self.vertices[v] for v in s]
+
+    def frame(self, s: Simplex) -> linalg.AffineFrame:
+        """Barycentric frame of s, eliminated once per complex."""
+        frame = self._frames.get(s)
+        if frame is None:
+            frame = self._frames[s] = linalg.AffineFrame(self.points(s))
+        return frame
 
     def dim(self) -> int:
         return max((sdim(s) for s in self.simplices), default=-1)
@@ -131,7 +139,7 @@ class Complex:
         """Global scan for the open simplex holding x; callers that know a
         closed simplex holding x should use `support` instead."""
         for s in sorted(self.simplices):
-            coords = linalg.barycentric_coords(self.points(s), x)
+            coords = self.frame(s).coords(x)
             if coords is not None and all(c > 0 for c in coords):
                 return s, tuple(coords)
         return None
@@ -145,9 +153,8 @@ class Complex:
     def support(self, s: Simplex, points) -> Optional[Simplex]:
         """Face of closed s whose interior holds the open hull of the
         points, or None if a point lies outside closed s."""
-        spts = self.points(s)
-        return support_face(s, (linalg.barycentric_coords(spts, p)
-                                for p in points))
+        frame = self.frame(s)
+        return support_face(s, (frame.coords(p) for p in points))
 
     def point_in_closure(self, s: Simplex, x: Point) -> bool:
         return self.support(s, [x]) is not None
@@ -309,9 +316,9 @@ def check_pairwise_disjoint(K: Complex) -> None:
         union = sorted(set(a) | set(b))
         if linalg.affinely_independent([K.vertices[v] for v in union]):
             continue  # both are faces of one geometric simplex
-        pa, pb = K.points(a), K.points(b)
-        if linalg.hyperplane_separated(pa, pb):
+        fa, fb = K.frame(a), K.frame(b)
+        if linalg.hyperplane_separated(fa, fb):
             continue
-        if linalg.convex_positions_intersect(pa, pb):
+        if linalg.convex_positions_intersect(fa.points, fb.points):
             raise OverlappingSimplices(
                 f"open simplices {sname(a)} and {sname(b)} intersect")

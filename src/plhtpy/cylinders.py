@@ -18,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from . import linalg
 from .complexes import (Complex, SubcomplexRef, Simplex, proper_faces,
                         sdim, simplex, sname)
 from .errors import Incompatible, NotClosed, NotSubcomplex
@@ -118,13 +117,16 @@ class _Composite:
                       for s in cylinder.simplices for v in s}
         self.carrier = {s: s for s in cylinder.simplices}  # in live complex
 
-    def split_edge(self, u: str, v: str, z_point, z_name: str):
-        """Stellar subdivision at a point of the open edge (u, v)."""
-        self.verts[z_name] = z_point
-        pu, pv = self.verts[u], self.verts[v]
-        coords = linalg.barycentric_coords([pu, pv], z_point)
-        t0, t1 = coords
-        self.image[z_name] = tuple(t0 * a + t1 * b for a, b
+    def split_edge(self, u: str, v: str, lam: Fraction):
+        """Stellar subdivision at the point (1 - lam) u + lam v of the open
+        edge (u, v)."""
+        z = tuple((1 - lam) * a + lam * b
+                  for a, b in zip(self.verts[u], self.verts[v]))
+        z_name = _point_name(z)
+        if z_name in self.verts:
+            raise Incompatible("vertex name collision while cutting")
+        self.verts[z_name] = z
+        self.image[z_name] = tuple((1 - lam) * a + lam * b for a, b
                                    in zip(self.image[u], self.image[v]))
         for t in [t for t in self.simplices if u in t and v in t]:
             self.simplices.discard(t)
@@ -139,8 +141,7 @@ class _Composite:
                     self.carrier[child] = rc
 
     def bary_in(self, c: Simplex, v: str):
-        pts = [self.cylinder.vertices[x] for x in c]
-        return linalg.barycentric_coords(pts, self.image[v])
+        return self.cylinder.frame(c).coords(self.image[v])
 
     def cut_region(self, c: Simplex, tau: Simplex):
         """Refine simplices carried by c until each is sign-pure for every
@@ -166,12 +167,7 @@ class _Composite:
                 (x, y), vals = cut
                 wx, wy = vals[x], vals[y]
                 lam = wx / (wx - wy)      # zero of the affine functional
-                z = tuple((1 - lam) * a + lam * b
-                          for a, b in zip(self.verts[x], self.verts[y]))
-                name = _point_name(z)
-                if name in self.verts:
-                    raise Incompatible("vertex name collision while cutting")
-                self.split_edge(x, y, z, name)
+                self.split_edge(x, y, lam)
 
     def apply_collapse(self, tau: Simplex, s: Simplex, tau_hat_target: str):
         """Compose with the collapse retraction removing (tau, s); the

@@ -5,11 +5,17 @@ no floating point detours.  Matrices are plain lists of lists; vectors are
 tuples.  This is the arithmetic substrate for all geometric predicates:
 barycentric coordinates, affine independence and the strict-feasibility
 test used to decide whether two open simplices meet.
+
+Every barycentric question goes through one kernel, `AffineFrame`: a point
+list is eliminated once, over the integers, and each query is then a few
+integer dot products.  `barycentric_coords` is its one-off form, and
+`Complex.frame` keeps one frame per simplex of a complex.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -106,44 +112,119 @@ def affinely_independent(points: Sequence[Vec]) -> bool:
     return mat_rank(rows) == len(points) - 1
 
 
+class AffineFrame:
+    """Barycentric coordinates in one point list, eliminated once.
+
+    Each row of the (d+1) x k system [p_j; 1] is scaled to integers and
+    the system is reduced by fraction-free Gauss-Jordan elimination
+    (Bareiss, "Sylvester's identity and multistep integer-preserving
+    Gaussian elimination", Math. Comp. 22, 1968) alongside an identity
+    block that records the row operations.  For affinely independent
+    points this leaves, per coordinate, an integer row and a pivot with
+    lambda_j = row . (x, 1) / pivot, and d+1-k integer left-null rows that
+    vanish at (x, 1) exactly when x lies on the affine hull.  `coords`
+    then needs only integer dot products.  An affinely dependent list
+    keeps the Fraction solve of `solve_linear` (free coordinates 0).
+    """
+
+    __slots__ = ("points", "rows", "null")
+
+    def __init__(self, points: Sequence[Vec]):
+        self.points = list(points)
+        k = len(self.points)
+        d = len(self.points[0])
+        scale = [lcm(*(p[i].denominator for p in self.points))
+                 for i in range(d)] + [1]
+        n = d + 1
+        m = [[p[i].numerator * (scale[i] // p[i].denominator)
+              for p in self.points] if i < d else [1] * k
+             for i in range(n)]
+        for i in range(n):
+            m[i] += [int(i == j) for j in range(n)]
+        prev = 1
+        for c in range(k):
+            piv = next((i for i in range(c, n) if m[i][c]), None)
+            if piv is None:
+                self.rows = self.null = None
+                return
+            m[c], m[piv] = m[piv], m[c]
+            p = m[c][c]
+            for i in range(n):
+                if i != c:
+                    a = m[i][c]
+                    # exact: every entry stays a minor of the start matrix
+                    m[i] = [(p * x - a * y) // prev
+                            for x, y in zip(m[i], m[c])]
+            prev = p
+        # the identity block holds E with E [p_j; 1] = [prev I; 0]
+        rows = []
+        for j in range(k):
+            row = [e * s for e, s in zip(m[j][k:], scale)]
+            g = gcd(prev, *row)
+            if prev < 0:
+                g = -g
+            rows.append(([x // g for x in row], prev // g))
+        self.rows = rows
+        self.null = []
+        for i in range(k, n):
+            row = [e * s for e, s in zip(m[i][k:], scale)]
+            g = gcd(*row)
+            self.null.append([x // g for x in row])
+
+    def offsets(self, x: Vec) -> list[int]:
+        """Left-null rows at (x, 1), times the positive common denominator
+        of x: all zero exactly when x lies on the affine hull."""
+        scaled = _integer_point(x)
+        return [sum(a * b for a, b in zip(row, scaled)) for row in self.null]
+
+    def coords(self, x: Vec) -> Optional[list[Fraction]]:
+        """Barycentric coordinates of x, or None if x is off the hull."""
+        if self.rows is None:
+            # lambda_0..k with sum 1 and sum lambda_j p_j = x
+            rows = [[p[i] for p in self.points] for i in range(len(x))]
+            rows.append([F1] * len(self.points))
+            return solve_linear(rows, list(x) + [F1])
+        scaled = _integer_point(x)
+        for row in self.null:
+            if sum(a * b for a, b in zip(row, scaled)):
+                return None
+        den = scaled[-1]
+        return [Fraction(sum(a * b for a, b in zip(row, scaled)), den * piv)
+                for row, piv in self.rows]
+
+
+def _integer_point(x: Vec) -> list[int]:
+    """(x, 1) times the least common denominator L of x: integers X, L."""
+    den = lcm(*(q.denominator for q in x))
+    return [q.numerator * (den // q.denominator) for q in x] + [den]
+
+
 def barycentric_coords(points: Sequence[Vec], x: Vec) -> Optional[list[Fraction]]:
     """Coordinates of x in the affine basis `points`, or None if x is
-    outside their affine hull.  `points` must be affinely independent."""
-    # lambda_0..k with sum 1 and sum lambda_i p_i = x
-    k = len(points)
-    rows = [[points[j][i] for j in range(k)] for i in range(len(x))]
-    rows.append([F1] * k)
-    rhs = list(x) + [F1]
-    sol = solve_linear(rows, rhs)
-    return sol
+    outside their affine hull; a one-off `AffineFrame`."""
+    return AffineFrame(points).coords(x)
 
 
-def _separates(pts: Sequence[Vec], other: Sequence[Vec]) -> bool:
-    dim = len(pts[0])
-    if len(pts) == dim + 1:
+def _separates(frame: AffineFrame, other: Sequence[Vec]) -> bool:
+    dim = len(frame.points[0])
+    if len(frame.points) == dim + 1:
         # barycentric coordinate i vanishes on facet i and is positive on
         # the open simplex: `other` must sit on its closed negative side
-        coords = [barycentric_coords(pts, q) for q in other]
+        coords = [frame.coords(q) for q in other]
         return any(all(c[i] <= 0 for c in coords)
                    and any(c[i] < 0 for c in coords) for i in range(dim + 1))
-    if len(pts) == dim:
-        # the coordinate of a point off the hull vanishes exactly on the
-        # hull: `other` must sit on one closed side, not all on the hull
-        for axis in range(dim):
-            off = tuple(x + (F1 if i == axis else F0)
-                        for i, x in enumerate(pts[0]))
-            frame = list(pts) + [off]
-            if affinely_independent(frame):
-                break
-        vals = [barycentric_coords(frame, q)[-1] for q in other]
+    if len(frame.points) == dim:
+        # the one left-null row vanishes exactly on the hull: `other` must
+        # sit on one closed side, not all on the hull
+        vals = [frame.offsets(q)[0] for q in other]
         return ((all(v >= 0 for v in vals) or all(v <= 0 for v in vals))
                 and any(v != 0 for v in vals))
     return False
 
 
-def hyperplane_separated(pts_a: Sequence[Vec], pts_b: Sequence[Vec]) -> bool:
+def hyperplane_separated(frame_a: AffineFrame, frame_b: AffineFrame) -> bool:
     """Exact sufficient test that the open simplices on two affinely
-    independent point lists are disjoint.
+    independent point lists, given as their frames, are disjoint.
 
     The candidate hyperplanes are the facet hyperplanes of a
     full-dimensional simplex and the hull of a codimension-1 simplex; one
@@ -151,7 +232,8 @@ def hyperplane_separated(pts_a: Sequence[Vec], pts_b: Sequence[Vec]) -> bool:
     side of it (for a facet, the side away from the simplex) and at least
     one lies strictly off it.  False means undecided, not intersecting.
     """
-    return _separates(pts_a, pts_b) or _separates(pts_b, pts_a)
+    return (_separates(frame_a, frame_b.points)
+            or _separates(frame_b, frame_a.points))
 
 
 # ---------------------------------------------------------------------------

@@ -69,14 +69,18 @@ class PLMap:
     def _check(self):
         if not self.codomain.is_closed():
             raise NotClosed("codomain must be closed")
-        for t in self.fine.simplices:
+        proved = set()   # (carrier, vertex) pairs, each checked once
+        for t in sorted(self.fine.simplices):
             c = self.target_carrier.get(t)
             if c is None or c not in self.codomain.simplices:
                 raise CarrierClash(f"no target carrier for {sname(t)}")
             for v in t:
+                if (c, v) in proved:
+                    continue
                 if not self.codomain.point_in_closure(c, self.vertex_image[v]):
                     raise CarrierClash(
                         f"image of vertex {v} outside carrier {sname(c)}")
+                proved.add((c, v))
 
     def image_points(self, t: Simplex):
         return [self.vertex_image[v] for v in t]
@@ -87,7 +91,7 @@ class PLMap:
 
     def evaluate_in(self, t: Simplex, x):
         """Value at a point x of the closed fine simplex t."""
-        coords = linalg.barycentric_coords(self.fine.points(t), linalg.vec(x))
+        coords = self.fine.frame(t).coords(linalg.vec(x))
         if support_face(t, [coords]) is None:
             raise PointOutsidePolyhedron(
                 f"point {x} is not in closed {sname(t)}")

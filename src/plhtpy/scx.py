@@ -14,7 +14,9 @@ SCX-M extends SCX with per-vertex images and per-simplex carriers:
 
 Each vertex, image, carrier and subcomplex is declared at most once and
 `ambient` exactly once; a repeated declaration is a FormatError naming its
-line, never a silent override.
+line, never a silent override.  So are a vertex id containing ``-`` (it
+would read as a simplex name) and stray tokens after `ambient <p>` or a
+carrier line.
 
 Emission is canonical (sorted declarations, reduced fractions), so content
 digests are stable across runs.
@@ -47,6 +49,18 @@ def coord_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _vertex_id(tok: str) -> str:
+    if "-" in tok:
+        raise ValueError(f"vertex id {tok!r} contains '-', which joins "
+                         "the vertex ids of a simplex name")
+    return tok
+
+
+def _no_stray(toks: list[str], n: int) -> None:
+    if len(toks) > n:
+        raise ValueError(f"stray tokens {' '.join(toks[n:])!r}")
+
+
 def _declare(table: dict, key, value, what: str) -> None:
     """Record a declaration; a second one for the same key is an error,
     never a silent override."""
@@ -73,24 +87,26 @@ def parse_scx(text: str):
             if kind == "ambient":
                 if ambient is not None:
                     raise ValueError("repeated 'ambient' declaration")
+                _no_stray(toks, 2)
                 ambient = int(toks[1])
             elif kind == "vertex":
-                _declare(vertices, toks[1],
+                _declare(vertices, _vertex_id(toks[1]),
                          tuple(_parse_coord(t) for t in toks[2:]),
                          f"vertex {toks[1]}")
             elif kind == "simplex":
-                simplices.append(toks[1:])
+                simplices.append([_vertex_id(t) for t in toks[1:]])
             elif kind == "subcomplex":
                 _declare(subcomplexes, toks[1],
                          [parse_simplex_name(t) for t in toks[2:]],
                          f"subcomplex {toks[1]}")
             elif kind == "image":
-                _declare(images, toks[1],
+                _declare(images, _vertex_id(toks[1]),
                          tuple(_parse_coord(t) for t in toks[2:]),
                          f"image {toks[1]}")
             elif kind == "carrier":
+                _no_stray(toks, 4)
                 if toks[2] != "->":
-                    raise FormatError("carrier syntax: carrier <fine> -> <coarse>")
+                    raise ValueError("carrier syntax: carrier <fine> -> <coarse>")
                 _declare(carriers, parse_simplex_name(toks[1]),
                          parse_simplex_name(toks[3]), f"carrier {toks[1]}")
             else:

@@ -11,9 +11,11 @@ opposite sides inside, one on the boundary) and relative volumes summing to
 1.  The images under a normal homeomorphism are checked the same way.
 
 Barycenter vertices are named ``<v1>.<v2>...<vk>^bary`` (dot-joined vertex
-identifiers of the subdivided simplex); user vertex identifiers must not
-contain ``-``, ``.`` or whitespace so that generated names and serialized
-simplex names stay unambiguous.
+identifiers of the subdivided simplex).  Generated names use ``.`` and
+``^`` here, ``~`` for cylinder levels and the ``cut_`` prefix for cylinder
+cuts, so serialized complexes carry them and SCX accepts them in vertex
+identifiers; what SCX rejects is a ``-`` (it joins the identifiers of a
+serialized simplex name), and a token never holds whitespace.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ def partition_violations(coarse: Complex, pieces, point, carrier,
     def bary(v, c):
         key = (v, c)
         if key not in coords:
-            coords[key] = linalg.barycentric_coords(coarse.points(c), point[v])
+            coords[key] = coarse.frame(c).coords(point[v])
         return coords[key]
 
     def support(s, c):

@@ -61,7 +61,8 @@ def test_hyperplane_separation_is_sound(dim):
             for _ in range(15):
                 pa = random_simplex(rng, dim, ka)
                 pb = random_simplex(rng, dim, kb)
-                if linalg.hyperplane_separated(pa, pb):
+                if linalg.hyperplane_separated(linalg.AffineFrame(pa),
+                                               linalg.AffineFrame(pb)):
                     separated += 1
                     assert not linalg.convex_positions_intersect(pa, pb), \
                         (pa, pb)

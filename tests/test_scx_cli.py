@@ -74,6 +74,29 @@ def test_scx_duplicate_declarations(extra, lineno):
         scx.parse_scx(SEGMENT + extra)
 
 
+@pytest.mark.parametrize("text, lineno, cause", [
+    ("ambient 1\nvertex a 0\nvertex b-c 1\n", 3, "vertex id 'b-c'"),
+    (SEGMENT + "simplex a b-c\n", 6, "vertex id 'b-c'"),
+    (SEGMENT + "image b-c 0\n", 6, "vertex id 'b-c'"),
+    ("ambient 1 junk\nvertex a 0\n", 1, "stray tokens 'junk'"),
+    (SEGMENT + "carrier a -> a extra\n", 6, "stray tokens 'extra'"),
+    (SEGMENT + "carrier a => a\n", 6, "carrier syntax"),
+])
+def test_scx_rejects_ambiguous_lines(text, lineno, cause):
+    with pytest.raises(FormatError, match=f"^line {lineno}: .*{cause}"):
+        scx.parse_scx(text)
+
+
+def test_cli_validate_dashed_vertex_exit2(tmp_path):
+    # used to pass the parser and fail later as NotSubcomplex ('a','b','c')
+    bad = tmp_path / "dash.scx"
+    bad.write_text("ambient 1\nvertex a 0\nvertex b-c 1\nsimplex a\n"
+                   "simplex b-c\nsimplex a b-c\nsubcomplex end b-c\n")
+    code, out = run_cli("validate", str(bad))
+    assert code == 2
+    assert "FormatError: line 3:" in out and "'b-c'" in out
+
+
 def test_cli_verify_normal_rejects_duplicate_image(tmp_path, disk):
     phi = sd.identity_homeo_on(sd.barycentric_subdivide(disk))
     obj = certio.homeo_to_obj(phi)
