@@ -262,13 +262,14 @@ def cmd_extend_homotopy(args, report: Report):
     G = cylinders.extend_homotopy(f, H, r)
     report.add("cylinder_simplices", len(G.domain.simplices))
     report.add("output_fine", len(G.fine.simplices))
+    # G's fine complex keeps every cylinder vertex, and extend_homotopy
+    # proved H's domain is the subcylinder: vertex reads, no location
     bottom_ok = all(
-        G.evaluate(tuple(f.domain.vertices[v]) + (0,)) == f.vertex_image[v]
+        G.vertex_image[cylinders.lift(v, 0)] == f.vertex_image[v]
         for v in sorted(f.domain.vertex_ids()))
     report.check("agrees_with_map_at_bottom", bottom_ok)
-    wall_ok = all(
-        G.evaluate(H.fine.vertices[v]) == H.vertex_image[v]
-        for v in sorted(H.vertex_image))
+    wall_ok = all(G.vertex_image[v] == H.vertex_image[v]
+                  for v in sorted({v for t in H.fine.simplices for v in t}))
     report.check("agrees_with_homotopy_on_walls", wall_ok)
     if args.out:
         write_out(args.out, certio.dumps(certio.map_to_obj(G)),

@@ -162,24 +162,42 @@ class Complex:
     # -- star / core / skeleton --------------------------------------------
 
     def star(self, target) -> "SubcomplexRef":
-        """Simplices whose closure meets the target (a SubcomplexRef of this
-        complex or an iterable of Points)."""
-        hit: set[Simplex] = set()
+        """Simplices whose closure meets the target: a SubcomplexRef with
+        members in this complex, or an iterable of Points.
+
+        Precondition: the open simplices are pairwise disjoint, as
+        `validate` checks.  Then closed s meets an open member t exactly
+        when t is a face of s or a face of s missing from this complex
+        meets t; the exact LP decides only that case, which needs a
+        non-closed complex.  Points are read from barycentric supports.
+        """
         if isinstance(target, SubcomplexRef):
-            open_sets = [(self.points(t), True) for t in target.members]
+            members = target.members
+            if not members <= self.simplices:
+                raise NotSubcomplex("not simplices of this complex: "
+                                    f"{sorted(members - self.simplices)}")
+            meets: dict[Simplex, bool] = {}
+
+            def face_meets(f: Simplex) -> bool:
+                if f in self.simplices:
+                    return f in members
+                if f not in meets:
+                    pts = self.points(f)
+                    meets[f] = any(linalg.convex_positions_intersect(
+                        pts, self.points(t)) for t in sorted(members))
+                return meets[f]
+
+            hit = {s for s in self.simplices
+                   if any(face_meets(f) for f in faces_with_self(s))}
         else:
-            pts = [vec(p) for p in target]
-            for p in pts:
-                if self.try_locate(p) is None:
-                    raise PointOutsidePolyhedron(f"point {p} is not in the polyhedron")
-            open_sets = [([p], True) for p in pts]
-        for s in self.simplices:
-            spts = self.points(s)
-            for opts, strict in open_sets:
-                if linalg.convex_positions_intersect(spts, opts,
-                                                     strict_a=False, strict_b=strict):
-                    hit.add(s)
-                    break
+            hit = set()
+            for x in target:
+                p = vec(x)
+                support = {s: self.support(s, [p]) for s in self.simplices}
+                if all(f != s for s, f in support.items()):
+                    raise PointOutsidePolyhedron(
+                        f"point {p} is not in the polyhedron")
+                hit.update(s for s, f in support.items() if f is not None)
         return SubcomplexRef(self, hit)
 
     def closed_star(self, target) -> "SubcomplexRef":

@@ -286,7 +286,8 @@ def extend_homotopy(f: PLMap, H: PLMap, r: CylinderRetraction) -> PLMap:
         raise Incompatible("f and H must be given on unsubdivided domains")
     if f.domain != P.base:
         raise Incompatible("f is not a map on the cylinder base")
-    if not H.domain.simplices <= P.cylinder.simplices:
+    if not (H.domain.simplices <= P.cylinder.simplices
+            and H.domain == P.cylinder.restrict(H.domain.simplices)):
         raise Incompatible("H is not a map on a subcylinder")
     # H(.,0) = f on |K_A|, vertex-exact
     for s in H.domain.simplices:

@@ -6,10 +6,11 @@ tuples.  This is the arithmetic substrate for all geometric predicates:
 barycentric coordinates, affine independence and the strict-feasibility
 test used to decide whether two open simplices meet.
 
-Every barycentric question goes through one kernel, `AffineFrame`: a point
-list is eliminated once, over the integers, and each query is then a few
-integer dot products.  `barycentric_coords` is its one-off form, and
-`Complex.frame` keeps one frame per simplex of a complex.
+One exact elimination kernel, `eliminate` (fraction-free, over the
+integers), serves coordinates, rank and volume: `AffineFrame` (one frame
+per point list, kept per simplex by `Complex.frame`), `mat_rank` and
+`subdivision.relative_volume`.  Only `solve_linear` and the LP eliminate
+over Fractions.
 """
 
 from __future__ import annotations
@@ -46,28 +47,52 @@ def vcomb(coeffs: Sequence[Fraction], points: Sequence[Vec]) -> Vec:
     return tuple(out)
 
 
-def mat_rank(rows: list[list[Fraction]]) -> int:
-    """Rank by fraction-free-ish Gaussian elimination (copies its input)."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank = 0
-    col = 0
-    while rank < nr and col < nc:
-        piv = next((i for i in range(rank, nr) if m[i][col] != 0), None)
+def integer_row(row) -> tuple[list[int], int]:
+    """A rational row times the least common denominator L of its
+    entries: integers, and L."""
+    pairs = [q.as_integer_ratio() for q in row]
+    den = lcm(*[d for _, d in pairs])
+    return [n * (den // d) for n, d in pairs], den
+
+
+def eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 22, 1968) of the integer matrix m, in place, over its first
+    `ncols` columns, skipping a column with no pivot.  Every division is
+    exact: each entry stays a minor of the start matrix.  Returns the pivot
+    columns and the last pivot, which is +-det(m) when m is square and
+    every column pivots."""
+    n = len(m)
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if m[i][c]), None)
         if piv is None:
-            col += 1
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, nr):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                for j in range(col, nc):
-                    m[i][j] -= f * m[rank][j]
-        rank += 1
-        col += 1
-    return rank
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        p = top[c]
+        for i in range(n):
+            if i == r:
+                continue
+            a = m[i][c]
+            if a:
+                m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
+            elif p != prev:             # a zero entry only rescales the row
+                m[i] = [p * x // prev for x in m[i]]
+        prev = p
+        pivots.append(c)
+    return pivots, prev
+
+
+def mat_rank(rows: list[list[Fraction]]) -> int:
+    """Rank: the pivots of `eliminate` on the rows scaled to integers."""
+    m = [integer_row(r)[0] for r in rows]
+    return len(eliminate(m, len(m[0]) if m else 0)[0])
 
 
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
@@ -116,11 +141,9 @@ class AffineFrame:
     """Barycentric coordinates in one point list, eliminated once.
 
     Each row of the (d+1) x k system [p_j; 1] is scaled to integers and
-    the system is reduced by fraction-free Gauss-Jordan elimination
-    (Bareiss, "Sylvester's identity and multistep integer-preserving
-    Gaussian elimination", Math. Comp. 22, 1968) alongside an identity
-    block that records the row operations.  For affinely independent
-    points this leaves, per coordinate, an integer row and a pivot with
+    the system is reduced by `eliminate` alongside an identity block that
+    records the row operations.  For affinely independent points this
+    leaves, per coordinate, an integer row and a pivot with
     lambda_j = row . (x, 1) / pivot, and d+1-k integer left-null rows that
     vanish at (x, 1) exactly when x lies on the affine hull.  `coords`
     then needs only integer dot products.  An affinely dependent list
@@ -133,29 +156,15 @@ class AffineFrame:
         self.points = list(points)
         k = len(self.points)
         d = len(self.points[0])
-        scale = [lcm(*(p[i].denominator for p in self.points))
-                 for i in range(d)] + [1]
         n = d + 1
-        m = [[p[i].numerator * (scale[i] // p[i].denominator)
-              for p in self.points] if i < d else [1] * k
-             for i in range(n)]
-        for i in range(n):
-            m[i] += [int(i == j) for j in range(n)]
-        prev = 1
-        for c in range(k):
-            piv = next((i for i in range(c, n) if m[i][c]), None)
-            if piv is None:
-                self.rows = self.null = None
-                return
-            m[c], m[piv] = m[piv], m[c]
-            p = m[c][c]
-            for i in range(n):
-                if i != c:
-                    a = m[i][c]
-                    # exact: every entry stays a minor of the start matrix
-                    m[i] = [(p * x - a * y) // prev
-                            for x, y in zip(m[i], m[c])]
-            prev = p
+        scaled = [integer_row(c) for c in zip(*self.points)] + [([1] * k, 1)]
+        m = [row + [int(i == j) for j in range(n)]
+             for i, (row, _) in enumerate(scaled)]
+        scale = [den for _, den in scaled]
+        pivots, prev = eliminate(m, k)
+        if len(pivots) < k:
+            self.rows = self.null = None
+            return
         # the identity block holds E with E [p_j; 1] = [prev I; 0]
         rows = []
         for j in range(k):
@@ -195,8 +204,8 @@ class AffineFrame:
 
 def _integer_point(x: Vec) -> list[int]:
     """(x, 1) times the least common denominator L of x: integers X, L."""
-    den = lcm(*(q.denominator for q in x))
-    return [q.numerator * (den // q.denominator) for q in x] + [den]
+    scaled, den = integer_row(x)
+    return scaled + [den]
 
 
 def barycentric_coords(points: Sequence[Vec], x: Vec) -> Optional[list[Fraction]]:
@@ -326,22 +335,19 @@ def _simplex_max(cobj: list[Fraction], A: list[list[Fraction]], b: list[Fraction
     return x
 
 
-def convex_positions_intersect(pts_a: Sequence[Vec], pts_b: Sequence[Vec],
-                               strict_a: bool = True, strict_b: bool = True) -> bool:
-    """Exact test whether the two hulls meet.
+def convex_positions_intersect(pts_a: Sequence[Vec], pts_b: Sequence[Vec]) -> bool:
+    """Exact test whether the relatively open hulls of the two point lists
+    meet (all barycentric weights > 0 on both sides): the open simplices,
+    when the points are affinely independent.
 
-    With strict flags set, the corresponding hull is taken relatively open
-    (all barycentric weights > 0), i.e. the open simplex when the points are
-    affinely independent.  The test maximizes the minimal strict weight t
-    subject to the matching constraints; intersection holds iff the optimum
-    is positive (or the system is feasible at all when nothing is strict).
+    The test maximizes the minimal weight t subject to the matching
+    constraints; the hulls meet iff the optimum is positive.
     """
     ka, kb = len(pts_a), len(pts_b)
     dim = len(pts_a[0])
-    nstrict = (ka if strict_a else 0) + (kb if strict_b else 0)
-    # variables: lam (ka), mu (kb), t, slack per strict bound, slack for t<=1
+    # variables: lam (ka), mu (kb), t, slack per weight, slack for t<=1
     it = ka + kb
-    nvar = ka + kb + 1 + nstrict + 1
+    nvar = 2 * it + 2
     A: list[list[Fraction]] = []
     b: list[Fraction] = []
 
@@ -366,25 +372,19 @@ def convex_positions_intersect(pts_a: Sequence[Vec], pts_b: Sequence[Vec],
         r[ka + j] = F1
     A.append(r)
     b.append(F1)
-    strict_vars = (list(range(ka)) if strict_a else []) + \
-                  (list(range(ka, ka + kb)) if strict_b else [])
-    for s, j in enumerate(strict_vars):
+    for j in range(it):
         r = row()
         r[j] = F1
         r[it] = -F1
-        r[it + 1 + s] = -F1
+        r[it + 1 + j] = -F1
         A.append(r)
         b.append(F0)
     r = row()
     r[it] = F1
-    r[it + 1 + nstrict] = F1
+    r[nvar - 1] = F1
     A.append(r)
     b.append(F1)
     c = [F0] * nvar
     c[it] = F1
     sol = _simplex_max(c, A, b)
-    if sol is None:
-        return False
-    if nstrict == 0:
-        return True
-    return sol[ka + kb] > 0
+    return sol is not None and sol[it] > 0

@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg, subdivision
-from .complexes import (Complex, SubcomplexRef, Simplex, faces_with_self,
-                        proper_faces, simplex, sname, support_face)
+from .complexes import (Complex, SubcomplexRef, Simplex, simplex, sname,
+                        support_face)
 from .errors import (BarrierViolation, CarrierClash, FixedSetMismatch,
                      Incompatible, NotClosed, NotFull, NotSimplicial,
                      NotSubcomplex, PointOutsidePolyhedron, RoundsExhausted,
@@ -385,17 +385,6 @@ class PLFunction:
         return sum((c * self.values[v] for c, v in zip(coords, t)), F0)
 
 
-def combinatorial_closed_star(K: Complex, members) -> frozenset:
-    """Closure of the set of simplices whose closure meets the subcomplex."""
-    members = frozenset(tuple(s) for s in members)
-    star = {s for s in K.simplices
-            if any(f in members for f in faces_with_self(s))}
-    closed = set(star)
-    for s in star:
-        closed.update(f for f in proper_faces(s) if f in K.simplices)
-    return frozenset(closed)
-
-
 def is_full(K: Complex, members) -> bool:
     """Every K-simplex all of whose vertices lie in the subcomplex belongs
     to it."""
@@ -414,8 +403,7 @@ def urysohn(K: Complex, K_C: SubcomplexRef, K_E: SubcomplexRef) -> PLFunction:
         raise NotSubcomplex("K_C must be closed")
     if not is_full(K, K_C.members):
         raise NotFull("K_C is not full; subdivide once first")
-    star = combinatorial_closed_star(K, K_C.members)
-    if not star <= K_E.members:
+    if not K.closed_star(K_C).members <= K_E.members:
         raise BarrierViolation("closed star of K_C leaves K_E")
     cverts = {v for s in K_C.members for v in s}
     values = {v: (F0 if v in cverts else F1)
@@ -436,10 +424,10 @@ def simplicialize_rel(f: PLMap, K_C: SubcomplexRef | None,
     keeping it fixed on |K_C| exactly.
 
     Build: subdivide the domain once (making the fine copy of K_C full),
-    run simplicial approximation to get mu, take barriers K_E = closed star
-    of K_C and K_D = closed star of K_E in the final fine complex, blend
-    with the 0/1 Urysohn function, and certify f -> result (and -> mu when
-    mu already agrees on |K_C|), all constant on |K_C|.
+    run simplicial approximation to get mu, take the barrier K_E = closed
+    star of K_C in the final fine complex, blend with the 0/1 Urysohn
+    function, and certify f -> result (and -> mu when mu already agrees on
+    |K_C|), all constant on |K_C|.
     """
     if K_C is None or len(K_C.members) == 0:
         g, cert = simplicial_approximation(f, max_rounds)
@@ -454,14 +442,8 @@ def simplicialize_rel(f: PLMap, K_C: SubcomplexRef | None,
     base = cert_mu.steps[-1].frm          # f on the final subdivision
     fine = base.fine
     cfine = restrict_members(base.dom_subdivision, K_C.members)
-    e_members = combinatorial_closed_star(fine, cfine)
-    d_members = combinatorial_closed_star(fine, e_members)
     ref_c = fine.subcomplex(cfine)
-    ref_e = fine.subcomplex(e_members)
-    lam = urysohn(fine, ref_c, ref_e)
-    # nesting sanity: |K_E| inside the interior of |K_D|
-    if not combinatorial_closed_star(fine, e_members) <= d_members:
-        raise BarrierViolation("barrier nesting failed")
+    lam = urysohn(fine, ref_c, fine.closed_star(ref_c))
 
     # blend (1 - lam) * base + lam * mu: the Urysohn values are 0 or 1, so
     # every blended vertex is a vertex image of base or of mu, and both lie

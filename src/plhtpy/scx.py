@@ -37,8 +37,8 @@ from .linalg import vec
 def _parse_coord(tok: str) -> Fraction:
     try:
         return Fraction(tok)
-    except ValueError as exc:
-        raise FormatError(f"bad coordinate {tok!r}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad coordinate {tok!r}") from exc
 
 
 def parse_simplex_name(tok: str) -> Simplex:
@@ -110,7 +110,7 @@ def parse_scx(text: str):
                 _declare(carriers, parse_simplex_name(toks[1]),
                          parse_simplex_name(toks[3]), f"carrier {toks[1]}")
             else:
-                raise FormatError(f"unknown declaration {kind!r}")
+                raise ValueError(f"unknown declaration {kind!r}")
         except (IndexError, ValueError) as exc:
             raise FormatError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
     if ambient is None:

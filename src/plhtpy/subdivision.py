@@ -21,13 +21,13 @@ serialized simplex name), and a token never holds whitespace.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from . import linalg
 from .complexes import (Complex, SubcomplexRef, Simplex, facets,
                         proper_faces, simplex, sname, support_face)
-from .errors import NotClosed, NotNormal, NotNormalInput, NotSubcomplex
-
-F1 = Fraction(1)
+from .errors import (Incompatible, NotClosed, NotNormal, NotNormalInput,
+                     NotSubcomplex)
 
 
 def bary_name(s: Simplex) -> str:
@@ -66,7 +66,12 @@ def barycentric_subdivide(K: Complex) -> SubdivisionWitness:
     if not K.is_closed():
         raise NotClosed("barycentric subdivision requires a closed complex")
     vname = {s: (s[0] if len(s) == 1 else bary_name(s)) for s in K.simplices}
-    verts = {vname[s]: K.barycenter(s) for s in K.simplices}
+    verts = {}
+    for s in K.simplices:
+        if vname[s] in verts:
+            raise Incompatible(f"vertex id {vname[s]} names two vertices "
+                               "of the subdivision")
+        verts[vname[s]] = K.barycenter(s)
     fine: dict[Simplex, Simplex] = {}
 
     def grow(chain: tuple[Simplex, ...]):
@@ -92,24 +97,13 @@ def iterated_subdivision(K: Complex, rounds: int) -> SubdivisionWitness:
 def relative_volume(rows) -> Fraction:
     """vol(fine simplex) / vol(coarse simplex), both of the same dimension,
     from the barycentric coordinates of the fine vertices in the coarse
-    simplex (one row per fine vertex): the absolute determinant."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    det = F1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / m[c][c]
-                for j in range(c, n):
-                    m[i][j] -= f * m[c][j]
-    return abs(det)
+    simplex (one row per fine vertex): the absolute determinant, read from
+    the last pivot of `linalg.eliminate` on the rows scaled to integers."""
+    scaled = [linalg.integer_row(r) for r in rows]
+    pivots, last = linalg.eliminate([row for row, _ in scaled], len(scaled))
+    if len(pivots) < len(scaled):
+        return Fraction(0)
+    return Fraction(abs(last), prod(den for _, den in scaled))
 
 
 def partition_violations(coarse: Complex, pieces, point, carrier,
@@ -348,6 +342,9 @@ def extend_normal(K: Complex, K_Z: SubcomplexRef, phi0: PLHomeo) -> PLHomeo:
             target[s] = s
             continue
         b = bary_name(s)
+        if b in verts:
+            raise Incompatible(f"vertex id {b} is taken; it names the "
+                               f"barycenter of {sname(s)}")
         bpt = K.barycenter(s)
         verts[b] = bpt
         image[b] = bpt

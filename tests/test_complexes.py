@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from plhtpy import linalg, scx
-from plhtpy.complexes import (Complex, proper_faces, simplex, sname,
-                              validate)
-from plhtpy.errors import (AffinelyDependent, DuplicateSimplex,
+from plhtpy.complexes import (Complex, faces_with_self, proper_faces,
+                              simplex, sname, validate)
+from plhtpy.errors import (AffinelyDependent, DuplicateSimplex, NotSubcomplex,
                            OverlappingSimplices, PointOutsidePolyhedron)
 
 DISK_VERTS = {"a": (0, 0), "b": (1, 0), "c": (0, 1)}
@@ -126,6 +126,80 @@ def test_star_of_interior_point(disk):
 def test_star_outside_polyhedron(disk):
     with pytest.raises(PointOutsidePolyhedron):
         disk.star([(F(5), F(5))])
+
+
+class LPReference:
+    """Stars by geometry alone: s is in the star when some face f of s, in
+    K or not, has open f meeting an open member (or the point) by the
+    exact LP.  Each LP answer is kept, keyed by coordinates."""
+
+    def __init__(self):
+        self.known = {}
+
+    def meets(self, pts_a, pts_b):
+        key = (tuple(pts_a), tuple(pts_b))
+        if key not in self.known:
+            self.known[key] = linalg.convex_positions_intersect(pts_a, pts_b)
+        return self.known[key]
+
+    def star(self, K, targets):
+        """targets: point lists of open simplices or single points."""
+        return {s for s in K.simplices
+                if any(self.meets(K.points(f), pts)
+                       for f in faces_with_self(s) for pts in targets)}
+
+    def point_star(self, K, p):
+        """None when no open simplex of K holds p."""
+        if not any(self.meets(K.points(s), [p]) for s in K.simplices):
+            return None
+        return self.star(K, [[p]])
+
+
+def star_cases(corpus):
+    """Closed corpus complexes, non-closed restrictions of them, and a
+    triangle whose missing edge other simplices cover."""
+    cases = [corpus[name][0] for name in ("cube1", "cube2", "disk", "s2",
+                                          "tri3", "wedge2")]
+    disk, s2 = corpus["disk"][0], corpus["s2"][0]
+    cases.append(disk.restrict([("a", "b", "c")]))         # open triangle
+    cases.append(disk.restrict(disk.simplices - {("a",)}))
+    edge = min(s for s in s2.simplices if len(s) == 2)
+    cases.append(s2.restrict(s2.simplices - {edge}))
+    # the missing edge a-b of the triangle is covered by a-m, m and m-b
+    cases.append(validate(2, {"a": (0, 0), "b": (2, 0), "c": (0, 2),
+                              "m": (1, 0)},
+                          [["a", "b", "c"], ["a"], ["m"], ["b"], ["a", "m"],
+                           ["m", "b"]]))
+    return cases
+
+
+def test_star_matches_the_lp_reference(corpus):
+    rng = random.Random(66)
+    ref = LPReference()
+    cases = star_cases(corpus)
+    for K in cases:
+        for t in sorted(K.simplices):
+            assert set(K.star(K.subcomplex([t])).members) \
+                == ref.star(K, [K.points(t)]), (sname(t), sorted(K.simplices))
+        members = rng.sample(sorted(K.simplices), min(3, len(K.simplices)))
+        assert set(K.star(K.subcomplex(members)).members) \
+            == ref.star(K, [K.points(t) for t in members])
+        points = [K.barycenter(s) for s in sorted(K.closure().simplices)]
+        points.append(tuple(F(7) for _ in range(K.ambient_dim)))
+        for p in points:
+            expected = ref.point_star(K, p)
+            if expected is None:
+                with pytest.raises(PointOutsidePolyhedron):
+                    K.star([p])
+            else:
+                assert set(K.star([p]).members) == expected, p
+    K = cases[-1]
+    assert ("a", "b", "c") in K.star(K.subcomplex([("m",)])).members
+
+
+def test_star_rejects_a_foreign_target(disk, tri3):
+    with pytest.raises(NotSubcomplex):
+        tri3.star(disk.subcomplex([("a", "b", "c")]))
 
 
 def test_core_of_closed_complex(disk):

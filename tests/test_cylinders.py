@@ -189,3 +189,19 @@ def test_extend_homotopy_incompatible(corpus, tri3):
     g = pm.constant_map(cube1, tri3, tri3.vertices["a"])
     with pytest.raises(Incompatible):
         cy.extend_homotopy(g, H2, r)
+
+
+def test_extend_homotopy_rejects_a_moved_wall(corpus):
+    # same simplex names as the wall over u0, coordinates moved to x=5
+    cube1 = corpus["cube1"][0]
+    r = cy.cylinder_retraction(cube1, frozenset({("u0",)}))
+    f = pm.identity_map(cube1)
+    H = wall_homotopy(cube1, r.prism, cube1,
+                      {"u0": {0: (F(0),), 1: (F(1),)}})
+    moved = Complex(H.domain.ambient_dim,
+                    {v: (F(5),) + p[1:] for v, p in H.domain.vertices.items()},
+                    H.domain.simplices)
+    H5 = pm.PLMap(moved, cube1, sd.identity_witness(moved), H.vertex_image,
+                  H.target_carrier)
+    with pytest.raises(Incompatible, match="subcylinder"):
+        cy.extend_homotopy(f, H5, r)

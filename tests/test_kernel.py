@@ -1,10 +1,12 @@
-"""The one barycentric kernel: `linalg.AffineFrame` against the Fraction
-solve it replaces, and the guard that every path eliminates each simplex
-of a complex once."""
+"""The one exact elimination kernel: `linalg.eliminate` behind rank and
+volume against minors, `linalg.AffineFrame` against the Fraction solve it
+replaces, and the guard that every path eliminates each simplex of a
+complex once."""
 
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations, permutations
 
 import pytest
 
@@ -111,6 +113,70 @@ def test_codimension_one_offsets_vanish_on_the_hull():
     above, below = (frame.offsets((F(1, 7), F(0), z))[0]
                     for z in (F(2), F(1, 3)))
     assert above * below < 0
+
+
+def leibniz_det(m):
+    total = F(0)
+    for perm in permutations(range(len(m))):
+        sign = (-1) ** sum(perm[i] > perm[j]
+                           for i, j in combinations(range(len(m)), 2))
+        term = F(sign)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def minor_rank(m):
+    """The largest k with a nonzero k x k minor."""
+    nr, nc = len(m), len(m[0])
+    for k in range(min(nr, nc), 0, -1):
+        for rows in combinations(range(nr), k):
+            for cols in combinations(range(nc), k):
+                if leibniz_det([[m[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+def random_matrix(rng, nr, nc, big):
+    """Sparse rows, and often a row that combines two others or a zero
+    column, so that pivots go missing and columns are skipped."""
+    m = [[rational(rng, big) if rng.random() < 0.7 else F(0)
+          for _ in range(nc)] for _ in range(nr)]
+    if nr >= 3 and rng.random() < 0.4:
+        i, j, k = rng.sample(range(nr), 3)
+        a, b = rational(rng, big), rational(rng, big)
+        m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    if rng.random() < 0.2:
+        col = rng.randrange(nc)
+        for row in m:
+            row[col] = F(0)
+    return m
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_rank_and_volume_match_minors(big):
+    rng = random.Random(606 + big)
+    deficient = zero = 0
+    for _ in range(300):
+        m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), big)
+        rank = minor_rank(m)
+        assert linalg.mat_rank(m) == rank, m
+        deficient += rank < min(len(m), len(m[0]))
+        n = rng.randint(1, 4)
+        sq = random_matrix(rng, n, n, big)
+        det = leibniz_det(sq)
+        assert sd.relative_volume(sq) == abs(det), sq
+        zero += det == 0
+    assert deficient and zero
+
+
+def test_eliminate_skips_a_zero_column():
+    m = [[0, 2, 4, 1], [0, 1, 2, 3], [0, 3, 7, 0]]
+    pivots, last = linalg.eliminate(m, 4)
+    assert pivots == [1, 2, 3]
+    assert abs(last) == 5     # the minor on columns 1-3
+    assert linalg.eliminate([[1, 2], [2, 4]], 2) == ([0], 1)
 
 
 @pytest.fixture

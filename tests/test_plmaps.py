@@ -4,7 +4,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from plhtpy import linalg
 from plhtpy import plmaps as pm
+from plhtpy import scx
 from plhtpy import subdivision as sd
 from plhtpy.errors import (CarrierClash, FixedSetMismatch, NotFull,
                            PointOutsidePolyhedron, RoundsExhausted)
@@ -132,16 +134,34 @@ def test_certificate_mutation_detected(rot):
 
 def test_urysohn_vertex_star(disk):
     fine = sd.barycentric_subdivide(disk).fine
-    c_members = frozenset({("a",)})
-    e_members = pm.combinatorial_closed_star(fine, c_members)
-    lam = pm.urysohn(fine, fine.subcomplex(c_members),
-                     fine.subcomplex(e_members))
+    c_ref = fine.subcomplex([("a",)])
+    lam = pm.urysohn(fine, c_ref, fine.closed_star(c_ref))
     assert lam.values["a"] == 0
     assert all(lam.values[v] == 1 for v in lam.values if v != "a")
     # strictly positive on the open edges at a
     x = tuple((p + q) / 3 for p, q in zip(fine.vertices["a"],
                                           fine.vertices["a.b^bary"]))
     assert 0 < lam.evaluate(x) < 1
+
+
+def test_stars_on_closed_complexes_run_no_lp(monkeypatch, corpus,
+                                             perturbed_disk, disk_boundary):
+    def no_lp(*args):
+        raise AssertionError("convex_positions_intersect called")
+    monkeypatch.setattr(linalg, "convex_positions_intersect", no_lp)
+    for name in scx.CORPUS_NAMES:
+        K = corpus[name][0]
+        for t in K.simplices:
+            K.closed_star(K.subcomplex([t]))
+    # the star of a vertex of the disk at r=3 (673 simplices)
+    disk = corpus["disk"][0]
+    fine = sd.iterated_subdivision(disk, 3).fine
+    assert len(fine.star(fine.subcomplex([("a",)])).members) == 18
+    a = fine.subcomplex([("a",)])
+    lam = pm.urysohn(fine, a, fine.closed_star(a))
+    assert lam.values["a"] == 0
+    g, cert = pm.simplicialize_rel(perturbed_disk, disk_boundary)
+    assert pm.verify_certificate(cert)[0]
 
 
 def test_urysohn_not_full(tri3):

@@ -81,6 +81,10 @@ def test_scx_duplicate_declarations(extra, lineno):
     ("ambient 1 junk\nvertex a 0\n", 1, "stray tokens 'junk'"),
     (SEGMENT + "carrier a -> a extra\n", 6, "stray tokens 'extra'"),
     (SEGMENT + "carrier a => a\n", 6, "carrier syntax"),
+    ("ambient 1\nvertex a zero\n", 2, "bad coordinate 'zero'"),
+    ("ambient 1\nvertex a 1/0\n", 2, "bad coordinate '1/0'"),
+    (SEGMENT + "image a nan\n", 6, "bad coordinate 'nan'"),
+    ("ambient 1\nfrobnicate a\n", 2, "unknown declaration 'frobnicate'"),
 ])
 def test_scx_rejects_ambiguous_lines(text, lineno, cause):
     with pytest.raises(FormatError, match=f"^line {lineno}: .*{cause}"):
@@ -95,6 +99,18 @@ def test_cli_validate_dashed_vertex_exit2(tmp_path):
     code, out = run_cli("validate", str(bad))
     assert code == 2
     assert "FormatError: line 3:" in out and "'b-c'" in out
+
+
+@pytest.mark.parametrize("line, cause", [
+    ("vertex b zero", "bad coordinate 'zero'"),
+    ("frobnicate a", "unknown declaration 'frobnicate'"),
+])
+def test_cli_validate_names_the_bad_line_exit2(tmp_path, line, cause):
+    bad = tmp_path / "bad.scx"
+    bad.write_text(f"ambient 1\nvertex a 0\n{line}\nsimplex a\n")
+    code, out = run_cli("validate", str(bad))
+    assert code == 2
+    assert f"FormatError: line 3: '{line}': {cause}" in out
 
 
 def test_cli_verify_normal_rejects_duplicate_image(tmp_path, disk):

@@ -1,5 +1,6 @@
 """Barycentric subdivision, normality checking, and normal extension."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from plhtpy import certio, linalg
 from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
+from plhtpy import scx
 from plhtpy.complexes import Complex, simplex, validate
-from plhtpy.errors import NotClosed, NotNormal, NotNormalInput, NotSubcomplex
+from plhtpy.errors import (Incompatible, NotClosed, NotNormal, NotNormalInput,
+                           NotSubcomplex)
 from plhtpy.homology import euler_characteristic
 from test_scx_cli import run_cli
 
@@ -46,6 +49,21 @@ def test_bary_requires_closed():
     K = validate(2, {"a": (0, 0), "b": (1, 0), "c": (0, 1)},
                  [["a", "b", "c"]], check_disjoint=False)
     with pytest.raises(NotClosed):
+        sd.barycentric_subdivide(K)
+
+
+@pytest.mark.parametrize("text, name", [
+    # the barycenter of a-b and the user vertex were merged at 5
+    ("ambient 1\nvertex a 0\nvertex b 1\nvertex a.b^bary 5\nsimplex a\n"
+     "simplex b\nsimplex a.b^bary\nsimplex a b\n", "a.b^bary"),
+    # the barycenters of a-b.c and a.b-c share one generated name
+    ("ambient 1\nvertex a 0\nvertex b.c 1\nvertex a.b 2\nvertex c 3\n"
+     "simplex a\nsimplex b.c\nsimplex a.b\nsimplex c\nsimplex a b.c\n"
+     "simplex a.b c\n", "a.b.c^bary"),
+])
+def test_bary_refuses_a_vertex_id_that_spells_a_barycenter(text, name):
+    K, _ = scx.load_complex(text)
+    with pytest.raises(Incompatible, match=re.escape(name)):
         sd.barycentric_subdivide(K)
 
 
@@ -276,6 +294,20 @@ def test_extend_normal_tetra_boundary():
         sd.barycentric_subdivide(boundary.as_complex()))
     phi = check_extension(K, boundary, phi0)
     assert any(len(t) == 4 for t in phi.witness.fine.simplices)
+
+
+def test_extend_normal_refuses_a_vertex_id_that_spells_a_barycenter():
+    # the user vertex at (7, 7) was overwritten by the cone point
+    K = validate(2, {"a": (0, 0), "b": (1, 0), "c": (0, 1),
+                     "a.b.c^bary": (7, 7)},
+                 [["a"], ["b"], ["c"], ["a", "b"], ["b", "c"], ["a", "c"],
+                  ["a", "b", "c"], ["a.b.c^bary"]])
+    boundary = K.subcomplex([s for s in K.simplices
+                             if len(s) <= 2 and s != ("a.b.c^bary",)])
+    phi0 = sd.identity_homeo_on(
+        sd.barycentric_subdivide(boundary.as_complex()))
+    with pytest.raises(Incompatible, match=r"a\.b\.c\^bary"):
+        sd.extend_normal(K, boundary, phi0)
 
 
 def test_extend_normal_rejects_bad_input(disk, disk_boundary, tri3):
