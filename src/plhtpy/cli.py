@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import certio, cylinders, fungroup, homology, plmaps, scx, subdivision
-from .complexes import Complex, sdim, sname
+from .complexes import Complex, sname
 from .errors import (NotCertifiablySimplyConnected, PlhtpyError,
                      RoundsExhausted)
 
@@ -51,14 +51,13 @@ class Report:
         return "".join(f"{k}: {v}\n" for k, v in self.lines)
 
 
-def load_input(source: str, check_disjoint: bool = True):
+def load_input(source: str):
     """``corpus:NAME`` or an SCX file path -> (Complex, subcomplexes)."""
     try:
         if source.startswith("corpus:"):
-            return scx.load_corpus(source[len("corpus:"):],
-                                   check_disjoint=check_disjoint)
+            return scx.load_corpus(source[len("corpus:"):])
         with open(source, "r", encoding="utf-8") as fh:
-            return scx.load_complex(fh.read(), check_disjoint=check_disjoint)
+            return scx.load_complex(fh.read())
     except OSError as exc:
         raise InputProblem(f"cannot read {source!r}: {exc}") from exc
 

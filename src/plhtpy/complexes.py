@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .linalg import F0, F1, Vec, vec
+from .linalg import Vec, vec
 from .errors import (
     AffinelyDependent,
     DuplicateSimplex,
@@ -115,7 +115,8 @@ class Complex:
         return (isinstance(other, Complex)
                 and self.ambient_dim == other.ambient_dim
                 and self.simplices == other.simplices
-                and all(self.vertices[v] == other.vertices[v]
+                and all(v in self.vertices and v in other.vertices
+                        and self.vertices[v] == other.vertices[v]
                         for s in self.simplices for v in s))
 
     def __hash__(self):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .complexes import (Complex, SubcomplexRef, Simplex, proper_faces,
-                        sdim, simplex, sname)
+                        sdim, simplex)
 from .errors import Incompatible, NotClosed, NotSubcomplex
 from .plmaps import PLMap
 from .subdivision import SubdivisionWitness, identity_witness

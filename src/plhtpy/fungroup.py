@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 
-from .complexes import Complex, Simplex, SubcomplexRef, simplex, sname
+from .complexes import Complex, Simplex, SubcomplexRef, simplex
 from .errors import (BaseVertexMismatch, NotCertifiablySimplyConnected,
                      NotClosed, NotConnected, StartNotInA)
 from .homology import (AbelianGroup, AbelianQuotient, HomologyData,

@@ -4,7 +4,11 @@ Everything in this module works on ``fractions.Fraction`` entries and makes
 no floating point detours.  Matrices are plain lists of lists; vectors are
 tuples.  This is the arithmetic substrate for all geometric predicates:
 barycentric coordinates, affine independence and the strict-feasibility
-test used to decide whether two open simplices meet.
+test used to decide whether two open simplices meet.  That test is one
+phase-1 simplex feasibility problem, `_feasible`: the open hulls of
+a_1..a_ka and b_1..b_kb meet exactly when some lambda_i >= 1, mu_j >= 1
+give sum lambda_i (a_i, 1) = sum mu_j (b_j, 1).  Strict positivity needs
+no objective: any positive solution scales to one with least weight 1.
 
 One exact elimination kernel, `eliminate` (fraction-free, over the
 integers), serves coordinates, rank and volume: `AffineFrame` (one frame
@@ -246,93 +250,43 @@ def hyperplane_separated(frame_a: AffineFrame, frame_b: AffineFrame) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exact LP: strict feasibility for open-simplex intersection.
+# Exact LP: one phase-1 feasibility problem for open-simplex intersection.
 # ---------------------------------------------------------------------------
 
-def _simplex_max(cobj: list[Fraction], A: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
-    """Maximize cobj.x subject to A x = b, x >= 0, via two-phase simplex with
-    Bland's rule.  Returns an optimal x, or None when infeasible.  The
-    caller must ensure the objective is bounded (ours always is)."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    # make rhs nonnegative
-    A = [list(r) for r in A]
-    b = list(b)
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
-    # phase 1 tableau with artificials
-    ncols = n + m
-    T = [A[i] + [F1 if j == i else F0 for j in range(m)] + [b[i]] for i in range(m)]
-    basis = list(range(n, n + m))
-    # phase-1 objective: minimize the sum of artificials; the entering test
-    # below only ever looks at the original columns of zrow
-    zrow = [F0] * (ncols + 1)
-    for i in range(m):
-        for j in range(ncols + 1):
-            zrow[j] += T[i][j]
+def _feasible(A: list[list[Fraction]], b: list[Fraction]) -> bool:
+    """Is {x >= 0 : A x = b} nonempty?  Phase 1 of the simplex method, in
+    exact Fractions.
 
-    def pivot(T, zrow, basis, r, c):
-        pv = T[r][c]
-        T[r] = [x / pv for x in T[r]]
-        for i in range(len(T)):
-            if i != r and T[i][c] != 0:
-                f = T[i][c]
-                T[i] = [x - f * y for x, y in zip(T[i], T[r])]
-        if zrow[c] != 0:
-            f = zrow[c]
-            for j in range(len(zrow)):
-                zrow[j] -= f * T[r][j]
-        basis[r] = c
-
-    def run(T, zrow, basis, allowed):
-        while True:
-            enter = next((j for j in allowed if zrow[j] > 0), None)
-            if enter is None:
-                return
-            ratios = [(T[i][ncols] / T[i][enter], basis[i], i)
-                      for i in range(m) if T[i][enter] > 0]
-            if not ratios:
-                raise ArithmeticError("unbounded LP")
-            _, _, r = min(ratios, key=lambda t: (t[0], t[1]))
-            pivot(T, zrow, basis, r, enter)
-
-    run(T, zrow, basis, list(range(n)))
-    if zrow[ncols] != 0:
-        return None  # infeasible
-    # drive artificials out of basis when possible
-    for i in range(m):
-        if basis[i] >= n:
-            c = next((j for j in range(n) if T[i][j] != 0), None)
-            if c is not None:
-                pivot(T, zrow, basis, i, c)
-    # phase 2
-    zrow2 = [F0] * (ncols + 1)
-    for j in range(n):
-        zrow2[j] = frac(cobj[j]) if j < len(cobj) else F0
-    # express objective in terms of nonbasic vars
-    for i in range(m):
-        if basis[i] < n and zrow2[basis[i]] != 0:
-            f = zrow2[basis[i]]
-            for j in range(ncols + 1):
-                zrow2[j] -= f * T[i][j]
-    # forbid re-entering artificial columns
-    while True:
-        enter = next((j for j in range(n) if zrow2[j] > 0), None)
+    After making b >= 0, one artificial per row starts as the basis; the
+    last tableau row holds their sum in reduced form, and the system is
+    feasible exactly when that sum reaches 0.  It is bounded below by 0,
+    so no step is unbounded.  Bland's rule (Bland, Math. Oper. Res. 2,
+    1977) -- the lowest improving column enters, ratio ties leave by the
+    lowest basic index -- makes the method terminate.  Only original
+    columns enter: an artificial that left the basis is 0 in every
+    feasible point, so its column is never needed.  The one caller asks
+    for lambda, mu >= 1 with sum lambda_i (a_i, 1) = sum mu_j (b_j, 1):
+    no objective, as strictly positive weights scale to least weight 1.
+    """
+    m, n = len(A), len(A[0])
+    T = [[frac(x) for x in row] + [frac(r)] for row, r in zip(A, b)]
+    T = [row if row[n] >= 0 else [-x for x in row] for row in T]
+    T.append([sum(col) for col in zip(*T)])
+    basis = list(range(n, n + m))       # n + i: the artificial of row i
+    while T[m][n]:
+        enter = next((j for j in range(n) if T[m][j] > 0), None)
         if enter is None:
-            break
-        ratios = [(T[i][ncols] / T[i][enter], basis[i], i)
-                  for i in range(m) if T[i][enter] > 0]
-        if not ratios:
-            raise ArithmeticError("unbounded LP")
-        _, _, r = min(ratios, key=lambda t: (t[0], t[1]))
-        pivot(T, zrow2, basis, r, enter)
-    x = [F0] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i][ncols]
-    return x
+            return False
+        r = min((i for i in range(m) if T[i][enter] > 0),
+                key=lambda i: (T[i][n] / T[i][enter], basis[i]))
+        pv = T[r][enter]
+        T[r] = top = [x / pv for x in T[r]]
+        for i, row in enumerate(T):
+            f = row[enter]
+            if i != r and f:
+                T[i] = [x - f * y for x, y in zip(row, top)]
+        basis[r] = enter
+    return True
 
 
 def convex_positions_intersect(pts_a: Sequence[Vec], pts_b: Sequence[Vec]) -> bool:
@@ -340,51 +294,13 @@ def convex_positions_intersect(pts_a: Sequence[Vec], pts_b: Sequence[Vec]) -> bo
     meet (all barycentric weights > 0 on both sides): the open simplices,
     when the points are affinely independent.
 
-    The test maximizes the minimal weight t subject to the matching
-    constraints; the hulls meet iff the optimum is positive.
+    They meet exactly when some lambda_i >= 1, mu_j >= 1 give
+    sum lambda_i (a_i, 1) = sum mu_j (b_j, 1): positive weights of a common
+    point, divided by their least entry, are such lambda, mu, and lambda,
+    mu divided by their common sum are positive weights of a common point.
+    With x = (lambda - 1, mu - 1) >= 0 this is one phase-1 problem of d + 1
+    rows and ka + kb columns: A x = -A 1 for A = [(a_i, 1) | -(b_j, 1)].
     """
-    ka, kb = len(pts_a), len(pts_b)
-    dim = len(pts_a[0])
-    # variables: lam (ka), mu (kb), t, slack per weight, slack for t<=1
-    it = ka + kb
-    nvar = 2 * it + 2
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-
-    def row() -> list[Fraction]:
-        return [F0] * nvar
-
-    for i in range(dim):
-        r = row()
-        for j in range(ka):
-            r[j] = pts_a[j][i]
-        for j in range(kb):
-            r[ka + j] = -pts_b[j][i]
-        A.append(r)
-        b.append(F0)
-    r = row()
-    for j in range(ka):
-        r[j] = F1
-    A.append(r)
-    b.append(F1)
-    r = row()
-    for j in range(kb):
-        r[ka + j] = F1
-    A.append(r)
-    b.append(F1)
-    for j in range(it):
-        r = row()
-        r[j] = F1
-        r[it] = -F1
-        r[it + 1 + j] = -F1
-        A.append(r)
-        b.append(F0)
-    r = row()
-    r[it] = F1
-    r[nvar - 1] = F1
-    A.append(r)
-    b.append(F1)
-    c = [F0] * nvar
-    c[it] = F1
-    sol = _simplex_max(c, A, b)
-    return sol is not None and sol[it] > 0
+    cols = [(*p, F1) for p in pts_a] + [(*(-x for x in q), -F1) for q in pts_b]
+    A = [list(row) for row in zip(*cols)]
+    return _feasible(A, [-sum(row) for row in A])

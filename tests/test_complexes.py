@@ -71,6 +71,86 @@ def test_hyperplane_separation_is_sound(dim):
     assert separated and undecided
 
 
+def weights(rng, k):
+    """k positive rationals summing to 1."""
+    raw = [rng.randint(1, 4) for _ in range(k)]
+    return [F(x, sum(raw)) for x in raw]
+
+
+def meeting_pair(rng, dim, ka, kb):
+    """Point lists whose open hulls share a strictly interior point z:
+    z has positive weights in A, and the last vertex of B is solved for
+    so that it has positive weights in B too."""
+    pa = random_simplex(rng, dim, ka)
+    z = linalg.vcomb(weights(rng, ka), pa)
+    while True:
+        head = random_simplex(rng, dim, kb - 1) if kb > 1 else []
+        w = weights(rng, kb)
+        rest = linalg.vsub(z, linalg.vcomb(w[:-1], head)) if head else z
+        pb = head + [tuple(x / w[-1] for x in rest)]
+        if linalg.affinely_independent(pb):
+            return pa, pb
+
+
+def separated_pair(rng, dim, ka, kb):
+    """Point lists split by a hyperplane h = top: A on the closed side
+    h <= top, touching it, and B on h >= top with a vertex above it, so
+    the open hull of B lies in h > top and misses closed A."""
+    while True:
+        c = [rng.randint(-2, 2) for _ in range(dim)]
+        if any(c):
+            break
+
+    def h(p):
+        return sum(x * y for x, y in zip(c, p))
+
+    pa = random_simplex(rng, dim, ka)
+    top = max(h(p) for p in pa)
+    pb = random_simplex(rng, dim, kb)
+    # translate B along c until its lowest vertex sits on top, or above it
+    shift = (top - min(h(q) for q in pb)) / sum(x * x for x in c)
+    shift += F(rng.choice([0, 0, 1]), 2)
+    if all(h(q) + shift * sum(x * x for x in c) == top for q in pb):
+        shift += 1
+    pb = [tuple(x + shift * y for x, y in zip(q, c)) for q in pb]
+    return pa, pb
+
+
+def face_pair(rng, dim, ka, kb):
+    """Two distinct faces of one simplex, or None when none has these
+    sizes: open faces of a simplex are disjoint."""
+    if ka == kb == dim + 1:
+        return None
+    pts = random_simplex(rng, dim, dim + 1)
+    fa = rng.sample(range(dim + 1), ka)
+    while True:
+        fb = rng.sample(range(dim + 1), kb)
+        if set(fb) != set(fa):
+            return [pts[i] for i in fa], [pts[i] for i in fb]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_open_hull_intersection_matches_ground_truth(dim):
+    # answers known by construction, never from the LP itself
+    rng = random.Random(2000 + dim)
+    answers = {True: 0, False: 0}
+    for ka in range(1, dim + 2):
+        for kb in range(1, dim + 2):
+            for _ in range(6):
+                cases = [(meeting_pair(rng, dim, ka, kb), True),
+                         (separated_pair(rng, dim, ka, kb), False)]
+                faces = face_pair(rng, dim, ka, kb)
+                if faces is not None:
+                    cases.append((faces, False))
+                for (pa, pb), meet in cases:
+                    assert linalg.convex_positions_intersect(pa, pb) is meet, \
+                        (pa, pb)
+                    assert linalg.convex_positions_intersect(pb, pa) is meet, \
+                        (pb, pa)
+                    answers[meet] += 1
+    assert answers[True] and answers[False]
+
+
 @pytest.mark.parametrize("name", ["cube2", "disk", "s2"])
 def test_validate_names_every_overlap_shape(name):
     # every shape the overlap tamper draws: a triangle on one edge of a
@@ -95,6 +175,14 @@ def test_validate_rejects_aliased_vertices():
     verts = {"a": (0, 0), "b": (1, 0), "bb": (1, 0)}
     with pytest.raises(Exception):
         validate(2, verts, [["a"], ["b"], ["bb"]])
+
+
+def test_equality_needs_every_used_vertex_on_both_sides():
+    with_a = Complex(1, {"a": (F(0),)}, [("a",)])
+    without_a = Complex(1, {}, [("a",)])
+    assert with_a != without_a
+    assert without_a != with_a
+    assert with_a == Complex(1, {"a": (F(0),), "b": (F(1),)}, [("a",)])
 
 
 def test_closure_of_open_triangle():
