@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import le
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
@@ -281,6 +283,8 @@ def validate(ambient_dim: int, vertex_coords: dict[str, Sequence],
     Raises DuplicateSimplex / AffinelyDependent / OverlappingSimplices with
     the offending simplices named.
     """
+    if ambient_dim < 0:
+        raise AffinelyDependent(f"ambient dimension {ambient_dim} is negative")
     verts = {v: vec(c) for v, c in vertex_coords.items()}
     for v, p in verts.items():
         if len(p) != ambient_dim:
@@ -297,6 +301,8 @@ def validate(ambient_dim: int, vertex_coords: dict[str, Sequence],
     seen: set[Simplex] = set()
     simplices: list[Simplex] = []
     for raw in simplex_list:
+        if not raw:
+            raise AffinelyDependent("empty simplex: a simplex needs a vertex")
         if len(set(raw)) != len(raw):
             raise AffinelyDependent(f"repeated vertex in simplex {raw}")
         s = simplex(raw)
@@ -318,23 +324,54 @@ def validate(ambient_dim: int, vertex_coords: dict[str, Sequence],
 
 
 def check_pairwise_disjoint(K: Complex) -> None:
-    """Raise OverlappingSimplices naming the first pair of open simplices
-    that meet.  For raw, untrusted input: pairs are screened by bounding
-    box, by spanning one geometric simplex, and by an exact separating
-    hyperplane before the exact LP decides."""
+    """Raise OverlappingSimplices naming the first pair of open simplices,
+    in `combinations(sorted(K.simplices), 2)` order, that meet.  For raw,
+    untrusted input.
+
+    Precondition: every simplex of K is nonempty and affinely independent,
+    as `validate` checks before it calls this.  Each pair passes the
+    screens below in order, and only a pair that none decides reaches the
+    exact LP `linalg.convex_positions_intersect`:
+    1. bounding boxes: every used vertex is scaled once to a homogeneous
+       integer row (X_v, D), D the least common denominator, and the
+       integer boxes are swept on axis 0 (sweep and prune: Cohen, Lin,
+       Manocha and Ponamgi, "I-COLLIDE", SI3D 1995); pairs whose closed
+       boxes are apart are never visited;
+    2. one geometric simplex: when the vertex union of a and b is
+       affinely independent, a and b are distinct faces of one simplex,
+       so disjoint.  A union that is a simplex of K is independent by the
+       precondition, one of more than d + 1 vertices is dependent, and
+       any other is ranked by `linalg.eliminate` on its integer rows;
+    3. `linalg.hyperplane_separated`, inside the affine hull of the union.
+    """
+    d = K.ambient_dim
     sims = sorted(K.simplices)
-    boxes = {}
-    for s in sims:
-        pts = K.points(s)
-        boxes[s] = ([min(p[i] for p in pts) for i in range(K.ambient_dim)],
-                    [max(p[i] for p in pts) for i in range(K.ambient_dim)])
-    for a, b in combinations(sims, 2):
-        (alo, ahi), (blo, bhi) = boxes[a], boxes[b]
-        if any(ahi[i] < blo[i] or bhi[i] < alo[i] for i in range(K.ambient_dim)):
+    used = {v for s in sims for v in s}
+    den = lcm(*(q.denominator for v in used for q in K.vertices[v]))
+    rows = {v: [q.numerator * (den // q.denominator) for q in K.vertices[v]]
+            + [den] for v in used}
+    cols = [list(zip(*(rows[v] for v in s))) for s in sims]
+    lo = [tuple(map(min, c)) for c in cols]
+    hi = [tuple(map(max, c)) for c in cols]
+    pairs = []
+    active: list[int] = []
+    for i in sorted(range(len(sims)), key=lambda i: lo[i][0]):
+        lo_i, hi_i = lo[i], hi[i]
+        active = [j for j in active if hi[j][0] >= lo_i[0]]
+        pairs.extend((min(i, j), max(i, j)) for j in active
+                     if all(map(le, lo_i, hi[j]))
+                     and all(map(le, lo[j], hi_i)))
+        active.append(i)
+    pairs.sort()
+    for i, j in pairs:
+        a, b = sims[i], sims[j]
+        union = tuple(sorted(set(a) | set(b)))
+        if union in K.simplices:
             continue
-        union = sorted(set(a) | set(b))
-        if linalg.affinely_independent([K.vertices[v] for v in union]):
-            continue  # both are faces of one geometric simplex
+        if len(union) <= d + 1:
+            pivots, _ = linalg.eliminate([list(rows[v]) for v in union], d + 1)
+            if len(pivots) == len(union):
+                continue
         fa, fb = K.frame(a), K.frame(b)
         if linalg.hyperplane_separated(fa, fb):
             continue

@@ -9,12 +9,17 @@ phase-1 simplex feasibility problem, `_feasible`: the open hulls of
 a_1..a_ka and b_1..b_kb meet exactly when some lambda_i >= 1, mu_j >= 1
 give sum lambda_i (a_i, 1) = sum mu_j (b_j, 1).  Strict positivity needs
 no objective: any positive solution scales to one with least weight 1.
+The LP is the last screen of `complexes.check_pairwise_disjoint`; the one
+before it, `hyperplane_separated`, looks for a separating hyperplane
+inside the affine hull of the two simplices' union, read from the
+integer left-null rows of their frames.
 
 One exact elimination kernel, `eliminate` (fraction-free, over the
 integers), serves coordinates, rank and volume: `AffineFrame` (one frame
-per point list, kept per simplex by `Complex.frame`), `mat_rank` and
-`subdivision.relative_volume`.  Only `solve_linear` and the LP eliminate
-over Fractions.
+per point list, kept per simplex by `Complex.frame`), `mat_rank`,
+`subdivision.relative_volume` and the rank of each vertex union in
+`check_pairwise_disjoint`.  Only `solve_linear` and the LP eliminate over
+Fractions.
 """
 
 from __future__ import annotations
@@ -219,31 +224,45 @@ def barycentric_coords(points: Sequence[Vec], x: Vec) -> Optional[list[Fraction]
 
 
 def _separates(frame: AffineFrame, other: Sequence[Vec]) -> bool:
-    dim = len(frame.points[0])
-    if len(frame.points) == dim + 1:
-        # barycentric coordinate i vanishes on facet i and is positive on
-        # the open simplex: `other` must sit on its closed negative side
+    if frame.rows is None:
+        return False
+    offsets = [frame.offsets(q) for q in other]
+    if not any(map(any, offsets)):
+        # `other` lies on hull(frame), where barycentric coordinate j
+        # vanishes on facet j and is positive on the open simplex: `other`
+        # must sit on its closed negative side
         coords = [frame.coords(q) for q in other]
-        return any(all(c[i] <= 0 for c in coords)
-                   and any(c[i] < 0 for c in coords) for i in range(dim + 1))
-    if len(frame.points) == dim:
-        # the one left-null row vanishes exactly on the hull: `other` must
-        # sit on one closed side, not all on the hull
-        vals = [frame.offsets(q)[0] for q in other]
-        return ((all(v >= 0 for v in vals) or all(v <= 0 for v in vals))
-                and any(v != 0 for v in vals))
-    return False
+        return any(all(c[j] <= 0 for c in coords)
+                   and any(c[j] < 0 for c in coords)
+                   for j in range(len(frame.points)))
+    # offset i is, up to a positive factor, an affine function phi_i that
+    # vanishes on hull(frame).  When no phi_i takes both signs on `other`,
+    # psi = sum_i sign_i phi_i is >= 0 on it, 0 on hull(frame) and > 0 at
+    # a vertex with a nonzero offset: psi = 0 is a hyperplane of the
+    # union's hull through hull(frame), with `other` on one closed side
+    # and not all on it
+    return not any(min(col) < 0 < max(col) for col in zip(*offsets))
 
 
 def hyperplane_separated(frame_a: AffineFrame, frame_b: AffineFrame) -> bool:
     """Exact sufficient test that the open simplices on two affinely
     independent point lists, given as their frames, are disjoint.
 
-    The candidate hyperplanes are the facet hyperplanes of a
-    full-dimensional simplex and the hull of a codimension-1 simplex; one
-    separates when every vertex of the other simplex lies on one closed
-    side of it (for a facet, the side away from the simplex) and at least
-    one lies strictly off it.  False means undecided, not intersecting.
+    Each side is tried as `frame` against the other's vertices, inside the
+    affine hull H of their union, read from the offsets of `frame`:
+    - all offsets zero: H is hull(frame), in which the simplex is
+      full-dimensional; a facet hyperplane separates when every vertex of
+      the other simplex lies on its closed side away from the simplex and
+      one lies strictly off it;
+    - no offset coordinate takes both signs: a hyperplane of H through
+      hull(frame) has every vertex of the other simplex on one closed
+      side and one strictly off it.  This covers a codimension-1 simplex,
+      and every case where the nonzero offsets are positive multiples of
+      one vector, i.e. hull(frame) is a hyperplane of H;
+    - anything else is undecided.
+    False means undecided, not intersecting.  In
+    `complexes.check_pairwise_disjoint` this runs after the box and
+    vertex-union screens and before the exact LP.
     """
     return (_separates(frame_a, frame_b.points)
             or _separates(frame_b, frame_a.points))

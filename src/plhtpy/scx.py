@@ -89,11 +89,15 @@ def parse_scx(text: str):
                     raise ValueError("repeated 'ambient' declaration")
                 _no_stray(toks, 2)
                 ambient = int(toks[1])
+                if ambient < 0:
+                    raise ValueError(f"negative ambient dimension {ambient}")
             elif kind == "vertex":
                 _declare(vertices, _vertex_id(toks[1]),
                          tuple(_parse_coord(t) for t in toks[2:]),
                          f"vertex {toks[1]}")
             elif kind == "simplex":
+                if len(toks) == 1:
+                    raise ValueError("simplex with no vertices")
                 simplices.append([_vertex_id(t) for t in toks[1:]])
             elif kind == "subcomplex":
                 _declare(subcomplexes, toks[1],

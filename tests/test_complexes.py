@@ -1,11 +1,13 @@
 """Geometric complex kernel: validation, closure, stars, cores, location."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from plhtpy import linalg, scx
+from plhtpy import subdivision as sd
 from plhtpy.complexes import (Complex, faces_with_self, proper_faces,
                               simplex, sname, validate)
 from plhtpy.errors import (AffinelyDependent, DuplicateSimplex, NotSubcomplex,
@@ -69,6 +71,66 @@ def test_hyperplane_separation_is_sound(dim):
                 else:
                     undecided += 1
     assert separated and undecided
+
+
+def embedding(rng, m, d):
+    """x -> M x + t: an integer affine map of full column rank, R^m -> R^d."""
+    while True:
+        M = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(d)]
+        if linalg.mat_rank([[F(x) for x in row] for row in M]) == m:
+            return M, [rng.randint(-2, 2) for _ in range(d)]
+
+
+def embedded_pair(rng, m, d):
+    """Two lattice simplices of R^m, often sharing vertices, mapped into
+    R^d: their union spans at most an m-flat of R^d, so only tests
+    inside the union's hull can separate them."""
+    M, t = embedding(rng, m, d)
+    ka, kb = rng.randint(1, m + 1), rng.randint(1, m + 1)
+    qa = random_simplex(rng, m, ka)
+    shared = rng.sample(qa, rng.randint(0, min(ka, kb) - 1))
+    while True:
+        qb = shared + random_simplex(rng, m, kb - len(shared))
+        if len(set(qb)) == kb and linalg.affinely_independent(qb):
+            break
+
+    def embed(q):
+        return tuple(sum(r * x for r, x in zip(row, q)) + c
+                     for row, c in zip(M, t))
+    return [embed(q) for q in qa], [embed(q) for q in qb]
+
+
+def test_hull_relative_separation_is_sound():
+    rng = random.Random(3000)
+    separated = 0
+    branches = Counter()
+    for _ in range(3000):
+        d = rng.randint(2, 4)
+        pa, pb = embedded_pair(rng, rng.randint(1, d - 1), d)
+        fa, fb = linalg.AffineFrame(pa), linalg.AffineFrame(pb)
+        if not linalg.hyperplane_separated(fa, fb):
+            continue
+        separated += 1
+        assert not linalg.convex_positions_intersect(pa, pb), (pa, pb)
+        # which test separated: a facet inside hull(f) when the other
+        # simplex lies on it, else a hyperplane through hull(f), with the
+        # nonzero offsets on one ray or only in one closed orthant.  Every
+        # f here has codimension >= 1 in R^d, and a ray is counted at
+        # codimension >= 2: facet and codimension-1 tests in R^d miss all
+        # three
+        for f, g in ((fa, fb), (fb, fa)):
+            if linalg._separates(f, g.points):
+                offsets = [f.offsets(q) for q in g.points]
+                if not any(map(any, offsets)):
+                    branches["facet"] += 1
+                elif linalg.mat_rank([[F(x) for x in o]
+                                      for o in offsets]) > 1:
+                    branches["orthant"] += 1
+                elif len(f.null) >= 2:
+                    branches["ray"] += 1
+    assert separated >= 2000
+    assert branches["facet"] and branches["ray"] and branches["orthant"], \
+        branches
 
 
 def weights(rng, k):
@@ -169,6 +231,59 @@ def test_validate_names_every_overlap_shape(name):
                 message = str(exc.value)
                 assert sname(tri) in message
                 assert sname(simplex((u, v, "tamper"))) in message
+
+
+def test_validate_rejects_collinear_segments_flat_on_the_sweep_axis():
+    # every box has zero width on axis 0, so the sweep must keep boxes
+    # whose ends only touch there
+    verts = {"a": (1, 0), "b": (1, 2), "c": (1, 1), "e": (1, 3)}
+    with pytest.raises(OverlappingSimplices,
+                       match="^open simplices a-b and c-e intersect$"):
+        validate(2, verts, [["a", "b"], ["c", "e"]])
+
+
+def test_validate_names_the_first_overlapping_pair_in_sorted_order():
+    # the sweep along axis 0 meets f-g and h-i first
+    verts = {"a": (10,), "b": (13,), "c": (11,), "e": (14,),
+             "f": (0,), "g": (3,), "h": (1,), "i": (4,)}
+    with pytest.raises(OverlappingSimplices,
+                       match="^open simplices a-b and c-e intersect$"):
+        validate(1, verts, [["h", "i"], ["f", "g"], ["c", "e"], ["a", "b"]])
+
+
+def test_validate_ranks_a_union_missing_from_the_complex():
+    # collinear unions of d + 1 vertices that are no simplex of K: the
+    # union screen must rank them, not skip them
+    verts = {"a": (0, 0), "b": (2, 0), "c": (1, 0)}
+    with pytest.raises(OverlappingSimplices,
+                       match="^open simplices a-b and c intersect$"):
+        validate(2, verts, [["a"], ["b"], ["c"], ["a", "b"]])
+    with pytest.raises(OverlappingSimplices,
+                       match="^open simplices a-b and a-c intersect$"):
+        validate(2, verts, [["a", "b"], ["a", "c"]])
+
+
+def test_validate_in_ambient_dimension_zero():
+    K, _ = scx.load_complex("ambient 0\nvertex p\nsimplex p\n")
+    assert K.simplices == {("p",)} and K.vertices == {"p": ()}
+
+
+def test_validate_rejects_an_empty_simplex_and_a_negative_ambient():
+    with pytest.raises(AffinelyDependent, match="empty simplex"):
+        validate(1, {"a": (0,)}, [["a"], []])
+    with pytest.raises(AffinelyDependent,
+                       match="ambient dimension -1 is negative"):
+        validate(-1, {}, [])
+
+
+def test_subdivided_files_validate_without_the_lp(monkeypatch, corpus):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("convex_positions_intersect called")
+    monkeypatch.setattr(linalg, "convex_positions_intersect", no_lp)
+    for name, rounds in (("s2", 1), ("disk", 3)):
+        fine = sd.iterated_subdivision(corpus[name][0], rounds).fine
+        K, _ = scx.load_complex(scx.emit_scx(fine))
+        assert K == fine
 
 
 def test_validate_rejects_aliased_vertices():

@@ -85,6 +85,8 @@ def test_scx_duplicate_declarations(extra, lineno):
     ("ambient 1\nvertex a 1/0\n", 2, "bad coordinate '1/0'"),
     (SEGMENT + "image a nan\n", 6, "bad coordinate 'nan'"),
     ("ambient 1\nfrobnicate a\n", 2, "unknown declaration 'frobnicate'"),
+    ("ambient 1\nvertex a 0\nsimplex\n", 3, "simplex with no vertices"),
+    ("ambient -1\n", 1, "negative ambient dimension -1"),
 ])
 def test_scx_rejects_ambiguous_lines(text, lineno, cause):
     with pytest.raises(FormatError, match=f"^line {lineno}: .*{cause}"):
@@ -104,6 +106,7 @@ def test_cli_validate_dashed_vertex_exit2(tmp_path):
 @pytest.mark.parametrize("line, cause", [
     ("vertex b zero", "bad coordinate 'zero'"),
     ("frobnicate a", "unknown declaration 'frobnicate'"),
+    ("simplex", "simplex with no vertices"),
 ])
 def test_cli_validate_names_the_bad_line_exit2(tmp_path, line, cause):
     bad = tmp_path / "bad.scx"
@@ -111,6 +114,15 @@ def test_cli_validate_names_the_bad_line_exit2(tmp_path, line, cause):
     code, out = run_cli("validate", str(bad))
     assert code == 2
     assert f"FormatError: line 3: '{line}': {cause}" in out
+
+
+def test_cli_validate_negative_ambient_exit2(tmp_path):
+    bad = tmp_path / "neg.scx"
+    bad.write_text("ambient -1\n")
+    code, out = run_cli("validate", str(bad))
+    assert code == 2
+    assert ("FormatError: line 1: 'ambient -1': negative ambient "
+            "dimension -1") in out
 
 
 def test_cli_verify_normal_rejects_duplicate_image(tmp_path, disk):
