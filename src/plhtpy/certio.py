@@ -86,7 +86,8 @@ def map_to_obj(f: PLMap, domain_subcomplexes: dict | None = None) -> dict:
 def map_from_obj(obj: dict):
     """File object -> (PLMap, named subcomplexes of the domain)."""
     _expect(obj, MAP_FORMAT)
-    domain, subs = scx.load_complex(obj["domain"], check_disjoint=False)
+    domain, subs = scx.load_complex(obj["domain"])
+    # codomain unchecked, as in `cert_from_obj`
     codomain, _ = scx.load_complex(obj["codomain"], check_disjoint=False)
     return _load_map_entry(obj, domain, codomain), subs
 
@@ -105,7 +106,7 @@ def homeo_to_obj(phi: PLHomeo) -> dict:
 
 def homeo_from_obj(obj: dict) -> PLHomeo:
     _expect(obj, HOMEO_FORMAT)
-    coarse, _ = scx.load_complex(obj["complex"], check_disjoint=False)
+    coarse, _ = scx.load_complex(obj["complex"])
     fine, images, carriers = _load_images(obj["scxm"])
     wit = SubdivisionWitness(fine, coarse, _parse_carrier_lines(obj["witness"]))
     return PLHomeo(wit, images, carriers)
@@ -136,7 +137,9 @@ def cert_to_obj(cert: HomotopyCertificate) -> dict:
 
 def cert_from_obj(obj: dict) -> HomotopyCertificate:
     _expect(obj, CERT_FORMAT)
-    domain, _ = scx.load_complex(obj["domain"], check_disjoint=False)
+    # A domain overlap lets f take two values at a point; the codomain may
+    # overlap, as each straight-line step stays in a checked closed carrier.
+    domain, _ = scx.load_complex(obj["domain"])
     codomain, _ = scx.load_complex(obj["codomain"], check_disjoint=False)
     steps = []
     for entry in obj["steps"]:

@@ -87,6 +87,8 @@ def write_out(path: str, text: str, report: Report, key: str) -> None:
 
 def base_vertex(K: Complex, base: str | None) -> str:
     if base is None:
+        if not K.vertex_ids():
+            raise InputProblem("the complex has no vertex to take as base")
         return min(K.vertex_ids())
     if base not in K.vertices:
         raise InputProblem(f"no vertex {base!r}")

@@ -215,18 +215,13 @@ class Complex:
     def core(self) -> "SubcomplexRef":
         """Maximal subcomplex whose realization is a closed set.
 
-        Computed as the greatest fixed point of face-completeness: a simplex
-        survives only while every proper face survives with it.
+        The greatest fixed point of face-completeness is reached in one
+        step: a simplex survives exactly when all of its proper faces lie in
+        K, since the faces of a face are faces.
         """
-        surviving = set(self.simplices)
-        changed = True
-        while changed:
-            changed = False
-            for s in sorted(surviving, key=len, reverse=True):
-                if any(f not in surviving for f in proper_faces(s)):
-                    surviving.discard(s)
-                    changed = True
-        return SubcomplexRef(self, surviving)
+        return SubcomplexRef(self, (
+            s for s in self.simplices
+            if all(f in self.simplices for f in proper_faces(s))))
 
     def skeleton(self, m: int, union_with: Optional["SubcomplexRef"] = None) -> "SubcomplexRef":
         members = {s for s in self.simplices if sdim(s) <= m}

@@ -92,7 +92,7 @@ class NotAChainComplex(PlhtpyError):
 
 
 class ValueOutOfRange(PlhtpyError):
-    """A PL function value outside [0, 1]."""
+    """A value or homotopy time outside [0, 1], or a negative round count."""
 
 
 class FormatError(PlhtpyError):

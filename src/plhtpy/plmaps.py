@@ -197,6 +197,8 @@ def check_star_condition(f: PLMap, v: str) -> str | None:
 def simplicial_approximation(f: PLMap, max_rounds: int = 8):
     """(g, certificate): simplicial g homotopic to f by one straight-line
     step, found by iterated barycentric subdivision of the domain."""
+    if max_rounds < 0:
+        raise ValueOutOfRange(f"negative round count {max_rounds}")
     cur = f
     for _ in range(max_rounds + 1):
         assignment = {}
@@ -223,6 +225,13 @@ def simplicial_approximation(f: PLMap, max_rounds: int = 8):
 # Homotopy certificates
 # ---------------------------------------------------------------------------
 
+def unit_time(s) -> Fraction:
+    s = linalg.frac(s)
+    if not 0 <= s <= 1:
+        raise ValueOutOfRange(f"homotopy time {s} outside [0, 1]")
+    return s
+
+
 class HomotopyStep:
     """One straight-line homotopy (1-s)*frm + s*to with per-simplex
     common-carrier witnesses over a refinement of the shared domain."""
@@ -236,7 +245,7 @@ class HomotopyStep:
         self.carriers = {tuple(k): tuple(v) for k, v in carriers.items()}
 
     def evaluate(self, x, s: Fraction):
-        s = linalg.frac(s)
+        s = unit_time(s)
         a = self.frm.evaluate(x)
         b = self.to.evaluate(x)
         return tuple((1 - s) * p + s * q for p, q in zip(a, b))
@@ -257,11 +266,9 @@ class HomotopyCertificate:
 
     def evaluate(self, x, s: Fraction):
         """Evaluate the concatenated homotopy, steps in equal time shares."""
-        s = linalg.frac(s)
+        s = unit_time(s)
         n = len(self.steps)
-        if s >= 1:
-            return self.final.evaluate(x)
-        k = int(s * n)
+        k = min(int(s * n), n - 1)
         return self.steps[k].evaluate(x, s * n - k)
 
 

@@ -10,6 +10,11 @@ support, closedness, face-to-face matching of the facets (two top cofaces on
 opposite sides inside, one on the boundary) and relative volumes summing to
 1.  The images under a normal homeomorphism are checked the same way.
 
+Barycentric subdivision and normal extension are one construction, the
+cone (s)' = b(s) * (boundary s)' of the derived subdivision (Rourke and
+Sanderson, 1972): over each simplex s, in increasing dimension, cone from
+the barycenter of s over the pieces already built on its proper faces.
+
 Barycenter vertices are named ``<v1>.<v2>...<vk>^bary`` (dot-joined vertex
 identifiers of the subdivided simplex).  Generated names use ``.`` and
 ``^`` here, ``~`` for cylinder levels and the ``cut_`` prefix for cylinder
@@ -27,7 +32,7 @@ from . import linalg
 from .complexes import (Complex, SubcomplexRef, Simplex, facets,
                         proper_faces, simplex, sname, support_face)
 from .errors import (Incompatible, NotClosed, NotNormal, NotNormalInput,
-                     NotSubcomplex)
+                     NotSubcomplex, ValueOutOfRange)
 
 
 def bary_name(s: Simplex) -> str:
@@ -59,35 +64,32 @@ def identity_witness(K: Complex) -> SubdivisionWitness:
 def barycentric_subdivide(K: Complex) -> SubdivisionWitness:
     """First barycentric subdivision of a closed complex.
 
-    Fine simplices are chains of proper inclusions of coarse simplices; the
-    chain's largest element is the carrier.  Vertices of K keep their names;
-    a simplex of dimension >= 1 contributes the vertex ``bary_name``.
+    The pieces of s are its barycenter b and the cones b * t over the
+    pieces t of its proper faces.  Fine simplices are thus chains of proper
+    inclusions of coarse simplices; the chain's largest element is the
+    carrier.  Vertices of K keep their names; a simplex of dimension >= 1
+    contributes the vertex ``bary_name``.
     """
     if not K.is_closed():
         raise NotClosed("barycentric subdivision requires a closed complex")
-    vname = {s: (s[0] if len(s) == 1 else bary_name(s)) for s in K.simplices}
     verts = {}
-    for s in K.simplices:
-        if vname[s] in verts:
-            raise Incompatible(f"vertex id {vname[s]} names two vertices "
-                               "of the subdivision")
-        verts[vname[s]] = K.barycenter(s)
-    fine: dict[Simplex, Simplex] = {}
-
-    def grow(chain: tuple[Simplex, ...]):
-        fine[simplex(vname[s] for s in chain)] = chain[-1]
-        top = chain[-1]
-        for nxt in sorted(K.simplices):
-            if len(nxt) > len(top) and set(top) < set(nxt):
-                grow(chain + (nxt,))
-
-    for s in sorted(K.simplices):
-        grow((s,))
+    pieces: dict[Simplex, list[Simplex]] = {}
+    for s in sorted(K.simplices, key=lambda s: (len(s), s)):
+        b = s[0] if len(s) == 1 else bary_name(s)
+        if b in verts:
+            raise Incompatible(f"vertex id {b} names two vertices of the "
+                               "subdivision")
+        verts[b] = K.barycenter(s)
+        pieces[s] = [(b,)] + [simplex(t + (b,)) for f in proper_faces(s)
+                              for t in pieces[f]]
+    fine = {t: s for s, ts in pieces.items() for t in ts}
     fine_complex = Complex(K.ambient_dim, verts, fine.keys())
     return SubdivisionWitness(fine_complex, K, fine)
 
 
 def iterated_subdivision(K: Complex, rounds: int) -> SubdivisionWitness:
+    if rounds < 0:
+        raise ValueOutOfRange(f"negative round count {rounds}")
     w = identity_witness(K)
     for _ in range(rounds):
         w = w.compose(barycentric_subdivide(w.fine))
@@ -304,11 +306,11 @@ def verify_normal(phi: PLHomeo, partition_targets=None) -> NormalityReport:
 def extend_normal(K: Complex, K_Z: SubcomplexRef, phi0: PLHomeo) -> PLHomeo:
     """Extend a normal homeomorphism over a closed subcomplex to all of K.
 
-    Skeleton induction: simplices outside K_Z are coned from their
-    barycenter over the already-refined boundary; the cone point maps to
-    itself and the cone map is the affine extension of the boundary map.
-    A simplex whose boundary ends up unrefined (and hence fixed pointwise)
-    is kept whole.
+    Skeleton induction: each simplex outside K_Z, in increasing dimension,
+    is coned from its barycenter over the pieces of its proper faces; the
+    cone point maps to itself and the cone map is the affine extension of
+    the boundary map.  A simplex whose boundary ends up unrefined (and
+    hence fixed pointwise) is kept whole.
     """
     if not K.is_closed():
         raise NotClosed("extension requires a closed complex")
@@ -320,41 +322,30 @@ def extend_normal(K: Complex, K_Z: SubcomplexRef, phi0: PLHomeo) -> PLHomeo:
         raise NotNormalInput("phi0 is not normal over K_Z")
 
     verts = dict(phi0.witness.fine.vertices)
-    fine: dict[Simplex, Simplex] = dict(phi0.witness.carrier)
     image = dict(phi0.vertex_image)
-    target = dict(phi0.target_carrier)
-    for s in K.simplices:
-        if len(s) == 1 and s not in K_Z:
-            verts[s[0]] = K.vertices[s[0]]
-            fine[s] = s
-            image[s[0]] = K.vertices[s[0]]
-            target[s] = s
-
-    todo = sorted((s for s in K.simplices
-                   if len(s) > 1 and s not in K_Z), key=lambda s: (len(s), s))
+    pieces: dict[Simplex, list[Simplex]] = {}
+    for t, c in phi0.witness.carrier.items():
+        pieces.setdefault(c, []).append(t)
+    todo = sorted((s for s in K.simplices if s not in K_Z),
+                  key=lambda s: (len(s), s))
+    for (v,) in (s for s in todo if len(s) == 1):
+        verts[v] = image[v] = K.vertices[v]
     for s in todo:
-        boundary_fine = sorted(t for t, c in fine.items()
-                               if set(c) < set(s))
-        plain = set(boundary_fine) == set(proper_faces(s))
-        if plain:
+        boundary_fine = [t for f in proper_faces(s) for t in pieces[f]]
+        if set(boundary_fine) == set(proper_faces(s)):
             # boundary unrefined, hence fixed pointwise: keep s whole
-            fine[s] = s
-            target[s] = s
+            pieces[s] = [s]
             continue
         b = bary_name(s)
         if b in verts:
             raise Incompatible(f"vertex id {b} is taken; it names the "
                                f"barycenter of {sname(s)}")
-        bpt = K.barycenter(s)
-        verts[b] = bpt
-        image[b] = bpt
-        fine[(b,)] = s
-        target[(b,)] = s
-        for t in boundary_fine:
-            cone = simplex(t + (b,))
-            fine[cone] = s
-            target[cone] = s
+        verts[b] = image[b] = K.barycenter(s)
+        pieces[s] = [(b,)] + [simplex(t + (b,)) for t in boundary_fine]
 
+    fine = {t: c for c, ts in pieces.items() for t in ts}
+    # every new piece maps into its own carrier; phi0 keeps its targets
+    target = fine | phi0.target_carrier
     fine_complex = Complex(K.ambient_dim, verts, fine.keys())
     witness = SubdivisionWitness(fine_complex, K, fine)
     return PLHomeo(witness, image, target)

@@ -420,6 +420,32 @@ def test_core_of_lone_open_triangle():
     assert len(K.core().members) == 0
 
 
+def fixed_point_core(K):
+    """Reference: drop simplices with a missing proper face until none
+    is left."""
+    surviving = set(K.simplices)
+    changed = True
+    while changed:
+        changed = False
+        for s in sorted(surviving, key=len, reverse=True):
+            if any(f not in surviving for f in proper_faces(s)):
+                surviving.discard(s)
+                changed = True
+    return surviving
+
+
+@pytest.mark.parametrize("name,rounds", [("disk", 2), ("torus7", 1)])
+def test_core_matches_the_fixed_point_definition(corpus, name, rounds):
+    fine = sd.iterated_subdivision(corpus[name][0], rounds).fine
+    rng = random.Random(7)
+    order = sorted(fine.simplices)
+    for k in (1, 3, 10, len(order) // 4):
+        for _ in range(5):
+            gone = set(rng.sample(order, k))
+            K = fine.restrict([s for s in order if s not in gone])
+            assert set(K.core().members) == fixed_point_core(K)
+
+
 def test_locate_oracles(disk):
     s, coords = disk.locate((F(1, 3), F(1, 3)))
     assert s == ("a", "b", "c") and coords == (F(1, 3), F(1, 3), F(1, 3))

@@ -9,7 +9,8 @@ from plhtpy import plmaps as pm
 from plhtpy import scx
 from plhtpy import subdivision as sd
 from plhtpy.errors import (CarrierClash, FixedSetMismatch, NotFull,
-                           PointOutsidePolyhedron, RoundsExhausted)
+                           PointOutsidePolyhedron, RoundsExhausted,
+                           ValueOutOfRange)
 from plhtpy.homology import induced_map
 
 
@@ -91,6 +92,30 @@ def test_approximation_rounds_exhausted(rot):
         carriers[("a",)] = ("b", "c")
         bad = pm.PLMap(tri3, tri3, w, verts, carriers, check=False)
         pm.simplicial_approximation(bad, max_rounds=1)
+
+
+def test_negative_round_counts_are_refused(rot, tri3):
+    with pytest.raises(ValueOutOfRange, match="negative round count -1"):
+        sd.iterated_subdivision(tri3, -1)
+    with pytest.raises(ValueOutOfRange, match="negative round count -1"):
+        pm.simplicial_approximation(rot, -1)
+    with pytest.raises(ValueOutOfRange, match="negative round count -1"):
+        pm.simplicialize_rel(rot, None, -1)
+
+
+def test_homotopy_times_outside_the_unit_interval_are_refused(tri3):
+    f = pm.identity_map(tri3)
+    step = pm.HomotopyStep(f, f, sd.identity_witness(tri3),
+                           {s: s for s in tri3.simplices})
+    cert = pm.HomotopyCertificate([step, step], tri3.subcomplex(()))
+    x = tri3.vertices["a"]
+    for s in (F(0), F(1, 2), F(1)):
+        assert cert.evaluate(x, s) == x and step.evaluate(x, s) == x
+    for s in (F(-1, 2), F(3, 2)):
+        with pytest.raises(ValueOutOfRange, match="outside \\[0, 1\\]"):
+            cert.evaluate(x, s)
+        with pytest.raises(ValueOutOfRange, match="outside \\[0, 1\\]"):
+            step.evaluate(x, s)
 
 
 def test_straight_line_same_map(deg2):

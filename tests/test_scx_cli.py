@@ -6,12 +6,15 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction as F
 
 import pytest
 
 from plhtpy import certio, scx
+from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
 from plhtpy.cli import main
+from plhtpy.complexes import validate
 from plhtpy.errors import FormatError
 from plhtpy.homology import euler_characteristic
 
@@ -259,6 +262,66 @@ def test_cli_pi_commands():
     assert code == 0 and "pi2: Z" in out
     code, out = run_cli("pi2", "corpus:torus7")
     assert code == 1 and "check_simply_connected: fail" in out
+
+
+@pytest.mark.parametrize("cmd", ["pi1", "hurewicz", "pi2"])
+def test_cli_base_vertex_of_an_empty_complex_exit2(tmp_path, cmd):
+    path = tmp_path / "empty.scx"
+    path.write_text("ambient 2\n")
+    code, out = run_cli(cmd, str(path))
+    assert code == 2
+    assert "error: the complex has no vertex to take as base" in out
+
+
+@pytest.mark.parametrize("args", [
+    ("subdivide", "corpus:disk", "--rounds", "-2"),
+    ("extend-normal", "corpus:disk", "--sub", "boundary", "--rounds", "-1"),
+    ("approximate", "{map}", "--max-rounds", "-1"),
+    ("simplicialize", "{map}", "--max-rounds", "-1"),
+], ids=lambda args: args[0])
+def test_cli_rejects_a_negative_round_count(tmp_path, rot, args):
+    path = tmp_path / "rot.json"
+    certio.save(str(path), certio.map_to_obj(rot))
+    code, out = run_cli(*(a.format(map=path) for a in args))
+    assert code == 2
+    assert "error: ValueOutOfRange: negative round count -" in out
+
+
+def overlapping_domain():
+    """Closed triangles a-b-c and d-e-f, with d inside open a-b-c."""
+    verts = {"a": (0, 0), "b": (1, 0), "c": (0, 1),
+             "d": (F(1, 4), F(1, 4)), "e": (2, 0), "f": (0, 2)}
+    return validate(2, verts, [["a", "b", "c"], ["d", "e", "f"]],
+                    check_disjoint=False).closure()
+
+
+def test_cli_verify_cert_rejects_an_overlapping_domain(tmp_path, disk):
+    # f is the identity on a-b-c and constant on d-e-f, so it takes two
+    # values at d: no function, though every step witness checks out
+    K = overlapping_domain()
+    image = {v: (K.vertices[v] if v in "abc" else K.vertices["a"])
+             for v in K.vertices}
+    carrier = {s: (s if set(s) <= set("abc") else ("a",))
+               for s in K.simplices}
+    f = pm.PLMap(K, disk, sd.identity_witness(K), image, carrier)
+    step = pm.HomotopyStep(f, f, sd.identity_witness(K), carrier)
+    cert = pm.HomotopyCertificate([step], K.subcomplex(()))
+    path = tmp_path / "overlap.json"
+    certio.save(str(path), certio.cert_to_obj(cert))
+    code, out = run_cli("verify-cert", str(path))
+    assert code == 2
+    assert ("error: OverlappingSimplices: open simplices a-b-c and d "
+            "intersect") in out
+
+
+def test_cli_verify_normal_rejects_an_overlapping_complex(tmp_path):
+    path = tmp_path / "overlap.json"
+    phi = sd.identity_homeo(overlapping_domain())
+    certio.save(str(path), certio.homeo_to_obj(phi))
+    code, out = run_cli("verify-normal", str(path))
+    assert code == 2
+    assert ("error: OverlappingSimplices: open simplices a-b-c and d "
+            "intersect") in out
 
 
 def test_cli_json_format():

@@ -45,6 +45,29 @@ def test_bary_factorial_top_count():
     assert len(w.fine.by_dim(3)) == 24  # (3+1)!
 
 
+class CountingSet(frozenset):
+    """A frozenset that counts the iterations over it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        CountingSet.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("name", ["disk", "torus7"])
+def test_bary_reads_faces_instead_of_scanning_the_complex(corpus, name):
+    K = sd.barycentric_subdivide(corpus[name][0]).fine
+    expected = sd.barycentric_subdivide(K)
+    K.simplices = CountingSet(K.simplices)
+    CountingSet.iterations = 0
+    w = sd.barycentric_subdivide(K)
+    # a constant number of passes over K, whatever its size (disk r=1 has
+    # 25 simplices, torus7 r=1 has 252)
+    assert CountingSet.iterations <= 4
+    assert w.fine == expected.fine and w.carrier == expected.carrier
+
+
 def test_bary_requires_closed():
     K = validate(2, {"a": (0, 0), "b": (1, 0), "c": (0, 1)},
                  [["a", "b", "c"]], check_disjoint=False)
