@@ -15,7 +15,9 @@ retraction with the same contract.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 from .complexes import (Complex, SubcomplexRef, Simplex, proper_faces,
@@ -106,20 +108,55 @@ def _point_name(p) -> str:
 
 
 class _Composite:
-    """Mutable state of the composite retraction while collapsing."""
+    """Mutable state of the composite retraction while collapsing.
+
+    `simplices` is the current fine complex, `domcar` the cylinder simplex
+    carrying each fine simplex (the subdivision witness), `image` the
+    composite's vertex images and `carrier` the live-complex simplex whose
+    closure holds each fine simplex's image.  Invariants:
+
+    - `by_vertex[v]` (the fine simplices containing v) and `by_carrier[c]`
+      (the fine simplices carried by c) always match `simplices` and
+      `carrier`, so a cut or a collapse touches only the simplices it
+      changes;
+    - the memo of `bary_in` is valid for one collapse only: `image` of an
+      existing vertex changes only at the end of `apply_collapse`, which
+      clears it.
+    """
 
     def __init__(self, cylinder: Complex):
         self.cylinder = cylinder
         self.verts = dict(cylinder.vertices)      # domain coordinates
-        self.simplices = set(cylinder.simplices)  # current fine complex
-        self.domcar = {s: s for s in cylinder.simplices}
+        self.simplices: set[Simplex] = set()      # current fine complex
+        self.domcar: dict[Simplex, Simplex] = {}
         self.image = {v: cylinder.vertices[v]
                       for s in cylinder.simplices for v in s}
-        self.carrier = {s: s for s in cylinder.simplices}  # in live complex
+        self.carrier: dict[Simplex, Simplex] = {}  # in live complex
+        self.by_vertex: dict[str, set[Simplex]] = defaultdict(set)
+        self.by_carrier: dict[Simplex, set[Simplex]] = defaultdict(set)
+        self._bary: dict[tuple[Simplex, str], list] = {}
+        for s in cylinder.simplices:
+            self._add(s, s, s)
 
-    def split_edge(self, u: str, v: str, lam: Fraction):
+    def _add(self, t: Simplex, dc: Simplex, rc: Simplex):
+        self.simplices.add(t)
+        self.domcar[t] = dc
+        self.carrier[t] = rc
+        for x in t:
+            self.by_vertex[x].add(t)
+        self.by_carrier[rc].add(t)
+
+    def _remove(self, t: Simplex) -> tuple[Simplex, Simplex]:
+        self.simplices.discard(t)
+        for x in t:
+            self.by_vertex[x].discard(t)
+        rc = self.carrier.pop(t)
+        self.by_carrier[rc].discard(t)
+        return self.domcar.pop(t), rc
+
+    def split_edge(self, u: str, v: str, lam: Fraction) -> list[Simplex]:
         """Stellar subdivision at the point (1 - lam) u + lam v of the open
-        edge (u, v)."""
+        edge (u, v); returns the simplices it creates."""
         z = tuple((1 - lam) * a + lam * b
                   for a, b in zip(self.verts[u], self.verts[v]))
         z_name = _point_name(z)
@@ -128,46 +165,64 @@ class _Composite:
         self.verts[z_name] = z
         self.image[z_name] = tuple((1 - lam) * a + lam * b for a, b
                                    in zip(self.image[u], self.image[v]))
-        for t in [t for t in self.simplices if u in t and v in t]:
-            self.simplices.discard(t)
-            dc, rc = self.domcar.pop(t), self.carrier.pop(t)
+        # every child contains the new vertex, so none of them exists yet
+        created = []
+        for t in self.by_vertex[u] & self.by_vertex[v]:
+            dc, rc = self._remove(t)
             rest = tuple(x for x in t if x not in (u, v))
             for child in (simplex(rest + (u, z_name)),
                           simplex(rest + (v, z_name)),
                           simplex(rest + (z_name,))):
-                if child not in self.simplices:
-                    self.simplices.add(child)
-                    self.domcar[child] = dc
-                    self.carrier[child] = rc
+                self._add(child, dc, rc)
+                created.append(child)
+        return created
 
     def bary_in(self, c: Simplex, v: str):
-        return self.cylinder.frame(c).coords(self.image[v])
+        b = self._bary.get((c, v))
+        if b is None:
+            b = self._bary[c, v] = self.cylinder.frame(c).coords(self.image[v])
+        return b
 
     def cut_region(self, c: Simplex, tau: Simplex):
         """Refine simplices carried by c until each is sign-pure for every
-        difference of barycentric coordinates over the tau vertices."""
+        difference of barycentric coordinates over the tau vertices.
+
+        Per pair the mixed simplices wait in a heap and the smallest live
+        one is cut first, as a rescan of the sorted complex would find it:
+        a simplex is mixed by its vertices' values alone, and the only new
+        mixed simplices are children of a cut."""
         idx = [c.index(u) for u in tau]
         pairs = [(i, j) for i in idx for j in idx if i < j]
         for (i, j) in pairs:
-            while True:
-                cut = None
-                for t in sorted(s for s in self.simplices
-                                if self.carrier.get(s) == c):
-                    vals = {}
-                    for v in t:
+            vals: dict[str, Fraction] = {}
+            signs: dict[str, int] = {}
+
+            def mixed(t):
+                """(x, y): the first vertices of t with value > 0 and
+                < 0, or None when t is sign-pure."""
+                sg = []
+                for v in t:
+                    if v not in signs:
                         b = self.bary_in(c, v)
-                        vals[v] = b[i] - b[j]
-                    mixed = [(x, y) for x in t for y in t
-                             if vals[x] > 0 > vals[y]]
-                    if mixed:
-                        cut = (mixed[0], vals)
-                        break
-                if cut is None:
-                    break
-                (x, y), vals = cut
+                        d = vals[v] = b[i] - b[j]
+                        signs[v] = (d > 0) - (d < 0)
+                    sg.append(signs[v])
+                if 1 in sg and -1 in sg:
+                    return t[sg.index(1)], t[sg.index(-1)]
+                return None
+
+            heap = [t for t in self.by_carrier[c] if mixed(t)]
+            heapify(heap)
+            while heap:
+                t = heappop(heap)
+                if t not in self.simplices:
+                    continue
+                x, y = mixed(t)
                 wx, wy = vals[x], vals[y]
                 lam = wx / (wx - wy)      # zero of the affine functional
-                self.split_edge(x, y, lam)
+                for child in self.split_edge(x, y, lam):
+                    if self.carrier[child] == c and mixed(child):
+                        heappush(heap, child)
 
     def apply_collapse(self, tau: Simplex, s: Simplex, tau_hat_target: str):
         """Compose with the collapse retraction removing (tau, s); the
@@ -177,39 +232,52 @@ class _Composite:
         for c in (s, tau):
             self.cut_region(c, tau)
         m = len(tau)
+        wpt = self.cylinder.vertices[w]
         new_image: dict[str, tuple] = {}
         new_carrier: dict[Simplex, Simplex] = {}
-        for t in sorted(self.simplices):
-            c = self.carrier.get(t)
-            if c not in (s, tau):
-                continue
-            idx = {u: c.index(u) for u in tau}
-            widx = c.index(w) if w in c else None
-            barys = {v: self.bary_in(c, v) for v in t}
+        lowest: dict[tuple[Simplex, str], set[str]] = {}
+        moved: dict[tuple[Simplex, str, str], tuple] = {}
+
+        def lowest_at(c, v):
+            """The tau vertices of least barycentric coordinate at v."""
+            if (c, v) not in lowest:
+                b = self.bary_in(c, v)
+                least = min(b[c.index(u)] for u in tau)
+                lowest[c, v] = {u for u in tau if b[c.index(u)] == least}
+            return lowest[c, v]
+
+        def collapse_image(c, u_min, v):
+            b = self.bary_in(c, v)
+            au = b[c.index(u_min)]
+            img = [F0] * len(wpt)
+            for u in tau:
+                if u == u_min:
+                    continue
+                up = self.cylinder.vertices[u]
+                coef = b[c.index(u)] - au
+                for kdim in range(len(img)):
+                    img[kdim] += coef * up[kdim]
+            wcoef = m * au + (b[c.index(w)] if w in c else F0)
+            for kdim in range(len(img)):
+                img[kdim] += wcoef * wpt[kdim]
+            return tuple(img)
+
+        for t in sorted(self.by_carrier[s] | self.by_carrier[tau]):
+            c = self.carrier[t]
             # common minimal tau-coordinate over all vertices (sign-pure)
             u_min = next(u for u in tau
-                         if all(barys[v][idx[u]] <= barys[v][idx[u2]]
-                                for v in t for u2 in tau))
-            cpts = [self.cylinder.vertices[x] for x in c]
-            wpt = self.cylinder.vertices[w]
+                         if all(u in lowest_at(c, v) for v in t))
             for v in t:
-                b = barys[v]
-                au = b[idx[u_min]]
-                img = [F0] * len(wpt)
-                for u in tau:
-                    if u == u_min:
-                        continue
-                    up = self.cylinder.vertices[u]
-                    coef = b[idx[u]] - au
-                    for kdim in range(len(img)):
-                        img[kdim] += coef * up[kdim]
-                wcoef = m * au + (b[widx] if widx is not None else F0)
-                for kdim in range(len(img)):
-                    img[kdim] += wcoef * wpt[kdim]
-                new_image[v] = tuple(img)
+                if (c, u_min, v) not in moved:
+                    moved[c, u_min, v] = collapse_image(c, u_min, v)
+                new_image[v] = moved[c, u_min, v]
             new_carrier[t] = simplex(set(c) - {u_min} | {w})
         self.image.update(new_image)
+        for t, rc in new_carrier.items():
+            self.by_carrier[self.carrier[t]].discard(t)
+            self.by_carrier[rc].add(t)
         self.carrier.update(new_carrier)
+        self._bary.clear()
 
 
 def _free_pairs(live: set, keep: frozenset):
@@ -228,6 +296,21 @@ def _free_pairs(live: set, keep: frozenset):
             if s not in keep and len(s) == len(tau) + 1 and not cofaces[s]:
                 out.append((tau, s))
     return out
+
+
+def _collapses(cylinder: Complex, target: frozenset):
+    """The greedy collapse sequence (tau, s, w) of the cylinder onto the
+    target, w the vertex of s opposite tau."""
+    live = set(cylinder.simplices)
+    while live != target:
+        pairs = _free_pairs(live, target)
+        if not pairs:
+            raise Incompatible("cylinder does not collapse onto the target")
+        tau, s = max(pairs, key=lambda p: (len(p[1]), p[1], p[0]))
+        (w,) = set(s) - set(tau)
+        yield tau, s, w
+        live.discard(s)
+        live.discard(tau)
 
 
 def cylinder_retraction(K: Complex, K_A) -> CylinderRetraction:
@@ -255,16 +338,8 @@ def cylinder_retraction(K: Complex, K_A) -> CylinderRetraction:
         return CylinderRetraction(P, tref, r)
 
     comp = _Composite(P.cylinder)
-    live = set(P.cylinder.simplices)
-    while live != set(target):
-        pairs = _free_pairs(live, target)
-        if not pairs:
-            raise Incompatible("cylinder does not collapse onto the target")
-        tau, s = max(pairs, key=lambda p: (len(p[1]), p[1], p[0]))
-        (w,) = set(s) - set(tau)
+    for tau, s, w in _collapses(P.cylinder, target):
         comp.apply_collapse(tau, s, w)
-        live.discard(s)
-        live.discard(tau)
 
     fine = Complex(P.cylinder.ambient_dim, comp.verts, comp.simplices)
     witness = SubdivisionWitness(fine, P.cylinder, comp.domcar)

@@ -17,6 +17,7 @@ point, and `carrier_face` finds a minimal carrier inside a known one.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 
 from . import linalg, subdivision
@@ -176,11 +177,23 @@ def subdivide_map(f: PLMap) -> PLMap:
     return PLMap(f.domain, f.codomain, w, verts, carrier, check=False)
 
 
-def check_star_condition(f: PLMap, v: str) -> str | None:
+def incident_simplices(K: Complex) -> dict[str, list[Simplex]]:
+    """Vertex -> the simplices of K containing it, in one pass over K."""
+    incident = defaultdict(list)
+    for t in K.simplices:
+        for v in t:
+            incident[v].append(t)
+    return incident
+
+
+def check_star_condition(f: PLMap, v: str,
+                         incident: list[Simplex] | None = None) -> str | None:
     """A codomain vertex w whose closed star absorbs the image of the open
     star of fine vertex v, tested carrier-wise; prefers w = f(v) when f(v)
-    is itself a vertex."""
-    incident = [t for t in f.fine.simplices if v in t]
+    is itself a vertex.  `incident` lists the fine simplices containing v
+    when the caller has them indexed; otherwise they are scanned for."""
+    if incident is None:
+        incident = [t for t in f.fine.simplices if v in t]
     candidates = None
     for t in incident:
         verts = set(f.target_carrier[t])
@@ -203,8 +216,9 @@ def simplicial_approximation(f: PLMap, max_rounds: int = 8):
     for _ in range(max_rounds + 1):
         assignment = {}
         failing = []
+        incident = incident_simplices(cur.fine)
         for (v,) in (s for s in cur.fine.simplices if len(s) == 1):
-            w = check_star_condition(cur, v)
+            w = check_star_condition(cur, v, incident[v])
             if w is None:
                 failing.append(v)
             else:

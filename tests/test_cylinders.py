@@ -7,7 +7,7 @@ import pytest
 from plhtpy import cylinders as cy
 from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
-from plhtpy.complexes import Complex, validate
+from plhtpy.complexes import Complex, simplex, validate
 from plhtpy.errors import Incompatible, NotClosed, NotSubcomplex
 
 
@@ -205,3 +205,139 @@ def test_extend_homotopy_rejects_a_moved_wall(corpus):
                   H.target_carrier)
     with pytest.raises(Incompatible, match="subcylinder"):
         cy.extend_homotopy(f, H5, r)
+
+
+class RescanComposite(cy._Composite):
+    """Reference: the composite that rescans and re-sorts the whole fine
+    complex for every cut and every collapse."""
+
+    def split_edge(self, u, v, lam):
+        z = tuple((1 - lam) * a + lam * b
+                  for a, b in zip(self.verts[u], self.verts[v]))
+        z_name = cy._point_name(z)
+        self.verts[z_name] = z
+        self.image[z_name] = tuple((1 - lam) * a + lam * b for a, b
+                                   in zip(self.image[u], self.image[v]))
+        for t in [t for t in self.simplices if u in t and v in t]:
+            self.simplices.discard(t)
+            dc, rc = self.domcar.pop(t), self.carrier.pop(t)
+            rest = tuple(x for x in t if x not in (u, v))
+            for child in (simplex(rest + (u, z_name)),
+                          simplex(rest + (v, z_name)),
+                          simplex(rest + (z_name,))):
+                if child not in self.simplices:
+                    self.simplices.add(child)
+                    self.domcar[child] = dc
+                    self.carrier[child] = rc
+
+    def bary_in(self, c, v):
+        return self.cylinder.frame(c).coords(self.image[v])
+
+    def cut_region(self, c, tau):
+        idx = [c.index(u) for u in tau]
+        for (i, j) in [(i, j) for i in idx for j in idx if i < j]:
+            while True:
+                cut = None
+                for t in sorted(s for s in self.simplices
+                                if self.carrier.get(s) == c):
+                    vals = {}
+                    for v in t:
+                        b = self.bary_in(c, v)
+                        vals[v] = b[i] - b[j]
+                    mixed = [(x, y) for x in t for y in t
+                             if vals[x] > 0 > vals[y]]
+                    if mixed:
+                        cut = (mixed[0], vals)
+                        break
+                if cut is None:
+                    break
+                (x, y), vals = cut
+                self.split_edge(x, y, vals[x] / (vals[x] - vals[y]))
+
+    def apply_collapse(self, tau, s, w):
+        for c in (s, tau):
+            self.cut_region(c, tau)
+        m = len(tau)
+        new_image, new_carrier = {}, {}
+        for t in sorted(self.simplices):
+            c = self.carrier.get(t)
+            if c not in (s, tau):
+                continue
+            idx = {u: c.index(u) for u in tau}
+            widx = c.index(w) if w in c else None
+            barys = {v: self.bary_in(c, v) for v in t}
+            u_min = next(u for u in tau
+                         if all(barys[v][idx[u]] <= barys[v][idx[u2]]
+                                for v in t for u2 in tau))
+            wpt = self.cylinder.vertices[w]
+            for v in t:
+                b = barys[v]
+                au = b[idx[u_min]]
+                img = [F(0)] * len(wpt)
+                for u in tau:
+                    if u == u_min:
+                        continue
+                    up = self.cylinder.vertices[u]
+                    for k in range(len(img)):
+                        img[k] += (b[idx[u]] - au) * up[k]
+                wcoef = m * au + (b[widx] if widx is not None else F(0))
+                for k in range(len(img)):
+                    img[k] += wcoef * wpt[k]
+                new_image[v] = tuple(img)
+            new_carrier[t] = simplex(set(c) - {u_min} | {w})
+        self.image.update(new_image)
+        self.carrier.update(new_carrier)
+
+
+def retraction_input(corpus, name, sub):
+    """The prism over a corpus complex and the retraction's target over
+    its subcomplex `sub`, or over the vertex `sub`."""
+    K, subs = corpus[name]
+    P = cy.prism_triangulate(K)
+    members = subs[sub].members if sub in subs else [(sub,)]
+    return P, P.over(members) | P.bottom_members()
+
+
+@pytest.mark.parametrize("name,sub", [("cube1", "u0"), ("tri3", "a"),
+                                      ("disk", "boundary"),
+                                      ("cube2", "boundary")])
+def test_composite_matches_the_rescanning_reference(corpus, name, sub):
+    P, target = retraction_input(corpus, name, sub)
+    comp, ref = cy._Composite(P.cylinder), RescanComposite(P.cylinder)
+    for tau, s, w in cy._collapses(P.cylinder, target):
+        comp.apply_collapse(tau, s, w)
+        ref.apply_collapse(tau, s, w)
+    assert len(comp.simplices) > len(P.cylinder.simplices)
+    for attr in ("verts", "simplices", "domcar", "image", "carrier"):
+        assert getattr(comp, attr) == getattr(ref, attr), attr
+    # the incidence indexes match the complex and its carriers
+    by_vertex, by_carrier = {}, {}
+    for t in comp.simplices:
+        for v in t:
+            by_vertex.setdefault(v, set()).add(t)
+        by_carrier.setdefault(comp.carrier[t], set()).add(t)
+    assert {v: ts for v, ts in comp.by_vertex.items() if ts} == by_vertex
+    assert {c: ts for c, ts in comp.by_carrier.items() if ts} == by_carrier
+
+
+class CountingSet(set):
+    """A set that counts the iterations over it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        CountingSet.iterations += 1
+        return super().__iter__()
+
+
+def test_cut_region_reads_indexes_instead_of_scanning(corpus):
+    P, target = retraction_input(corpus, "disk", "boundary")
+    comp = cy._Composite(P.cylinder)
+    tau, s, w = next(cy._collapses(P.cylinder, target))
+    comp.simplices = CountingSet(comp.simplices)
+    CountingSet.iterations = 0
+    before = len(comp.simplices)
+    comp.cut_region(s, tau)
+    # the rescanning cut iterates the complex once per cut, plus once
+    assert len(comp.simplices) > before
+    assert CountingSet.iterations <= 2

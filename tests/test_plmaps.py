@@ -62,6 +62,19 @@ def test_star_condition_none_for_disjoint_carriers(tri3):
     assert pm.check_star_condition(f, "a") is None
 
 
+def test_star_condition_reads_the_incidence_index(perturbed_disk):
+    # disk r=2: the perturbed disk's domain subdivided once more
+    f = pm.subdivide_map(perturbed_disk)
+    incident = pm.incident_simplices(f.fine)
+    verts = f.fine.vertex_ids()
+    assert len(verts) == len(incident) == 25
+    for v in verts:
+        scanned = [t for t in f.fine.simplices if v in t]
+        assert sorted(incident[v]) == sorted(scanned)
+        assert (pm.check_star_condition(f, v, incident[v])
+                == pm.check_star_condition(f, v))
+
+
 def test_approximation_of_simplicial_map_is_itself(deg2):
     g, cert = pm.simplicial_approximation(deg2)
     assert g.simplicial_vertex_map() == deg2.simplicial_vertex_map()

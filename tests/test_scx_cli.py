@@ -11,12 +11,14 @@ from fractions import Fraction as F
 import pytest
 
 from plhtpy import certio, scx
+from plhtpy import cylinders as cy
 from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
 from plhtpy.cli import main
 from plhtpy.complexes import validate
 from plhtpy.errors import FormatError
 from plhtpy.homology import euler_characteristic
+from test_cylinders import wall_homotopy
 
 
 def run_cli(*args):
@@ -229,6 +231,42 @@ def test_cli_emitted_cert_passes_in_separate_process(tmp_path, rot):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "check_cert_valid: pass" in proc.stdout
+
+
+def save_extension_input(tmp_path, corpus, u0_bottom):
+    """f = identity of cube1 (with its subcomplex `ends`) and H sliding
+    u0 from `u0_bottom` to 1/2 over the walls above both ends."""
+    K, subs = corpus["cube1"]
+    H = wall_homotopy(K, cy.prism_triangulate(K), K,
+                      {"u0": {0: (u0_bottom,), 1: (F(1, 2),)},
+                       "u1": {0: (F(1),), 1: (F(1),)}})
+    fpath, hpath = tmp_path / "f.json", tmp_path / "h.json"
+    certio.save(str(fpath), certio.map_to_obj(pm.identity_map(K), subs))
+    certio.save(str(hpath), certio.map_to_obj(H))
+    return str(fpath), str(hpath)
+
+
+def test_cli_extend_homotopy_cube1_ends(tmp_path, corpus):
+    fpath, hpath = save_extension_input(tmp_path, corpus, F(0))
+    texts = []
+    for name in ("g1.json", "g2.json"):
+        out = tmp_path / name
+        code, report = run_cli("extend-homotopy", fpath, hpath,
+                               "--sub", "ends", "--out", str(out))
+        assert code == 0, report
+        assert "check_agrees_with_map_at_bottom: pass" in report
+        assert "check_agrees_with_homotopy_on_walls: pass" in report
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    G, _ = certio.map_from_obj(json.loads(texts[0]))
+    assert G.evaluate((F(0), F(1))) == (F(1, 2),)
+
+
+def test_cli_extend_homotopy_bottom_mismatch_exit2(tmp_path, corpus):
+    fpath, hpath = save_extension_input(tmp_path, corpus, F(1, 3))
+    code, report = run_cli("extend-homotopy", fpath, hpath, "--sub", "ends")
+    assert code == 2
+    assert "H(.,0) differs from f at u0" in report
 
 
 def test_cli_corpus_emit_round_trip(tmp_path):
