@@ -32,9 +32,11 @@ def _carrier_lines(carrier: dict[Simplex, Simplex]) -> list[str]:
             for s, c in sorted(carrier.items(), key=lambda kv: (len(kv[0]), kv[0]))]
 
 
-def _parse_carrier_lines(lines) -> dict[Simplex, Simplex]:
+def _parse_carrier_lines(obj: dict, key: str,
+                         fmt: str) -> dict[Simplex, Simplex]:
+    """The carrier lines of field `key` of obj, parsed."""
     out = {}
-    for line in lines:
+    for line in _field(obj, key, fmt, list):
         parts = line.split()
         if len(parts) != 3 or parts[1] != "->":
             raise FormatError(f"bad carrier line {line!r}")
@@ -45,19 +47,22 @@ def _parse_carrier_lines(lines) -> dict[Simplex, Simplex]:
     return out
 
 
-def _load_images(text: str):
-    """SCX-M text -> (fine, images, carriers), with an image for every
-    vertex of a fine simplex."""
-    fine, images, carriers = scx.load_scxm(text)
-    missing = sorted({v for s in fine.simplices for v in s} - images.keys())
-    if missing:
-        raise FormatError(f"no image line for fine vertex {missing[0]}")
-    return fine, images, carriers
-
-
 def _expect(obj, fmt: str):
     if not isinstance(obj, dict) or obj.get("format") != fmt:
         raise FormatError(f"expected a {fmt} file")
+
+
+def _field(obj: dict, key: str, fmt: str, kind=str, item=str):
+    """obj[key], which must be a `kind` (a list of `item`s); FormatError
+    names the field and the format otherwise."""
+    if key not in obj:
+        raise FormatError(f"{fmt}: missing field {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or (
+            kind is list and not all(isinstance(x, item) for x in value)):
+        what = f"list of {item.__name__}" if kind is list else kind.__name__
+        raise FormatError(f"{fmt}: field {key!r} is not a {what}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +74,20 @@ def _map_entry(f: PLMap) -> dict:
             "witness": _carrier_lines(f.dom_subdivision.carrier)}
 
 
-def _load_map_entry(entry: dict, domain: Complex, codomain: Complex) -> PLMap:
-    fine, images, carriers = _load_images(entry["scxm"])
-    wit = SubdivisionWitness(fine, domain, _parse_carrier_lines(entry["witness"]))
-    return PLMap(domain, codomain, wit, images, carriers)
+def _load_entry(entry: dict, fmt: str, domain: Complex):
+    """(domain witness, vertex images, target carriers) of a map entry,
+    with an image for every vertex of a fine simplex."""
+    fine, images, carriers = scx.load_scxm(_field(entry, "scxm", fmt))
+    missing = sorted({v for s in fine.simplices for v in s} - images.keys())
+    if missing:
+        raise FormatError(f"no image line for fine vertex {missing[0]}")
+    carrier = _parse_carrier_lines(entry, "witness", fmt)
+    return SubdivisionWitness(fine, domain, carrier), images, carriers
+
+
+def _load_map_entry(entry: dict, fmt: str, domain: Complex,
+                    codomain: Complex) -> PLMap:
+    return PLMap(domain, codomain, *_load_entry(entry, fmt, domain))
 
 
 def map_to_obj(f: PLMap, domain_subcomplexes: dict | None = None) -> dict:
@@ -86,30 +101,26 @@ def map_to_obj(f: PLMap, domain_subcomplexes: dict | None = None) -> dict:
 def map_from_obj(obj: dict):
     """File object -> (PLMap, named subcomplexes of the domain)."""
     _expect(obj, MAP_FORMAT)
-    domain, subs = scx.load_complex(obj["domain"])
+    domain, subs = scx.load_complex(_field(obj, "domain", MAP_FORMAT))
     # codomain unchecked, as in `cert_from_obj`
-    codomain, _ = scx.load_complex(obj["codomain"], check_disjoint=False)
-    return _load_map_entry(obj, domain, codomain), subs
+    codomain, _ = scx.load_complex(_field(obj, "codomain", MAP_FORMAT),
+                                   check_disjoint=False)
+    return _load_map_entry(obj, MAP_FORMAT, domain, codomain), subs
 
 
 # ---------------------------------------------------------------------------
 # Homeomorphisms with normality data
 # ---------------------------------------------------------------------------
 
-def homeo_to_obj(phi: PLHomeo) -> dict:
-    w = phi.witness
-    return {"format": HOMEO_FORMAT,
-            "complex": scx.emit_scx(w.coarse),
-            "scxm": scx.emit_scxm(w.fine, phi.vertex_image, phi.target_carrier),
-            "witness": _carrier_lines(w.carrier)}
+def homeo_to_obj(phi: PLMap) -> dict:
+    return {"format": HOMEO_FORMAT, "complex": scx.emit_scx(phi.domain),
+            **_map_entry(phi)}
 
 
-def homeo_from_obj(obj: dict) -> PLHomeo:
+def homeo_from_obj(obj: dict) -> PLMap:
     _expect(obj, HOMEO_FORMAT)
-    coarse, _ = scx.load_complex(obj["complex"])
-    fine, images, carriers = _load_images(obj["scxm"])
-    wit = SubdivisionWitness(fine, coarse, _parse_carrier_lines(obj["witness"]))
-    return PLHomeo(wit, images, carriers)
+    coarse, _ = scx.load_complex(_field(obj, "complex", HOMEO_FORMAT))
+    return PLHomeo(*_load_entry(obj, HOMEO_FORMAT, coarse))
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +147,25 @@ def cert_to_obj(cert: HomotopyCertificate) -> dict:
 
 
 def cert_from_obj(obj: dict) -> HomotopyCertificate:
-    _expect(obj, CERT_FORMAT)
+    fmt = CERT_FORMAT
+    _expect(obj, fmt)
     # A domain overlap lets f take two values at a point; the codomain may
     # overlap, as each straight-line step stays in a checked closed carrier.
-    domain, _ = scx.load_complex(obj["domain"])
-    codomain, _ = scx.load_complex(obj["codomain"], check_disjoint=False)
+    domain, _ = scx.load_complex(_field(obj, "domain", fmt))
+    codomain, _ = scx.load_complex(_field(obj, "codomain", fmt),
+                                   check_disjoint=False)
     steps = []
-    for entry in obj["steps"]:
-        frm = _load_map_entry(entry["from"], domain, codomain)
-        to = _load_map_entry(entry["to"], domain, codomain)
-        rfine, _, _ = scx.load_scxm(entry["refinement"]["scx"])
+    for entry in _field(obj, "steps", fmt, list, dict):
+        frm, to = (_load_map_entry(_field(entry, key, fmt, dict), fmt,
+                                   domain, codomain) for key in ("from", "to"))
+        refinement = _field(entry, "refinement", fmt, dict)
+        rfine, _, _ = scx.load_scxm(_field(refinement, "scx", fmt))
         ref = SubdivisionWitness(
-            rfine, frm.fine, _parse_carrier_lines(entry["refinement"]["witness"]))
-        steps.append(HomotopyStep(frm, to, ref,
-                                  _parse_carrier_lines(entry["carriers"])))
-    fixed = domain.subcomplex(scx.parse_simplex_name(n) for n in obj["fixed"])
+            rfine, frm.fine, _parse_carrier_lines(refinement, "witness", fmt))
+        steps.append(HomotopyStep(
+            frm, to, ref, _parse_carrier_lines(entry, "carriers", fmt)))
+    fixed = domain.subcomplex(scx.parse_simplex_name(n)
+                              for n in _field(obj, "fixed", fmt, list))
     return HomotopyCertificate(steps, fixed)
 
 

@@ -164,12 +164,12 @@ def cmd_extend_normal(args, report: Report):
     phi0 = subdivision.identity_homeo_on(wz)
     phi = subdivision.extend_normal(K, K_Z, phi0)
     rep = subdivision.verify_normal(phi)
-    report.add("fine_simplices", len(phi.witness.fine.simplices))
+    report.add("fine_simplices", len(phi.fine.simplices))
     report.check("partitions_simplices", rep.partitions_simplices,
                  rep.violations[0] if rep.violations else None)
     report.check("is_subdivision", rep.is_subdivision)
     report.check("carrier_respecting", rep.carrier_respecting)
-    contains = phi0.witness.fine.simplices <= phi.witness.fine.simplices
+    contains = phi0.fine.simplices <= phi.fine.simplices
     report.check("contains_input_subdivision", contains)
     agrees = all(phi.vertex_image.get(v) == phi0.vertex_image[v]
                  for v in phi0.vertex_image)
@@ -182,7 +182,7 @@ def cmd_extend_normal(args, report: Report):
 def cmd_verify_normal(args, report: Report):
     phi = load_container(args.file, certio.HOMEO_FORMAT)
     rep = subdivision.verify_normal(phi)
-    report.add("fine_simplices", len(phi.witness.fine.simplices))
+    report.add("fine_simplices", len(phi.fine.simplices))
     first = rep.violations[0] if rep.violations else None
     report.check("partitions_simplices", rep.partitions_simplices, first)
     report.check("is_subdivision", rep.is_subdivision, first)

@@ -18,7 +18,7 @@ from .complexes import Complex, Simplex, SubcomplexRef, simplex
 from .errors import (BaseVertexMismatch, NotCertifiablySimplyConnected,
                      NotClosed, NotConnected, StartNotInA)
 from .homology import (AbelianGroup, AbelianQuotient, HomologyData,
-                       chain_complex, homology)
+                       chain_complex, homology, relation_gens)
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +339,8 @@ class Hurewicz1:
         """Every H_1 generator is the class of some word: the generator
         classes and the torsion relations span Z^m, i.e. their quotient
         (one Smith normal form) is trivial."""
-        m = self.h1.ngens()
-        tors = [[d if i == t else 0 for i in range(m)]
-                for t, d in enumerate(self.h1.group.torsion)]
-        return AbelianQuotient(m, self.gen_classes + tors).group.is_trivial()
+        rels = self.gen_classes + relation_gens(self.h1.group)
+        return AbelianQuotient(self.h1.ngens(), rels).group.is_trivial()
 
     def is_isomorphism(self) -> bool:
         """True when abelianized pi_1 -> H_1 is an isomorphism.

@@ -476,17 +476,23 @@ def chain_image_vector(src: ChainComplex, dst: ChainComplex, vmap: dict[str, str
     return out
 
 
+def class_map(src: HomologyData, dst: HomologyData,
+              push) -> HomologyClassMap:
+    """The map of a chain map `push` (a chain vector of src's complex to
+    one of dst's) on homology, in the groups' coordinates."""
+    cols = [dst.coords_of_vector(push(src.generator_vector(j)))
+            for j in range(src.ngens())]
+    matrix = [[cols[j][i] for j in range(len(cols))]
+              for i in range(dst.ngens())]
+    return HomologyClassMap(src.group, dst.group, matrix)
+
+
 def induced_map_on_vertices(K: Complex, L: Complex, vmap: dict[str, str],
                             n: int) -> HomologyClassMap:
     """H_n map induced by a simplicial vertex map K -> L."""
     src_cc, dst_cc = chain_complex(K), chain_complex(L)
-    src, dst = HomologyData(src_cc, n), HomologyData(dst_cc, n)
-    cols = []
-    for j in range(src.ngens()):
-        img = chain_image_vector(src_cc, dst_cc, vmap, n, src.generator_vector(j))
-        cols.append(dst.coords_of_vector(img))
-    matrix = [[cols[j][i] for j in range(len(cols))] for i in range(dst.ngens())]
-    return HomologyClassMap(src.group, dst.group, matrix)
+    return class_map(HomologyData(src_cc, n), HomologyData(dst_cc, n),
+                     lambda v: chain_image_vector(src_cc, dst_cc, vmap, n, v))
 
 
 def induced_map(g, n: int) -> HomologyClassMap:
@@ -520,14 +526,12 @@ def fundamental_class(n: int):
 # Long exact sequence of a closed pair
 # ---------------------------------------------------------------------------
 
-def _relation_gens(group: AbelianGroup):
+def relation_gens(group: AbelianGroup) -> list[list[int]]:
+    """The relations d e_i of the torsion coordinates, which come first."""
     k = group.rank + len(group.torsion)
-    gens = []
-    for i, d in enumerate(group.torsion):
-        v = [0] * k
-        v[i] = d
-        gens.append(v)
-    return gens
+    return [[d if j == i else 0 for j in range(k)]
+            for i, d in enumerate(group.torsion)]
+
 
 def _exact_at(f: HomologyClassMap, g: HomologyClassMap) -> bool:
     """Exactness of  . --f--> G --g--> .  (image f = kernel g)."""
@@ -535,10 +539,10 @@ def _exact_at(f: HomologyClassMap, g: HomologyClassMap) -> bool:
     # image lattice: columns of f plus relations of the middle group
     fcols = [[f.matrix[i][j] for i in range(kmid)]
              for j in range(len(f.matrix[0]) if f.matrix else 0)]
-    im = fcols + _relation_gens(f.target)
+    im = fcols + relation_gens(f.target)
     # kernel lattice: y with g y in relations of the end group
     ktgt = g.target.rank + len(g.target.torsion)
-    rel3 = _relation_gens(g.target)
+    rel3 = relation_gens(g.target)
     cols = [[g.matrix[i][j] for i in range(ktgt)] for j in range(kmid)] + rel3
     A = [[cols[j][i] for j in range(len(cols))] for i in range(ktgt)]
     ker_full = kernel_basis(A) if A else identity_matrix(kmid + len(rel3))
@@ -558,18 +562,11 @@ def verify_les(K: Complex, K_A) -> dict:
     HR = {n: HomologyData(cc_rel, n) for n in range(top + 1)}
     ident = {v: v for s in K.simplices for v in s}
 
-    def mk_map(src: HomologyData, dst: HomologyData, push) -> HomologyClassMap:
-        cols = [dst.coords_of_vector(push(src.generator_vector(j)))
-                for j in range(src.ngens())]
-        matrix = [[cols[j][i] for j in range(len(cols))]
-                  for i in range(dst.ngens())]
-        return HomologyClassMap(src.group, dst.group, matrix)
-
     report = {"pair_groups": {}, "exact": True, "nodes": {}}
     maps_i, maps_j, maps_d = {}, {}, {}
     for n in range(top + 1):
-        maps_i[n] = mk_map(HA[n], HX[n],
-                           lambda v, n=n: chain_image_vector(cc_A, cc_X, ident, n, v))
+        maps_i[n] = class_map(HA[n], HX[n], lambda v, n=n:
+                              chain_image_vector(cc_A, cc_X, ident, n, v))
 
         def proj(v, n=n):
             out = [0] * len(cc_rel.basis.get(n, []))
@@ -579,7 +576,7 @@ def verify_les(K: Complex, K_A) -> dict:
                     out[idx[s]] = v[j]
             return out
 
-        maps_j[n] = mk_map(HX[n], HR[n], proj)
+        maps_j[n] = class_map(HX[n], HR[n], proj)
 
         def connect(v, n=n):
             # lift rel cycle to X-chain, take boundary, read off in A
@@ -595,7 +592,7 @@ def verify_les(K: Complex, K_A) -> dict:
                     out[idxA[s]] = bnd[i]
             return out
 
-        maps_d[n] = mk_map(HR[n], HA[n - 1], connect)
+        maps_d[n] = class_map(HR[n], HA[n - 1], connect)
         report["pair_groups"][n] = (str(HA[n].group), str(HX[n].group),
                                     str(HR[n].group))
     for n in range(top + 1):

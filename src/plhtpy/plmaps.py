@@ -67,6 +67,11 @@ class PLMap:
     def fine(self) -> Complex:
         return self.dom_subdivision.fine
 
+    @property
+    def witness(self) -> SubdivisionWitness:
+        """`dom_subdivision`, by the name of a homeomorphism's witness."""
+        return self.dom_subdivision
+
     def _check(self):
         if not self.codomain.is_closed():
             raise NotClosed("codomain must be closed")
@@ -289,13 +294,16 @@ class HomotopyCertificate:
 def verify_certificate(cert: HomotopyCertificate):
     """Independent re-check of every witness in a certificate.
 
-    Returns (ok, problems).  Checks per step: both maps live on a genuine
-    subdivision of the domain, the refinement covers the shared fine
-    domain, each refinement simplex has a common closed carrier containing
-    both images of its closure, consecutive steps agree, and every step is
-    constant on the fixed set.  Images are evaluated through the proved
-    refinement carriers, never by searching the domain.
+    Returns (ok, problems).  A certificate needs a step.  Checks per step:
+    both maps live on a genuine subdivision of the domain, the refinement
+    covers the shared fine domain, each refinement simplex has a common
+    closed carrier containing both images of its closure, consecutive steps
+    agree, and every step is constant on the fixed set.  Images are
+    evaluated through the proved refinement carriers, never by searching
+    the domain.
     """
+    if not cert.steps:
+        return False, [(0, None, "certificate has no steps")]
     problems = []
     proved = {}   # domain subdivision -> its violations, checked once
 

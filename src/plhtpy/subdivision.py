@@ -10,6 +10,9 @@ support, closedness, face-to-face matching of the facets (two top cofaces on
 opposite sides inside, one on the boundary) and relative volumes summing to
 1.  The images under a normal homeomorphism are checked the same way.
 
+A normal homeomorphism of |K| is a PL self-map, a `plmaps.PLMap` whose
+domain and codomain are K, built by `PLHomeo(witness, images, carriers)`.
+
 Barycentric subdivision and normal extension are one construction, the
 cone (s)' = b(s) * (boundary s)' of the derived subdivision (Rourke and
 Sanderson, 1972): over each simplex s, in increasing dimension, cone from
@@ -27,12 +30,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
+from typing import TYPE_CHECKING
 
 from . import linalg
 from .complexes import (Complex, SubcomplexRef, Simplex, facets,
                         proper_faces, simplex, sname, support_face)
 from .errors import (Incompatible, NotClosed, NotNormal, NotNormalInput,
                      NotSubcomplex, ValueOutOfRange)
+
+if TYPE_CHECKING:
+    from .plmaps import PLMap
 
 
 def bary_name(s: Simplex) -> str:
@@ -214,32 +221,22 @@ def verify_subdivision(w: SubdivisionWitness):
     return (not violations), violations
 
 
-class PLHomeo:
-    """PL self-homeomorphism of |K|: a subdivision K' of K plus exact image
-    points for the fine vertices and a target carrier per fine simplex."""
-
-    def __init__(self, witness: SubdivisionWitness, vertex_image: dict,
-                 target_carrier: dict[Simplex, Simplex]):
-        self.witness = witness
-        self.vertex_image = {v: linalg.vec(p) for v, p in vertex_image.items()}
-        self.target_carrier = {tuple(k): tuple(v)
-                               for k, v in target_carrier.items()}
-
-    def image_points(self, t: Simplex):
-        return [self.vertex_image[v] for v in t]
-
-    def evaluate(self, x):
-        t, coords = self.witness.fine.locate(linalg.vec(x))
-        return linalg.vcomb(coords, self.image_points(t))
+def PLHomeo(witness: SubdivisionWitness, vertex_image: dict,
+            target_carrier: dict[Simplex, Simplex]) -> PLMap:
+    """PL self-map of |K|, K = witness.coarse, on the subdivision
+    `witness`: exact image points for the fine vertices and a target
+    carrier per fine simplex.  Unchecked: `verify_normal` reports bad
+    images instead of raising on them."""
+    from .plmaps import PLMap
+    K = witness.coarse
+    return PLMap(K, K, witness, vertex_image, target_carrier, check=False)
 
 
-def identity_homeo(K: Complex) -> PLHomeo:
-    w = identity_witness(K)
-    return PLHomeo(w, {v: K.vertices[v] for s in K.simplices for v in s},
-                   dict(w.carrier))
+def identity_homeo(K: Complex) -> PLMap:
+    return identity_homeo_on(identity_witness(K))
 
 
-def identity_homeo_on(w: SubdivisionWitness) -> PLHomeo:
+def identity_homeo_on(w: SubdivisionWitness) -> PLMap:
     """The identity of |K| presented on an arbitrary subdivision."""
     verts = {v: w.fine.vertices[v] for s in w.fine.simplices for v in s}
     return PLHomeo(w, verts, dict(w.carrier))
@@ -247,35 +244,28 @@ def identity_homeo_on(w: SubdivisionWitness) -> PLHomeo:
 
 class NormalityReport:
     def __init__(self, partitions_simplices, is_subdivision,
-                 carrier_respecting, violations, partitions_targets=None):
+                 carrier_respecting, violations):
         self.partitions_simplices = partitions_simplices
         self.is_subdivision = is_subdivision
         self.carrier_respecting = carrier_respecting
         self.violations = list(violations)
-        self.partitions_targets = partitions_targets
 
     @property
     def normal(self) -> bool:
-        ok = (self.partitions_simplices and self.is_subdivision
-              and self.carrier_respecting)
-        if self.partitions_targets is not None:
-            ok = ok and self.partitions_targets
-        return ok
+        return (self.partitions_simplices and self.is_subdivision
+                and self.carrier_respecting)
 
 
-def verify_normal(phi: PLHomeo, partition_targets=None) -> NormalityReport:
-    """Check the three normality conditions of a PL homeomorphism.
+def verify_normal(phi: PLMap) -> NormalityReport:
+    """Check the three normality conditions of a PL homeomorphism of |K|.
 
     (1) the images of the fine simplices partition each coarse simplex:
     `partition_violations` on the image points, each image carried by its
     target carrier; (2) the fine simplices themselves partition each
     coarse simplex (`verify_subdivision`); (3) each fine simplex maps into
-    the interior of its own carrier.  `partition_targets`, if given, is a
-    collection of fine-simplex sets whose unions must be unions of image
-    pieces -- here each set must simply be a subcomplex-saturated set of
-    fine simplices (exactness of the partition is then automatic).
+    the interior of its own carrier.
     """
-    w = phi.witness
+    w = phi.dom_subdivision
     sub_ok, violations = verify_subdivision(w)
 
     carrier_ok = True
@@ -289,21 +279,11 @@ def verify_normal(phi: PLHomeo, partition_targets=None) -> NormalityReport:
         w.coarse, w.fine.simplices, phi.vertex_image, phi.target_carrier,
         "image ")
     violations.extend(image_violations)
-
-    targets_ok = None
-    if partition_targets is not None:
-        targets_ok = True
-        for target in partition_targets:
-            members = frozenset(tuple(s) for s in
-                                getattr(target, "members", target))
-            if not members <= w.fine.simplices:
-                targets_ok = False
-                violations.append((None, None, "target not fine-saturated"))
     return NormalityReport(not image_violations, sub_ok, carrier_ok,
-                           violations, targets_ok)
+                           violations)
 
 
-def extend_normal(K: Complex, K_Z: SubcomplexRef, phi0: PLHomeo) -> PLHomeo:
+def extend_normal(K: Complex, K_Z: SubcomplexRef, phi0: PLMap) -> PLMap:
     """Extend a normal homeomorphism over a closed subcomplex to all of K.
 
     Skeleton induction: each simplex outside K_Z, in increasing dimension,
@@ -316,15 +296,15 @@ def extend_normal(K: Complex, K_Z: SubcomplexRef, phi0: PLHomeo) -> PLHomeo:
         raise NotClosed("extension requires a closed complex")
     if not K_Z.is_closed():
         raise NotSubcomplex("K_Z must be a closed subcomplex")
-    if phi0.witness.coarse != K_Z.as_complex():
+    if phi0.domain != K_Z.as_complex():
         raise NotSubcomplex("phi0 is not a homeomorphism over K_Z")
     if not verify_normal(phi0).normal:
         raise NotNormalInput("phi0 is not normal over K_Z")
 
-    verts = dict(phi0.witness.fine.vertices)
+    verts = dict(phi0.fine.vertices)
     image = dict(phi0.vertex_image)
     pieces: dict[Simplex, list[Simplex]] = {}
-    for t, c in phi0.witness.carrier.items():
+    for t, c in phi0.dom_subdivision.carrier.items():
         pieces.setdefault(c, []).append(t)
     todo = sorted((s for s in K.simplices if s not in K_Z),
                   key=lambda s: (len(s), s))
@@ -351,7 +331,7 @@ def extend_normal(K: Complex, K_Z: SubcomplexRef, phi0: PLHomeo) -> PLHomeo:
     return PLHomeo(witness, image, target)
 
 
-def canonical_homotopy(phi: PLHomeo):
+def canonical_homotopy(phi: PLMap):
     """One-step straight-line homotopy certificate from the identity of |K|
     to a normal homeomorphism; each fine simplex and its image share the
     closure of the simplex's carrier."""
@@ -359,10 +339,9 @@ def canonical_homotopy(phi: PLHomeo):
     report = verify_normal(phi)
     if not report.normal:
         raise NotNormal(f"not a normal homeomorphism: {report.violations}")
-    w = phi.witness
+    w = phi.dom_subdivision
     f = plmaps.identity_map_on(w)
-    g = plmaps.PLMap(w.coarse, w.coarse, w, phi.vertex_image,
-                     dict(w.carrier))
+    g = plmaps.PLMap(phi.domain, phi.domain, w, phi.vertex_image, w.carrier)
     fixed = w.coarse.subcomplex(())
     step = plmaps.HomotopyStep(f, g, identity_witness(w.fine),
                                {t: w.carrier[t] for t in w.fine.simplices})

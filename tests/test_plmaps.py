@@ -170,6 +170,12 @@ def test_certificate_mutation_detected(rot):
     assert any(t == victim for _, t, _ in problems if t)
 
 
+def test_certificate_without_steps_fails(disk):
+    cert = pm.HomotopyCertificate([], disk.subcomplex(()))
+    assert pm.verify_certificate(cert) == (
+        False, [(0, None, "certificate has no steps")])
+
+
 def test_urysohn_vertex_star(disk):
     fine = sd.barycentric_subdivide(disk).fine
     c_ref = fine.subcomplex([("a",)])

@@ -233,6 +233,69 @@ def test_cli_emitted_cert_passes_in_separate_process(tmp_path, rot):
     assert "check_cert_valid: pass" in proc.stdout
 
 
+def test_cli_verify_cert_without_steps_exit1(tmp_path, rot):
+    _, cert = pm.simplicial_approximation(rot)
+    obj = certio.cert_to_obj(cert)
+    obj["steps"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(certio.dumps(obj))
+    code, out = run_cli("verify-cert", str(path))
+    assert code == 1
+    assert "check_cert_valid: fail\n" in out
+    assert ("witness_cert_valid: step 0 simplex -: certificate has no "
+            "steps\n") in out
+
+
+CONTAINER_COMMANDS = {"map": "approximate", "homeo": "verify-normal",
+                      "cert": "verify-cert"}
+CONTAINER_FIELDS = [
+    ("map", ("domain",)), ("map", ("codomain",)), ("map", ("scxm",)),
+    ("map", ("witness",)),
+    ("homeo", ("complex",)), ("homeo", ("scxm",)), ("homeo", ("witness",)),
+    ("cert", ("domain",)), ("cert", ("codomain",)), ("cert", ("fixed",)),
+    ("cert", ("steps",)), ("cert", ("steps", 0, "from")),
+    ("cert", ("steps", 0, "to")), ("cert", ("steps", 0, "refinement")),
+    ("cert", ("steps", 0, "carriers")), ("cert", ("steps", 0, "to", "scxm")),
+    ("cert", ("steps", 0, "from", "witness")),
+    ("cert", ("steps", 0, "refinement", "scx")),
+    ("cert", ("steps", 0, "refinement", "witness"))]
+
+
+def container_obj(kind, rot, disk):
+    if kind == "map":
+        return certio.map_to_obj(rot)
+    if kind == "homeo":
+        phi = sd.identity_homeo_on(sd.barycentric_subdivide(disk))
+        return certio.homeo_to_obj(phi)
+    return certio.cert_to_obj(pm.simplicial_approximation(rot)[1])
+
+
+@pytest.mark.parametrize("kind, path", CONTAINER_FIELDS,
+                         ids=lambda x: x if isinstance(x, str) else
+                         ".".join(map(str, x)))
+@pytest.mark.parametrize("damage", ["drop", "retype"])
+def test_cli_malformed_container_exit2(tmp_path, rot, disk, kind, path,
+                                       damage):
+    obj = container_obj(kind, rot, disk)
+    fmt = obj["format"]
+    *parents, key = path
+    holder = obj
+    for p in parents:
+        holder = holder[p]
+    if damage == "drop":
+        del holder[key]
+        cause = f"{fmt}: missing field {key!r}"
+    else:
+        # a list of lines gets a non-string line, anything else a number
+        holder[key] = [5] if isinstance(holder[key], list) else 5
+        cause = f"{fmt}: field {key!r} is not a "
+    file = tmp_path / "bad.json"
+    file.write_text(json.dumps(obj))
+    code, out = run_cli(CONTAINER_COMMANDS[kind], str(file))
+    assert code == 2
+    assert f"error: FormatError: {cause}" in out
+
+
 def save_extension_input(tmp_path, corpus, u0_bottom):
     """f = identity of cube1 (with its subcomplex `ends`) and H sliding
     u0 from `u0_bottom` to 1/2 over the walls above both ends."""

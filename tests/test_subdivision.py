@@ -255,15 +255,6 @@ def test_verify_normal_flags_moved_vertex(disk):
     assert report.violations
 
 
-def test_verify_normal_partition_targets(disk):
-    w = sd.barycentric_subdivide(disk)
-    phi = sd.identity_homeo_on(w)
-    good = [s for s in w.fine.simplices if len(s) == 1]
-    assert sd.verify_normal(phi, [good]).normal
-    report = sd.verify_normal(phi, [[("a", "zzz")]])
-    assert report.partitions_targets is False
-
-
 def boundary_slide_homeo(tri3):
     """Normal homeomorphism of the circle sliding each edge midpoint to
     the 1/3 point of its edge."""
@@ -364,6 +355,45 @@ def test_canonical_homotopy_extension(disk, disk_boundary):
     for x in [(F(1, 4), F(1, 4)), (F(1, 2), F(1, 4)), (F(0), F(1, 2))]:
         for s in (F(1, 4), F(1, 2), F(3, 4)):
             disk.locate(cert.evaluate(x, s))
+
+
+def extended_identity(corpus, name, r):
+    """extend_normal of the identity of the boundary of a corpus complex,
+    presented on its r-th barycentric subdivision."""
+    K, subs = corpus[name]
+    boundary = subs["boundary"]
+    phi0 = sd.identity_homeo_on(
+        sd.iterated_subdivision(boundary.as_complex(), r))
+    return sd.extend_normal(K, boundary, phi0)
+
+
+def test_homeos_are_self_maps(disk, disk_boundary, tri3):
+    w = sd.barycentric_subdivide(disk)
+    image = {v: w.fine.vertices[v] for s in w.fine.simplices for v in s}
+    slide = sd.extend_normal(disk, disk_boundary, boundary_slide_homeo(tri3))
+    for phi in (sd.PLHomeo(w, image, dict(w.carrier)),
+                sd.identity_homeo_on(w), sd.identity_homeo(disk), slide,
+                certio.homeo_from_obj(certio.homeo_to_obj(slide))):
+        assert isinstance(phi, pm.PLMap)
+        assert phi.witness is phi.dom_subdivision
+        assert phi.domain is phi.codomain is phi.witness.coarse
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_homeo_evaluate_matches_evaluate_in(corpus, r):
+    phi = extended_identity(corpus, "disk", r)
+    for t in sorted(phi.fine.simplices):
+        for v in t:
+            x = phi.fine.vertices[v]
+            assert phi.evaluate(x) == phi.evaluate_in(t, x) \
+                == phi.vertex_image[v], (t, v)
+
+
+@pytest.mark.parametrize("name, r", [("disk", 1), ("disk", 2),
+                                     ("cube2", 1)])
+def test_homeo_container_round_trip(corpus, name, r):
+    obj = certio.homeo_to_obj(extended_identity(corpus, name, r))
+    assert certio.homeo_to_obj(certio.homeo_from_obj(obj)) == obj
 
 
 def test_canonical_homotopy_rejects_non_normal(disk):
