@@ -154,8 +154,11 @@ def cert_from_obj(obj: dict) -> HomotopyCertificate:
     domain, _ = scx.load_complex(_field(obj, "domain", fmt))
     codomain, _ = scx.load_complex(_field(obj, "codomain", fmt),
                                    check_disjoint=False)
+    entries = _field(obj, "steps", fmt, list, dict)
+    if not entries:
+        raise FormatError(f"{fmt}: field 'steps' is empty")
     steps = []
-    for entry in _field(obj, "steps", fmt, list, dict):
+    for entry in entries:
         frm, to = (_load_map_entry(_field(entry, key, fmt, dict), fmt,
                                    domain, codomain) for key in ("from", "to"))
         refinement = _field(entry, "refinement", fmt, dict)

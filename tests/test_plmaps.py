@@ -8,6 +8,7 @@ from plhtpy import linalg
 from plhtpy import plmaps as pm
 from plhtpy import scx
 from plhtpy import subdivision as sd
+from plhtpy.complexes import Complex, faces_with_self, simplex
 from plhtpy.errors import (CarrierClash, FixedSetMismatch, NotFull,
                            PointOutsidePolyhedron, RoundsExhausted,
                            ValueOutOfRange)
@@ -174,6 +175,68 @@ def test_certificate_without_steps_fails(disk):
     cert = pm.HomotopyCertificate([], disk.subcomplex(()))
     assert pm.verify_certificate(cert) == (
         False, [(0, None, "certificate has no steps")])
+
+
+ROT_AB = ("a", "a.b^bary")
+
+
+@pytest.mark.parametrize("name, t, c, bad", [
+    # vertex a: both images lie in the carrier a-b of ("a",), checked
+    # first, and outside the carrier a of ROT_AB
+    ("rot", ROT_AB, ("a",), [ROT_AB, ROT_AB]),
+    ("perturbed_disk", ("a.b.c^bary",), ("a", "b"), [("a.b.c^bary",)]),
+], ids=["rot", "perturbed_disk"])
+def test_repeated_vertex_violation_is_reported_per_simplex(request, name, t,
+                                                           c, bad):
+    _, cert = pm.simplicial_approximation(request.getfixturevalue(name))
+    cert.steps[0].carriers[t] = c
+    assert pm.verify_certificate(cert) == (
+        False, [(0, s, "image outside carrier") for s in bad])
+
+
+@pytest.mark.parametrize("name, s, t, bad", [
+    ("rot", ("a.b^bary",), ("a.c^bary",), [("a.b^bary",), ("a.c^bary",)]),
+    ("rot", ROT_AB, ("b.c^bary", "c"),
+     [ROT_AB, ROT_AB, ("b.c^bary", "c"), ("b.c^bary", "c")]),
+    ("perturbed_disk", ("a",), ("b", "b.c^bary"),
+     [("a",), ("b", "b.c^bary"), ("b", "b.c^bary")]),
+], ids=["rot-vertices", "rot-edges", "perturbed_disk"])
+def test_carrier_swap_problem_lists(request, name, s, t, bad):
+    # one problem per refinement simplex and vertex with an image outside
+    _, cert = pm.simplicial_approximation(request.getfixturevalue(name))
+    carriers = cert.steps[0].carriers
+    carriers[s], carriers[t] = carriers[t], carriers[s]
+    assert pm.verify_certificate(cert) == (
+        False, [(0, x, "image outside carrier") for x in bad])
+
+
+def test_open_domain_images_are_read_per_host():
+    """The domain leaves out the edge b-c of the triangle a-b-c and covers
+    it by b-m, m, m-c instead.  The refinement cuts a-b-c along a-m, so the
+    vertex m lies on the missing face of that host, where the affine
+    extension over a-b-c gives (b + c) / 2 on the edge b-c of the codomain,
+    while the map sends m itself to a, off that edge."""
+    pts = {"a": (1, 2), "b": (0, 0), "c": (2, 0), "m": (1, 0)}
+    edges = [("a", "b"), ("a", "c"), ("b", "m"), ("c", "m")]
+    K = Complex(2, pts, [("a", "b", "c"), ("a",), ("b",), ("c",), ("m",)]
+                + edges)
+    L = Complex(2, {"A": (1, 2), "B": (0, 0), "C": (2, 0)},
+                faces_with_self(("A", "B", "C")))
+    up = {"a": "A", "b": "B", "c": "C", "m": "A"}
+    images = {v: L.vertices[up[v]] for v in pts}
+    f = pm.PLMap(K, L, sd.identity_witness(K), images,
+                 {t: simplex({up[v] for v in t}) for t in K.simplices})
+    cuts = [("a", "b", "m"), ("a", "c", "m"), ("a", "m")]
+    fine = Complex(2, pts, set(K.simplices) - {("a", "b", "c")} | set(cuts))
+    ref = sd.SubdivisionWitness(fine, K, {t: ("a", "b", "c") if t in cuts
+                                          else t for t in fine.simplices})
+    on_bc = [("b", "m"), ("c", "m"), ("m",)]
+    carriers = {t: ("B", "C") if t in on_bc else ("A", "B", "C")
+                for t in fine.simplices}
+    cert = pm.HomotopyCertificate([pm.HomotopyStep(f, f, ref, carriers)],
+                                  K.subcomplex(()))
+    assert pm.verify_certificate(cert) == (
+        False, [(0, t, "image outside carrier") for t in on_bc])
 
 
 def test_urysohn_vertex_star(disk):

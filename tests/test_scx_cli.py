@@ -233,17 +233,15 @@ def test_cli_emitted_cert_passes_in_separate_process(tmp_path, rot):
     assert "check_cert_valid: pass" in proc.stdout
 
 
-def test_cli_verify_cert_without_steps_exit1(tmp_path, rot):
+def test_cli_verify_cert_without_steps_exit2(tmp_path, rot):
     _, cert = pm.simplicial_approximation(rot)
     obj = certio.cert_to_obj(cert)
     obj["steps"] = []
     path = tmp_path / "empty.json"
     path.write_text(certio.dumps(obj))
     code, out = run_cli("verify-cert", str(path))
-    assert code == 1
-    assert "check_cert_valid: fail\n" in out
-    assert ("witness_cert_valid: step 0 simplex -: certificate has no "
-            "steps\n") in out
+    assert code == 2
+    assert "error: FormatError: plhtpy-cert/1: field 'steps' is empty" in out
 
 
 CONTAINER_COMMANDS = {"map": "approximate", "homeo": "verify-normal",

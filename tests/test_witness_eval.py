@@ -6,11 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from plhtpy import certio
+from plhtpy import certio, linalg
 from plhtpy import cylinders as cy
 from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
-from plhtpy.complexes import Complex, support_face
+from plhtpy.complexes import Complex, faces_with_self, support_face
 from plhtpy.errors import NotClosed, PointOutsidePolyhedron
 
 from test_cylinders import wall_homotopy
@@ -119,9 +119,38 @@ def test_wrong_refinement_carrier_rejected_before_evaluation(rot, monkeypatch):
         raise AssertionError("evaluated before the refinement was proved")
     monkeypatch.setattr(pm.PLMap, "evaluate_in", evaluate)
     monkeypatch.setattr(pm.PLMap, "evaluate", evaluate)
+    monkeypatch.setattr(pm, "closed_coords", evaluate)
     ok, problems = pm.verify_certificate(cert)
     assert not ok
     assert problems[0][2].startswith("bad refinement")
+
+
+def test_verifier_reads_each_refinement_vertex_once(rot, monkeypatch):
+    """As in verify-cert, the two maps of a step come on separate fine
+    complexes; the images are read in the refinement's frames, one set of
+    coordinates per refinement vertex."""
+    _, cert = pm.simplicial_approximation(rot)
+    cert = certio.cert_from_obj(certio.cert_to_obj(cert))
+    step = cert.steps[0]
+    framed, read = [], []
+    frame, coords = Complex.frame, linalg.AffineFrame.coords
+
+    def counted_frame(K, s):
+        framed.append(K)
+        return frame(K, s)
+
+    def counted_coords(fr, x):
+        read.append(fr)
+        return coords(fr, x)
+    monkeypatch.setattr(Complex, "frame", counted_frame)
+    monkeypatch.setattr(linalg.AffineFrame, "coords", counted_coords)
+    assert pm.verify_certificate(cert) == (True, [])
+    assert not any(K is step.to.fine for K in framed)
+    ref = step.refinement
+    assert ref.coarse is step.frm.fine
+    ref_frames = {id(ref.coarse.frame(t)) for t in ref.coarse.simplices}
+    vertices = [t for t in ref.fine.simplices if len(t) == 1]
+    assert 0 < sum(id(fr) in ref_frames for fr in read) <= len(vertices)
 
 
 def skeleton_certificate(disk):
@@ -140,6 +169,55 @@ def test_certificate_on_a_non_subdivision_is_rejected(disk):
     i, t, msg = problems[0]
     assert (i, t) == (0, None) and msg.startswith("bad domain subdivision")
     assert "('a', 'b', 'c')" in msg
+
+
+@pytest.fixture
+def full_checks(monkeypatch):
+    """The `partition_violations` calls `verify_subdivision` makes."""
+    calls = []
+    full = sd.partition_violations
+
+    def counted(*args):
+        calls.append(args)
+        return full(*args)
+    monkeypatch.setattr(sd, "partition_violations", counted)
+    return calls
+
+
+def full_check(w):
+    violations = sd.partition_violations(w.coarse, w.fine.simplices,
+                                         w.fine.vertices, w.carrier)
+    return (not violations), violations
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_identity_witnesses_skip_the_partition_pass(request, corpus, r):
+    witnesses = [sd.identity_witness(sd.iterated_subdivision(K, r).fine)
+                 for _, (K, _) in sorted(corpus.items())]
+    expected = [full_check(w) for w in witnesses]
+    assert expected == [(True, [])] * len(witnesses)
+    calls = request.getfixturevalue("full_checks")
+    assert [sd.verify_subdivision(w) for w in witnesses] == expected
+    assert not calls
+
+
+def test_other_witnesses_get_the_full_check(request, disk):
+    # an affinely dependent triangle, an identity with one carrier moved,
+    # and the 1-skeleton of the disk claimed to subdivide it
+    flat = Complex(2, {"a": (0, 0), "b": (1, 0), "c": (2, 0)},
+                   faces_with_self(("a", "b", "c")))
+    moved = dict(sd.identity_witness(disk).carrier)
+    moved[("a", "b")] = ("a", "b", "c")
+    witnesses = [sd.identity_witness(flat),
+                 sd.SubdivisionWitness(disk, disk, moved),
+                 skeleton_certificate(disk).steps[0].frm.dom_subdivision]
+    expected = [full_check(w) for w in witnesses]
+    calls = request.getfixturevalue("full_checks")
+    assert [sd.verify_subdivision(w) for w in witnesses] == expected
+    assert len(calls) == len(witnesses)
+    for ok, violations in expected:
+        assert not ok
+        assert any(c == ("a", "b", "c") for _, c, _ in violations)
 
 
 def test_cli_verify_cert_rejects_a_non_subdivision(tmp_path, disk):
