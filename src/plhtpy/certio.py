@@ -162,7 +162,10 @@ def cert_from_obj(obj: dict) -> HomotopyCertificate:
         frm, to = (_load_map_entry(_field(entry, key, fmt, dict), fmt,
                                    domain, codomain) for key in ("from", "to"))
         refinement = _field(entry, "refinement", fmt, dict)
-        rfine, _, _ = scx.load_scxm(_field(refinement, "scx", fmt))
+        rfine, subs = scx.load_complex(_field(refinement, "scx", fmt),
+                                       check_disjoint=False)
+        if subs:
+            raise FormatError("subcomplex declarations in a refinement")
         ref = SubdivisionWitness(
             rfine, frm.fine, _parse_carrier_lines(refinement, "witness", fmt))
         steps.append(HomotopyStep(

@@ -25,12 +25,18 @@ from .homology import (AbelianGroup, AbelianQuotient, HomologyData,
 # pi_0
 # ---------------------------------------------------------------------------
 
-def pi0(K: Complex) -> list[tuple[str, ...]]:
-    """Connected components of the 1-skeleton, as sorted vertex tuples."""
+def adjacency(K: Complex) -> dict[str, set[str]]:
+    """Neighbours of every vertex in the 1-skeleton."""
     adj: dict[str, set[str]] = {v: set() for v in K.vertex_ids()}
     for (u, v) in K.by_dim(1):
         adj[u].add(v)
         adj[v].add(u)
+    return adj
+
+
+def pi0(K: Complex) -> list[tuple[str, ...]]:
+    """Connected components of the 1-skeleton, as sorted vertex tuples."""
+    adj = adjacency(K)
     seen: set[str] = set()
     comps = []
     for start in sorted(adj):
@@ -141,10 +147,7 @@ class Presentation:
             raise NotConnected(f"complex has {len(comps)} components")
         self.K = K
         self.base = x0
-        adj: dict[str, set[str]] = {v: set() for v in K.vertex_ids()}
-        for (u, v) in K.by_dim(1):
-            adj[u].add(v)
-            adj[v].add(u)
+        adj = adjacency(K)
         # breadth-first tree, neighbors visited in identifier order
         self.parent: dict[str, str] = {x0: x0}
         tree: set[Simplex] = set()

@@ -6,6 +6,13 @@ integers with exact arithmetic: homology groups, relative homology of a
 closed pair, maps induced by simplicial maps, connecting homomorphisms, and
 an exactness check for the long sequence of a pair.
 
+Chains are sparse throughout: a chain is a dict from simplices to
+coefficients, and each boundary column is the list of (facet row, +-1)
+pairs of one simplex, so d d = 0 is checked column by column and chain
+maps (inclusion, projection, connecting map, simplicial push-forward) map
+dicts to dicts.  The dense boundary matrix is built only as the input of
+the Smith normal form.
+
 One Smith normal form kernel serves all of it.  It returns the unimodular
 transforms together with their inverses, so H_n needs no rational solve:
 the SNF U D_n V = S of the boundary map gives the cycles (the columns of V
@@ -18,9 +25,11 @@ fundamental group.
 
 from __future__ import annotations
 
-from .complexes import Complex, Simplex, sdim, sname
-from .errors import (InvalidGroup, NotAChainComplex, NotClosed,
-                     NotSimplicial, NotSubcomplex)
+from itertools import combinations
+
+from .complexes import Complex, Simplex, facets, sdim, sname
+from .errors import (Incompatible, InvalidGroup, NotAChainComplex,
+                     NotClosed, NotSimplicial, NotSubcomplex)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +280,10 @@ class AbelianQuotient:
 class ChainComplex:
     """Free integer chain complex on the simplices of a closed complex.
 
-    basis[n] is the sorted list of n-simplices; boundary[n] maps C_n -> C_{n-1}
-    as a matrix with len(basis[n-1]) rows and len(basis[n]) columns.
+    basis[n] is the sorted list of n-simplices.  boundary[n][j] is the
+    boundary of basis[n][j] as (row, +-1) pairs, rows indexing basis[n-1].
+    Chains are dicts from simplices to coefficients; `matrix(n)` is the
+    dense d_n that the Smith normal form reads.
     """
 
     def __init__(self, basis: dict[int, list[Simplex]]):
@@ -280,39 +291,36 @@ class ChainComplex:
         self.dim = max(self.basis, default=-1)
         self.index = {n: {s: i for i, s in enumerate(b)}
                       for n, b in self.basis.items()}
-        self.boundary: dict[int, list[list[int]]] = {}
-        for n in range(1, self.dim + 1):
-            rows = len(self.basis.get(n - 1, []))
-            cols = len(self.basis.get(n, []))
-            D = [[0] * cols for _ in range(rows)]
+        self.boundary: dict[int, list[list[tuple[int, int]]]] = {}
+        for n, b in self.basis.items():
             lower = self.index.get(n - 1, {})
-            for j, s in enumerate(self.basis.get(n, [])):
-                for drop in range(len(s)):
-                    face = s[:drop] + s[drop + 1:]
-                    i = lower.get(face)
-                    if i is not None:
-                        D[i][j] = (-1) ** drop
-            self.boundary[n] = D
-        for n in range(2, self.dim + 1):
-            prod = mat_mul(self.boundary[n - 1], self.boundary[n])
-            if any(x for row in prod for x in row):
-                raise NotAChainComplex(f"d_{n - 1} d_{n} != 0")
+            self.boundary[n] = [[(lower[f], (-1) ** drop)
+                                 for drop, f in enumerate(facets(s))
+                                 if f in lower] for s in b]
+        for n, b in self.basis.items():
+            for s in b:
+                if self.boundary_chain(self.boundary_chain({s: 1})):
+                    raise NotAChainComplex(
+                        f"d_{n - 1} d_{n} != 0 on {sname(s)}")
 
-    def chain_vector(self, n: int, chain: dict[Simplex, int]) -> list[int]:
-        v = [0] * len(self.basis.get(n, []))
-        idx = self.index.get(n, {})
+    def matrix(self, n: int) -> list[list[int]]:
+        """Dense d_n, with len(basis[n-1]) rows and len(basis[n]) columns."""
+        cols = self.boundary.get(n, [])
+        D = [[0] * len(cols) for _ in self.basis.get(n - 1, [])]
+        for j, col in enumerate(cols):
+            for i, c in col:
+                D[i][j] = c
+        return D
+
+    def boundary_chain(self, chain: dict[Simplex, int]) -> dict[Simplex, int]:
+        """Boundary of a chain of basis simplices, zero terms dropped."""
+        out: dict[Simplex, int] = {}
         for s, c in chain.items():
-            s = tuple(s)
-            if s not in idx:
-                raise NotSubcomplex(f"{sname(s)} is not a basis simplex")
-            v[idx[s]] = c
-        return v
-
-    def boundary_of(self, n: int, v: list[int]) -> list[int]:
-        D = self.boundary.get(n)
-        if D is None:
-            return [0] * len(self.basis.get(n - 1, []))
-        return [sum(D[i][j] * v[j] for j in range(len(v))) for i in range(len(D))]
+            n = len(s) - 1
+            faces = self.basis.get(n - 1, [])
+            for i, e in self.boundary[n][self.index[n][s]]:
+                out[faces[i]] = out.get(faces[i], 0) + c * e
+        return {f: c for f, c in out.items() if c}
 
 
 def chain_complex(K: Complex, rel=None) -> ChainComplex:
@@ -341,12 +349,12 @@ class HomologyData(AbelianQuotient):
 
     Computed over the integers from two Smith normal forms.  The SNF
     U D_n V = S of rank r gives the cycle lattice Z_n: its basis is the
-    columns r.. of V, and a vector v has cycle coordinates rows r.. of
+    columns r.. of V, and a chain v has cycle coordinates rows r.. of
     V^-1 v (rows ..r vanish exactly when v is a cycle).  The boundaries,
-    the columns of D_{n+1}, are cycles; their cycle coordinates are the
-    relations of H_n as an `AbelianQuotient` of Z^(rank Z_n).  Generators
-    are signed so that their first nonzero simplex coefficient is
-    positive.
+    the sparse columns of d_{n+1}, are cycles; their cycle coordinates are
+    the relations of H_n as an `AbelianQuotient` of Z^(rank Z_n).
+    Generators are signed so that their first nonzero simplex coefficient
+    is positive.
     """
 
     def __init__(self, cc: ChainComplex, n: int):
@@ -354,48 +362,45 @@ class HomologyData(AbelianQuotient):
         self.n = n
         self.simplices = cc.basis.get(n, [])
         k = len(self.simplices)
-        Dn = cc.boundary.get(n)
-        if Dn:
-            _, S, V, _, self.Vinv = smith_normal_form(Dn)
+        if k and n - 1 in cc.basis:
+            _, S, V, _, self.Vinv = smith_normal_form(cc.matrix(n))
             self.r = snf_rank(S)
         else:
             V = self.Vinv = identity_matrix(k)
             self.r = 0
         # lattice basis of Z_n, one vector per cycle coordinate
         self.cycles = transpose(V, k)[self.r:]
-        D1 = cc.boundary.get(n + 1)
-        bnd = transpose(D1, len(D1[0])) if D1 else []
         super().__init__(len(self.cycles),
-                         [self._cycle_coords(b)[self.r:] for b in bnd])
+                         [self._cycle_coords(col)[self.r:]
+                          for col in cc.boundary.get(n + 1, [])])
         for j in range(self.ngens()):
-            if next((e for e in self.generator_vector(j) if e), 0) < 0:
+            if next(iter(self.generator_chain(j).values()), 0) < 0:
                 self.negate(j)
 
-    def _cycle_coords(self, v: list[int]) -> list[int]:
-        """Rows of V^-1 v: zero up to r exactly when v is a cycle."""
-        support = [(j, x) for j, x in enumerate(v) if x]
+    def _cycle_coords(self, support) -> list[int]:
+        """Rows of V^-1 v, v given by its (index, entry) pairs: zero up to
+        r exactly when v is a cycle."""
         return [sum(row[j] * x for j, x in support) for row in self.Vinv]
 
-    def coords_of_vector(self, v: list[int]) -> tuple[int, ...]:
-        """Class of a cycle vector in group coordinates (torsion reduced)."""
-        y = self._cycle_coords(v)
+    def coords_of_chain(self, chain: dict[Simplex, int]) -> tuple[int, ...]:
+        """Class of a cycle in group coordinates (torsion reduced)."""
+        idx = self.cc.index.get(self.n, {})
+        support = []
+        for s, c in chain.items():
+            if s not in idx:
+                raise NotSubcomplex(f"{sname(s)} is not a basis simplex")
+            support.append((idx[s], c))
+        y = self._cycle_coords(support)
         if any(y[:self.r]):
-            raise ValueError("vector is not a cycle")
+            raise ValueError("chain is not a cycle")
         return self.coords(y[self.r:])
 
-    def coords_of_chain(self, chain: dict[Simplex, int]) -> tuple[int, ...]:
-        return self.coords_of_vector(self.cc.chain_vector(self.n, chain))
-
-    def generator_vector(self, j: int) -> list[int]:
-        """Cycle vector representing the j-th group generator."""
+    def generator_chain(self, j: int) -> dict[Simplex, int]:
+        """Cycle representing the j-th group generator."""
         v = [0] * len(self.simplices)
         for z, x in zip(self.cycles, self.generator(j)):
             if x:
                 v = [a + x * b for a, b in zip(v, z)]
-        return v
-
-    def generator_chain(self, j: int) -> dict[Simplex, int]:
-        v = self.generator_vector(j)
         return {s: c for s, c in zip(self.simplices, v) if c}
 
 
@@ -447,40 +452,39 @@ class HomologyClassMap:
 
     def compose(self, first: "HomologyClassMap") -> "HomologyClassMap":
         """self after first."""
+        if first.target != self.source:
+            raise Incompatible(f"cannot compose a map from {self.source} "
+                               f"after a map into {first.target}")
         return HomologyClassMap(first.source, self.target,
                                 mat_mul(self.matrix, first.matrix))
 
 
-def chain_image_vector(src: ChainComplex, dst: ChainComplex, vmap: dict[str, str],
-                       n: int, v: list[int]) -> list[int]:
-    out = [0] * len(dst.basis.get(n, []))
-    idx = dst.index.get(n, {})
-    for j, s in enumerate(src.basis.get(n, [])):
-        if v[j] == 0:
-            continue
+def push_chain(vmap: dict[str, str], chain: dict[Simplex, int],
+               dst: ChainComplex) -> dict[Simplex, int]:
+    """Image of a chain under a simplicial vertex map, as a chain of dst.
+
+    A simplex whose vertices collide maps to zero; the others carry the
+    sign of the permutation that sorts their image vertices.
+    """
+    out: dict[Simplex, int] = {}
+    for s, c in chain.items():
         imgs = [vmap[x] for x in s]
         if len(set(imgs)) != len(imgs):
             continue  # degenerate: collapses, contributes zero
-        order = sorted(range(len(imgs)), key=lambda i: imgs[i])
-        sign = 1
-        perm = list(order)
-        for a in range(len(perm)):
-            while perm[a] != a:
-                b = perm[a]
-                perm[a], perm[b] = perm[b], perm[a]
-                sign = -sign
-        t = tuple(imgs[i] for i in order)
-        if t not in idx:
+        t = tuple(sorted(imgs))
+        if t not in dst.index.get(len(t) - 1, {}):
             raise NotSimplicial(f"image of {sname(s)} is not a simplex")
-        out[idx[t]] += sign * v[j]
-    return out
+        # the sign of the sorting permutation is that of its inversions
+        inversions = sum(a > b for a, b in combinations(imgs, 2))
+        out[t] = out.get(t, 0) + (-1) ** inversions * c
+    return {t: c for t, c in out.items() if c}
 
 
 def class_map(src: HomologyData, dst: HomologyData,
               push) -> HomologyClassMap:
-    """The map of a chain map `push` (a chain vector of src's complex to
-    one of dst's) on homology, in the groups' coordinates."""
-    cols = [dst.coords_of_vector(push(src.generator_vector(j)))
+    """The map of a chain map `push` (a chain of src's complex to one of
+    dst's) on homology, in the groups' coordinates."""
+    cols = [dst.coords_of_chain(push(src.generator_chain(j)))
             for j in range(src.ngens())]
     matrix = [[cols[j][i] for j in range(len(cols))]
               for i in range(dst.ngens())]
@@ -492,7 +496,7 @@ def induced_map_on_vertices(K: Complex, L: Complex, vmap: dict[str, str],
     """H_n map induced by a simplicial vertex map K -> L."""
     src_cc, dst_cc = chain_complex(K), chain_complex(L)
     return class_map(HomologyData(src_cc, n), HomologyData(dst_cc, n),
-                     lambda v: chain_image_vector(src_cc, dst_cc, vmap, n, v))
+                     lambda z: push_chain(vmap, z, dst_cc))
 
 
 def induced_map(g, n: int) -> HomologyClassMap:
@@ -560,39 +564,15 @@ def verify_les(K: Complex, K_A) -> dict:
     HA = {n: HomologyData(cc_A, n) for n in range(-1, top + 1)}
     HX = {n: HomologyData(cc_X, n) for n in range(top + 1)}
     HR = {n: HomologyData(cc_rel, n) for n in range(top + 1)}
-    ident = {v: v for s in K.simplices for v in s}
 
     report = {"pair_groups": {}, "exact": True, "nodes": {}}
     maps_i, maps_j, maps_d = {}, {}, {}
     for n in range(top + 1):
-        maps_i[n] = class_map(HA[n], HX[n], lambda v, n=n:
-                              chain_image_vector(cc_A, cc_X, ident, n, v))
-
-        def proj(v, n=n):
-            out = [0] * len(cc_rel.basis.get(n, []))
-            idx = cc_rel.index.get(n, {})
-            for j, s in enumerate(cc_X.basis.get(n, [])):
-                if v[j] and s in idx:
-                    out[idx[s]] = v[j]
-            return out
-
-        maps_j[n] = class_map(HX[n], HR[n], proj)
-
-        def connect(v, n=n):
-            # lift rel cycle to X-chain, take boundary, read off in A
-            lift = [0] * len(cc_X.basis.get(n, []))
-            for j, s in enumerate(cc_rel.basis.get(n, [])):
-                if v[j]:
-                    lift[cc_X.index[n][s]] = v[j]
-            bnd = cc_X.boundary_of(n, lift)
-            out = [0] * len(cc_A.basis.get(n - 1, []))
-            idxA = cc_A.index.get(n - 1, {})
-            for i, s in enumerate(cc_X.basis.get(n - 1, [])):
-                if bnd[i]:
-                    out[idxA[s]] = bnd[i]
-            return out
-
-        maps_d[n] = class_map(HR[n], HA[n - 1], connect)
+        # on chains: i includes A, j drops A, d is the boundary in X
+        maps_i[n] = class_map(HA[n], HX[n], lambda z: z)
+        maps_j[n] = class_map(HX[n], HR[n], lambda z: {
+            s: c for s, c in z.items() if s not in members})
+        maps_d[n] = class_map(HR[n], HA[n - 1], cc_X.boundary_chain)
         report["pair_groups"][n] = (str(HA[n].group), str(HX[n].group),
                                     str(HR[n].group))
     for n in range(top + 1):

@@ -159,10 +159,13 @@ def emit_scxm(fine: Complex, images: dict[str, Point],
     return "\n".join(lines) + "\n"
 
 
-def load_scxm(text: str, check_disjoint: bool = False):
-    """SCX-M text -> (fine Complex, vertex images, carriers)."""
+def load_scxm(text: str):
+    """SCX-M text -> (fine Complex, vertex images, carriers).  The fine
+    complex is not checked for overlaps."""
     ambient, vertices, simplices, subcomplexes, images, carriers = parse_scx(text)
-    fine = validate(ambient, vertices, simplices, check_disjoint=check_disjoint)
+    if subcomplexes:
+        raise FormatError("subcomplex declarations in SCX-M input")
+    fine = validate(ambient, vertices, simplices, check_disjoint=False)
     images = {v: vec(p) for v, p in images.items()}
     return fine, images, carriers
 

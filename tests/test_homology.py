@@ -14,12 +14,15 @@ import plhtpy
 from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
 from plhtpy.complexes import proper_faces, simplex, validate
-from plhtpy.errors import NotClosed, NotSimplicial, NotSubcomplex
-from plhtpy.homology import (AbelianGroup, ChainComplex, HomologyData,
-                             chain_complex, euler_characteristic,
-                             fundamental_class, homology, identity_matrix,
-                             induced_map, induced_map_on_vertices,
-                             lattice_subset, mat_mul, relative_homology,
+from plhtpy import homology as hm
+from plhtpy.errors import (Incompatible, NotAChainComplex, NotClosed,
+                           NotSimplicial, NotSubcomplex)
+from plhtpy.homology import (AbelianGroup, ChainComplex, HomologyClassMap,
+                             HomologyData, chain_complex,
+                             euler_characteristic, fundamental_class,
+                             homology, identity_matrix, induced_map,
+                             induced_map_on_vertices, lattice_subset,
+                             mat_mul, push_chain, relative_homology,
                              smith_normal_form, unimodular_inverse,
                              verify_les)
 from conftest import make_deg2, make_rot
@@ -62,16 +65,63 @@ def test_lattice_subset():
 def test_chain_complex_shapes(corpus):
     torus7 = corpus["torus7"][0]
     cc = chain_complex(torus7)
-    assert len(cc.boundary[1]) == 7 and len(cc.boundary[1][0]) == 21
-    assert len(cc.boundary[2]) == 21 and len(cc.boundary[2][0]) == 14
-    prod = mat_mul(cc.boundary[1], cc.boundary[2])
+    D1, D2 = cc.matrix(1), cc.matrix(2)
+    assert len(D1) == 7 and len(D1[0]) == 21
+    assert len(D2) == 21 and len(D2[0]) == 14
+    prod = mat_mul(D1, D2)
     assert all(x == 0 for row in prod for x in row)
 
 
 def test_chain_complex_tri3_column_sums(tri3):
-    cc = chain_complex(tri3)
+    D = chain_complex(tri3).matrix(1)
     for j in range(3):
-        assert sum(cc.boundary[1][i][j] for i in range(3)) == 0
+        assert sum(D[i][j] for i in range(3)) == 0
+
+
+TRIANGLE = {0: [("a",), ("b",), ("c",)],
+            1: [("a", "b"), ("a", "c"), ("b", "c")],
+            2: [("a", "b", "c")]}
+
+
+def test_chain_complex_sparse_columns():
+    cc = ChainComplex(TRIANGLE)
+    assert cc.boundary[2] == [[(2, 1), (1, -1), (0, 1)]]
+    assert cc.boundary[0] == [[], [], []]
+    assert cc.boundary_chain({("a", "b", "c"): 1}) == {
+        ("b", "c"): 1, ("a", "c"): -1, ("a", "b"): 1}
+    assert cc.boundary_chain({("a", "b"): 1, ("b", "c"): 1,
+                              ("a", "c"): -1}) == {}
+
+
+def test_chain_complex_rejects_a_missing_edge():
+    for e in TRIANGLE[1]:
+        basis = {**TRIANGLE, 1: [f for f in TRIANGLE[1] if f != e]}
+        with pytest.raises(NotAChainComplex):
+            ChainComplex(basis)
+
+
+def test_homology_builds_no_dense_product(corpus, monkeypatch):
+    """Chain complexes, groups, exact sequences and induced maps read the
+    sparse boundary columns: none of them multiplies dense matrices."""
+    def refuse(A, B):
+        raise AssertionError("dense matrix product")
+
+    monkeypatch.setattr(hm, "mat_mul", refuse)
+    for name in ("disk", "s2", "torus7"):
+        K, subs = corpus[name]
+        w = sd.iterated_subdivision(K, 1)
+        cc = chain_complex(w.fine)
+        for n in range(-1, w.fine.dim() + 2):
+            HomologyData(cc, n)
+        A = subs.get("boundary")
+        members = ([t for t in w.fine.simplices if w.carrier[t] in A.members]
+                   if A else [(min(w.fine.vertex_ids()),)])
+        assert verify_les(w.fine, members)["exact"]
+        vmap = {v: min(w.carrier[(v,)]) for v in w.fine.vertex_ids()}
+        g = pm.simplicial_map(w.fine, K, vmap)
+        for n in range(w.fine.dim() + 1):
+            m = induced_map(g, n)
+            assert m.source == m.target == homology(K, n)
 
 
 def test_chain_complex_requires_closed():
@@ -134,6 +184,19 @@ def test_euler_characteristics(corpus):
         assert euler_characteristic(corpus[name][0]) == chi, name
 
 
+def dense_boundary(basis, n):
+    """Reference dense d_n: entry (-1)^i in the row of facet i of each
+    n-simplex's column, facets missing from basis[n-1] left out."""
+    lower = {s: i for i, s in enumerate(basis.get(n - 1, []))}
+    D = [[0] * len(basis.get(n, [])) for _ in lower]
+    for j, s in enumerate(basis.get(n, [])):
+        for drop in range(len(s)):
+            i = lower.get(s[:drop] + s[drop + 1:])
+            if i is not None:
+                D[i][j] = (-1) ** drop
+    return D
+
+
 def test_boundary_squares_to_zero_on_random_complexes():
     rng = random.Random(20260101)
     verts = {f"v{i}": tuple(1 if j == i else 0 for j in range(4))
@@ -153,10 +216,11 @@ def test_boundary_squares_to_zero_on_random_complexes():
         K = validate(4, verts, [list(s) for s in closed],
                      check_disjoint=False)
         cc = chain_complex(K)  # asserts boundary-of-boundary = 0
-        for n in sorted(cc.boundary):
-            if n - 1 in cc.boundary:
-                prod = mat_mul(cc.boundary[n - 1], cc.boundary[n])
-                assert all(x == 0 for row in prod for x in row)
+        for n in range(cc.dim + 2):
+            assert cc.matrix(n) == dense_boundary(cc.basis, n), n
+        for n in range(2, cc.dim + 1):
+            prod = mat_mul(cc.matrix(n - 1), cc.matrix(n))
+            assert all(x == 0 for row in prod for x in row)
 
 
 def test_induced_identity(tri3):
@@ -178,6 +242,41 @@ def test_induced_constant_is_zero(tri3):
 def test_induced_not_simplicial(rot):
     with pytest.raises(NotSimplicial):
         induced_map(rot, 1)
+
+
+def test_push_chain_signs_and_degeneracies(tri3):
+    cc = chain_complex(tri3)
+    swap = {"a": "b", "b": "a", "c": "c"}
+    assert push_chain(swap, {("a", "b"): 2, ("a", "c"): 1}, cc) == {
+        ("a", "b"): -2, ("b", "c"): 1}
+    flat = {"a": "a", "b": "a", "c": "c"}
+    assert push_chain(flat, {("a", "b"): 1, ("b", "c"): 1}, cc) == {
+        ("a", "c"): 1}
+    with pytest.raises(NotSimplicial):
+        push_chain({"a": "a", "b": "x", "c": "c"}, {("a", "b"): 1}, cc)
+
+
+def test_compose_requires_matching_groups():
+    to_z2 = HomologyClassMap(Z, Z_MOD2, [[1]])
+    to_z_z = HomologyClassMap(Z, Z2, [[1], [0]])
+    triple = HomologyClassMap(Z, Z, [[3]])
+    assert triple.compose(triple).matrix == [[9]]
+    with pytest.raises(Incompatible, match=r"from Z after a map into Z/2"):
+        triple.compose(to_z2)
+    with pytest.raises(Incompatible, match=r"from Z after a map into Z\^2"):
+        triple.compose(to_z_z)
+
+
+def test_coords_of_chain_rejects_non_basis_simplices(tri3, disk,
+                                                      disk_boundary):
+    H = HomologyData(chain_complex(tri3), 1)
+    with pytest.raises(NotSubcomplex):
+        H.coords_of_chain({("a", "x"): 1})
+    with pytest.raises(ValueError, match="not a cycle"):
+        H.coords_of_chain({("a", "b"): 1})
+    rel = HomologyData(chain_complex(disk, rel=disk_boundary), 1)
+    with pytest.raises(NotSubcomplex):
+        rel.coords_of_chain({("a", "b"): 1})
 
 
 def test_induced_functoriality(tri3):
@@ -265,20 +364,21 @@ def test_integer_homology_coordinates(lattice_spaces):
                 for j in range(m):
                     assert H.coords_of_chain(H.generator_chain(j)) == \
                         unit(j, m), (label, n, j)
-                D1 = cc.boundary.get(n + 1)
-                for col in zip(*D1) if D1 else ():
-                    assert H.coords_of_vector(list(col)) == (0,) * m
-                k = len(cc.basis.get(n, []))
-                Dn = cc.boundary.get(n) or []
-                moved = [j for j in range(k) if any(row[j] for row in Dn)]
+                for s in cc.basis.get(n + 1, []):
+                    assert H.coords_of_chain(
+                        cc.boundary_chain({s: 1})) == (0,) * m
+                moved = [s for s in cc.basis.get(n, [])
+                         if cc.boundary_chain({s: 1})]
                 if moved:
                     with pytest.raises(ValueError):
-                        H.coords_of_vector(list(unit(moved[0], k)))
+                        H.coords_of_chain({moved[0]: 1})
 
 
 def test_smith_normal_form_inverses_on_boundaries(lattice_spaces):
     for label, K, _ in lattice_spaces:
-        for n, D in chain_complex(K).boundary.items():
+        cc = chain_complex(K)
+        for n in range(1, cc.dim + 1):
+            D = cc.matrix(n)
             rows, cols = len(D), len(D[0])
             U, S, V, Uinv, Vinv = smith_normal_form(D)
             assert mat_mul(mat_mul(U, D), V) == S, (label, n)

@@ -244,6 +244,28 @@ def test_cli_verify_cert_without_steps_exit2(tmp_path, rot):
     assert "error: FormatError: plhtpy-cert/1: field 'steps' is empty" in out
 
 
+def test_cli_verify_cert_rejects_misplaced_scxm_lines(tmp_path, rot):
+    # a refinement is plain SCX without subcomplexes, and an SCX-M block
+    # names no subcomplex: a line out of place is an input error, never
+    # silently dropped
+    _, cert = pm.simplicial_approximation(rot)
+    for where, line, cause in [
+            (("refinement", "scx"), "image a 5 5",
+             "SCX-M declarations in plain SCX input"),
+            (("refinement", "scx"), "subcomplex junk a",
+             "subcomplex declarations in a refinement"),
+            (("from", "scxm"), "subcomplex junk a",
+             "subcomplex declarations in SCX-M input")]:
+        obj = certio.cert_to_obj(cert)
+        block = obj["steps"][0][where[0]]
+        block[where[1]] += line + "\n"
+        path = tmp_path / "misplaced.json"
+        path.write_text(certio.dumps(obj))
+        code, out = run_cli("verify-cert", str(path))
+        assert code == 2, where
+        assert f"error: FormatError: {cause}" in out
+
+
 CONTAINER_COMMANDS = {"map": "approximate", "homeo": "verify-normal",
                       "cert": "verify-cert"}
 CONTAINER_FIELDS = [
