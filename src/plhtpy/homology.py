@@ -13,14 +13,14 @@ maps (inclusion, projection, connecting map, simplicial push-forward) map
 dicts to dicts.  The dense boundary matrix is built only as the input of
 the Smith normal form.
 
-One Smith normal form kernel serves all of it.  It returns the unimodular
-transforms together with their inverses, so H_n needs no rational solve:
-the SNF U D_n V = S of the boundary map gives the cycles (the columns of V
-past the rank r) and, through V^-1, cycle coordinates (rows r.. of V^-1 v);
-a second SNF of the boundaries in those coordinates gives the group.  The
+One Smith normal form kernel serves all of it.  It keeps the column
+transform V and its inverse only, so H_n needs no rational solve: the SNF
+P D_n V = S of the boundary map gives the cycles (the columns of V past the
+rank r) and, through V^-1, cycle coordinates (rows r.. of V^-1 v).  The
 quotient of Z^k by a lattice of relations, with its coordinates and
 generators, is the class `AbelianQuotient`, shared with the abelianized
-fundamental group.
+fundamental group; it passes the relations as rows, so the row side it
+needs is the column side of the transpose.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from itertools import combinations
 from .complexes import Complex, Simplex, facets, sdim, sname
 from .errors import (Incompatible, InvalidGroup, NotAChainComplex,
                      NotClosed, NotSimplicial, NotSubcomplex)
+from .linalg import eliminate
 
 
 # ---------------------------------------------------------------------------
@@ -54,32 +55,24 @@ def mat_mul(A, B):
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-def transpose(A, m):
-    """Transpose of a matrix with m columns (m is needed when A has no rows)."""
-    return [[row[j] for row in A] for j in range(m)]
-
 def smith_normal_form(A):
-    """U @ A @ V = S with U, V unimodular and S in Smith normal form.
+    """P @ A @ V = S with P, V unimodular and S in Smith normal form.
 
-    Returns (U, S, V, Uinv, Vinv).  The inverses follow the inverse
-    elementary operations: a row operation on U is the opposite column
-    operation on Uinv, a column operation on V the opposite row operation
-    on Vinv.  Pivoting on the smallest nonzero entry keeps coefficient
-    growth in check; arbitrary-precision ints absorb the rest.
+    Returns (S, Vcols, Vinv): Vcols[j] is column j of V, and Vinv = V^-1
+    follows the inverse elementary operations (a column operation on V is
+    the opposite row operation on Vinv).  P is not kept: a caller that
+    needs the row side passes the transpose, as V^T A^T P^T = S^T.  Each
+    pivot is the first smallest nonzero entry of the remaining block.
     """
     S = [list(r) for r in A]
     n = len(S)
     m = len(S[0]) if n else 0
-    U = identity_matrix(n)
     Vinv = identity_matrix(m)
-    # kept transposed, so that their column operations act on rows
-    Uinv_t = identity_matrix(n)
+    # kept transposed, so that its column operations act on rows
     V_t = identity_matrix(m)
 
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
-        Uinv_t[i], Uinv_t[j] = Uinv_t[j], Uinv_t[i]
 
     def swap_cols(i, j):
         for r in S:
@@ -89,8 +82,6 @@ def smith_normal_form(A):
 
     def addmul_row(dst, src, c):
         S[dst] = [x + c * y for x, y in zip(S[dst], S[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
-        Uinv_t[src] = [x - c * y for x, y in zip(Uinv_t[src], Uinv_t[dst])]
 
     def addmul_col(dst, src, c):
         for r in S:
@@ -99,16 +90,16 @@ def smith_normal_form(A):
         Vinv[src] = [x - c * y for x, y in zip(Vinv[src], Vinv[dst])]
 
     def pivot(t):
-        """First entry of least absolute value in the block t.., if any."""
+        """First entry of least absolute value in the block t.., if any,
+        in row-major order; builtins scan each row, so zero rows are cheap."""
         best = None
         for i in range(t, n):
-            row = S[i]
-            for j in range(t, m):
-                x = abs(row[j])
-                if x and (best is None or x < best[0]):
-                    best = (x, i, j)
-                    if x == 1:      # nothing later is smaller
-                        return best
+            row = S[i][t:]
+            x = min(map(abs, filter(None, row)), default=0)
+            if x and (best is None or x < best[0]):
+                best = (x, i, t + list(map(abs, row)).index(x))
+                if x == 1:      # nothing later is smaller
+                    return best
         return best
 
     t = 0
@@ -148,10 +139,8 @@ def smith_normal_form(A):
                 continue
         if piv < 0:
             S[t] = [-x for x in S[t]]
-            U[t] = [-x for x in U[t]]
-            Uinv_t[t] = [-x for x in Uinv_t[t]]
         t += 1
-    return U, S, transpose(V_t, m), transpose(Uinv_t, n), Vinv
+    return S, V_t, Vinv
 
 def snf_rank(S):
     """Number of nonzero invariant factors of a Smith normal form."""
@@ -165,8 +154,8 @@ def kernel_basis(A):
         return []
     if n == 0:
         return identity_matrix(m)
-    _, S, V, _, _ = smith_normal_form(A)
-    return transpose(V, m)[snf_rank(S):]
+    S, Vcols, _ = smith_normal_form(A)
+    return Vcols[snf_rank(S):]
 
 def lattice_subset(gens_a, gens_b):
     """Is the lattice spanned by gens_a contained in the one spanned by
@@ -177,11 +166,16 @@ def lattice_subset(gens_a, gens_b):
     return not any(any(quotient.coords(g)) for g in gens_a)
 
 def unimodular_inverse(U):
-    """Inverse of a unimodular integer matrix: P U Q = I gives U^-1 = Q P."""
-    P, S, Q, _, _ = smith_normal_form(U)
-    if S != identity_matrix(len(U)):
+    """Inverse of a unimodular integer matrix: Gauss-Jordan elimination of
+    [U | I] ends at [d I | d U^-1] with d = +-det U = +-1."""
+    n = len(U)
+    if any(len(row) != n for row in U):
+        raise ValueError("matrix is not square")
+    m = [list(row) + e for row, e in zip(U, identity_matrix(n))]
+    pivots, d = eliminate(m, n)
+    if len(pivots) != n or abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    return mat_mul(Q, P)
+    return [[d * x for x in row[n:]] for row in m]
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +224,23 @@ class AbelianQuotient:
     """Z^k modulo the lattice spanned by `relations` (vectors of Z^k),
     with coordinates and generators from one Smith normal form.
 
-    With U R V = S for the relation matrix R, the class of x in Z^k has
-    SNF coordinates U x.  Coordinates with invariant factor 1 are dropped;
-    the rest are the group's: torsion ones (order d > 1) first, in
-    divisibility order, then free ones (order 0).  Generator j is the
-    matching column of U^-1.
+    With P R V = S for the relations as the rows of R, the class of x in
+    Z^k has SNF coordinates x V.  Coordinates with invariant factor 1 are
+    dropped; the rest are the group's: torsion ones (order d > 1) first,
+    in divisibility order, then free ones (order 0).  Generator j is the
+    matching row of V^-1.
     """
 
     def __init__(self, k: int, relations: list[list[int]]):
         if k and relations:
-            U, S, _, Uinv, _ = smith_normal_form(
-                [[rel[i] for rel in relations] for i in range(k)])
+            S, Vcols, Vinv = smith_normal_form(relations)
         else:
-            U, S, Uinv = identity_matrix(k), [], identity_matrix(k)
+            S, Vcols, Vinv = [], identity_matrix(k), identity_matrix(k)
         r = snf_rank(S)
         invs = [S[i][i] for i in range(r)] + [0] * (k - r)
-        self.U, self.Uinv = U, Uinv
         self.coord_idx = [i for i in range(k) if invs[i] != 1]
+        self.coord_cols = [Vcols[i] for i in self.coord_idx]
+        self.gen_rows = [Vinv[i] for i in self.coord_idx]
         self.orders = [invs[i] for i in self.coord_idx]
         self.group = AbelianGroup(self.orders.count(0),
                                   [d for d in self.orders if d])
@@ -261,20 +255,17 @@ class AbelianQuotient:
     def coords(self, x: list[int]) -> tuple[int, ...]:
         """Class of x in Z^k, in group coordinates."""
         support = [(j, v) for j, v in enumerate(x) if v]
-        return self.reduce([sum(self.U[i][j] * v for j, v in support)
-                            for i in self.coord_idx])
+        return self.reduce([sum(col[j] * v for j, v in support)
+                            for col in self.coord_cols])
 
     def generator(self, j: int) -> list[int]:
         """Vector of Z^k representing the j-th group generator."""
-        i = self.coord_idx[j]
-        return [row[i] for row in self.Uinv]
+        return list(self.gen_rows[j])
 
     def negate(self, j: int) -> None:
         """Replace the j-th generator by its negative."""
-        i = self.coord_idx[j]
-        self.U[i] = [-x for x in self.U[i]]
-        for row in self.Uinv:
-            row[i] = -row[i]
+        self.coord_cols[j] = [-x for x in self.coord_cols[j]]
+        self.gen_rows[j] = [-x for x in self.gen_rows[j]]
 
 
 class ChainComplex:
@@ -348,7 +339,7 @@ class HomologyData(AbelianQuotient):
     """H_n of a chain complex with explicit generators and coordinates.
 
     Computed over the integers from two Smith normal forms.  The SNF
-    U D_n V = S of rank r gives the cycle lattice Z_n: its basis is the
+    P D_n V = S of rank r gives the cycle lattice Z_n: its basis is the
     columns r.. of V, and a chain v has cycle coordinates rows r.. of
     V^-1 v (rows ..r vanish exactly when v is a cycle).  The boundaries,
     the sparse columns of d_{n+1}, are cycles; their cycle coordinates are
@@ -363,13 +354,13 @@ class HomologyData(AbelianQuotient):
         self.simplices = cc.basis.get(n, [])
         k = len(self.simplices)
         if k and n - 1 in cc.basis:
-            _, S, V, _, self.Vinv = smith_normal_form(cc.matrix(n))
+            S, Vcols, self.Vinv = smith_normal_form(cc.matrix(n))
             self.r = snf_rank(S)
         else:
-            V = self.Vinv = identity_matrix(k)
+            Vcols = self.Vinv = identity_matrix(k)
             self.r = 0
         # lattice basis of Z_n, one vector per cycle coordinate
-        self.cycles = transpose(V, k)[self.r:]
+        self.cycles = Vcols[self.r:]
         super().__init__(len(self.cycles),
                          [self._cycle_coords(col)[self.r:]
                           for col in cc.boundary.get(n + 1, [])])
@@ -541,14 +532,10 @@ def _exact_at(f: HomologyClassMap, g: HomologyClassMap) -> bool:
     """Exactness of  . --f--> G --g--> .  (image f = kernel g)."""
     kmid = f.target.rank + len(f.target.torsion)
     # image lattice: columns of f plus relations of the middle group
-    fcols = [[f.matrix[i][j] for i in range(kmid)]
-             for j in range(len(f.matrix[0]) if f.matrix else 0)]
-    im = fcols + relation_gens(f.target)
+    im = [list(col) for col in zip(*f.matrix)] + relation_gens(f.target)
     # kernel lattice: y with g y in relations of the end group
-    ktgt = g.target.rank + len(g.target.torsion)
     rel3 = relation_gens(g.target)
-    cols = [[g.matrix[i][j] for i in range(ktgt)] for j in range(kmid)] + rel3
-    A = [[cols[j][i] for j in range(len(cols))] for i in range(ktgt)]
+    A = [row + [rel[i] for rel in rel3] for i, row in enumerate(g.matrix)]
     ker_full = kernel_basis(A) if A else identity_matrix(kmid + len(rel3))
     ker = [k[:kmid] for k in ker_full]
     return lattice_subset(im, ker) and lattice_subset(ker, im)

@@ -161,11 +161,23 @@ def emit_scxm(fine: Complex, images: dict[str, Point],
 
 def load_scxm(text: str):
     """SCX-M text -> (fine Complex, vertex images, carriers).  The fine
-    complex is not checked for overlaps."""
+    complex is not checked for overlaps.  A vertex that no simplex uses,
+    or an image or carrier line for none of the fine complex, is a
+    FormatError naming its line, never silently dropped."""
     ambient, vertices, simplices, subcomplexes, images, carriers = parse_scx(text)
     if subcomplexes:
         raise FormatError("subcomplex declarations in SCX-M input")
     fine = validate(ambient, vertices, simplices, check_disjoint=False)
+    used = {v for s in fine.simplices for v in s}
+    stray = (vertices.keys() | images.keys()) - used
+    if stray or carriers.keys() - fine.simplices:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            kind, key = (raw.split("#", 1)[0].split() + ["", ""])[:2]
+            if (kind in ("vertex", "image") and key in stray
+                    or kind == "carrier"
+                    and parse_simplex_name(key) not in fine.simplices):
+                raise FormatError(
+                    f"line {lineno}: {raw.strip()!r}: not in the fine complex")
     images = {v: vec(p) for v, p in images.items()}
     return fine, images, carriers
 

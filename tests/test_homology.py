@@ -5,7 +5,8 @@ import random
 import subprocess
 import sys
 import textwrap
-from itertools import combinations
+from itertools import combinations, permutations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -17,8 +18,8 @@ from plhtpy.complexes import proper_faces, simplex, validate
 from plhtpy import homology as hm
 from plhtpy.errors import (Incompatible, NotAChainComplex, NotClosed,
                            NotSimplicial, NotSubcomplex)
-from plhtpy.homology import (AbelianGroup, ChainComplex, HomologyClassMap,
-                             HomologyData, chain_complex,
+from plhtpy.homology import (AbelianGroup, AbelianQuotient, ChainComplex,
+                             HomologyClassMap, HomologyData, chain_complex,
                              euler_characteristic, fundamental_class,
                              homology, identity_matrix, induced_map,
                              induced_map_on_vertices, lattice_subset,
@@ -33,20 +34,95 @@ ZERO = AbelianGroup(0)
 Z_MOD2 = AbelianGroup(0, (2,))
 
 
+def check_column_side(A, S, Vcols, Vinv):
+    """What a one-sided SNF P A V = S certifies without P: V V^-1 = I, S
+    is diagonal and nonnegative with the divisibility chain, and column i
+    of A V is divisible by d_i below the rank r and zero past it."""
+    rows, cols = len(A), len(Vcols)
+    V = [list(row) for row in zip(*Vcols)]
+    assert mat_mul(V, Vinv) == identity_matrix(cols)
+    assert all(S[i][j] == 0 for i in range(rows) for j in range(cols)
+               if i != j)
+    diag = [S[i][i] for i in range(min(rows, cols))]
+    assert all(d >= 0 for d in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    r = sum(1 for d in diag if d)
+    for i, col in enumerate(Vcols):
+        image = [sum(a * x for a, x in zip(row, col)) for row in A]
+        if i < r:
+            assert all(y % diag[i] == 0 for y in image), i
+        else:
+            assert not any(image), i
+    return diag
+
+
+def check_row_side(A, diag):
+    """The row side through the transpose: Z^rows modulo the columns of A
+    is the group of diag, every relation has zero coordinates and
+    generator j has coordinates e_j."""
+    Q = AbelianQuotient(len(A), [list(col) for col in zip(*A)])
+    r = sum(1 for d in diag if d)
+    assert Q.group == AbelianGroup(len(A) - r, [d for d in diag if d > 1])
+    m = Q.ngens()
+    assert all(not any(Q.coords(col)) for col in zip(*A))
+    for j in range(m):
+        assert Q.coords(Q.generator(j)) == unit(j, m), j
+
+
 def test_smith_normal_form_transforms():
     A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    U, S, V, Uinv, Vinv = smith_normal_form(A)
-    assert mat_mul(mat_mul(U, A), V) == S
-    assert mat_mul(U, Uinv) == identity_matrix(3)
-    assert mat_mul(V, Vinv) == identity_matrix(3)
-    diag = [S[i][i] for i in range(3)]
+    S, Vcols, Vinv = smith_normal_form(A)
+    diag = check_column_side(A, S, Vcols, Vinv)
     # frozen oracle: d1 = gcd of entries = 2, d1*d2 = gcd of 2x2 minors = 4,
     # d1*d2*d3 = |det A| = 624
     assert diag == [2, 2, 156]
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                assert S[i][j] == 0
+    check_row_side(A, diag)
+
+
+def brute_det(M):
+    """Determinant by the permutation expansion."""
+    total = 0
+    for perm in permutations(range(len(M))):
+        sign = (-1) ** sum(a > b for a, b in combinations(perm, 2))
+        term = sign
+        for i, j in enumerate(perm):
+            term *= M[i][j]
+        total += term
+    return total
+
+
+def minors_gcd(A, k):
+    """gcd of the k x k minors of A."""
+    g = 0
+    for rs in combinations(range(len(A)), k):
+        for cs in combinations(range(len(A[0])), k):
+            g = gcd(g, brute_det([[A[i][j] for j in cs] for i in rs]))
+    return g
+
+
+def test_smith_normal_form_matches_minor_gcds():
+    # d_1 ... d_k is the gcd of the k x k minors, on A and on its
+    # transpose: an oracle for the row side the kernel no longer returns
+    rng = random.Random(20141)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        A = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        for M in (A, [list(col) for col in zip(*A)]):
+            S, Vcols, Vinv = smith_normal_form(M)
+            diag = check_column_side(M, S, Vcols, Vinv)
+            check_row_side(M, diag)
+            prod = 1
+            for k, d in enumerate(diag, 1):
+                prod *= d
+                assert prod == minors_gcd(M, k), (M, k)
+
+
+def test_unimodular_inverse_rejects_non_unimodular_matrices():
+    assert unimodular_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    assert unimodular_inverse([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]
+    for M in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[1, 0]]):
+        with pytest.raises(ValueError):
+            unimodular_inverse(M)
 
 
 def test_lattice_subset():
@@ -379,18 +455,11 @@ def test_smith_normal_form_inverses_on_boundaries(lattice_spaces):
         cc = chain_complex(K)
         for n in range(1, cc.dim + 1):
             D = cc.matrix(n)
-            rows, cols = len(D), len(D[0])
-            U, S, V, Uinv, Vinv = smith_normal_form(D)
-            assert mat_mul(mat_mul(U, D), V) == S, (label, n)
-            assert mat_mul(U, Uinv) == identity_matrix(rows), (label, n)
-            assert mat_mul(V, Vinv) == identity_matrix(cols), (label, n)
-            assert mat_mul(unimodular_inverse(U), U) == identity_matrix(rows)
-            diag = [S[i][i] for i in range(min(rows, cols))]
-            assert all(S[i][j] == 0 for i in range(rows) for j in range(cols)
-                       if i != j)
-            assert all(d >= 0 for d in diag)
-            assert all(b % a == 0 if a else b == 0
-                       for a, b in zip(diag, diag[1:]))
+            S, Vcols, Vinv = smith_normal_form(D)
+            diag = check_column_side(D, S, Vcols, Vinv)
+            check_row_side(D, diag)
+            V = [list(row) for row in zip(*Vcols)]
+            assert unimodular_inverse(V) == Vinv, (label, n)
 
 
 def test_validation_survives_python_O():

@@ -266,6 +266,21 @@ def test_cli_verify_cert_rejects_misplaced_scxm_lines(tmp_path, rot):
         assert f"error: FormatError: {cause}" in out
 
 
+@pytest.mark.parametrize("line", [
+    "image zzz 0 0", "carrier zzz -> a", "vertex zzz 7 7"])
+def test_cli_verify_cert_rejects_stray_scxm_lines(tmp_path, rot, line):
+    # an SCX-M line about no vertex or simplex of the fine complex is an
+    # input error naming the line, never silently dropped
+    _, cert = pm.simplicial_approximation(rot)
+    obj = certio.cert_to_obj(cert)
+    obj["steps"][0]["from"]["scxm"] += line + "\n"
+    path = tmp_path / "stray.json"
+    path.write_text(certio.dumps(obj))
+    code, out = run_cli("verify-cert", str(path))
+    assert code == 2
+    assert f"'{line}': not in the fine complex" in out
+
+
 CONTAINER_COMMANDS = {"map": "approximate", "homeo": "verify-normal",
                       "cert": "verify-cert"}
 CONTAINER_FIELDS = [
