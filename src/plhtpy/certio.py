@@ -6,6 +6,12 @@ the domain-subdivision carrier lines.  Certificates bundle the shared
 domain and codomain once plus one entry per straight-line step.  All
 emission is canonical (sorted keys, sorted lines), so files and their
 digests are byte-stable.
+
+Loading a container parses and validates each distinct complex block
+once: blocks with equal `ambient`, `vertex` and `simplex` declarations
+share one `Complex` (and the frames built on it) within that file, and a
+codomain with the domain's text is the domain.  The intern table lives
+for one call of a loader; nothing is shared across files.
 """
 
 from __future__ import annotations
@@ -74,10 +80,11 @@ def _map_entry(f: PLMap) -> dict:
             "witness": _carrier_lines(f.dom_subdivision.carrier)}
 
 
-def _load_entry(entry: dict, fmt: str, domain: Complex):
+def _load_entry(entry: dict, fmt: str, domain: Complex, blocks: dict):
     """(domain witness, vertex images, target carriers) of a map entry,
     with an image for every vertex of a fine simplex."""
-    fine, images, carriers = scx.load_scxm(_field(entry, "scxm", fmt))
+    fine, images, carriers = scx.load_scxm(_field(entry, "scxm", fmt),
+                                           blocks)
     missing = sorted({v for s in fine.simplices for v in s} - images.keys())
     if missing:
         raise FormatError(f"no image line for fine vertex {missing[0]}")
@@ -86,8 +93,23 @@ def _load_entry(entry: dict, fmt: str, domain: Complex):
 
 
 def _load_map_entry(entry: dict, fmt: str, domain: Complex,
-                    codomain: Complex) -> PLMap:
-    return PLMap(domain, codomain, *_load_entry(entry, fmt, domain))
+                    codomain: Complex, blocks: dict) -> PLMap:
+    return PLMap(domain, codomain, *_load_entry(entry, fmt, domain, blocks))
+
+
+def _load_spaces(obj: dict, fmt: str, blocks: dict):
+    """(domain, its named subcomplexes, codomain) of a map or certificate.
+    A domain overlap lets a map take two values at a point, so the domain
+    is checked for one; the codomain may overlap, as every image is
+    proved inside a closed carrier simplex."""
+    text = _field(obj, "domain", fmt)
+    domain, subs = scx.load_complex(text, blocks=blocks)
+    cotext = _field(obj, "codomain", fmt)
+    if cotext == text:
+        return domain, subs, domain
+    codomain, _ = scx.load_complex(cotext, check_disjoint=False,
+                                   blocks=blocks)
+    return domain, subs, codomain
 
 
 def map_to_obj(f: PLMap, domain_subcomplexes: dict | None = None) -> dict:
@@ -101,11 +123,9 @@ def map_to_obj(f: PLMap, domain_subcomplexes: dict | None = None) -> dict:
 def map_from_obj(obj: dict):
     """File object -> (PLMap, named subcomplexes of the domain)."""
     _expect(obj, MAP_FORMAT)
-    domain, subs = scx.load_complex(_field(obj, "domain", MAP_FORMAT))
-    # codomain unchecked, as in `cert_from_obj`
-    codomain, _ = scx.load_complex(_field(obj, "codomain", MAP_FORMAT),
-                                   check_disjoint=False)
-    return _load_map_entry(obj, MAP_FORMAT, domain, codomain), subs
+    blocks = {}
+    domain, subs, codomain = _load_spaces(obj, MAP_FORMAT, blocks)
+    return _load_map_entry(obj, MAP_FORMAT, domain, codomain, blocks), subs
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +139,10 @@ def homeo_to_obj(phi: PLMap) -> dict:
 
 def homeo_from_obj(obj: dict) -> PLMap:
     _expect(obj, HOMEO_FORMAT)
-    coarse, _ = scx.load_complex(_field(obj, "complex", HOMEO_FORMAT))
-    return PLHomeo(*_load_entry(obj, HOMEO_FORMAT, coarse))
+    blocks = {}
+    coarse, _ = scx.load_complex(_field(obj, "complex", HOMEO_FORMAT),
+                                 blocks=blocks)
+    return PLHomeo(*_load_entry(obj, HOMEO_FORMAT, coarse, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -149,21 +171,19 @@ def cert_to_obj(cert: HomotopyCertificate) -> dict:
 def cert_from_obj(obj: dict) -> HomotopyCertificate:
     fmt = CERT_FORMAT
     _expect(obj, fmt)
-    # A domain overlap lets f take two values at a point; the codomain may
-    # overlap, as each straight-line step stays in a checked closed carrier.
-    domain, _ = scx.load_complex(_field(obj, "domain", fmt))
-    codomain, _ = scx.load_complex(_field(obj, "codomain", fmt),
-                                   check_disjoint=False)
+    blocks = {}
+    domain, _, codomain = _load_spaces(obj, fmt, blocks)
     entries = _field(obj, "steps", fmt, list, dict)
     if not entries:
         raise FormatError(f"{fmt}: field 'steps' is empty")
     steps = []
     for entry in entries:
         frm, to = (_load_map_entry(_field(entry, key, fmt, dict), fmt,
-                                   domain, codomain) for key in ("from", "to"))
+                                   domain, codomain, blocks)
+                   for key in ("from", "to"))
         refinement = _field(entry, "refinement", fmt, dict)
         rfine, subs = scx.load_complex(_field(refinement, "scx", fmt),
-                                       check_disjoint=False)
+                                       check_disjoint=False, blocks=blocks)
         if subs:
             raise FormatError("subcomplex declarations in a refinement")
         ref = SubdivisionWitness(

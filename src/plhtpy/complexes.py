@@ -114,12 +114,13 @@ class Complex:
         return len(self.simplices)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Complex)
-                and self.ambient_dim == other.ambient_dim
-                and self.simplices == other.simplices
-                and all(v in self.vertices and v in other.vertices
-                        and self.vertices[v] == other.vertices[v]
-                        for s in self.simplices for v in s))
+        return self is other or (
+            isinstance(other, Complex)
+            and self.ambient_dim == other.ambient_dim
+            and self.simplices == other.simplices
+            and all(v in self.vertices and v in other.vertices
+                    and self.vertices[v] == other.vertices[v]
+                    for s in self.simplices for v in s))
 
     def __hash__(self):
         return hash((self.ambient_dim, self.simplices))

@@ -26,6 +26,7 @@ needs is the column side of the transpose.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add, sub
 
 from .complexes import Complex, Simplex, facets, sdim, sname
 from .errors import (Incompatible, InvalidGroup, NotAChainComplex,
@@ -362,11 +363,26 @@ class HomologyData(AbelianQuotient):
         # lattice basis of Z_n, one vector per cycle coordinate
         self.cycles = Vcols[self.r:]
         super().__init__(len(self.cycles),
-                         [self._cycle_coords(col)[self.r:]
-                          for col in cc.boundary.get(n + 1, [])])
+                         self._relations(cc.boundary.get(n + 1, [])))
         for j in range(self.ngens()):
             if next(iter(self.generator_chain(j).values()), 0) < 0:
                 self.negate(j)
+
+    def _relations(self, columns) -> list[list[int]]:
+        """Cycle coordinates, rows r.. of V^-1 v, of the sparse columns v
+        of d_{n+1}: each adds or subtracts (the entries are +-1) the few
+        columns of V^-1 that v meets.  Rows ..r are not computed; they
+        vanish, as boundaries are cycles (`ChainComplex` checks dd = 0
+        column by column)."""
+        low = self.Vinv[self.r:]
+        cols = list(zip(*low)) if low else [()] * len(self.simplices)
+        relations = []
+        for support in columns:
+            y = [0] * len(low)
+            for j, x in support:
+                y = list(map(add if x > 0 else sub, y, cols[j]))
+            relations.append(y)
+        return relations
 
     def _cycle_coords(self, support) -> list[int]:
         """Rows of V^-1 v, v given by its (index, entry) pairs: zero up to

@@ -321,6 +321,12 @@ def verify_certificate(cert: HomotopyCertificate):
     leaves out a face of a host can put the vertex on that face, where the
     host's affine extension need not agree with the map, so there the
     images are evaluated once per vertex and host.
+
+    A certificate from `certio.cert_from_obj` shares one Complex per
+    distinct block, so frames built while loading are reused here: with
+    the domain's text, the codomain frames `PLMap._check` builds are the
+    domain frames `verify_subdivision` reads and the carrier frames of the
+    image check, and equal fine complexes compare by identity.
     """
     if not cert.steps:
         return False, [(0, None, "certificate has no steps")]

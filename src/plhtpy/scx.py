@@ -122,12 +122,33 @@ def parse_scx(text: str):
     return ambient, vertices, simplices, subcomplexes, images, carriers
 
 
-def load_complex(text: str, check_disjoint: bool = True):
-    """SCX text -> (Complex, named subcomplexes)."""
+def _complex(ambient: int, vertices: dict, simplices: list,
+             check_disjoint: bool, blocks: dict | None) -> Complex:
+    """`validate` on parsed declarations, or the Complex that `blocks` holds
+    for equal `ambient`, `vertex` and `simplex` declarations (in declaration
+    order), so that equal blocks of one file share one object and its
+    frames.  A block that needs the disjointness check reuses only a
+    Complex that passed it."""
+    if blocks is None:
+        return validate(ambient, vertices, simplices,
+                        check_disjoint=check_disjoint)
+    key = (ambient, tuple(vertices.items()), tuple(map(tuple, simplices)))
+    hit = blocks.get(key)
+    if hit is None or check_disjoint and not hit[1]:
+        hit = blocks[key] = (validate(ambient, vertices, simplices,
+                                      check_disjoint=check_disjoint),
+                             check_disjoint)
+    return hit[0]
+
+
+def load_complex(text: str, check_disjoint: bool = True,
+                 blocks: dict | None = None):
+    """SCX text -> (Complex, named subcomplexes).  `blocks` is the intern
+    table of the file being loaded (see `_complex`)."""
     ambient, vertices, simplices, subcomplexes, images, carriers = parse_scx(text)
     if images or carriers:
         raise FormatError("SCX-M declarations in plain SCX input")
-    K = validate(ambient, vertices, simplices, check_disjoint=check_disjoint)
+    K = _complex(ambient, vertices, simplices, check_disjoint, blocks)
     subs = {name: K.subcomplex(members) for name, members in subcomplexes.items()}
     return K, subs
 
@@ -159,15 +180,16 @@ def emit_scxm(fine: Complex, images: dict[str, Point],
     return "\n".join(lines) + "\n"
 
 
-def load_scxm(text: str):
+def load_scxm(text: str, blocks: dict | None = None):
     """SCX-M text -> (fine Complex, vertex images, carriers).  The fine
-    complex is not checked for overlaps.  A vertex that no simplex uses,
-    or an image or carrier line for none of the fine complex, is a
-    FormatError naming its line, never silently dropped."""
+    complex is not checked for overlaps; `blocks` is as in `load_complex`.
+    A vertex that no simplex uses, or an image or carrier line for none of
+    the fine complex, is a FormatError naming its line, never silently
+    dropped."""
     ambient, vertices, simplices, subcomplexes, images, carriers = parse_scx(text)
     if subcomplexes:
         raise FormatError("subcomplex declarations in SCX-M input")
-    fine = validate(ambient, vertices, simplices, check_disjoint=False)
+    fine = _complex(ambient, vertices, simplices, False, blocks)
     used = {v for s in fine.simplices for v in s}
     stray = (vertices.keys() | images.keys()) - used
     if stray or carriers.keys() - fine.simplices:

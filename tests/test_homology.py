@@ -450,6 +450,19 @@ def test_integer_homology_coordinates(lattice_spaces):
                         H.coords_of_chain({moved[0]: 1})
 
 
+def test_relations_match_the_row_by_row_cycle_coordinates(lattice_spaces):
+    # the relations sum columns of V^-1 and skip rows ..r; the row-by-row
+    # products of `_cycle_coords` are the reference
+    for label, K, subs in lattice_spaces:
+        for cc in [chain_complex(K)] + [chain_complex(K, rel=m)
+                                        for m in subs.values()]:
+            for n in range(K.dim() + 1):
+                H = HomologyData(cc, n)
+                cols = cc.boundary.get(n + 1, [])
+                assert H._relations(cols) == \
+                    [H._cycle_coords(col)[H.r:] for col in cols], (label, n)
+
+
 def test_smith_normal_form_inverses_on_boundaries(lattice_spaces):
     for label, K, _ in lattice_spaces:
         cc = chain_complex(K)

@@ -16,7 +16,7 @@ from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
 from plhtpy.cli import main
 from plhtpy.complexes import validate
-from plhtpy.errors import FormatError
+from plhtpy.errors import FormatError, OverlappingSimplices
 from plhtpy.homology import euler_characteristic
 from test_cylinders import wall_homotopy
 
@@ -279,6 +279,81 @@ def test_cli_verify_cert_rejects_stray_scxm_lines(tmp_path, rot, line):
     code, out = run_cli("verify-cert", str(path))
     assert code == 2
     assert f"'{line}': not in the fine complex" in out
+
+
+# ---------------------------------------------------------------------------
+# One Complex per distinct block
+# ---------------------------------------------------------------------------
+
+def test_loaders_share_one_complex_per_distinct_block(rot):
+    _, cert = pm.simplicial_approximation(rot)
+    loaded = certio.cert_from_obj(certio.cert_to_obj(cert))
+    assert loaded.initial.domain is loaded.initial.codomain
+    for step in loaded.steps:
+        assert step.frm.fine is step.to.fine is step.refinement.coarse
+        assert step.frm.domain is loaded.initial.domain
+    f, _ = certio.map_from_obj(certio.map_to_obj(rot))
+    assert f.domain is f.codomain
+    phi = certio.homeo_from_obj(certio.homeo_to_obj(sd.identity_homeo(
+        rot.domain)))
+    assert phi.fine is phi.domain is phi.codomain
+
+
+def test_a_checked_block_reuses_only_a_checked_complex():
+    text = scx.emit_scx(overlapping_domain())
+    blocks = {}
+    K, _ = scx.load_complex(text, check_disjoint=False, blocks=blocks)
+    assert scx.load_complex(text, check_disjoint=False, blocks=blocks)[0] is K
+    with pytest.raises(OverlappingSimplices):
+        scx.load_complex(text, blocks=blocks)
+
+
+def test_cli_verify_cert_tells_a_moved_fine_vertex_apart(tmp_path, rot):
+    # the from and to blocks differ in one coordinate only: two fine
+    # complexes, not one shared
+    _, cert = pm.simplicial_approximation(rot)
+    obj = certio.cert_to_obj(cert)
+    block = obj["steps"][0]["to"]
+    assert "vertex a.b^bary 1/2 0\n" in block["scxm"]
+    block["scxm"] = block["scxm"].replace("vertex a.b^bary 1/2 0\n",
+                                          "vertex a.b^bary 1/3 0\n")
+    path = tmp_path / "moved.json"
+    certio.save(str(path), obj)
+    code, out = run_cli("verify-cert", str(path))
+    assert code == 1
+    assert ("witness_cert_valid: step 0 simplex -: domain subdivision "
+            "mismatch") in out
+
+
+def test_cli_verify_cert_loads_a_codomain_with_an_overlap(tmp_path, rot):
+    # a codomain text that differs from the domain's by an overlapping
+    # vertex is its own block, loaded without the disjointness check
+    _, cert = pm.simplicial_approximation(rot)
+    obj = certio.cert_to_obj(cert)
+    obj["codomain"] += "vertex d 1/4 1/4\nsimplex d\n"
+    f = certio.cert_from_obj(obj).initial
+    assert ("d",) in f.codomain and ("d",) not in f.domain
+    path = tmp_path / "codomain.json"
+    certio.save(str(path), obj)
+    code, out = run_cli("verify-cert", str(path))
+    assert code == 0
+    assert "check_cert_valid: pass" in out
+
+
+def test_cli_verify_cert_rejects_an_overlapping_domain_as_codomain(tmp_path):
+    # the codomain text equals the domain's, so the codomain is the checked
+    # domain, and the overlap is still an input error
+    K = overlapping_domain()
+    f = pm.PLMap(K, K, sd.identity_witness(K), dict(K.vertices),
+                 {s: s for s in K.simplices})
+    obj = certio.cert_to_obj(pm.straight_line_homotopy(f, f))
+    assert obj["domain"] == obj["codomain"]
+    path = tmp_path / "overlap.json"
+    certio.save(str(path), obj)
+    code, out = run_cli("verify-cert", str(path))
+    assert code == 2
+    assert ("error: OverlappingSimplices: open simplices a-b-c and d "
+            "intersect") in out
 
 
 CONTAINER_COMMANDS = {"map": "approximate", "homeo": "verify-normal",

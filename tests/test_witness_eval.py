@@ -126,28 +126,23 @@ def test_wrong_refinement_carrier_rejected_before_evaluation(rot, monkeypatch):
 
 
 def test_verifier_reads_each_refinement_vertex_once(rot, monkeypatch):
-    """As in verify-cert, the two maps of a step come on separate fine
-    complexes; the images are read in the refinement's frames, one set of
+    """As in verify-cert, the two maps of a step come from separate blocks
+    with equal declarations, loaded as one fine complex, the refinement's
+    base; the images are read in the refinement's frames, one set of
     coordinates per refinement vertex."""
     _, cert = pm.simplicial_approximation(rot)
     cert = certio.cert_from_obj(certio.cert_to_obj(cert))
     step = cert.steps[0]
-    framed, read = [], []
-    frame, coords = Complex.frame, linalg.AffineFrame.coords
-
-    def counted_frame(K, s):
-        framed.append(K)
-        return frame(K, s)
+    read = []
+    coords = linalg.AffineFrame.coords
 
     def counted_coords(fr, x):
         read.append(fr)
         return coords(fr, x)
-    monkeypatch.setattr(Complex, "frame", counted_frame)
     monkeypatch.setattr(linalg.AffineFrame, "coords", counted_coords)
     assert pm.verify_certificate(cert) == (True, [])
-    assert not any(K is step.to.fine for K in framed)
     ref = step.refinement
-    assert ref.coarse is step.frm.fine
+    assert step.to.fine is step.frm.fine is ref.coarse
     ref_frames = {id(ref.coarse.frame(t)) for t in ref.coarse.simplices}
     vertices = [t for t in ref.fine.simplices if len(t) == 1]
     assert 0 < sum(id(fr) in ref_frames for fr in read) <= len(vertices)
