@@ -80,21 +80,37 @@ def _map_entry(f: PLMap) -> dict:
             "witness": _carrier_lines(f.dom_subdivision.carrier)}
 
 
-def _load_entry(entry: dict, fmt: str, domain: Complex, blocks: dict):
+def _check_ambient(fine: Complex, domain: Complex, what: str) -> None:
+    if fine.ambient_dim != domain.ambient_dim:
+        raise FormatError(f"{what} has ambient {fine.ambient_dim}, "
+                          f"but the domain has ambient {domain.ambient_dim}")
+
+
+def _load_entry(entry: dict, fmt: str, domain: Complex, codomain: Complex,
+                blocks: dict):
     """(domain witness, vertex images, target carriers) of a map entry,
-    with an image for every vertex of a fine simplex."""
+    with an image in the codomain's ambient space for every vertex of a
+    fine simplex."""
     fine, images, carriers = scx.load_scxm(_field(entry, "scxm", fmt),
                                            blocks)
+    _check_ambient(fine, domain, "fine complex")
     missing = sorted({v for s in fine.simplices for v in s} - images.keys())
     if missing:
         raise FormatError(f"no image line for fine vertex {missing[0]}")
+    wrong = sorted(v for v, p in images.items()
+                   if len(p) != codomain.ambient_dim)
+    if wrong:
+        raise FormatError(
+            f"image of fine vertex {wrong[0]} has {len(images[wrong[0]])} "
+            f"coordinates, but the codomain has ambient {codomain.ambient_dim}")
     carrier = _parse_carrier_lines(entry, "witness", fmt)
     return SubdivisionWitness(fine, domain, carrier), images, carriers
 
 
 def _load_map_entry(entry: dict, fmt: str, domain: Complex,
                     codomain: Complex, blocks: dict) -> PLMap:
-    return PLMap(domain, codomain, *_load_entry(entry, fmt, domain, blocks))
+    return PLMap(domain, codomain,
+                 *_load_entry(entry, fmt, domain, codomain, blocks))
 
 
 def _load_spaces(obj: dict, fmt: str, blocks: dict):
@@ -142,7 +158,7 @@ def homeo_from_obj(obj: dict) -> PLMap:
     blocks = {}
     coarse, _ = scx.load_complex(_field(obj, "complex", HOMEO_FORMAT),
                                  blocks=blocks)
-    return PLHomeo(*_load_entry(obj, HOMEO_FORMAT, coarse, blocks))
+    return PLHomeo(*_load_entry(obj, HOMEO_FORMAT, coarse, coarse, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +202,7 @@ def cert_from_obj(obj: dict) -> HomotopyCertificate:
                                        check_disjoint=False, blocks=blocks)
         if subs:
             raise FormatError("subcomplex declarations in a refinement")
+        _check_ambient(rfine, domain, "refinement")
         ref = SubdivisionWitness(
             rfine, frm.fine, _parse_carrier_lines(refinement, "witness", fmt))
         steps.append(HomotopyStep(

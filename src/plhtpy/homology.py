@@ -13,14 +13,17 @@ maps (inclusion, projection, connecting map, simplicial push-forward) map
 dicts to dicts.  The dense boundary matrix is built only as the input of
 the Smith normal form.
 
-One Smith normal form kernel serves all of it.  It keeps the column
-transform V and its inverse only, so H_n needs no rational solve: the SNF
-P D_n V = S of the boundary map gives the cycles (the columns of V past the
-rank r) and, through V^-1, cycle coordinates (rows r.. of V^-1 v).  The
-quotient of Z^k by a lattice of relations, with its coordinates and
-generators, is the class `AbelianQuotient`, shared with the abelianized
-fundamental group; it passes the relations as rows, so the row side it
-needs is the column side of the transpose.
+One Smith normal form kernel serves all of it, empty matrices included.
+Each pivot is the least entry of the remaining block, searched again after
+any nonzero remainder, so |pivot| falls and the kernel ends on dense input
+too; entry growth has no proven bound (a modular SNF is future work).  It
+keeps the column transform V and its inverse only, so H_n needs no rational
+solve: the SNF P D_n V = S of the boundary map gives the cycles (the
+columns of V past the rank r) and, through V^-1, cycle coordinates (rows
+r.. of V^-1 v).  The quotient of Z^k by a lattice of relations, with its
+coordinates and generators, is the class `AbelianQuotient`, shared with the
+abelianized fundamental group; it passes the relations as rows, so the row
+side it needs is the column side of the transpose.
 """
 
 from __future__ import annotations
@@ -54,32 +57,38 @@ def mat_mul(A, B):
     return out
 
 def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # zero rows by list repetition, then the diagonal: every Smith normal
+    # form starts from two of these, empty matrices included
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
-def smith_normal_form(A):
+def smith_normal_form(A, ncols=0):
     """P @ A @ V = S with P, V unimodular and S in Smith normal form.
 
     Returns (S, Vcols, Vinv): Vcols[j] is column j of V, and Vinv = V^-1
     follows the inverse elementary operations (a column operation on V is
     the opposite row operation on Vinv).  P is not kept: a caller that
-    needs the row side passes the transpose, as V^T A^T P^T = S^T.  Each
-    pivot is the first smallest nonzero entry of the remaining block.
+    needs the row side passes the transpose, as V^T A^T P^T = S^T.  A has
+    `ncols` columns when it has no rows; then V is the identity.
+
+    Step t moves the first entry of least absolute value in the block t..
+    to (t, t) and reduces column t and row t by it once.  A nonzero
+    remainder is smaller than the pivot, and the step restarts with the
+    pivot search; when an entry of the block is not divisible by the
+    pivot, the step adds that entry's row to row t and restarts too.
+    |pivot| strictly decreases at least every second restart of a step, so
+    the loop ends.  No bound on the growth of the other entries is proved;
+    a modular SNF (Kannan and Bachem, SIAM J. Comput. 8, 1979) would give
+    one, and is future work.
     """
     S = [list(r) for r in A]
     n = len(S)
-    m = len(S[0]) if n else 0
+    m = len(S[0]) if n else ncols
     Vinv = identity_matrix(m)
     # kept transposed, so that its column operations act on rows
     V_t = identity_matrix(m)
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-
-    def swap_cols(i, j):
-        for r in S:
-            r[i], r[j] = r[j], r[i]
-        V_t[i], V_t[j] = V_t[j], V_t[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def addmul_row(dst, src, c):
         S[dst] = [x + c * y for x, y in zip(S[dst], S[src])]
@@ -109,29 +118,22 @@ def smith_normal_form(A):
         if best is None:
             break
         _, bi, bj = best
-        swap_rows(t, bi)
-        swap_cols(t, bj)
-        while True:
-            dirty = False
-            for i in range(t + 1, n):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    addmul_row(i, t, -q)
-                    if S[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, m):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    addmul_col(j, t, -q)
-                    if S[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
+        S[t], S[bi] = S[bi], S[t]
+        for r in S:
+            r[t], r[bj] = r[bj], r[t]
+        V_t[t], V_t[bj] = V_t[bj], V_t[t]
+        Vinv[t], Vinv[bj] = Vinv[bj], Vinv[t]
+        piv = S[t][t]
+        for i in range(t + 1, n):
+            if S[i][t]:
+                addmul_row(i, t, -(S[i][t] // piv))
+        for j in range(t + 1, m):
+            if S[t][j]:
+                addmul_col(j, t, -(S[t][j] // piv))
+        if any(S[i][t] for i in range(t + 1, n)) or any(S[t][t + 1:]):
+            continue
         # enforce divisibility of the rest of the block by the pivot (a
         # unit pivot divides everything)
-        piv = S[t][t]
         if abs(piv) > 1:
             offender = next((i for i in range(t + 1, n)
                              for j in range(t + 1, m) if S[i][j] % piv), None)
@@ -147,15 +149,10 @@ def snf_rank(S):
     """Number of nonzero invariant factors of a Smith normal form."""
     return sum(1 for i in range(min(len(S), len(S[0]) if S else 0)) if S[i][i])
 
-def kernel_basis(A):
-    """Lattice basis of {x : A x = 0} (columns of V past the SNF rank)."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    if m == 0:
-        return []
-    if n == 0:
-        return identity_matrix(m)
-    S, Vcols, _ = smith_normal_form(A)
+def kernel_basis(A, ncols=0):
+    """Lattice basis of {x : A x = 0} (columns of V past the SNF rank); A
+    has `ncols` columns when it has no rows."""
+    S, Vcols, _ = smith_normal_form(A, ncols)
     return Vcols[snf_rank(S):]
 
 def lattice_subset(gens_a, gens_b):
@@ -233,10 +230,7 @@ class AbelianQuotient:
     """
 
     def __init__(self, k: int, relations: list[list[int]]):
-        if k and relations:
-            S, Vcols, Vinv = smith_normal_form(relations)
-        else:
-            S, Vcols, Vinv = [], identity_matrix(k), identity_matrix(k)
+        S, Vcols, Vinv = smith_normal_form(relations, k)
         r = snf_rank(S)
         invs = [S[i][i] for i in range(r)] + [0] * (k - r)
         self.coord_idx = [i for i in range(k) if invs[i] != 1]
@@ -354,12 +348,8 @@ class HomologyData(AbelianQuotient):
         self.n = n
         self.simplices = cc.basis.get(n, [])
         k = len(self.simplices)
-        if k and n - 1 in cc.basis:
-            S, Vcols, self.Vinv = smith_normal_form(cc.matrix(n))
-            self.r = snf_rank(S)
-        else:
-            Vcols = self.Vinv = identity_matrix(k)
-            self.r = 0
+        S, Vcols, self.Vinv = smith_normal_form(cc.matrix(n), k)
+        self.r = snf_rank(S)
         # lattice basis of Z_n, one vector per cycle coordinate
         self.cycles = Vcols[self.r:]
         super().__init__(len(self.cycles),
@@ -552,8 +542,7 @@ def _exact_at(f: HomologyClassMap, g: HomologyClassMap) -> bool:
     # kernel lattice: y with g y in relations of the end group
     rel3 = relation_gens(g.target)
     A = [row + [rel[i] for rel in rel3] for i, row in enumerate(g.matrix)]
-    ker_full = kernel_basis(A) if A else identity_matrix(kmid + len(rel3))
-    ker = [k[:kmid] for k in ker_full]
+    ker = [k[:kmid] for k in kernel_basis(A, kmid + len(rel3))]
     return lattice_subset(im, ker) and lattice_subset(ker, im)
 
 

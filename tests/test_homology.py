@@ -117,6 +117,51 @@ def test_smith_normal_form_matches_minor_gcds():
                 assert prod == minors_gcd(M, k), (M, k)
 
 
+# a dense matrix on which a kernel that swaps a remainder into the pivot
+# position in mid-pass, instead of searching the block again, grows its
+# entries past a million bits
+DENSE_9X7 = [[0, 2, 5, -2, -3, 0, 4], [-1, -8, 4, -8, 7, -6, -2],
+             [6, 6, -2, 6, -8, 4, -8], [-3, 7, -3, -7, 0, -7, -4],
+             [-3, 5, 6, 3, -5, 0, -2], [-5, -7, -1, 1, 8, -2, 4],
+             [0, -1, -2, -3, 2, -7, 1], [8, 0, -5, 5, -9, 4, 3],
+             [1, -4, 6, 0, 8, 8, -6]]
+
+
+def test_smith_normal_form_terminates_on_dense_input():
+    # in a child process, so that a kernel that never returns fails the
+    # test at the timeout instead of stalling the suite
+    code = textwrap.dedent("""
+        import random
+        from plhtpy.homology import (AbelianGroup, AbelianQuotient,
+                                     identity_matrix, smith_normal_form)
+        from test_homology import (DENSE_9X7, check_column_side,
+                                   check_row_side, unit)
+        rng = random.Random(16)
+        mats = [DENSE_9X7] + [
+            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            for rows, cols in ((rng.randint(1, 10), rng.randint(1, 10))
+                               for _ in range(300))]
+        for A in mats:
+            for M in (A, [list(col) for col in zip(*A)]):
+                check_row_side(M, check_column_side(M, *smith_normal_form(M)))
+        # a matrix with no rows: V is the identity, the quotient Z^k
+        for k in range(4):
+            I = identity_matrix(k)
+            assert smith_normal_form([], k) == ([], I, I)
+            Q = AbelianQuotient(k, [])
+            assert Q.group == AbelianGroup(k)
+            assert [Q.coords(Q.generator(j)) for j in range(k)] == [
+                unit(j, k) for j in range(k)]
+        print("ok")
+    """)
+    path = os.pathsep.join([str(Path(plhtpy.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.split() == ["ok"], proc.stderr
+
+
 def test_unimodular_inverse_rejects_non_unimodular_matrices():
     assert unimodular_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
     assert unimodular_inverse([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]

@@ -260,6 +260,85 @@ def test_cli_missing_image_line_exits_2(tmp_path, rot, disk):
         in out
 
 
+def resize_image(scxm: str, v: str, extra: bool) -> str:
+    """The image line of v with a coordinate 1 appended, or its last
+    coordinate dropped."""
+    def fix(line):
+        words = line.split()
+        if words[:2] != ["image", v]:
+            return line
+        return " ".join(words + ["1"] if extra else words[:-1]) + "\n"
+    return "".join(map(fix, scxm.splitlines(True)))
+
+
+def lift(text: str) -> str:
+    """SCX text one ambient dimension up, each vertex at height 0."""
+    def fix(line):
+        words = line.split()
+        if words[:1] == ["ambient"]:
+            return f"ambient {int(words[1]) + 1}\n"
+        return line[:-1] + " 0\n" if words[:1] == ["vertex"] else line
+    return "".join(map(fix, text.splitlines(True)))
+
+
+@pytest.mark.parametrize("extra", [True, False])
+def test_cli_wrong_image_arity_exits_2(tmp_path, rot, disk, extra):
+    # unchecked, an extra coordinate 1 passes the carrier test (the
+    # frame's zip drops it) and crashes evaluation, and a missing one
+    # reads as a carrier clash
+    center = "a.b.c^bary"
+    path = tmp_path / "bad.json"
+    size = 3 if extra else 1
+
+    obj = certio.map_to_obj(rot)
+    obj["scxm"] = resize_image(obj["scxm"], "a", extra)
+    path.write_text(certio.dumps(obj))
+    code, out = run_cli("approximate", str(path))
+    assert code == 2
+    assert (f"error: FormatError: image of fine vertex a has {size} "
+            "coordinates, but the codomain has ambient 2\n") in out
+
+    _, cert = pm.simplicial_approximation(rot)
+    obj = certio.cert_to_obj(cert)
+    step = obj["steps"][0]
+    step["to"]["scxm"] = resize_image(step["to"]["scxm"], "b", extra)
+    path.write_text(certio.dumps(obj))
+    code, out = run_cli("verify-cert", str(path))
+    assert code == 2
+    assert (f"error: FormatError: image of fine vertex b has {size} "
+            "coordinates, but the codomain has ambient 2\n") in out
+
+    phi = sd.identity_homeo_on(sd.barycentric_subdivide(disk))
+    obj = certio.homeo_to_obj(phi)
+    obj["scxm"] = resize_image(obj["scxm"], center, extra)
+    path.write_text(certio.dumps(obj))
+    code, out = run_cli("verify-normal", str(path))
+    assert code == 2
+    assert (f"error: FormatError: image of fine vertex {center} has {size} "
+            "coordinates, but the codomain has ambient 2\n") in out
+
+
+def test_cli_fine_block_in_another_ambient_exits_2(tmp_path, rot):
+    path = tmp_path / "bad.json"
+    obj = certio.map_to_obj(rot)
+    obj["scxm"] = lift(obj["scxm"])
+    path.write_text(certio.dumps(obj))
+    code, out = run_cli("approximate", str(path))
+    assert code == 2
+    assert ("error: FormatError: fine complex has ambient 3, but the "
+            "domain has ambient 2\n") in out
+
+    _, cert = pm.simplicial_approximation(rot)
+    obj = certio.cert_to_obj(cert)
+    refinement = obj["steps"][0]["refinement"]
+    refinement["scx"] = lift(refinement["scx"])
+    path.write_text(certio.dumps(obj))
+    code, out = run_cli("verify-cert", str(path))
+    assert code == 2
+    assert ("error: FormatError: refinement has ambient 3, but the "
+            "domain has ambient 2\n") in out
+
+
 def test_cli_reports_any_toolkit_error_once(monkeypatch):
     def core(self):
         raise NotClosed("no core today")
