@@ -33,11 +33,6 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-def _carrier_lines(carrier: dict[Simplex, Simplex]) -> list[str]:
-    return [f"{sname(s)} -> {sname(c)}"
-            for s, c in sorted(carrier.items(), key=lambda kv: (len(kv[0]), kv[0]))]
-
-
 def _parse_carrier_lines(obj: dict, key: str,
                          fmt: str) -> dict[Simplex, Simplex]:
     """The carrier lines of field `key` of obj, parsed."""
@@ -77,7 +72,7 @@ def _field(obj: dict, key: str, fmt: str, kind=str, item=str):
 
 def _map_entry(f: PLMap) -> dict:
     return {"scxm": scx.emit_scxm(f.fine, f.vertex_image, f.target_carrier),
-            "witness": _carrier_lines(f.dom_subdivision.carrier)}
+            "witness": scx.carrier_lines(f.dom_subdivision.carrier)}
 
 
 def _check_ambient(fine: Complex, domain: Complex, what: str) -> None:
@@ -174,8 +169,8 @@ def cert_to_obj(cert: HomotopyCertificate) -> dict:
             "from": _map_entry(step.frm),
             "to": _map_entry(step.to),
             "refinement": {"scx": scx.emit_scx(ref.fine),
-                           "witness": _carrier_lines(ref.carrier)},
-            "carriers": _carrier_lines(step.carriers)})
+                           "witness": scx.carrier_lines(ref.carrier)},
+            "carriers": scx.carrier_lines(step.carriers)})
     fixed = sorted(sname(s) for s in cert.fixed_set.members)
     return {"format": CERT_FORMAT,
             "domain": scx.emit_scx(f0.domain),

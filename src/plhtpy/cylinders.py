@@ -18,12 +18,12 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 
-from .complexes import (Complex, SubcomplexRef, Simplex, proper_faces,
-                        sdim, simplex)
+from .complexes import (Complex, SubcomplexRef, Simplex, faces_with_self,
+                        proper_faces, sdim, simplex)
 from .errors import Incompatible, NotClosed, NotSubcomplex
-from .plmaps import PLMap
+from .linalg import vcomb
+from .plmaps import PLMap, simplicial_map
 from .subdivision import SubdivisionWitness, identity_witness
 
 F0 = Fraction(0)
@@ -84,10 +84,7 @@ def prism_triangulate(K: Complex) -> PrismComplex:
         for i in range(n + 1):
             top = tuple(lift(v, 0) for v in s[:i + 1]) + \
                   tuple(lift(v, 1) for v in s[i:])
-            sims.add(simplex(top))
-            for k in range(1, len(top)):
-                for f in combinations(sorted(top), k):
-                    sims.add(f)
+            sims.update(faces_with_self(simplex(top)))
     cylinder = Complex(K.ambient_dim + 1, verts, sims)
     projection = {t: simplex({unlift(v)[0] for v in t})
                   for t in cylinder.simplices}
@@ -157,14 +154,13 @@ class _Composite:
     def split_edge(self, u: str, v: str, lam: Fraction) -> list[Simplex]:
         """Stellar subdivision at the point (1 - lam) u + lam v of the open
         edge (u, v); returns the simplices it creates."""
-        z = tuple((1 - lam) * a + lam * b
-                  for a, b in zip(self.verts[u], self.verts[v]))
+        z = vcomb((1 - lam, lam), (self.verts[u], self.verts[v]))
         z_name = _point_name(z)
         if z_name in self.verts:
             raise Incompatible("vertex name collision while cutting")
         self.verts[z_name] = z
-        self.image[z_name] = tuple((1 - lam) * a + lam * b for a, b
-                                   in zip(self.image[u], self.image[v]))
+        self.image[z_name] = vcomb((1 - lam, lam),
+                                   (self.image[u], self.image[v]))
         # every child contains the new vertex, so none of them exists yet
         created = []
         for t in self.by_vertex[u] & self.by_vertex[v]:
@@ -232,7 +228,6 @@ class _Composite:
         for c in (s, tau):
             self.cut_region(c, tau)
         m = len(tau)
-        wpt = self.cylinder.vertices[w]
         new_image: dict[str, tuple] = {}
         new_carrier: dict[Simplex, Simplex] = {}
         lowest: dict[tuple[Simplex, str], set[str]] = {}
@@ -249,18 +244,10 @@ class _Composite:
         def collapse_image(c, u_min, v):
             b = self.bary_in(c, v)
             au = b[c.index(u_min)]
-            img = [F0] * len(wpt)
-            for u in tau:
-                if u == u_min:
-                    continue
-                up = self.cylinder.vertices[u]
-                coef = b[c.index(u)] - au
-                for kdim in range(len(img)):
-                    img[kdim] += coef * up[kdim]
+            rest = [u for u in tau if u != u_min]
             wcoef = m * au + (b[c.index(w)] if w in c else F0)
-            for kdim in range(len(img)):
-                img[kdim] += wcoef * wpt[kdim]
-            return tuple(img)
+            return vcomb([b[c.index(u)] - au for u in rest] + [wcoef],
+                         self.cylinder.points(rest + [w]))
 
         for t in sorted(self.by_carrier[s] | self.by_carrier[tau]):
             c = self.carrier[t]
@@ -325,17 +312,9 @@ def cylinder_retraction(K: Complex, K_A) -> CylinderRetraction:
 
     if not members:
         # vertical projection is simplicial on the staircase complex
-        vmap = {}
-        for s in P.cylinder.simplices:
-            for v in s:
-                base, _ = unlift(v)
-                vmap[v] = lift(base, 0)
-        verts = {v: P.cylinder.vertices[vmap[v]] for v in vmap}
-        carrier = {s: simplex({vmap[v] for v in s})
-                   for s in P.cylinder.simplices}
-        r = PLMap(P.cylinder, P.cylinder, identity_witness(P.cylinder),
-                  verts, carrier)
-        return CylinderRetraction(P, tref, r)
+        vmap = {v: lift(unlift(v)[0], 0) for v in P.cylinder.vertices}
+        return CylinderRetraction(
+            P, tref, simplicial_map(P.cylinder, P.cylinder, vmap))
 
     comp = _Composite(P.cylinder)
     for tau, s, w in _collapses(P.cylinder, target):

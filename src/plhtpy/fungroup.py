@@ -1,7 +1,9 @@
 """Edge-path fundamental groups.
 
-Presentations are built from a breadth-first spanning tree of the
-1-skeleton (generators = non-tree edges, one relator per 2-simplex),
+One breadth-first walk of the 1-skeleton, `spanning_tree`, serves pi_0
+(one tree per component), the presentation and `boundary_component`.
+Presentations are built from the spanning tree at the base vertex
+(generators = non-tree edges, one relator per 2-simplex),
 with abelianization via Smith normal form, the degree-1 Hurewicz map to
 simplicial H_1, the conjugation action on words, and pi_2 for certified
 simply connected complexes.  The word problem is undecidable in
@@ -34,25 +36,31 @@ def adjacency(K: Complex) -> dict[str, set[str]]:
     return adj
 
 
+def spanning_tree(adj: dict[str, set[str]], start: str) -> dict[str, str]:
+    """Breadth-first tree of start's component, neighbours visited in
+    identifier order: vertex -> parent, the start its own parent, in the
+    order the walk reaches them."""
+    parent = {start: start}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(adj[u]):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
+
+
 def pi0(K: Complex) -> list[tuple[str, ...]]:
     """Connected components of the 1-skeleton, as sorted vertex tuples."""
     adj = adjacency(K)
     seen: set[str] = set()
     comps = []
     for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w in sorted(adj[u]):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        comps.append(tuple(sorted(comp)))
+        if start not in seen:
+            comp = spanning_tree(adj, start)
+            seen.update(comp)
+            comps.append(tuple(sorted(comp)))
     return sorted(comps)
 
 
@@ -69,10 +77,10 @@ def boundary_component(K: Complex, path: list[str], K_A) -> tuple[str, ...]:
             raise StartNotInA(f"({u},{v}) is not an edge of the complex")
     A = K_A.as_complex() if isinstance(K_A, SubcomplexRef) else K_A
     start = path[0]
-    for comp in pi0(A):
-        if start in comp:
-            return comp
-    raise StartNotInA(f"path starts at {start!r}, outside the subcomplex")
+    adj = adjacency(A)
+    if start not in adj:
+        raise StartNotInA(f"path starts at {start!r}, outside the subcomplex")
+    return tuple(sorted(spanning_tree(adj, start)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,26 +150,16 @@ class Presentation:
             raise NotClosed("presentation needs a closed complex")
         if x0 not in K.vertices or (x0,) not in K.simplices:
             raise NotConnected(f"base vertex {x0!r} is not in the complex")
-        comps = pi0(K)
-        if len(comps) != 1:
-            raise NotConnected(f"complex has {len(comps)} components")
+        adj = adjacency(K)
+        self.parent = spanning_tree(adj, x0)
+        if len(self.parent) != len(adj):
+            raise NotConnected(f"complex has {len(pi0(K))} components")
         self.K = K
         self.base = x0
-        adj = adjacency(K)
-        # breadth-first tree, neighbors visited in identifier order
-        self.parent: dict[str, str] = {x0: x0}
-        tree: set[Simplex] = set()
-        queue = deque([x0])
-        while queue:
-            u = queue.popleft()
-            for w in sorted(adj[u]):
-                if w not in self.parent:
-                    self.parent[w] = u
-                    tree.add(simplex((u, w)))
-                    queue.append(w)
-        self.tree_edges = tree
+        self.tree_edges = {simplex((u, w)) for w, u in self.parent.items()
+                           if w != u}
         self.generator_edges: list[Simplex] = [
-            e for e in sorted(K.by_dim(1)) if e not in tree]
+            e for e in sorted(K.by_dim(1)) if e not in self.tree_edges]
         self._gen_index = {e: i + 1 for i, e in enumerate(self.generator_edges)}
         self.relators: list[Word] = []
         for (a, b, c) in sorted(K.by_dim(2)):

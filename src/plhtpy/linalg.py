@@ -28,6 +28,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from .errors import Incompatible
+
 Vec = tuple[Fraction, ...]
 
 F0 = Fraction(0)
@@ -189,14 +191,23 @@ class AffineFrame:
             g = gcd(*row)
             self.null.append([x // g for x in row])
 
+    def _check_arity(self, x: Vec) -> None:
+        d = len(self.points[0])
+        if len(x) != d:
+            raise Incompatible(f"point has {len(x)} coordinates, but the "
+                               f"frame's points have {d}")
+
     def offsets(self, x: Vec) -> list[int]:
         """Left-null rows at (x, 1), times the positive common denominator
         of x: all zero exactly when x lies on the affine hull."""
+        self._check_arity(x)
         scaled = _integer_point(x)
         return [sum(a * b for a, b in zip(row, scaled)) for row in self.null]
 
     def coords(self, x: Vec) -> Optional[list[Fraction]]:
-        """Barycentric coordinates of x, or None if x is off the hull."""
+        """Barycentric coordinates of x, or None if x is off the hull; a
+        point of another arity than the frame's is Incompatible."""
+        self._check_arity(x)
         if self.rows is None:
             # lambda_0..k with sum 1 and sum lambda_j p_j = x
             rows = [[p[i] for p in self.points] for i in range(len(x))]

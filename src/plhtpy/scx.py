@@ -169,14 +169,19 @@ def emit_scx(K: Complex, subcomplexes: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+def carrier_lines(carriers: dict[Simplex, Simplex]) -> list[str]:
+    """One `fine -> coarse` line per simplex, by dimension, then name."""
+    return [f"{sname(s)} -> {sname(carriers[s])}"
+            for s in sorted(carriers, key=lambda s: (len(s), s))]
+
+
 def emit_scxm(fine: Complex, images: dict[str, Point],
               carriers: dict[Simplex, Simplex]) -> str:
     lines = [emit_scx(fine).rstrip("\n")]
     for v in sorted(images):
         coords = " ".join(coord_str(q) for q in images[v])
         lines.append(f"image {v} {coords}")
-    for s in sorted(carriers, key=lambda s: (len(s), s)):
-        lines.append(f"carrier {sname(s)} -> {sname(carriers[s])}")
+    lines += [f"carrier {line}" for line in carrier_lines(carriers)]
     return "\n".join(lines) + "\n"
 
 

@@ -6,12 +6,14 @@ import pytest
 
 from plhtpy import fungroup as fg
 from plhtpy import plmaps as pm
+from plhtpy import scx
 from plhtpy import subdivision as sd
 from plhtpy.complexes import validate
 from plhtpy.errors import (BaseVertexMismatch, NotCertifiablySimplyConnected,
                            NotConnected, StartNotInA)
 from plhtpy.homology import AbelianGroup
 from conftest import make_deg2
+from test_scx_cli import run_cli
 
 Z = AbelianGroup(1)
 
@@ -38,6 +40,8 @@ def test_boundary_component(disk, disk_boundary):
         fg.boundary_component(disk, [], disk_boundary)
     with pytest.raises(StartNotInA):
         fg.boundary_component(two_segments(), ["a", "c"], two_segments())
+    assert fg.boundary_component(two_segments(), ["c", "d"],
+                                 two_segments()) == ("c", "d")
 
 
 def test_word_algebra():
@@ -75,6 +79,17 @@ def test_presentation_rejects_bad_base(tri3):
         fg.Presentation(tri3, "zzz")
     with pytest.raises(NotConnected):
         fg.Presentation(two_segments(), "a")
+
+
+@pytest.mark.parametrize("cmd", ["pi1", "hurewicz", "pi2"])
+def test_cli_two_components_exit2(tmp_path, cmd):
+    """The component count is computed only on the failure path, and the
+    message still names it."""
+    path = tmp_path / "two.scx"
+    path.write_text(scx.emit_scx(two_segments()))
+    code, out = run_cli(cmd, str(path))
+    assert code == 2
+    assert "error: NotConnected: complex has 2 components" in out
 
 
 ABELIANIZATIONS = {

@@ -16,6 +16,7 @@ from plhtpy import plmaps as pm
 from plhtpy import scx
 from plhtpy import subdivision as sd
 from plhtpy.complexes import Complex
+from plhtpy.errors import Incompatible
 
 from conftest import make_perturbed_disk, make_rot
 
@@ -113,6 +114,30 @@ def test_codimension_one_offsets_vanish_on_the_hull():
     above, below = (frame.offsets((F(1, 7), F(0), z))[0]
                     for z in (F(2), F(1, 3)))
     assert above * below < 0
+
+
+def test_a_point_of_another_arity_is_incompatible(disk, rot):
+    """A longer or shorter point is refused, never zipped against the
+    frame's rows: zipped, (1/4, 1/4, 7) reads as a point of the unit
+    triangle with coordinates [13/2, 1/4, 1/4]."""
+    unit = linalg.AffineFrame([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
+    flat = linalg.AffineFrame([(F(0), F(0)), (F(1), F(0)), (F(2), F(0))])
+    assert flat.rows is None
+    for x in ((F(1, 4), F(1, 4), F(7)), (F(1, 4),)):
+        msg = f"point has {len(x)} coordinates, but the frame's points have 2"
+        for query in (unit.coords, unit.offsets, flat.coords):
+            with pytest.raises(Incompatible, match=msg):
+                query(x)
+        with pytest.raises(Incompatible, match=msg):
+            disk.star([x])
+        with pytest.raises(Incompatible, match=msg):
+            disk.locate(x)
+    # an image of 3 coordinates in the 2-dimensional triangle boundary
+    images = dict(rot.vertex_image)
+    images["a"] = images["a"] + (F(1),)
+    with pytest.raises(Incompatible, match="point has 3 coordinates"):
+        pm.PLMap(rot.domain, rot.codomain, rot.dom_subdivision, images,
+                 rot.target_carrier)
 
 
 def leibniz_det(m):
