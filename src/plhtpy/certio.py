@@ -226,7 +226,7 @@ def load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:   # bad JSON, UTF-8, depth
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     fmt = obj.get("format") if isinstance(obj, dict) else None
     if fmt not in _LOADERS:

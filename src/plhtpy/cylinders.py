@@ -51,19 +51,10 @@ class PrismComplex:
         return frozenset(s for s in self.cylinder.simplices
                          if all(unlift(v)[1] == 0 for v in s))
 
-    def top_members(self) -> frozenset:
-        return frozenset(s for s in self.cylinder.simplices
-                         if all(unlift(v)[1] == 1 for v in s))
-
     def over(self, base_members) -> frozenset:
         base_members = frozenset(tuple(s) for s in base_members)
         return frozenset(s for s in self.cylinder.simplices
                          if self.projection[s] in base_members)
-
-    def level_map(self, level: int) -> dict[str, str]:
-        """Base vertex id -> lifted vertex id."""
-        return {v: lift(v, level) for s in self.base.simplices
-                for v in s}
 
 
 def prism_triangulate(K: Complex) -> PrismComplex:
@@ -343,8 +334,8 @@ def extend_homotopy(f: PLMap, H: PLMap, r: CylinderRetraction) -> PLMap:
     if not (H.domain.simplices <= P.cylinder.simplices
             and H.domain == P.cylinder.restrict(H.domain.simplices)):
         raise Incompatible("H is not a map on a subcylinder")
-    # H(.,0) = f on |K_A|, vertex-exact
-    for s in H.domain.simplices:
+    # H(.,0) = f on |K_A|, vertex-exact; the first mismatch in sorted order
+    for s in sorted(H.domain.simplices):
         for v in s:
             base, lv = unlift(v)
             if lv == 0 and H.vertex_image[v] != f.vertex_image[base]:

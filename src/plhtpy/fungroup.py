@@ -28,7 +28,9 @@ from .homology import (AbelianGroup, AbelianQuotient, HomologyData,
 # ---------------------------------------------------------------------------
 
 def adjacency(K: Complex) -> dict[str, set[str]]:
-    """Neighbours of every vertex in the 1-skeleton."""
+    """Neighbours of every vertex in the 1-skeleton of a closed complex."""
+    if not K.is_closed():
+        raise NotClosed("the 1-skeleton needs a closed complex")
     adj: dict[str, set[str]] = {v: set() for v in K.vertex_ids()}
     for (u, v) in K.by_dim(1):
         adj[u].add(v)
@@ -146,11 +148,9 @@ class Presentation:
     connected complex, from a breadth-first spanning tree."""
 
     def __init__(self, K: Complex, x0: str):
-        if not K.is_closed():
-            raise NotClosed("presentation needs a closed complex")
-        if x0 not in K.vertices or (x0,) not in K.simplices:
-            raise NotConnected(f"base vertex {x0!r} is not in the complex")
         adj = adjacency(K)
+        if x0 not in adj:
+            raise NotConnected(f"base vertex {x0!r} is not in the complex")
         self.parent = spanning_tree(adj, x0)
         if len(self.parent) != len(adj):
             raise NotConnected(f"complex has {len(pi0(K))} components")

@@ -156,7 +156,7 @@ def simplicial_map_on(w: SubdivisionWitness, L: Complex,
                       vmap: dict[str, str]) -> PLMap:
     verts = {}
     carrier = {}
-    for t in w.fine.simplices:
+    for t in sorted(w.fine.simplices):
         img = simplex(set(vmap[v] for v in t))
         if img not in L.simplices:
             raise NotSimplicial(
@@ -197,13 +197,11 @@ def incident_simplices(K: Complex) -> dict[str, list[Simplex]]:
 
 
 def check_star_condition(f: PLMap, v: str,
-                         incident: list[Simplex] | None = None) -> str | None:
+                         incident: list[Simplex]) -> str | None:
     """A codomain vertex w whose closed star absorbs the image of the open
     star of fine vertex v, tested carrier-wise; prefers w = f(v) when f(v)
-    is itself a vertex.  `incident` lists the fine simplices containing v
-    when the caller has them indexed; otherwise they are scanned for."""
-    if incident is None:
-        incident = [t for t in f.fine.simplices if v in t]
+    is itself a vertex.  `incident` lists the fine simplices containing v,
+    as `incident_simplices` indexes them."""
     candidates = None
     for t in incident:
         verts = set(f.target_carrier[t])
@@ -248,6 +246,13 @@ def simplicial_approximation(f: PLMap, max_rounds: int = 8):
 # ---------------------------------------------------------------------------
 # Homotopy certificates
 # ---------------------------------------------------------------------------
+
+def moved_vertices(f: PLMap, g: PLMap, simplices) -> list[str]:
+    """Sorted vertices of `simplices` where g's image is missing or differs
+    from f's: empty exactly when the two maps agree over them."""
+    return sorted(v for v in {v for t in simplices for v in t}
+                  if g.vertex_image.get(v) != f.vertex_image[v])
+
 
 def unit_time(s) -> Fraction:
     s = linalg.frac(s)
@@ -309,10 +314,11 @@ def verify_certificate(cert: HomotopyCertificate):
 
     Each (carrier, image point) pair is proved in the codomain once, and a
     failure is reported for every refinement simplex and vertex it
-    concerns.  When the shared fine domain is closed, both images of a
-    refinement vertex are evaluated once per step, from its barycentric
-    coordinates in the host (refinement carrier) of the first refinement
-    simplex holding it.  This is sound because the image check runs only
+    concerns.  Chaining and the fixed set are checked by `moved_vertices`,
+    one problem per moved vertex in vertex order.  When the shared fine
+    domain is closed, both images of a refinement vertex are evaluated
+    once per step, from its barycentric coordinates in the host
+    (refinement carrier) of the first refinement simplex holding it.  This is sound because the image check runs only
     after `verify_subdivision` has proved the domain subdivision of both
     maps and the refinement: the vertex lies in exactly one open piece of
     the fine domain, and closedness makes that piece a face of every host
@@ -392,15 +398,11 @@ def verify_certificate(cert: HomotopyCertificate):
             if prev.fine.simplices != f.fine.simplices:
                 problems.append((i, None, "steps do not chain"))
             else:
-                for (v,) in (s for s in f.fine.simplices if len(s) == 1):
-                    if prev.vertex_image[v] != f.vertex_image[v]:
-                        problems.append((i, (v,), "steps disagree"))
-        members = cert.fixed_set.members
-        for t in f.fine.simplices:
-            if f.dom_subdivision.carrier[t] in members:
-                for v in t:
-                    if f.vertex_image[v] != g.vertex_image[v]:
-                        problems.append((i, (v,), "not constant on fixed set"))
+                problems += [(i, (v,), "steps disagree") for v in
+                             moved_vertices(prev, f, f.fine.simplices)]
+        fixed = restrict_members(f.dom_subdivision, cert.fixed_set.members)
+        problems += [(i, (v,), "not constant on fixed set")
+                     for v in moved_vertices(f, g, fixed)]
     return (not problems), problems
 
 
@@ -424,13 +426,10 @@ def straight_line_homotopy(f: PLMap, g: PLMap,
         carriers[t] = c
     if fixed is None:
         fixed = f.domain.subcomplex(())
-    members = fixed.members
-    for t in f.fine.simplices:
-        if f.dom_subdivision.carrier[t] in members:
-            for v in t:
-                if f.vertex_image[v] != g.vertex_image[v]:
-                    raise FixedSetMismatch(
-                        f"maps differ at {v} on the fixed set")
+    moved = moved_vertices(f, g, restrict_members(f.dom_subdivision,
+                                                  fixed.members))
+    if moved:
+        raise FixedSetMismatch(f"maps differ at {moved[0]} on the fixed set")
     step = HomotopyStep(f, g, identity_witness(f.fine), carriers)
     return HomotopyCertificate([step], fixed)
 
@@ -534,9 +533,7 @@ def simplicialize_rel(f: PLMap, K_C: SubcomplexRef | None,
         step_carriers[t] = c
     steps = [HomotopyStep(base, result, identity_witness(fine),
                           dict(step_carriers))]
-    mu_matches = all(mu.vertex_image[v] == result.vertex_image[v]
-                     for t in cfine for v in t)
-    if mu_matches:
+    if not moved_vertices(result, mu, cfine):
         steps.append(HomotopyStep(result, mu, identity_witness(fine),
                                   dict(step_carriers)))
     fixed = f.domain.subcomplex(K_C.members)

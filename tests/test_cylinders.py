@@ -28,7 +28,6 @@ def test_prism_counts_disk(disk):
     assert len(P.cylinder.by_dim(0)) == 6
     assert P.cylinder.is_closed()
     assert len(P.bottom_members()) == len(disk.simplices)
-    assert len(P.top_members()) == len(disk.simplices)
 
 
 def test_prism_counts_tri3(tri3):
@@ -49,7 +48,6 @@ def test_prism_projection_and_levels(tri3):
     for t, s in P.projection.items():
         assert s in tri3.simplices
         assert {cy.unlift(v)[0] for v in t} == set(s)
-    assert P.level_map(1)["a"] == "a~1"
     assert P.over([("a", "b")]) <= P.cylinder.simplices
 
 

@@ -10,7 +10,7 @@ from plhtpy import scx
 from plhtpy import subdivision as sd
 from plhtpy.complexes import validate
 from plhtpy.errors import (BaseVertexMismatch, NotCertifiablySimplyConnected,
-                           NotConnected, StartNotInA)
+                           NotClosed, NotConnected, StartNotInA)
 from plhtpy.homology import AbelianGroup
 from conftest import make_deg2
 from test_scx_cli import run_cli
@@ -90,6 +90,24 @@ def test_cli_two_components_exit2(tmp_path, cmd):
     code, out = run_cli(cmd, str(path))
     assert code == 2
     assert "error: NotConnected: complex has 2 components" in out
+
+
+def test_walks_reject_a_non_closed_complex(tmp_path):
+    """An edge without its vertex simplices: pi_0, boundary components
+    and the presentation all raise NotClosed, never a KeyError."""
+    K = validate(1, {"a": (0,), "b": (1,)}, [["a", "b"]],
+                 check_disjoint=False)
+    with pytest.raises(NotClosed):
+        fg.pi0(K)
+    with pytest.raises(NotClosed):
+        fg.boundary_component(K, ["a"], K)
+    with pytest.raises(NotClosed):
+        fg.Presentation(K, "a")
+    path = tmp_path / "edge.scx"
+    path.write_text("ambient 1\nvertex a 0\nvertex b 1\nsimplex a b\n")
+    code, out = run_cli("pi0", str(path))
+    assert code == 2
+    assert "error: NotClosed: the 1-skeleton needs a closed complex" in out
 
 
 ABELIANIZATIONS = {

@@ -40,15 +40,19 @@ def test_evaluate_continuous_across_faces(rot):
             assert rot.evaluate(fine.vertices[v]) == rot.vertex_image[v]
 
 
+def star_center(f, v):
+    return pm.check_star_condition(f, v, pm.incident_simplices(f.fine)[v])
+
+
 def test_star_condition_identity(tri3):
     f = pm.identity_map(tri3)
     for v in tri3.vertex_ids():
-        assert pm.check_star_condition(f, v) == v
+        assert star_center(f, v) == v
 
 
 def test_star_condition_deg2(deg2):
-    assert pm.check_star_condition(deg2, "h0") == "a"
-    assert pm.check_star_condition(deg2, "h1") == "b"
+    assert star_center(deg2, "h0") == "a"
+    assert star_center(deg2, "h1") == "b"
 
 
 def test_star_condition_none_for_disjoint_carriers(tri3):
@@ -60,7 +64,7 @@ def test_star_condition_none_for_disjoint_carriers(tri3):
     carriers = {s: s for s in tri3.simplices}
     carriers[("a",)] = ("b", "c")
     f = pm.PLMap(tri3, tri3, w, verts, carriers, check=False)
-    assert pm.check_star_condition(f, "a") is None
+    assert star_center(f, "a") is None
 
 
 def test_star_condition_reads_the_incidence_index(perturbed_disk):
@@ -73,7 +77,7 @@ def test_star_condition_reads_the_incidence_index(perturbed_disk):
         scanned = [t for t in f.fine.simplices if v in t]
         assert sorted(incident[v]) == sorted(scanned)
         assert (pm.check_star_condition(f, v, incident[v])
-                == pm.check_star_condition(f, v))
+                == pm.check_star_condition(f, v, scanned))
 
 
 def test_approximation_of_simplicial_map_is_itself(deg2):
@@ -157,8 +161,11 @@ def test_straight_line_fixed_set_mismatch(disk):
     ident = pm.identity_map(disk)
     const = pm.constant_map(disk, disk, disk.vertices["a"])
     fixed = disk.subcomplex([("b",)])
-    with pytest.raises(FixedSetMismatch):
+    with pytest.raises(FixedSetMismatch, match="maps differ at b on"):
         pm.straight_line_homotopy(ident, const, fixed=fixed)
+    # sorted, each vertex once, however many simplices hold it
+    assert pm.moved_vertices(ident, const, disk.simplices) == ["b", "c"]
+    assert pm.moved_vertices(const, const, disk.simplices) == []
 
 
 def test_certificate_mutation_detected(rot):

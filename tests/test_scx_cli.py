@@ -3,10 +3,12 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +207,24 @@ def test_cli_validate_duplicate_exit2(tmp_path):
 def test_cli_missing_file_exit2():
     code, out = run_cli("validate", "/nonexistent/x.scx")
     assert code == 2
+
+
+@pytest.mark.parametrize("cmd", ["validate", "verify-cert"])
+def test_cli_undecodable_file_exit2(tmp_path, cmd):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfea\x00")
+    code, out = run_cli(cmd, str(path))
+    assert code == 2
+    assert f"error: FormatError: {path}: " in out
+    assert "can't decode byte 0xff" in out
+
+
+def test_cli_deeply_nested_container_exit2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out = run_cli("verify-cert", str(path))
+    assert code == 2
+    assert f"error: FormatError: {path}: not valid JSON: " in out
 
 
 def test_cli_verify_cert_tampered_exit1(tmp_path, rot):
@@ -406,13 +426,14 @@ def test_cli_malformed_container_exit2(tmp_path, rot, disk, kind, path,
     assert f"error: FormatError: {cause}" in out
 
 
-def save_extension_input(tmp_path, corpus, u0_bottom):
+def save_extension_input(tmp_path, corpus, u0_bottom, u1_bottom=F(1)):
     """f = identity of cube1 (with its subcomplex `ends`) and H sliding
-    u0 from `u0_bottom` to 1/2 over the walls above both ends."""
+    u0 from `u0_bottom` to 1/2 and u1 from `u1_bottom` to 1 over the walls
+    above both ends."""
     K, subs = corpus["cube1"]
     H = wall_homotopy(K, cy.prism_triangulate(K), K,
                       {"u0": {0: (u0_bottom,), 1: (F(1, 2),)},
-                       "u1": {0: (F(1),), 1: (F(1),)}})
+                       "u1": {0: (u1_bottom,), 1: (F(1),)}})
     fpath, hpath = tmp_path / "f.json", tmp_path / "h.json"
     certio.save(str(fpath), certio.map_to_obj(pm.identity_map(K), subs))
     certio.save(str(hpath), certio.map_to_obj(H))
@@ -564,3 +585,59 @@ def test_cli_reports_are_deterministic():
             first = run_cli(*args)
             second = run_cli(*args)
             assert first == second, args
+
+
+# ---------------------------------------------------------------------------
+# Failure witnesses do not depend on the hash seed
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_under_seeds(*args):
+    """{(exit code, stdout)} of one command run in a fresh process under
+    each of the hash seeds 1-4."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    outcomes = set()
+    for seed in "1234":
+        proc = subprocess.run(
+            [sys.executable, "-m", "plhtpy.cli", *args],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path))
+        outcomes.add((proc.returncode, proc.stdout))
+    return outcomes
+
+
+def test_fixed_set_witness_is_seed_independent(tmp_path, rot):
+    # rot moves every vertex of the triangle: each is a moved fixed vertex,
+    # and the witness names the least
+    _, cert = pm.simplicial_approximation(rot)
+    obj = certio.cert_to_obj(cert)
+    obj["fixed"] = ["a", "b", "c"]
+    path = tmp_path / "fixed.json"
+    path.write_text(certio.dumps(obj))
+    [(code, out)] = run_under_seeds("verify-cert", str(path))
+    assert code == 1
+    assert ("witness_cert_valid: step 0 simplex a: "
+            "not constant on fixed set") in out
+
+
+def test_chain_witness_is_seed_independent(tmp_path, rot):
+    # the step repeated: step 1 starts at rot, where step 0 ended at its
+    # simplicial approximation
+    _, cert = pm.simplicial_approximation(rot)
+    obj = certio.cert_to_obj(cert)
+    obj["steps"] = obj["steps"] * 2
+    path = tmp_path / "chain.json"
+    path.write_text(certio.dumps(obj))
+    [(code, out)] = run_under_seeds("verify-cert", str(path))
+    assert code == 1
+    assert "witness_cert_valid: step 1 simplex a: steps disagree" in out
+
+
+def test_extension_bottom_witness_is_seed_independent(tmp_path, corpus):
+    fpath, hpath = save_extension_input(tmp_path, corpus, F(1, 3), F(2, 3))
+    [(code, out)] = run_under_seeds("extend-homotopy", fpath, hpath,
+                                    "--sub", "ends")
+    assert code == 2
+    assert "error: Incompatible: H(.,0) differs from f at u0" in out
