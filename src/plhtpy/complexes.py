@@ -62,13 +62,20 @@ def support_face(s: Simplex, rows) -> Optional[Simplex]:
     rows (one row per point, in the vertex order of s): the face whose
     interior holds the open hull of the points.  None when a row is missing
     (a point off the affine hull of s) or has a negative entry (a point
-    outside closed s)."""
+    outside closed s).  Only signs are read, so a row may be the integer
+    numerators of `AffineFrame.weights`."""
     on = [False] * len(s)
     for row in rows:
         if row is None or any(x < 0 for x in row):
             return None
         on = [hit or x > 0 for hit, x in zip(on, row)]
     return tuple(v for v, hit in zip(s, on) if hit)
+
+
+def numerators(hit):
+    """The numerators of an `AffineFrame.weights` answer, None for None:
+    a row for `support_face`."""
+    return None if hit is None else hit[0]
 
 
 class Complex:
@@ -143,9 +150,10 @@ class Complex:
         """Global scan for the open simplex holding x; callers that know a
         closed simplex holding x should use `support` instead."""
         for s in sorted(self.simplices):
-            coords = self.frame(s).coords(x)
-            if coords is not None and all(c > 0 for c in coords):
-                return s, tuple(coords)
+            hit = self.frame(s).weights(x)
+            if hit is not None and all(a > 0 for a in hit[0]):
+                w, q = hit
+                return s, tuple(Fraction(a, q) for a in w)
         return None
 
     def locate(self, x: Point) -> tuple[Simplex, tuple[Fraction, ...]]:
@@ -158,7 +166,7 @@ class Complex:
         """Face of closed s whose interior holds the open hull of the
         points, or None if a point lies outside closed s."""
         frame = self.frame(s)
-        return support_face(s, (frame.coords(p) for p in points))
+        return support_face(s, (numerators(frame.weights(p)) for p in points))
 
     def point_in_closure(self, s: Simplex, x: Point) -> bool:
         return self.support(s, [x]) is not None

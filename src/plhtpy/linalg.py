@@ -19,13 +19,17 @@ integers), serves coordinates, rank and volume: `AffineFrame` (one frame
 per point list, kept per simplex by `Complex.frame`), `mat_rank`,
 `subdivision.relative_volume` and the rank of each vertex union in
 `check_pairwise_disjoint`.  Only `solve_linear` and the LP eliminate over
-Fractions.
+Fractions.  A frame answers with `AffineFrame.weights`: integer numerators
+over one positive denominator, so the tests that read only signs (closed
+carriers, supports, partition containment) and the relative volumes
+build no Fraction; `coords` is the Fraction form of the same answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import Incompatible
@@ -154,14 +158,17 @@ class AffineFrame:
     Each row of the (d+1) x k system [p_j; 1] is scaled to integers and
     the system is reduced by `eliminate` alongside an identity block that
     records the row operations.  For affinely independent points this
-    leaves, per coordinate, an integer row and a pivot with
-    lambda_j = row . (x, 1) / pivot, and d+1-k integer left-null rows that
-    vanish at (x, 1) exactly when x lies on the affine hull.  `coords`
-    then needs only integer dot products.  An affinely dependent list
-    keeps the Fraction solve of `solve_linear` (free coordinates 0).
+    leaves one integer row per coordinate over one positive denominator
+    |prev|, the last pivot, with lambda_j = row_j . (x, 1) / |prev|, and
+    d+1-k integer left-null rows that vanish at (x, 1) exactly when x lies
+    on the affine hull.  `weights` then needs only integer dot products
+    and returns the coordinates as integer numerators over one positive
+    denominator, which is all a sign test reads; `coords` divides them out
+    into Fractions.  An affinely dependent list keeps the Fraction solve
+    of `solve_linear` (free coordinates 0).
     """
 
-    __slots__ = ("points", "rows", "null")
+    __slots__ = ("points", "rows", "den", "null")
 
     def __init__(self, points: Sequence[Vec]):
         self.points = list(points)
@@ -174,17 +181,13 @@ class AffineFrame:
         scale = [den for _, den in scaled]
         pivots, prev = eliminate(m, k)
         if len(pivots) < k:
-            self.rows = self.null = None
+            self.rows = self.den = self.null = None
             return
         # the identity block holds E with E [p_j; 1] = [prev I; 0]
-        rows = []
-        for j in range(k):
-            row = [e * s for e, s in zip(m[j][k:], scale)]
-            g = gcd(prev, *row)
-            if prev < 0:
-                g = -g
-            rows.append(([x // g for x in row], prev // g))
-        self.rows = rows
+        sign = 1 if prev > 0 else -1
+        self.rows = [[sign * e * s for e, s in zip(m[j][k:], scale)]
+                     for j in range(k)]
+        self.den = abs(prev)
         self.null = []
         for i in range(k, n):
             row = [e * s for e, s in zip(m[i][k:], scale)]
@@ -202,24 +205,35 @@ class AffineFrame:
         of x: all zero exactly when x lies on the affine hull."""
         self._check_arity(x)
         scaled = _integer_point(x)
-        return [sum(a * b for a, b in zip(row, scaled)) for row in self.null]
+        return [sum(map(mul, row, scaled)) for row in self.null]
 
-    def coords(self, x: Vec) -> Optional[list[Fraction]]:
-        """Barycentric coordinates of x, or None if x is off the hull; a
-        point of another arity than the frame's is Incompatible."""
+    def weights(self, x: Vec) -> Optional[tuple[list[int], int]]:
+        """Barycentric coordinates of x as integer numerators w over one
+        positive denominator q, lambda_j = w_j / q, or None if x is off
+        the hull; a point of another arity than the frame's is
+        Incompatible."""
         self._check_arity(x)
         if self.rows is None:
             # lambda_0..k with sum 1 and sum lambda_j p_j = x
             rows = [[p[i] for p in self.points] for i in range(len(x))]
             rows.append([F1] * len(self.points))
-            return solve_linear(rows, list(x) + [F1])
+            sol = solve_linear(rows, list(x) + [F1])
+            return None if sol is None else integer_row(sol)
         scaled = _integer_point(x)
         for row in self.null:
-            if sum(a * b for a, b in zip(row, scaled)):
+            if sum(map(mul, row, scaled)):
                 return None
-        den = scaled[-1]
-        return [Fraction(sum(a * b for a, b in zip(row, scaled)), den * piv)
-                for row, piv in self.rows]
+        return ([sum(map(mul, row, scaled)) for row in self.rows],
+                scaled[-1] * self.den)
+
+    def coords(self, x: Vec) -> Optional[list[Fraction]]:
+        """Barycentric coordinates of x as Fractions, the `weights`
+        divided out, or None if x is off the hull."""
+        hit = self.weights(x)
+        if hit is None:
+            return None
+        w, q = hit
+        return [Fraction(a, q) for a in w]
 
 
 def _integer_point(x: Vec) -> list[int]:
@@ -242,9 +256,9 @@ def _separates(frame: AffineFrame, other: Sequence[Vec]) -> bool:
         # `other` lies on hull(frame), where barycentric coordinate j
         # vanishes on facet j and is positive on the open simplex: `other`
         # must sit on its closed negative side
-        coords = [frame.coords(q) for q in other]
-        return any(all(c[j] <= 0 for c in coords)
-                   and any(c[j] < 0 for c in coords)
+        signs = [frame.weights(q)[0] for q in other]
+        return any(all(w[j] <= 0 for w in signs)
+                   and any(w[j] < 0 for w in signs)
                    for j in range(len(frame.points)))
     # offset i is, up to a positive factor, an affine function phi_i that
     # vanishes on hull(frame).  When no phi_i takes both signs on `other`,

@@ -12,7 +12,10 @@ they can be re-verified independently of how they were produced.
 The pipelines evaluate through the witnesses in hand, never by searching a
 complex: `PLMap.evaluate_in` takes a fine simplex whose closure holds the
 point, and `carrier_face` finds a minimal carrier inside a known one.
-`PLMap.evaluate` keeps the global scan for points with no witness.
+`PLMap.evaluate` and `PLFunction.evaluate`, for a point with no witness,
+locate it in the small coarse complex of the domain subdivision and test
+only the fine simplices that coarse simplex carries
+(`SubdivisionWitness.locate_piece`), never every fine simplex.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from collections import defaultdict
 from fractions import Fraction
 
 from . import linalg, subdivision
-from .complexes import (Complex, SubcomplexRef, Simplex, simplex, sname,
-                        support_face)
+from .complexes import (Complex, SubcomplexRef, Simplex, numerators,
+                        simplex, sname, support_face)
 from .errors import (BarrierViolation, CarrierClash, FixedSetMismatch,
                      Incompatible, NotClosed, NotFull, NotSimplicial,
                      NotSubcomplex, PointOutsidePolyhedron, RoundsExhausted,
@@ -50,10 +53,11 @@ def carrier_face(L: Complex, sigma: Simplex, points) -> Simplex | None:
 
 def closed_coords(K: Complex, t: Simplex, x) -> list[Fraction]:
     """Barycentric coordinates of a point x of the closed simplex t of K."""
-    coords = K.frame(t).coords(linalg.vec(x))
-    if support_face(t, [coords]) is None:
+    hit = K.frame(t).weights(linalg.vec(x))
+    if support_face(t, [numerators(hit)]) is None:
         raise PointOutsidePolyhedron(f"point {x} is not in closed {sname(t)}")
-    return coords
+    w, q = hit
+    return [Fraction(a, q) for a in w]
 
 
 class PLMap:
@@ -100,8 +104,10 @@ class PLMap:
         return [self.vertex_image[v] for v in t]
 
     def evaluate(self, x):
-        t, coords = self.fine.locate(linalg.vec(x))
-        return linalg.vcomb(coords, self.image_points(t))
+        """Value at a point x of the domain, read on the fine simplex that
+        `SubdivisionWitness.locate_piece` finds."""
+        x = linalg.vec(x)
+        return self.evaluate_in(self.dom_subdivision.locate_piece(x), x)
 
     def evaluate_in(self, t: Simplex, x):
         """Value at a point x of the closed fine simplex t."""
@@ -450,7 +456,9 @@ class PLFunction:
                 f"values outside [0, 1] at {' '.join(bad)}")
 
     def evaluate(self, x) -> Fraction:
-        t, coords = self.witness.fine.locate(linalg.vec(x))
+        x = linalg.vec(x)
+        t = self.witness.locate_piece(x)
+        coords = closed_coords(self.witness.fine, t, x)
         return sum((c * self.values[v] for c, v in zip(coords, t)), F0)
 
 

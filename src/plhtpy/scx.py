@@ -36,9 +36,19 @@ from .linalg import vec
 
 def _parse_coord(tok: str) -> Fraction:
     try:
-        return Fraction(tok)
+        q = Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad coordinate {tok!r}") from exc
+    if q.numerator.bit_length() > 2000 or q.denominator.bit_length() > 2000:
+        # a token such as 1e5000 parses to more digits than `coord_str` can
+        # write back under Python's int-to-str limit; 2000 bits are at most
+        # 603 digits, below the least limit Python allows (640)
+        try:
+            coord_str(q)
+        except ValueError as exc:
+            raise ValueError(f"coordinate {tok!r} has more digits than "
+                             "can be written back") from exc
+    return q
 
 
 def parse_simplex_name(tok: str) -> Simplex:

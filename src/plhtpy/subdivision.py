@@ -28,15 +28,18 @@ serialized simplex name), and a token never holds whitespace.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .complexes import (Complex, SubcomplexRef, Simplex, facets,
-                        proper_faces, simplex, sname, support_face)
+from .complexes import (Complex, Point, SubcomplexRef, Simplex, facets,
+                        numerators, proper_faces, simplex, sname,
+                        support_face)
 from .errors import (Incompatible, NotClosed, NotNormal, NotNormalInput,
-                     NotSubcomplex, ValueOutOfRange)
+                     NotSubcomplex, PointOutsidePolyhedron, ValueOutOfRange)
 
 if TYPE_CHECKING:
     from .plmaps import PLMap
@@ -55,6 +58,32 @@ class SubdivisionWitness:
         self.fine = fine
         self.coarse = coarse
         self.carrier = {tuple(k): tuple(v) for k, v in carrier.items()}
+
+    @cached_property
+    def _pieces(self) -> dict[Simplex, list[Simplex]]:
+        """Coarse simplex -> the fine simplices it carries, top-dimensional
+        first; built on first use from the carrier as it is then."""
+        pieces = defaultdict(list)
+        for t in self.fine.simplices:
+            pieces[self.carrier.get(t)].append(t)
+        for ts in pieces.values():
+            ts.sort(key=lambda t: (-len(t), t))
+        return pieces
+
+    def locate_piece(self, x: Point) -> Simplex:
+        """A fine simplex whose closure holds x.  x is located in the
+        coarse complex first, then only the fine simplices carried by that
+        open coarse simplex are tested, top-dimensional first, so frames
+        are built for those alone.  On a subdivision the closed pieces
+        holding x share the open piece holding x as a face, so a map
+        affine on each piece has one value at x whichever is returned.
+        Raises PointOutsidePolyhedron when no piece holds x."""
+        hit = self.coarse.try_locate(x)
+        if hit is not None:
+            for t in self._pieces.get(hit[0], ()):
+                if self.fine.point_in_closure(t, x):
+                    return t
+        raise PointOutsidePolyhedron(f"point {x} is not in the polyhedron")
 
     def compose(self, finer: "SubdivisionWitness") -> "SubdivisionWitness":
         """Witness for `finer.fine` refining self.coarse (finer refines
@@ -106,13 +135,14 @@ def iterated_subdivision(K: Complex, rounds: int) -> SubdivisionWitness:
 def relative_volume(rows) -> Fraction:
     """vol(fine simplex) / vol(coarse simplex), both of the same dimension,
     from the barycentric coordinates of the fine vertices in the coarse
-    simplex (one row per fine vertex): the absolute determinant, read from
-    the last pivot of `linalg.eliminate` on the rows scaled to integers."""
-    scaled = [linalg.integer_row(r) for r in rows]
-    pivots, last = linalg.eliminate([row for row, _ in scaled], len(scaled))
-    if len(pivots) < len(scaled):
+    simplex, one (integer row, positive denominator) pair per fine vertex
+    as `AffineFrame.weights` gives them: the absolute determinant, the
+    last pivot of `linalg.eliminate` on the integer rows over the product
+    of the denominators."""
+    pivots, last = linalg.eliminate([list(w) for w, _ in rows], len(rows))
+    if len(pivots) < len(rows):
         return Fraction(0)
-    return Fraction(abs(last), prod(den for _, den in scaled))
+    return Fraction(abs(last), prod(q for _, q in rows))
 
 
 def partition_violations(coarse: Complex, pieces, point, carrier,
@@ -141,16 +171,16 @@ def partition_violations(coarse: Complex, pieces, point, carrier,
     """
     violations = []
     by_coarse: dict[Simplex, list[Simplex]] = {c: [] for c in coarse.simplices}
-    coords: dict[tuple[str, Simplex], list | None] = {}
+    weights: dict[tuple[str, Simplex], tuple | None] = {}
 
     def bary(v, c):
         key = (v, c)
-        if key not in coords:
-            coords[key] = coarse.frame(c).coords(point[v])
-        return coords[key]
+        if key not in weights:
+            weights[key] = coarse.frame(c).weights(point[v])
+        return weights[key]
 
     def support(s, c):
-        return support_face(c, (bary(v, c) for v in s))
+        return support_face(c, (numerators(bary(v, c)) for v in s))
 
     for t in sorted(pieces):
         c = carrier.get(t)

@@ -107,6 +107,33 @@ def test_frame_keeps_the_solve_on_dependent_points():
                 assert frame.coords(x) == solve_reference(pts, x), (pts, x)
 
 
+@pytest.mark.parametrize("big", [False, True])
+def test_weights_are_the_coords_over_one_positive_denominator(big):
+    rng = random.Random(1919 + big)
+    dependent = off = 0
+    for d in range(1, 4):
+        for _ in range(40):
+            pts = random_points(rng, d, rng.randint(1, d + 1), big)
+            if rng.random() < 0.4:
+                # a repeated point or a point on the hull
+                extra, _ = combination(rng, pts, [1] * len(pts))
+                pts.append(rng.choice([pts[0], extra]))
+            frame = linalg.AffineFrame(pts)
+            dependent += frame.rows is None
+            for x in queries(rng, pts, big):
+                hit, coords = frame.weights(x), frame.coords(x)
+                assert (hit is None) == (coords is None), (pts, x)
+                assert coords == solve_reference(pts, x), (pts, x)
+                if hit is None:
+                    off += 1
+                    continue
+                w, q = hit
+                assert type(q) is int and q > 0
+                assert all(type(a) is int for a in w)
+                assert [F(a, q) for a in w] == coords, (pts, x)
+    assert dependent and off
+
+
 def test_codimension_one_offsets_vanish_on_the_hull():
     frame = linalg.AffineFrame([(F(0), F(0), F(1)), (F(1), F(0), F(1)),
                                 (F(0), F(1), F(1))])
@@ -191,7 +218,8 @@ def test_rank_and_volume_match_minors(big):
         n = rng.randint(1, 4)
         sq = random_matrix(rng, n, n, big)
         det = leibniz_det(sq)
-        assert sd.relative_volume(sq) == abs(det), sq
+        rows = [linalg.integer_row(r) for r in sq]
+        assert sd.relative_volume(rows) == abs(det), sq
         zero += det == 0
     assert deficient and zero
 

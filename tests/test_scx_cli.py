@@ -123,6 +123,23 @@ def test_cli_validate_names_the_bad_line_exit2(tmp_path, line, cause):
     assert f"FormatError: line 3: '{line}': {cause}" in out
 
 
+@pytest.mark.parametrize("coord", ["1e5000", "-1e-5000"])
+def test_cli_validate_unwritable_coordinate_exit2(tmp_path, coord):
+    # parses to more digits than emit_scx can write: used to exit 1 with a
+    # traceback while computing the digest
+    bad = tmp_path / "big.scx"
+    bad.write_text(f"ambient 1\nvertex a {coord}\nsimplex a\n")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plhtpy.cli", "validate", str(bad)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert (f"FormatError: line 2: 'vertex a {coord}': coordinate "
+            f"'{coord}' has more digits than can be written back"
+            in proc.stdout)
+
+
 def test_cli_validate_negative_ambient_exit2(tmp_path):
     bad = tmp_path / "neg.scx"
     bad.write_text("ambient -1\n")

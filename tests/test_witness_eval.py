@@ -13,8 +13,10 @@ from plhtpy import subdivision as sd
 from plhtpy.complexes import Complex, faces_with_self, support_face
 from plhtpy.errors import NotClosed, PointOutsidePolyhedron
 
+from conftest import make_rot
 from test_cylinders import wall_homotopy
 from test_scx_cli import run_cli
+from test_subdivision import boundary_slide_homeo
 
 
 def test_support_face():
@@ -47,6 +49,69 @@ def test_evaluate_in_rejects_a_point_outside(rot):
     t = ("a", "a.b^bary")
     with pytest.raises(PointOutsidePolyhedron):
         rot.evaluate_in(t, rot.fine.vertices["c"])
+
+
+def scan_evaluate(f, x):
+    """Reference: the open fine simplex holding x, found by scanning every
+    fine simplex (`Complex.locate`), and the affine value there."""
+    t, coords = f.fine.locate(linalg.vec(x))
+    return linalg.vcomb(coords, f.image_points(t))
+
+
+def boundary_rotation_extension(disk, disk_boundary):
+    """`extend_homotopy` of the identity of the disk along the wall
+    homotopy sliding each boundary vertex to the next one."""
+    r = cy.cylinder_retraction(disk, disk_boundary)
+    P = disk.vertices
+    H = wall_homotopy(disk, r.prism, disk, {"a": {0: P["a"], 1: P["b"]},
+                                            "b": {0: P["b"], 1: P["c"]},
+                                            "c": {0: P["c"], 1: P["a"]}})
+    return cy.extend_homotopy(pm.identity_map(disk), H, r)
+
+
+def witness_eval_map(name, tri3, disk, disk_boundary):
+    """A freshly built map, so that its fine complex has no frames yet."""
+    if name == "extend_homotopy":
+        return boundary_rotation_extension(disk, disk_boundary)
+    if name == "subdivide_map":
+        return pm.subdivide_map(make_rot(tri3))
+    return sd.extend_normal(disk, disk_boundary, boundary_slide_homeo(tri3))
+
+
+@pytest.mark.parametrize("name", ["extend_homotopy", "subdivide_map",
+                                  "extend_normal"])
+def test_evaluate_builds_frames_only_over_the_located_coarse_simplex(
+        tri3, disk, disk_boundary, name):
+    G = witness_eval_map(name, tri3, disk, disk_boundary)
+    w = G.dom_subdivision
+    top = max(sorted(w.coarse.simplices), key=len)
+    points = [w.coarse.vertices[v] for v in w.coarse.vertex_ids()]
+    points.append(w.coarse.barycenter(top))
+    assert not G.fine._frames
+    for x in points:
+        G.evaluate(x)
+    located = {w.coarse.locate(x)[0] for x in points}
+    carried = [t for t in G.fine.simplices if w.carrier[t] in located]
+    assert 0 < len(G.fine._frames) <= len(carried) < len(G.fine.simplices)
+
+
+@pytest.mark.parametrize("name", ["extend_homotopy", "subdivide_map",
+                                  "extend_normal"])
+def test_evaluate_matches_the_global_scan(tri3, disk, disk_boundary, name):
+    G = witness_eval_map(name, tri3, disk, disk_boundary)
+    points = {}       # every fine vertex and barycenter, once
+    for t in sorted(G.fine.simplices):
+        for x in G.fine.points(t) + [G.fine.barycenter(t)]:
+            points.setdefault(x, t)
+    for x, t in points.items():
+        assert G.evaluate(x) == scan_evaluate(G, x), (t, x)
+    outside = [tuple(F(2) for _ in range(G.fine.ambient_dim))]
+    if name == "subdivide_map":
+        outside.append((F(1, 3), F(1, 3)))  # inside the circle tri3
+    for x in outside:
+        with pytest.raises(PointOutsidePolyhedron,
+                           match="not in the polyhedron"):
+            G.evaluate(x)
 
 
 @pytest.fixture
@@ -129,17 +194,19 @@ def test_verifier_reads_each_refinement_vertex_once(rot, monkeypatch):
     """As in verify-cert, the two maps of a step come from separate blocks
     with equal declarations, loaded as one fine complex, the refinement's
     base; the images are read in the refinement's frames, one set of
-    coordinates per refinement vertex."""
+    coordinates per refinement vertex.  Every coordinate query of a frame,
+    `coords` included, goes through `weights`, so that is what is
+    counted."""
     _, cert = pm.simplicial_approximation(rot)
     cert = certio.cert_from_obj(certio.cert_to_obj(cert))
     step = cert.steps[0]
     read = []
-    coords = linalg.AffineFrame.coords
+    weights = linalg.AffineFrame.weights
 
-    def counted_coords(fr, x):
+    def counted_weights(fr, x):
         read.append(fr)
-        return coords(fr, x)
-    monkeypatch.setattr(linalg.AffineFrame, "coords", counted_coords)
+        return weights(fr, x)
+    monkeypatch.setattr(linalg.AffineFrame, "weights", counted_weights)
     assert pm.verify_certificate(cert) == (True, [])
     ref = step.refinement
     assert step.to.fine is step.frm.fine is ref.coarse
