@@ -78,6 +78,30 @@ def numerators(hit):
     return None if hit is None else hit[0]
 
 
+class WeightRows:
+    """Barycentric rows of named points in the closed simplices of K: the
+    `AffineFrame.weights` answer for vertex v, placed at `point[v]`, in
+    simplex c of K, computed once per (v, c) pair however many pieces
+    share it."""
+
+    def __init__(self, K: "Complex", point):
+        self.K = K
+        self.point = point
+        self._rows: dict[tuple[str, Simplex], tuple | None] = {}
+
+    def weights(self, v: str, c: Simplex):
+        key = (v, c)
+        try:
+            return self._rows[key]
+        except KeyError:
+            hit = self._rows[key] = self.K.frame(c).weights(self.point[v])
+            return hit
+
+    def support(self, s, c: Simplex) -> Optional[Simplex]:
+        """`support_face` of closed c on the points of the vertices of s."""
+        return support_face(c, (numerators(self.weights(v, c)) for v in s))
+
+
 class Complex:
     """Immutable set of open simplices with a shared vertex table."""
 
@@ -87,6 +111,7 @@ class Complex:
         self.vertices = dict(vertices)
         self.simplices = frozenset(tuple(s) for s in simplices)
         self._frames: dict[Simplex, linalg.AffineFrame] = {}
+        self._scx: Optional[str] = None   # canonical text, see scx.emit_scx
 
     # -- basic queries ------------------------------------------------------
 

@@ -24,8 +24,8 @@ from collections import defaultdict
 from fractions import Fraction
 
 from . import linalg, subdivision
-from .complexes import (Complex, SubcomplexRef, Simplex, numerators,
-                        simplex, sname, support_face)
+from .complexes import (Complex, SubcomplexRef, Simplex, WeightRows,
+                        numerators, simplex, sname, support_face)
 from .errors import (BarrierViolation, CarrierClash, FixedSetMismatch,
                      Incompatible, NotClosed, NotFull, NotSimplicial,
                      NotSubcomplex, PointOutsidePolyhedron, RoundsExhausted,
@@ -85,17 +85,30 @@ class PLMap:
         return self.dom_subdivision
 
     def _check(self):
-        if not self.codomain.is_closed():
+        """Every fine simplex has a target carrier in the closed codomain,
+        and the image of each of its vertices lies in that closed carrier.
+
+        An image equal, as an exact tuple, to a vertex of the carrier is a
+        point of the closed carrier, so vertex equality proves it with no
+        frame: a simplicial map builds no codomain frame.  Any other image
+        is located by `point_in_closure`, once per (carrier, vertex) pair.
+        A missing carrier or image is a CarrierClash naming it."""
+        L = self.codomain
+        if not L.is_closed():
             raise NotClosed("codomain must be closed")
         proved = set()   # (carrier, vertex) pairs, each checked once
         for t in sorted(self.fine.simplices):
             c = self.target_carrier.get(t)
-            if c is None or c not in self.codomain.simplices:
+            if c is None or c not in L.simplices:
                 raise CarrierClash(f"no target carrier for {sname(t)}")
             for v in t:
                 if (c, v) in proved:
                     continue
-                if not self.codomain.point_in_closure(c, self.vertex_image[v]):
+                y = self.vertex_image.get(v)
+                if y is None:
+                    raise CarrierClash(f"no image for vertex {v}")
+                if not (any(L.vertices[u] == y for u in c)
+                        or L.point_in_closure(c, y)):
                     raise CarrierClash(
                         f"image of vertex {v} outside carrier {sname(c)}")
                 proved.add((c, v))
@@ -119,12 +132,11 @@ class PLMap:
         coord_to_vertex = {self.codomain.vertices[v[0]]: v[0]
                            for v in self.codomain.simplices if len(v) == 1}
         vmap = {}
-        for t in self.fine.simplices:
-            for v in t:
-                w = coord_to_vertex.get(self.vertex_image[v])
-                if w is None:
-                    return None
-                vmap[v] = w
+        for v in sorted({v for t in self.fine.simplices for v in t}):
+            w = coord_to_vertex.get(self.vertex_image[v])
+            if w is None:
+                return None
+            vmap[v] = w
         for t in self.fine.simplices:
             img = simplex(set(vmap[v] for v in t))
             if img not in self.codomain.simplices:
@@ -160,7 +172,10 @@ def simplicial_map(K: Complex, L: Complex, vmap: dict[str, str]) -> PLMap:
 
 def simplicial_map_on(w: SubdivisionWitness, L: Complex,
                       vmap: dict[str, str]) -> PLMap:
-    verts = {}
+    used = sorted({v for t in w.fine.simplices for v in t})
+    missing = [v for v in used if v not in vmap]
+    if missing:
+        raise NotSimplicial(f"no image for vertex {missing[0]}")
     carrier = {}
     for t in sorted(w.fine.simplices):
         img = simplex(set(vmap[v] for v in t))
@@ -168,16 +183,16 @@ def simplicial_map_on(w: SubdivisionWitness, L: Complex,
             raise NotSimplicial(
                 f"image {sname(img)} of {sname(t)} is not a simplex")
         carrier[t] = img
-        for v in t:
-            verts[v] = L.vertices[vmap[v]]
+    verts = {v: L.vertices[vmap[v]] for v in used}
     return PLMap(w.coarse, L, w, verts, carrier)
 
 
 def subdivide_map(f: PLMap) -> PLMap:
     """Same map on the once-more barycentrically subdivided domain, with
-    carriers recomputed as minimal faces of the parent carriers.  A new
-    vertex is the barycenter of its carrier, so its image is the average
-    of that simplex's vertex images."""
+    carriers recomputed as minimal faces of the parent carriers, as
+    `carrier_face` finds them, from one `WeightRows` row per (parent
+    carrier, vertex) pair.  A new vertex is the barycenter of its carrier,
+    so its image is the average of that simplex's vertex images."""
     step = barycentric_subdivide(f.fine)
     w = f.dom_subdivision.compose(step)
     verts = {}
@@ -185,10 +200,11 @@ def subdivide_map(f: PLMap) -> PLMap:
         if len(t) == 1:
             pts = f.image_points(s)
             verts[t[0]] = linalg.vcomb([Fraction(1, len(pts))] * len(pts), pts)
+    rows = WeightRows(f.codomain, verts)
     carrier = {}
     for t in step.fine.simplices:
         parent = f.target_carrier[step.carrier[t]]
-        c = carrier_face(f.codomain, parent, [verts[v] for v in t])
+        c = rows.support(t, parent)
         carrier[t] = c if c is not None else parent
     return PLMap(f.domain, f.codomain, w, verts, carrier, check=False)
 
@@ -336,9 +352,10 @@ def verify_certificate(cert: HomotopyCertificate):
 
     A certificate from `certio.cert_from_obj` shares one Complex per
     distinct block, so frames built while loading are reused here: with
-    the domain's text, the codomain frames `PLMap._check` builds are the
-    domain frames `verify_subdivision` reads and the carrier frames of the
-    image check, and equal fine complexes compare by identity.
+    the domain's text, the codomain frames `PLMap._check` builds (for
+    images that are not codomain vertices) are the domain frames
+    `verify_subdivision` reads and the carrier frames of the image check,
+    and equal fine complexes compare by identity.
     """
     if not cert.steps:
         return False, [(0, None, "certificate has no steps")]

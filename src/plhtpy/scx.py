@@ -19,7 +19,10 @@ would read as a simplex name) and stray tokens after `ambient <p>` or a
 carrier line.
 
 Emission is canonical (sorted declarations, reduced fractions), so content
-digests are stable across runs.
+digests are stable across runs.  Each complex's text is written once: a
+Complex is immutable, so `emit_scx` keeps the text on the object, and a
+certificate and the map written after it share one text per distinct
+complex.
 """
 
 from __future__ import annotations
@@ -164,19 +167,25 @@ def load_complex(text: str, check_disjoint: bool = True,
 
 
 def emit_scx(K: Complex, subcomplexes: dict | None = None) -> str:
-    lines = [f"ambient {K.ambient_dim}"]
-    used = sorted({v for s in K.simplices for v in s})
-    for v in used:
-        coords = " ".join(coord_str(q) for q in K.vertices[v])
-        lines.append(f"vertex {v} {coords}")
-    for s in sorted(K.simplices, key=lambda s: (len(s), s)):
-        lines.append("simplex " + " ".join(s))
+    """Canonical SCX text of K, then one line per named subcomplex.  The
+    text of K alone is written once per Complex and kept on it (a Complex
+    is immutable); the subcomplex lines are written on every call."""
+    if K._scx is None:
+        lines = [f"ambient {K.ambient_dim}"]
+        used = sorted({v for s in K.simplices for v in s})
+        for v in used:
+            coords = " ".join(coord_str(q) for q in K.vertices[v])
+            lines.append(f"vertex {v} {coords}")
+        for s in sorted(K.simplices, key=lambda s: (len(s), s)):
+            lines.append("simplex " + " ".join(s))
+        K._scx = "\n".join(lines) + "\n"
+    lines = [K._scx]
     for name in sorted(subcomplexes or {}):
         members = subcomplexes[name]
         members = getattr(members, "members", members)
         names = " ".join(sname(m) for m in sorted(members, key=lambda s: (len(s), s)))
-        lines.append(f"subcomplex {name} {names}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"subcomplex {name} {names}\n")
+    return "".join(lines)
 
 
 def carrier_lines(carriers: dict[Simplex, Simplex]) -> list[str]:

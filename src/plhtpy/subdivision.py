@@ -35,9 +35,8 @@ from math import prod
 from typing import TYPE_CHECKING
 
 from . import linalg
-from .complexes import (Complex, Point, SubcomplexRef, Simplex, facets,
-                        numerators, proper_faces, simplex, sname,
-                        support_face)
+from .complexes import (Complex, Point, SubcomplexRef, Simplex,
+                        WeightRows, facets, proper_faces, simplex, sname)
 from .errors import (Incompatible, NotClosed, NotNormal, NotNormalInput,
                      NotSubcomplex, PointOutsidePolyhedron, ValueOutOfRange)
 
@@ -151,9 +150,11 @@ def partition_violations(coarse: Complex, pieces, point, carrier,
     and piece t claimed inside open `carrier[t]`, fail to partition every
     simplex of `coarse` (an empty list when they do).
 
-    Exact and linear in the number of pieces.  Each piece must lie inside
-    its carrier.  Then, for every coarse simplex c of dimension d, over the
-    pieces carried by c:
+    Exact and linear in the number of pieces: the barycentric row of a
+    vertex in a coarse simplex is computed once, in the shared
+    `complexes.WeightRows` cache, however many pieces read it.  Each
+    piece must lie inside its carrier.  Then, for every coarse simplex c
+    of dimension d, over the pieces carried by c:
 
     * closed: every facet of a piece is a piece, unless it lies on a face
       of c that `coarse` leaves out;
@@ -171,22 +172,13 @@ def partition_violations(coarse: Complex, pieces, point, carrier,
     """
     violations = []
     by_coarse: dict[Simplex, list[Simplex]] = {c: [] for c in coarse.simplices}
-    weights: dict[tuple[str, Simplex], tuple | None] = {}
-
-    def bary(v, c):
-        key = (v, c)
-        if key not in weights:
-            weights[key] = coarse.frame(c).weights(point[v])
-        return weights[key]
-
-    def support(s, c):
-        return support_face(c, (numerators(bary(v, c)) for v in s))
+    rows = WeightRows(coarse, point)
 
     for t in sorted(pieces):
         c = carrier.get(t)
         if c is None or c not in coarse.simplices:
             violations.append((t, c, what + "carrier missing"))
-        elif support(t, c) != c:
+        elif rows.support(t, c) != c:
             violations.append((t, c, what + "not inside carrier"))
         else:
             by_coarse[c].append(t)
@@ -195,7 +187,7 @@ def partition_violations(coarse: Complex, pieces, point, carrier,
         mine = by_coarse[c]
         for t in mine:
             for f in facets(t):
-                if f not in pieces and support(f, c) in coarse.simplices:
+                if f not in pieces and rows.support(f, c) in coarse.simplices:
                     violations.append((f, c, f"{what}face of {sname(t)} "
                                              "missing"))
         total = Fraction(0)
@@ -204,7 +196,7 @@ def partition_violations(coarse: Complex, pieces, point, carrier,
         for t in mine:
             if len(t) != len(c):
                 continue
-            vol = relative_volume([bary(v, c) for v in t])
+            vol = relative_volume([rows.weights(v, c) for v in t])
             if vol == 0:
                 violations.append((t, c, what + "degenerate"))
                 continue

@@ -7,7 +7,7 @@ import pytest
 from plhtpy import plmaps as pm
 from plhtpy import scx
 from plhtpy import subdivision as sd
-from plhtpy.complexes import validate
+from plhtpy.complexes import Complex, validate
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +44,11 @@ def disk(corpus):
 @pytest.fixture(scope="session")
 def disk_boundary(corpus):
     return corpus["disk"][1]["boundary"]
+
+
+def fresh(K):
+    """A new Complex equal to K, with no frames built and no text written."""
+    return Complex(K.ambient_dim, K.vertices, K.simplices)
 
 
 def make_rot(tri3):

@@ -9,10 +9,12 @@ from plhtpy import plmaps as pm
 from plhtpy import scx
 from plhtpy import subdivision as sd
 from plhtpy.complexes import Complex, faces_with_self, simplex
-from plhtpy.errors import (CarrierClash, FixedSetMismatch, NotFull,
-                           PointOutsidePolyhedron, RoundsExhausted,
-                           ValueOutOfRange)
+from plhtpy.errors import (CarrierClash, FixedSetMismatch, Incompatible,
+                           NotFull, NotSimplicial, PointOutsidePolyhedron,
+                           RoundsExhausted, ValueOutOfRange)
 from plhtpy.homology import induced_map
+
+from conftest import fresh, make_hexagon
 
 
 def test_evaluate_identity(disk):
@@ -327,3 +329,117 @@ def test_simplicialize_blend_endpoints(perturbed_disk, disk_boundary):
     for x in [(F(1, 4), F(1, 4)), (F(1, 8), F(1, 2))]:
         assert cert.evaluate(x, F(0)) == cert.initial.evaluate(x)
         assert cert.evaluate(x, F(1)) == cert.final.evaluate(x)
+
+
+# ---------------------------------------------------------------------------
+# Carrier proofs by vertex equality and one weight row per (carrier, vertex)
+# ---------------------------------------------------------------------------
+
+def test_simplicial_maps_build_no_codomain_frame(tri3, disk):
+    hexagon = make_hexagon()
+    L = fresh(tri3)
+    pm.simplicial_map(hexagon, L, {"h0": "a", "h1": "b", "h2": "c",
+                                   "h3": "a", "h4": "b", "h5": "c"})
+    assert L._frames == {}
+    K = fresh(disk)
+    pm.identity_map(K)
+    assert K._frames == {}
+
+
+def vertex_images(K, **moved):
+    images = {v: K.vertices[v] for v in K.vertex_ids()}
+    images.update(moved)
+    return images
+
+
+@pytest.mark.parametrize("image, error, named", [
+    # a codomain vertex, but not one of the carrier's
+    ((F(0), F(1)), CarrierClash, "vertex a outside carrier a"),
+    # no vertex at all, outside the carrier
+    ((F(1, 2), F(0)), CarrierClash, "vertex a outside carrier a"),
+    ((F(0), F(0), F(0)), Incompatible, "3 coordinates"),
+])
+def test_carrier_proofs_still_reject_a_bad_image(tri3, image, error, named):
+    with pytest.raises(error, match=named):
+        pm.PLMap(tri3, tri3, sd.identity_witness(tri3),
+                 vertex_images(tri3, a=image),
+                 {s: s for s in tri3.simplices})
+
+
+def test_a_missing_vertex_image_names_the_vertex(tri3):
+    images = vertex_images(tri3)
+    del images["c"]
+    with pytest.raises(CarrierClash, match="no image for vertex c"):
+        pm.PLMap(tri3, tri3, sd.identity_witness(tri3), images,
+                 {s: s for s in tri3.simplices})
+    with pytest.raises(NotSimplicial, match="no image for vertex c"):
+        pm.simplicial_map(tri3, tri3, {"a": "a", "b": "b"})
+
+
+def circle_rotation(tri3, r):
+    """tri3 presented at depth r, every fine vertex moved one fine vertex
+    along the circle."""
+    w = sd.iterated_subdivision(tri3, r)
+    nbrs = {}
+    for e in w.fine.simplices:
+        if len(e) == 2:
+            nbrs.setdefault(e[0], []).append(e[1])
+            nbrs.setdefault(e[1], []).append(e[0])
+    order = ["a", min(nbrs["a"])]
+    while len(order) < len(nbrs):
+        order.append(next(u for u in nbrs[order[-1]] if u != order[-2]))
+    images = {v: w.fine.vertices[order[(i + 1) % len(order)]]
+              for i, v in enumerate(order)}
+    carrier = {t: pm.minimal_carrier(tri3, [images[v] for v in t])
+               for t in w.fine.simplices}
+    return pm.PLMap(tri3, tri3, w, images, carrier)
+
+
+def scrambled_disk(disk):
+    """disk at depth 1, every vertex interior to the triangle moved halfway
+    to the point with weights 1/6, 2/6, 3/6; carriers are minimal faces."""
+    w = sd.barycentric_subdivide(disk)
+    abc = ("a", "b", "c")
+    target = linalg.vcomb([F(1, 6), F(2, 6), F(3, 6)], disk.points(abc))
+    images = {}
+    for t, c in w.carrier.items():
+        if len(t) == 1:
+            p = w.fine.vertices[t[0]]
+            images[t[0]] = (p if c != abc else
+                            linalg.vcomb([F(1, 2), F(1, 2)], [p, target]))
+    carrier = {t: pm.carrier_face(disk, w.carrier[t],
+                                  [images[v] for v in t])
+               for t in w.fine.simplices}
+    return pm.PLMap(disk, disk, w, images, carrier)
+
+
+@pytest.fixture(params=["rot0", "rot1", "rot2", "scrambled_disk"])
+def producer_map(request, tri3, disk):
+    if request.param == "scrambled_disk":
+        return scrambled_disk(fresh(disk))
+    return circle_rotation(fresh(tri3), int(request.param[-1]))
+
+
+def test_subdivide_map_reads_one_row_per_carrier_and_vertex(monkeypatch,
+                                                            producer_map):
+    f = producer_map
+    calls = []
+    weights = linalg.AffineFrame.weights
+
+    def counted(frame, x):
+        calls.append(x)
+        return weights(frame, x)
+
+    monkeypatch.setattr(linalg.AffineFrame, "weights", counted)
+    g = pm.subdivide_map(f)
+    monkeypatch.undo()
+    step = sd.barycentric_subdivide(f.fine)
+    assert g.fine.simplices == step.fine.simplices
+    pairs = set()
+    for t in step.fine.simplices:
+        parent = f.target_carrier[step.carrier[t]]
+        ref = pm.carrier_face(f.codomain, parent,
+                              [g.vertex_image[v] for v in t])
+        assert g.target_carrier[t] == (ref if ref is not None else parent)
+        pairs.update((parent, v) for v in t)
+    assert 0 < len(calls) <= len(pairs)

@@ -20,6 +20,7 @@ from plhtpy.cli import main
 from plhtpy.complexes import validate
 from plhtpy.errors import FormatError, OverlappingSimplices
 from plhtpy.homology import euler_characteristic
+from conftest import fresh
 from test_cylinders import wall_homotopy
 
 
@@ -343,6 +344,58 @@ def test_a_checked_block_reuses_only_a_checked_complex():
     assert scx.load_complex(text, check_disjoint=False, blocks=blocks)[0] is K
     with pytest.raises(OverlappingSimplices):
         scx.load_complex(text, blocks=blocks)
+
+
+# ---------------------------------------------------------------------------
+# One SCX text per complex
+# ---------------------------------------------------------------------------
+
+def test_emit_scx_writes_each_complex_once(corpus):
+    K, subs = corpus["disk"]
+    K = fresh(K)
+    text = scx.emit_scx(K)
+    assert text == scx.emit_scx(fresh(K))
+    with_subs = scx.emit_scx(K, subs)
+    assert with_subs == scx.emit_scx(fresh(K), subs)
+    assert with_subs.startswith(text) and with_subs != text
+    assert scx.emit_scx(K) == text
+
+
+def fresh_witness(w):
+    return sd.SubdivisionWitness(fresh(w.fine), fresh(w.coarse), w.carrier)
+
+
+def fresh_map(f):
+    return pm.PLMap(fresh(f.domain), fresh(f.codomain),
+                    fresh_witness(f.dom_subdivision), f.vertex_image,
+                    f.target_carrier, check=False)
+
+
+def refreshed(fmt, obj):
+    """The decoded container `obj` with a fresh copy of every complex in
+    it, emitted again."""
+    if fmt == certio.MAP_FORMAT:
+        return certio.map_to_obj(fresh_map(obj[0]))
+    if fmt == certio.HOMEO_FORMAT:
+        return certio.homeo_to_obj(sd.PLHomeo(
+            fresh_witness(obj.witness), obj.vertex_image, obj.target_carrier))
+    return certio.cert_to_obj(pm.HomotopyCertificate(
+        [pm.HomotopyStep(fresh_map(s.frm), fresh_map(s.to),
+                         fresh_witness(s.refinement), s.carriers)
+         for s in obj.steps], obj.fixed_set))
+
+
+def test_written_containers_match_fresh_emission(tmp_path, rot):
+    mapfile = tmp_path / "rot.json"
+    certio.save(str(mapfile), certio.map_to_obj(rot))
+    paths = [tmp_path / name for name in ("g.json", "cert.json", "h.json")]
+    assert run_cli("approximate", str(mapfile), "--out", str(paths[0]),
+                   "--cert", str(paths[1]))[0] == 0
+    assert run_cli("extend-normal", "corpus:disk", "--sub", "boundary",
+                   "--rounds", "2", "--out", str(paths[2]))[0] == 0
+    for path in paths:
+        text = path.read_text()
+        assert certio.dumps(refreshed(*certio.load(str(path)))) == text, path
 
 
 def test_cli_verify_cert_tells_a_moved_fine_vertex_apart(tmp_path, rot):
