@@ -80,9 +80,9 @@ def numerators(hit):
 
 class WeightRows:
     """Barycentric rows of named points in the closed simplices of K: the
-    `AffineFrame.weights` answer for vertex v, placed at `point[v]`, in
-    simplex c of K, computed once per (v, c) pair however many pieces
-    share it."""
+    `AffineFrame.weights` answer for `point[v]` in simplex c of K, once
+    per (v, c) pair however many pieces share it.  A name v is any
+    hashable key of `point`, a vertex id or a caller's own label."""
 
     def __init__(self, K: "Complex", point):
         self.K = K
@@ -345,7 +345,7 @@ def validate(ambient_dim: int, vertex_coords: dict[str, Sequence],
 
     K = Complex(ambient_dim, verts, simplices)
     for s in simplices:
-        if not linalg.affinely_independent(K.points(s)):
+        if K.frame(s).rows is None:
             raise AffinelyDependent(f"vertices of {sname(s)} are affinely dependent")
     if check_disjoint:
         check_pairwise_disjoint(K)

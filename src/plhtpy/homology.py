@@ -165,7 +165,7 @@ def lattice_subset(gens_a, gens_b):
 
 def unimodular_inverse(U):
     """Inverse of a unimodular integer matrix: Gauss-Jordan elimination of
-    [U | I] ends at [d I | d U^-1] with d = +-det U = +-1."""
+    [U | I] ends at [d I | d U^-1] with d = det U = +-1."""
     n = len(U)
     if any(len(row) != n for row in U):
         raise ValueError("matrix is not square")

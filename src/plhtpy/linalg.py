@@ -16,13 +16,16 @@ integer left-null rows of their frames.
 
 One exact elimination kernel, `eliminate` (fraction-free, over the
 integers), serves coordinates, rank and volume: `AffineFrame` (one frame
-per point list, kept per simplex by `Complex.frame`), `mat_rank`,
-`subdivision.relative_volume` and the rank of each vertex union in
-`check_pairwise_disjoint`.  Only `solve_linear` and the LP eliminate over
-Fractions.  A frame answers with `AffineFrame.weights`: integer numerators
-over one positive denominator, so the tests that read only signs (closed
-carriers, supports, partition containment) and the relative volumes
-build no Fraction; `coords` is the Fraction form of the same answer.
+per point list, kept per simplex by `Complex.frame`, whose rows decide
+affine independence), the determinants of `subdivision` and the rank of
+each vertex union in `check_pairwise_disjoint`.  Only `solve_linear` and
+the LP eliminate over Fractions.  A frame answers with
+`AffineFrame.weights`: integer numerators over one positive denominator,
+so the tests that read only signs (closed carriers, supports, partition
+containment) and the relative volumes build no Fraction; `coords` is the
+Fraction form of the same answer.  `barycentric_coords`,
+`affinely_independent`, `vsub` and `mat_rank` are on no path of the
+package; tests use them as references.
 """
 
 from __future__ import annotations
@@ -75,9 +78,9 @@ def eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
     identity and multistep integer-preserving Gaussian elimination", Math.
     Comp. 22, 1968) of the integer matrix m, in place, over its first
     `ncols` columns, skipping a column with no pivot.  Every division is
-    exact: each entry stays a minor of the start matrix.  Returns the pivot
-    columns and the last pivot, which is +-det(m) when m is square and
-    every column pivots."""
+    exact: each entry stays a minor of the start matrix.  A swap negates
+    the row it moves down, so the last pivot, returned with the pivot
+    columns, is det(m) when m is square and every column pivots."""
     n = len(m)
     pivots: list[int] = []
     prev = 1
@@ -88,7 +91,8 @@ def eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
         piv = next((i for i in range(r, n) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], [-x for x in m[r]]
         top = m[r]
         p = top[c]
         for i in range(n):

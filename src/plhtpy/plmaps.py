@@ -271,7 +271,9 @@ def simplicial_approximation(f: PLMap, max_rounds: int = 8):
 
 def moved_vertices(f: PLMap, g: PLMap, simplices) -> list[str]:
     """Sorted vertices of `simplices` where g's image is missing or differs
-    from f's: empty exactly when the two maps agree over them."""
+    from f's: empty exactly when the two maps agree over them.
+    Precondition: f.fine == g.fine, coordinates included, as vertices are
+    matched by name."""
     return sorted(v for v in {v for t in simplices for v in t}
                   if g.vertex_image.get(v) != f.vertex_image[v])
 
@@ -330,32 +332,27 @@ def verify_certificate(cert: HomotopyCertificate):
     both maps live on a genuine subdivision of the domain, the refinement
     covers the shared fine domain, each refinement simplex has a common
     closed carrier containing both images of its closure, consecutive steps
-    agree, and every step is constant on the fixed set.  Images are
+    chain, and every step is constant on the fixed set.  Images are
     evaluated through the proved refinement carriers, never by searching
     the domain.
 
-    Each (carrier, image point) pair is proved in the codomain once, and a
-    failure is reported for every refinement simplex and vertex it
-    concerns.  Chaining and the fixed set are checked by `moved_vertices`,
-    one problem per moved vertex in vertex order.  When the shared fine
-    domain is closed, both images of a refinement vertex are evaluated
-    once per step, from its barycentric coordinates in the host
-    (refinement carrier) of the first refinement simplex holding it.  This is sound because the image check runs only
-    after `verify_subdivision` has proved the domain subdivision of both
-    maps and the refinement: the vertex lies in exactly one open piece of
-    the fine domain, and closedness makes that piece a face of every host
-    whose closure holds the vertex, where both maps are affine, so the
-    value does not depend on the host it is read in.  A fine domain that
-    leaves out a face of a host can put the vertex on that face, where the
-    host's affine extension need not agree with the map, so there the
-    images are evaluated once per vertex and host.
+    The image check runs after `verify_subdivision` has proved both
+    domain subdivisions and the refinement, so each refinement simplex
+    lies in its host (refinement carrier), where both maps are affine.  A
+    refinement vertex at the point of a host vertex u takes u's images,
+    unevaluated; it is matched by point, never by name, so a relabelled
+    refinement reads no other vertex's image, and an identity refinement
+    evaluates nothing.  Any other vertex is evaluated once per (vertex,
+    host) by `closed_coords`.  Both images are proved in the closed
+    carrier through one `WeightRows` of the codomain, and a failure is
+    reported for every refinement simplex and vertex it concerns.
 
-    A certificate from `certio.cert_from_obj` shares one Complex per
-    distinct block, so frames built while loading are reused here: with
-    the domain's text, the codomain frames `PLMap._check` builds (for
-    images that are not codomain vertices) are the domain frames
-    `verify_subdivision` reads and the carrier frames of the image check,
-    and equal fine complexes compare by identity.
+    Consecutive steps chain when the maps between them share their fine
+    complex, coordinates included, and agree at every vertex
+    (`moved_vertices`, one problem per moved vertex in vertex order); the
+    fixed set is checked the same way.  A certificate from
+    `certio.cert_from_obj` shares one Complex per distinct block, so
+    equal fine complexes compare by identity.
     """
     if not cert.steps:
         return False, [(0, None, "certificate has no steps")]
@@ -389,36 +386,33 @@ def verify_certificate(cert: HomotopyCertificate):
         if not ok_sub:
             problems.append((i, None, f"bad refinement: {viol[:3]}"))
             continue
-        L = f.codomain
-        per_vertex = f.fine.is_closed()
-        images = {}   # vertex (and host) -> its images under f and g
-        inside = set()   # (carrier, image point) pairs proved in L
-
-        def in_carrier(c, y):
-            if (c, y) not in inside:
-                if not L.point_in_closure(c, y):
-                    return False
-                inside.add((c, y))
-            return True
-
+        L, hosts = f.codomain, ref.coarse
+        image = {}   # (0 for f or 1 for g, name) -> image point
+        rows = WeightRows(L, image)
         for t in sorted(ref.fine.simplices):
             c = step.carriers.get(t)
             if c is None or c not in L.simplices:
                 problems.append((i, t, "missing carrier"))
                 continue
             host = ref.carrier[t]
+            at = {hosts.vertices[u]: u for u in host}
             for v in t:
-                key = v if per_vertex else (v, host)
-                if key not in images:
-                    coords = closed_coords(ref.coarse, host,
-                                           ref.fine.vertices[v])
-                    images[key] = [linalg.vcomb(coords, h.image_points(host))
-                                   for h in (f, g)]
-                if not all(in_carrier(c, y) for y in images[key]):
+                x = ref.fine.vertices[v]
+                u = at.get(x)
+                name = (v, host) if u is None else u
+                if (0, name) not in image:
+                    if u is None:
+                        coords = closed_coords(hosts, host, x)
+                        ys = [linalg.vcomb(coords, h.image_points(host))
+                              for h in (f, g)]
+                    else:
+                        ys = [h.vertex_image[u] for h in (f, g)]
+                    image[0, name], image[1, name] = ys
+                if rows.support([(0, name), (1, name)], c) is None:
                     problems.append((i, t, "image outside carrier"))
         if i > 0:
             prev = cert.steps[i - 1].to
-            if prev.fine.simplices != f.fine.simplices:
+            if prev.fine != f.fine:
                 problems.append((i, None, "steps do not chain"))
             else:
                 problems += [(i, (v,), "steps disagree") for v in

@@ -144,25 +144,26 @@ def relative_volume(rows) -> Fraction:
     return Fraction(abs(last), prod(q for _, q in rows))
 
 
-def partition_violations(coarse: Complex, pieces, point, carrier,
+def partition_violations(rows: WeightRows, pieces, carrier,
                          what: str = "") -> list:
-    """Why the open simplices `pieces`, with vertex v placed at `point[v]`
+    """Why the open simplices `pieces`, with vertex v at `rows.point[v]`
     and piece t claimed inside open `carrier[t]`, fail to partition every
-    simplex of `coarse` (an empty list when they do).
+    simplex of the coarse complex `rows.K` (an empty list when they do).
 
     Exact and linear in the number of pieces: the barycentric row of a
-    vertex in a coarse simplex is computed once, in the shared
-    `complexes.WeightRows` cache, however many pieces read it.  Each
-    piece must lie inside its carrier.  Then, for every coarse simplex c
-    of dimension d, over the pieces carried by c:
+    vertex in a coarse simplex is read from the caller's `rows`, computed
+    once however many pieces and checks read it.  Each piece must lie
+    inside its carrier.  Then, for every coarse simplex c of dimension d,
+    over the pieces carried by c:
 
     * closed: every facet of a piece is a piece, unless it lies on a face
-      of c that `coarse` leaves out;
+      of c that the coarse complex leaves out;
     * the top (d-dimensional) pieces are nondegenerate and their relative
       volumes sum to 1;
     * every lower-dimensional piece is a face of a top piece;
-    * every facet carried by c has exactly two top cofaces, on opposite
-      sides of it;
+    * every facet f carried by c has exactly two top cofaces, on opposite
+      sides of it: the determinants of the integer rows of (f..., u1) and
+      (f..., u2), u1 and u2 their apexes, have opposite signs;
     * every facet carried by a facet of c has exactly one top coface.
 
     The facet conditions make the number of top pieces over a generic point
@@ -170,9 +171,9 @@ def partition_violations(coarse: Complex, pieces, point, carrier,
     the face condition puts every lower piece on the shared boundaries: the
     pieces partition c.  Messages start with `what`.
     """
+    coarse = rows.K
     violations = []
     by_coarse: dict[Simplex, list[Simplex]] = {c: [] for c in coarse.simplices}
-    rows = WeightRows(coarse, point)
 
     for t in sorted(pieces):
         c = carrier.get(t)
@@ -220,9 +221,10 @@ def partition_violations(coarse: Complex, pieces, point, carrier,
             else:
                 t1, t2 = tops
                 (u1,), (u2,) = set(t1) - set(f), set(t2) - set(f)
-                lam = linalg.barycentric_coords([point[v] for v in t1],
-                                                point[u2])
-                if lam[t1.index(u1)] >= 0:
+                side = [linalg.eliminate([list(rows.weights(v, c)[0])
+                                          for v in f + (u,)], len(c))[1]
+                        for u in (u1, u2)]
+                if side[0] * side[1] >= 0:
                     violations.append((f, c, f"{what}top cofaces on one "
                                              "side"))
         for e in facets(c):
@@ -252,8 +254,8 @@ def verify_subdivision(w: SubdivisionWitness):
             and all(w.coarse.frame(t).rows is not None
                     for t in w.fine.simplices)):
         return True, []
-    violations = partition_violations(w.coarse, w.fine.simplices,
-                                      w.fine.vertices, w.carrier)
+    violations = partition_violations(WeightRows(w.coarse, w.fine.vertices),
+                                      w.fine.simplices, w.carrier)
     return (not violations), violations
 
 
@@ -299,21 +301,20 @@ def verify_normal(phi: PLMap) -> NormalityReport:
     `partition_violations` on the image points, each image carried by its
     target carrier; (2) the fine simplices themselves partition each
     coarse simplex (`verify_subdivision`); (3) each fine simplex maps into
-    the interior of its own carrier.
+    the interior of its own carrier.  (1) and (3) share one `WeightRows`.
     """
     w = phi.dom_subdivision
     sub_ok, violations = verify_subdivision(w)
 
+    rows = WeightRows(w.coarse, phi.vertex_image)
     carrier_ok = True
     for t in sorted(w.fine.simplices):
         car = w.carrier.get(t)
-        if car in w.coarse.simplices \
-                and w.coarse.support(car, phi.image_points(t)) != car:
+        if car in w.coarse.simplices and rows.support(t, car) != car:
             carrier_ok = False
             violations.append((t, car, "image leaves carrier"))
     image_violations = partition_violations(
-        w.coarse, w.fine.simplices, phi.vertex_image, phi.target_carrier,
-        "image ")
+        rows, w.fine.simplices, phi.target_carrier, "image ")
     violations.extend(image_violations)
     return NormalityReport(not image_violations, sub_ok, carrier_ok,
                            violations)

@@ -36,6 +36,23 @@ def test_validate_affinely_dependent():
         validate(2, verts, [["a"], ["b"], ["c"], ["a", "b", "c"]])
 
 
+def test_validate_reads_independence_from_the_kept_frames(monkeypatch,
+                                                         corpus):
+    def no_rank_test(*args):
+        raise AssertionError("affinely_independent called")
+    monkeypatch.setattr(linalg, "affinely_independent", no_rank_test)
+    for K, _ in corpus.values():
+        text = scx.emit_scx(K)
+        V = scx.load_complex(text)[0]
+        assert set(V._frames) == V.simplices
+    flat = {"a": (0, 0), "b": (1, 0), "c": (2, 0)}
+    line = {"a": (0,), "b": (1,), "c": (2,)}
+    for d, verts in ((2, flat), (1, line)):
+        with pytest.raises(AffinelyDependent,
+                           match="vertices of a-b-c are affinely dependent"):
+            validate(d, verts, [["a"], ["b"], ["c"], ["a", "b", "c"]])
+
+
 def test_validate_overlapping_triangles():
     verts = {"a": (0, 0), "b": (2, 0), "c": (0, 2),
              "d": (1, 1), "e": (3, 0), "f": (1, -2)}

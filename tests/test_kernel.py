@@ -224,6 +224,27 @@ def test_rank_and_volume_match_minors(big):
     assert deficient and zero
 
 
+def test_last_pivot_is_the_determinant():
+    """A swap negates the row it moves down, so on a square matrix that
+    pivots in every column the last pivot is det(m), sign included.  The
+    first column of every matrix needs a swap."""
+    rng = random.Random(5150)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        m[0][0] = 0
+        m[rng.randrange(1, n)][0] = rng.choice([-3, -2, -1, 1, 2, 3])
+        det = leibniz_det(m)
+        pivots, last = linalg.eliminate([list(row) for row in m], n)
+        if det:
+            assert (pivots, last) == (list(range(n)), det), m
+        else:
+            singular += 1
+            assert len(pivots) < n, m
+    assert 0 < singular < 300
+
+
 def test_eliminate_skips_a_zero_column():
     m = [[0, 2, 4, 1], [0, 1, 2, 3], [0, 3, 7, 0]]
     pivots, last = linalg.eliminate(m, 4)

@@ -219,7 +219,10 @@ def test_carrier_swap_problem_lists(request, name, s, t, bad):
         False, [(0, x, "image outside carrier") for x in bad])
 
 
-def test_open_domain_images_are_read_per_host():
+OPEN_ON_BC = [("b", "m"), ("c", "m"), ("m",)]
+
+
+def open_domain_certificate():
     """The domain leaves out the edge b-c of the triangle a-b-c and covers
     it by b-m, m, m-c instead.  The refinement cuts a-b-c along a-m, so the
     vertex m lies on the missing face of that host, where the affine
@@ -239,13 +242,15 @@ def test_open_domain_images_are_read_per_host():
     fine = Complex(2, pts, set(K.simplices) - {("a", "b", "c")} | set(cuts))
     ref = sd.SubdivisionWitness(fine, K, {t: ("a", "b", "c") if t in cuts
                                           else t for t in fine.simplices})
-    on_bc = [("b", "m"), ("c", "m"), ("m",)]
-    carriers = {t: ("B", "C") if t in on_bc else ("A", "B", "C")
+    carriers = {t: ("B", "C") if t in OPEN_ON_BC else ("A", "B", "C")
                 for t in fine.simplices}
-    cert = pm.HomotopyCertificate([pm.HomotopyStep(f, f, ref, carriers)],
+    return pm.HomotopyCertificate([pm.HomotopyStep(f, f, ref, carriers)],
                                   K.subcomplex(()))
-    assert pm.verify_certificate(cert) == (
-        False, [(0, t, "image outside carrier") for t in on_bc])
+
+
+def test_open_domain_images_are_read_per_host():
+    assert pm.verify_certificate(open_domain_certificate()) == (
+        False, [(0, t, "image outside carrier") for t in OPEN_ON_BC])
 
 
 def test_urysohn_vertex_star(disk):

@@ -1,5 +1,6 @@
 """Barycentric subdivision, normality checking, and normal extension."""
 
+import random
 import re
 from fractions import Fraction as F
 
@@ -9,7 +10,8 @@ from plhtpy import certio, linalg
 from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
 from plhtpy import scx
-from plhtpy.complexes import Complex, simplex, validate
+from plhtpy.complexes import (Complex, WeightRows, facets, proper_faces,
+                              simplex, sname, validate)
 from plhtpy.errors import (Incompatible, NotClosed, NotNormal, NotNormalInput,
                            NotSubcomplex)
 from plhtpy.homology import euler_characteristic
@@ -201,6 +203,113 @@ def test_verify_normal_rejects_folded_images(disk):
     assert not report.partitions_simplices and not report.normal
     assert ((x, y), whole, "image top cofaces on one side") \
         in report.violations
+
+
+def partition_reference(coarse, pieces, point, carrier):
+    """`partition_violations` as it read before its facet side test moved
+    to determinants: the apex of one top coface gets its barycentric
+    coordinates in a one-off `barycentric_coords` frame of the other, and
+    the two lie on one side when the coordinate at the other's apex is
+    not negative."""
+    violations = []
+    by_coarse = {c: [] for c in coarse.simplices}
+    for t in sorted(pieces):
+        c = carrier.get(t)
+        if c is None or c not in coarse.simplices:
+            violations.append((t, c, "carrier missing"))
+        elif coarse.support(c, [point[v] for v in t]) != c:
+            violations.append((t, c, "not inside carrier"))
+        else:
+            by_coarse[c].append(t)
+    for c in sorted(coarse.simplices, key=lambda c: (-len(c), c)):
+        mine = by_coarse[c]
+        for t in mine:
+            for f in facets(t):
+                if f not in pieces and coarse.support(
+                        c, [point[v] for v in f]) in coarse.simplices:
+                    violations.append((f, c, f"face of {sname(t)} missing"))
+        total = F(0)
+        faces, cofaces = set(), {}
+        for t in mine:
+            if len(t) != len(c):
+                continue
+            vol = sd.relative_volume([coarse.frame(c).weights(point[v])
+                                      for v in t])
+            if vol == 0:
+                violations.append((t, c, "degenerate"))
+                continue
+            total += vol
+            faces.update(proper_faces(t))
+            for f in facets(t):
+                cofaces.setdefault(f, []).append(t)
+        for t in mine:
+            if len(t) < len(c) and t not in faces:
+                violations.append((t, c, "not a face of a top piece"))
+        for f, tops in sorted(cofaces.items()):
+            if f not in pieces:
+                continue
+            if carrier.get(f) != c:
+                if len(tops) != 1:
+                    violations.append((f, c, "boundary facet with "
+                                             f"{len(tops)} top cofaces"))
+            elif len(tops) != 2:
+                violations.append((f, c, "interior facet with "
+                                         f"{len(tops)} top cofaces"))
+            else:
+                t1, t2 = tops
+                (u1,), (u2,) = set(t1) - set(f), set(t2) - set(f)
+                lam = linalg.barycentric_coords([point[v] for v in t1],
+                                                point[u2])
+                if lam[t1.index(u1)] >= 0:
+                    violations.append((f, c, "top cofaces on one side"))
+        for e in facets(c):
+            for f in by_coarse.get(e, ()):
+                if len(f) == len(e) and f not in cofaces:
+                    violations.append((f, c, "boundary facet with 0 top "
+                                             "cofaces"))
+        if total != 1:
+            violations.append((None, c, f"coverage {total} != 1"))
+    return violations
+
+
+def partition_forgeries(w, rng):
+    """Point tables and carriers of w: an interior vertex of a top piece
+    moved across the facet of that piece opposite it, and the carriers of
+    two pieces swapped."""
+    point, carrier = dict(w.fine.vertices), w.carrier
+    t = rng.choice([t for t in sorted(w.fine.simplices)
+                    if len(t) == len(w.carrier[t]) == w.coarse.dim() + 1
+                    and any(w.carrier[(v,)] == w.carrier[t] for v in t)])
+    v = rng.choice([v for v in t if w.carrier[(v,)] == w.carrier[t]])
+    across = tuple(u for u in t if u != v)
+    s = F(rng.randint(1, 8), 4)
+    moved = dict(point)
+    moved[v] = linalg.vcomb([1 + s, -s], [w.fine.barycenter(across),
+                                          point[v]])
+    swapped = dict(carrier)
+    a, b = rng.sample(sorted(carrier), 2)
+    swapped[a], swapped[b] = carrier[b], carrier[a]
+    return [(moved, carrier), (point, swapped)]
+
+
+def test_partition_sides_match_the_reference(disk):
+    tetra = closed_tetra()
+    rng = random.Random(2121)
+    sides = 0
+    for K, r in ((disk, 1), (disk, 2), (tetra, 1)):
+        w = sd.iterated_subdivision(K, r)
+        cases = [(w.fine.vertices, w.carrier)]
+        for _ in range(12):
+            cases += partition_forgeries(w, rng)
+        for point, carrier in cases:
+            expected = partition_reference(w.coarse, w.fine.simplices,
+                                           point, carrier)
+            assert sd.partition_violations(WeightRows(w.coarse, point),
+                                           w.fine.simplices,
+                                           carrier) == expected
+            sides += any(m == "top cofaces on one side"
+                         for _, _, m in expected)
+    assert sides
 
 
 def test_partition_checks_never_call_the_lp(monkeypatch, disk,

@@ -2,6 +2,7 @@
 pipelines that never search a complex, and the verifier checks that make
 evaluating through a witness sound."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,11 +11,13 @@ from plhtpy import certio, linalg
 from plhtpy import cylinders as cy
 from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
-from plhtpy.complexes import Complex, faces_with_self, support_face
+from plhtpy.complexes import (Complex, WeightRows, faces_with_self,
+                              simplex, support_face)
 from plhtpy.errors import NotClosed, PointOutsidePolyhedron
 
 from conftest import make_rot
 from test_cylinders import wall_homotopy
+from test_plmaps import open_domain_certificate
 from test_scx_cli import run_cli
 from test_subdivision import boundary_slide_homeo
 
@@ -190,29 +193,194 @@ def test_wrong_refinement_carrier_rejected_before_evaluation(rot, monkeypatch):
     assert problems[0][2].startswith("bad refinement")
 
 
-def test_verifier_reads_each_refinement_vertex_once(rot, monkeypatch):
-    """As in verify-cert, the two maps of a step come from separate blocks
-    with equal declarations, loaded as one fine complex, the refinement's
-    base; the images are read in the refinement's frames, one set of
-    coordinates per refinement vertex.  Every coordinate query of a frame,
-    `coords` included, goes through `weights`, so that is what is
-    counted."""
-    _, cert = pm.simplicial_approximation(rot)
-    cert = certio.cert_from_obj(certio.cert_to_obj(cert))
-    step = cert.steps[0]
-    read = []
-    weights = linalg.AffineFrame.weights
+@pytest.fixture
+def coords_calls(monkeypatch):
+    """The (complex, host, point) of every `closed_coords` call."""
+    calls = []
+    closed = pm.closed_coords
 
-    def counted_weights(fr, x):
-        read.append(fr)
-        return weights(fr, x)
-    monkeypatch.setattr(linalg.AffineFrame, "weights", counted_weights)
+    def counted(K, t, x):
+        calls.append((id(K), t, tuple(x)))
+        return closed(K, t, x)
+    monkeypatch.setattr(pm, "closed_coords", counted)
+    return calls
+
+
+def refined(cert, witness, rename=None):
+    """`cert` with each step's identity refinement replaced by `witness`
+    of its base, vertices renamed by `rename`.  Each refinement simplex is
+    carried by the least face of its host's carrier holding both images
+    of its closure, read by `closed_coords` in the host."""
+    steps = []
+    for step in cert.steps:
+        w = witness(step.refinement.coarse)
+        name = (rename or {}).get
+        new = {t: simplex(name(v, v) for v in t) for t in w.fine.simplices}
+        fine = Complex(w.fine.ambient_dim,
+                       {name(v, v): p for v, p in w.fine.vertices.items()},
+                       new.values())
+        ref = sd.SubdivisionWitness(fine, w.coarse, {new[t]: w.carrier[t]
+                                                     for t in new})
+        carriers = {}
+        for t, host in w.carrier.items():
+            coords = [pm.closed_coords(w.coarse, host, w.fine.vertices[v])
+                      for v in t]
+            images = [linalg.vcomb(x, h.image_points(host))
+                      for x in coords for h in (step.frm, step.to)]
+            carriers[new[t]] = step.frm.codomain.support(
+                step.carriers[host], images)
+        steps.append(pm.HomotopyStep(step.frm, step.to, ref, carriers))
+    return pm.HomotopyCertificate(steps, cert.fixed_set)
+
+
+def bary_refined(cert, rename=None):
+    return refined(cert, sd.barycentric_subdivide, rename)
+
+
+@pytest.mark.parametrize("name", ["rot", "deg2", "perturbed_disk"])
+def test_identity_refinements_evaluate_nothing(request, name, coords_calls):
+    """Every refinement vertex of an identity refinement is a vertex of
+    its host, so its images are the host vertex's, with no evaluation; as
+    in verify-cert, the certificate goes through its file form."""
+    _, cert = pm.simplicial_approximation(request.getfixturevalue(name))
+    loaded = certio.cert_from_obj(certio.cert_to_obj(cert))
+    coords_calls.clear()
     assert pm.verify_certificate(cert) == (True, [])
-    ref = step.refinement
-    assert step.to.fine is step.frm.fine is ref.coarse
-    ref_frames = {id(ref.coarse.frame(t)) for t in ref.coarse.simplices}
-    vertices = [t for t in ref.fine.simplices if len(t) == 1]
-    assert 0 < sum(id(fr) in ref_frames for fr in read) <= len(vertices)
+    assert pm.verify_certificate(loaded) == (True, [])
+    assert coords_calls == []
+
+
+@pytest.mark.parametrize("name", ["rot", "perturbed_disk"])
+def test_bary_refinements_evaluate_once_per_vertex_and_host(request, name,
+                                                            coords_calls):
+    _, cert = pm.simplicial_approximation(request.getfixturevalue(name))
+    cert = bary_refined(cert)
+    coords_calls.clear()
+    assert pm.verify_certificate(cert) == (True, [])
+    ref = cert.steps[0].refinement
+    pairs = {(v, ref.carrier[t]) for t in ref.fine.simplices for v in t
+             if ref.fine.vertices[v] not in ref.coarse.points(ref.carrier[t])}
+    assert len(set(coords_calls)) == len(coords_calls) == len(pairs) > 0
+
+
+def reference_verify(cert):
+    """`verify_certificate` by its definition: every refinement vertex is
+    evaluated in every host holding it by `closed_coords` and `vcomb`,
+    and each image is located in its carrier on its own."""
+    problems = []
+    for i, step in enumerate(cert.steps):
+        f, g, ref = step.frm, step.to, step.refinement
+        L = f.codomain
+        if f.codomain != g.codomain:
+            problems.append((i, None, "codomain mismatch"))
+            continue
+        if f.fine != g.fine:
+            problems.append((i, None, "domain subdivision mismatch"))
+            continue
+        viol = (sd.verify_subdivision(f.dom_subdivision)[1]
+                or sd.verify_subdivision(g.dom_subdivision)[1])
+        if viol:
+            problems.append((i, None, f"bad domain subdivision: {viol[:3]}"))
+            continue
+        if ref.coarse != f.fine:
+            problems.append((i, None, "refinement base mismatch"))
+            continue
+        ok_sub, viol = sd.verify_subdivision(ref)
+        if not ok_sub:
+            problems.append((i, None, f"bad refinement: {viol[:3]}"))
+            continue
+        for t in sorted(ref.fine.simplices):
+            c = step.carriers.get(t)
+            if c is None or c not in L.simplices:
+                problems.append((i, t, "missing carrier"))
+                continue
+            host = ref.carrier[t]
+            for v in t:
+                coords = pm.closed_coords(ref.coarse, host,
+                                          ref.fine.vertices[v])
+                if not all(L.point_in_closure(
+                        c, linalg.vcomb(coords, h.image_points(host)))
+                        for h in (f, g)):
+                    problems.append((i, t, "image outside carrier"))
+        if i > 0:
+            prev = cert.steps[i - 1].to
+            if prev.fine != f.fine:
+                problems.append((i, None, "steps do not chain"))
+            else:
+                problems += [(i, (v,), "steps disagree") for v in
+                             pm.moved_vertices(prev, f, f.fine.simplices)]
+        fixed = pm.restrict_members(f.dom_subdivision, cert.fixed_set.members)
+        problems += [(i, (v,), "not constant on fixed set")
+                     for v in pm.moved_vertices(f, g, fixed)]
+    return (not problems), problems
+
+
+def swap_carriers(cert, s, t):
+    """A copy of `cert` with the carriers of the refinement simplices s
+    and t of its first step exchanged."""
+    step = cert.steps[0]
+    carriers = dict(step.carriers)
+    carriers[s], carriers[t] = carriers[t], carriers[s]
+    steps = [pm.HomotopyStep(step.frm, step.to, step.refinement, carriers)]
+    return pm.HomotopyCertificate(steps + cert.steps[1:], cert.fixed_set)
+
+
+def test_verifier_agrees_with_the_reference(tri3, rot, perturbed_disk):
+    """The family: producer certificates, their barycentric refinements,
+    the same with a and b exchanged, and the open-domain certificate, each
+    also with seeded pairs of carriers swapped.  On tri3 the exchange puts
+    the name a of a host vertex on the refinement vertex at b, in the
+    edge a-a.b^bary of the refinement; given the carrier of the vertex b
+    there, an image read by name would prove the vertex at b inside it."""
+    AB = {"a": "b", "b": "a"}
+    rng = random.Random(21)
+    family = []
+    for f in (rot, perturbed_disk):
+        _, cert = pm.simplicial_approximation(f)
+        family += [cert, bary_refined(cert), refined(cert, sd.identity_witness,
+                                                     AB),
+                   bary_refined(cert, AB)]
+    identity = pm.identity_map(tri3)
+    family.append(bary_refined(pm.straight_line_homotopy(identity, identity),
+                               AB))
+    assert [pm.verify_certificate(c) for c in family] == \
+        [(True, [])] * len(family)
+    family.append(swap_carriers(family[-1], ("a", "a.b^bary"), ("b",)))
+    family.append(open_domain_certificate())
+    family += [swap_carriers(c, *rng.sample(sorted(c.steps[0].carriers), 2))
+               for c in family for _ in range(8)]
+    verdicts = [reference_verify(c) for c in family]
+    assert [pm.verify_certificate(c) for c in family] == verdicts
+    assert sum(not ok for ok, _ in verdicts) > len(family) // 2
+
+
+def reflection_certificate(tri3):
+    """Two constant steps on the circle tri3: the identity, then the
+    reflection that swaps a and b, presented on a copy of tri3 with a and
+    b placed at each other's points and the identity's images by name.
+    By simplex names and images the steps chain; as maps they do not."""
+    swap = {"a": "b", "b": "a", "c": "c"}
+    fine = Complex(tri3.ambient_dim,
+                   {v: tri3.vertices[swap[v]] for v in tri3.vertices},
+                   tri3.simplices)
+    w = sd.SubdivisionWitness(fine, tri3, {
+        t: simplex(swap[v] for v in t) for t in fine.simplices})
+    reflection = pm.PLMap(tri3, tri3, w, tri3.vertices,
+                          {t: t for t in fine.simplices})
+    steps = [pm.straight_line_homotopy(h, h).steps[0]
+             for h in (pm.identity_map(tri3), reflection)]
+    return pm.HomotopyCertificate(steps, tri3.subcomplex(()))
+
+
+def test_steps_chain_as_maps_not_as_names(tmp_path, tri3):
+    cert = reflection_certificate(tri3)
+    assert pm.verify_certificate(cert) == (
+        False, [(1, None, "steps do not chain")])
+    path = tmp_path / "reflection.json"
+    certio.save(str(path), certio.cert_to_obj(cert))
+    code, out = run_cli("verify-cert", str(path))
+    assert code == 1
+    assert "witness_cert_valid: step 1 simplex -: steps do not chain" in out
 
 
 def skeleton_certificate(disk):
@@ -247,8 +415,8 @@ def full_checks(monkeypatch):
 
 
 def full_check(w):
-    violations = sd.partition_violations(w.coarse, w.fine.simplices,
-                                         w.fine.vertices, w.carrier)
+    violations = sd.partition_violations(
+        WeightRows(w.coarse, w.fine.vertices), w.fine.simplices, w.carrier)
     return (not violations), violations
 
 
