@@ -2,7 +2,8 @@
 
 A map file embeds the SCX text of its domain and codomain, the SCX-M
 text of its fine complex (with vertex images and target carriers), and
-the domain-subdivision carrier lines.  Certificates bundle the shared
+the domain-subdivision carrier lines, read as SCX-M `carrier` lines over
+the fine complex of their block.  Certificates bundle the shared
 domain and codomain once plus one entry per straight-line step.  All
 emission is canonical (sorted keys, sorted lines), so files and their
 digests are byte-stable.
@@ -33,19 +34,12 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
 
 
-def _parse_carrier_lines(obj: dict, key: str,
-                         fmt: str) -> dict[Simplex, Simplex]:
-    """The carrier lines of field `key` of obj, parsed."""
-    out = {}
-    for line in _field(obj, key, fmt, list):
-        parts = line.split()
-        if len(parts) != 3 or parts[1] != "->":
-            raise FormatError(f"bad carrier line {line!r}")
-        fine = scx.parse_simplex_name(parts[0])
-        if fine in out:
-            raise FormatError(f"duplicate carrier line {line!r}")
-        out[fine] = scx.parse_simplex_name(parts[2])
-    return out
+def _carriers(obj: dict, key: str, fmt: str,
+              fine: Complex) -> dict[Simplex, Simplex]:
+    """The carrier lines of field `key` of obj, over the simplices of the
+    fine complex `fine` (`scx.load_carriers`)."""
+    return scx.load_carriers(_field(obj, key, fmt, list), fine,
+                             f"{fmt}: field {key!r}")
 
 
 def _expect(obj, fmt: str):
@@ -98,7 +92,7 @@ def _load_entry(entry: dict, fmt: str, domain: Complex, codomain: Complex,
         raise FormatError(
             f"image of fine vertex {wrong[0]} has {len(images[wrong[0]])} "
             f"coordinates, but the codomain has ambient {codomain.ambient_dim}")
-    carrier = _parse_carrier_lines(entry, "witness", fmt)
+    carrier = _carriers(entry, "witness", fmt, fine)
     return SubdivisionWitness(fine, domain, carrier), images, carriers
 
 
@@ -199,9 +193,9 @@ def cert_from_obj(obj: dict) -> HomotopyCertificate:
             raise FormatError("subcomplex declarations in a refinement")
         _check_ambient(rfine, domain, "refinement")
         ref = SubdivisionWitness(
-            rfine, frm.fine, _parse_carrier_lines(refinement, "witness", fmt))
+            rfine, frm.fine, _carriers(refinement, "witness", fmt, rfine))
         steps.append(HomotopyStep(
-            frm, to, ref, _parse_carrier_lines(entry, "carriers", fmt)))
+            frm, to, ref, _carriers(entry, "carriers", fmt, rfine)))
     fixed = domain.subcomplex(scx.parse_simplex_name(n)
                               for n in _field(obj, "fixed", fmt, list))
     return HomotopyCertificate(steps, fixed)

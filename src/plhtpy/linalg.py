@@ -1,31 +1,29 @@
 """Exact linear algebra over the rationals.
 
-Everything in this module works on ``fractions.Fraction`` entries and makes
-no floating point detours.  Matrices are plain lists of lists; vectors are
-tuples.  This is the arithmetic substrate for all geometric predicates:
-barycentric coordinates, affine independence and the strict-feasibility
-test used to decide whether two open simplices meet.  That test is one
-phase-1 simplex feasibility problem, `_feasible`: the open hulls of
-a_1..a_ka and b_1..b_kb meet exactly when some lambda_i >= 1, mu_j >= 1
-give sum lambda_i (a_i, 1) = sum mu_j (b_j, 1).  Strict positivity needs
-no objective: any positive solution scales to one with least weight 1.
-The LP is the last screen of `complexes.check_pairwise_disjoint`; the one
-before it, `hyperplane_separated`, looks for a separating hyperplane
-inside the affine hull of the two simplices' union, read from the
-integer left-null rows of their frames.
+Points come in as ``fractions.Fraction`` tuples, with no floating point
+detours; matrices are plain lists of lists.  This is the arithmetic
+substrate for all geometric predicates: barycentric coordinates, affine
+independence and the strict-feasibility test used to decide whether two
+open simplices meet.  That test is one phase-1 simplex feasibility
+problem, `_feasible`: the open hulls of a_1..a_ka and b_1..b_kb meet
+exactly when some lambda_i >= 1, mu_j >= 1 give
+sum lambda_i (a_i, 1) = sum mu_j (b_j, 1).  It is the last screen of
+`complexes.check_pairwise_disjoint`; the one before it,
+`hyperplane_separated`, looks for a separating hyperplane inside the
+affine hull of the two simplices' union, read from the integer left-null
+rows of their frames.
 
-One exact elimination kernel, `eliminate` (fraction-free, over the
-integers), serves coordinates, rank and volume: `AffineFrame` (one frame
-per point list, kept per simplex by `Complex.frame`, whose rows decide
-affine independence), the determinants of `subdivision` and the rank of
-each vertex union in `check_pairwise_disjoint`.  Only `solve_linear` and
-the LP eliminate over Fractions.  A frame answers with
+Every elimination is over the integers, one fraction-free step `_pivot`
+at a time: `eliminate` serves coordinates, rank and volume (`AffineFrame`,
+one frame per point list, kept per simplex by `Complex.frame`, whose rows
+decide affine independence; the determinants of `subdivision`; the rank
+of each vertex union in `check_pairwise_disjoint`), and the LP pivots its
+integer tableau with the same step.  A frame answers with
 `AffineFrame.weights`: integer numerators over one positive denominator,
-so the tests that read only signs (closed carriers, supports, partition
-containment) and the relative volumes build no Fraction; `coords` is the
-Fraction form of the same answer.  `barycentric_coords`,
-`affinely_independent`, `vsub` and `mat_rank` are on no path of the
-package; tests use them as references.
+so the sign tests and the relative volumes build no Fraction; `coords` is
+the Fraction form of the same answer.  `solve_linear`,
+`barycentric_coords`, `affinely_independent`, `vsub` and `mat_rank` are
+on no path of the package; tests use them as references.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ from .errors import Incompatible
 Vec = tuple[Fraction, ...]
 
 F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -73,14 +70,32 @@ def integer_row(row) -> tuple[list[int], int]:
     return [n * (den // d) for n, d in pairs], den
 
 
+def _pivot(m: list[list[int]], r: int, c: int, prev: int) -> int:
+    """One fraction-free Gauss-Jordan step (Bareiss, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968), in place: clear column c of all rows but r by the pivot
+    p = m[r][c], moving them from the common denominator `prev` to p.  Each
+    division is exact, as each entry stays a minor of the start matrix.
+    Returns p, the next `prev`."""
+    top = m[r]
+    p = top[c]
+    for i in range(len(m)):
+        if i == r:
+            continue
+        a = m[i][c]
+        if a:
+            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
+        elif p != prev:             # a zero entry only rescales the row
+            m[i] = [p * x // prev for x in m[i]]
+    return p
+
+
 def eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """Fraction-free Gauss-Jordan elimination (Bareiss, "Sylvester's
-    identity and multistep integer-preserving Gaussian elimination", Math.
-    Comp. 22, 1968) of the integer matrix m, in place, over its first
-    `ncols` columns, skipping a column with no pivot.  Every division is
-    exact: each entry stays a minor of the start matrix.  A swap negates
-    the row it moves down, so the last pivot, returned with the pivot
-    columns, is det(m) when m is square and every column pivots."""
+    """Fraction-free Gauss-Jordan elimination of the integer matrix m by
+    `_pivot`, in place, over its first `ncols` columns, skipping a column
+    with no pivot.  A swap negates the row it moves down, so the last
+    pivot, returned with the pivot columns, is det(m) when m is square and
+    every column pivots."""
     n = len(m)
     pivots: list[int] = []
     prev = 1
@@ -93,17 +108,7 @@ def eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], [-x for x in m[r]]
-        top = m[r]
-        p = top[c]
-        for i in range(n):
-            if i == r:
-                continue
-            a = m[i][c]
-            if a:
-                m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
-            elif p != prev:             # a zero entry only rescales the row
-                m[i] = [p * x // prev for x in m[i]]
-        prev = p
+        prev = _pivot(m, r, c, prev)
         pivots.append(c)
     return pivots, prev
 
@@ -115,37 +120,20 @@ def mat_rank(rows: list[list[Fraction]]) -> int:
 
 
 def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve A x = b exactly.
+    """Solve A x = b exactly: `eliminate` on the rows of [A | b] scaled to
+    integers.
 
     Returns one solution, or None when the system is inconsistent.  For
     underdetermined systems the free variables are set to zero.
     """
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(nc):
-        piv = next((i for i in range(rank, nr) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        pv = aug[rank][col]
-        aug[rank] = [x / pv for x in aug[rank]]
-        for i in range(nr):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rank])]
-        pivots.append((rank, col))
-        rank += 1
-        if rank == nr:
-            break
-    for i in range(rank, nr):
-        if aug[i][nc] != 0:
-            return None
+    nc = len(rows[0]) if rows else 0
+    m = [integer_row(list(r) + [b])[0] for r, b in zip(rows, rhs)]
+    pivots, _ = eliminate(m, nc)
+    if any(row[nc] for row in m[len(pivots):]):
+        return None
     x = [F0] * nc
-    for r, c in pivots:
-        x[c] = aug[r][nc]
+    for r, c in enumerate(pivots):
+        x[c] = Fraction(m[r][nc], m[r][c])
     return x
 
 
@@ -168,8 +156,8 @@ class AffineFrame:
     on the affine hull.  `weights` then needs only integer dot products
     and returns the coordinates as integer numerators over one positive
     denominator, which is all a sign test reads; `coords` divides them out
-    into Fractions.  An affinely dependent list keeps the Fraction solve
-    of `solve_linear` (free coordinates 0).
+    into Fractions.  An affinely dependent list has no barycentric
+    coordinates, and its frame answers None to both.
     """
 
     __slots__ = ("points", "rows", "den", "null")
@@ -214,15 +202,11 @@ class AffineFrame:
     def weights(self, x: Vec) -> Optional[tuple[list[int], int]]:
         """Barycentric coordinates of x as integer numerators w over one
         positive denominator q, lambda_j = w_j / q, or None if x is off
-        the hull; a point of another arity than the frame's is
-        Incompatible."""
+        the hull or the points are affinely dependent; a point of another
+        arity than the frame's is Incompatible."""
         self._check_arity(x)
         if self.rows is None:
-            # lambda_0..k with sum 1 and sum lambda_j p_j = x
-            rows = [[p[i] for p in self.points] for i in range(len(x))]
-            rows.append([F1] * len(self.points))
-            sol = solve_linear(rows, list(x) + [F1])
-            return None if sol is None else integer_row(sol)
+            return None
         scaled = _integer_point(x)
         for row in self.null:
             if sum(map(mul, row, scaled)):
@@ -232,7 +216,7 @@ class AffineFrame:
 
     def coords(self, x: Vec) -> Optional[list[Fraction]]:
         """Barycentric coordinates of x as Fractions, the `weights`
-        divided out, or None if x is off the hull."""
+        divided out, or None when `weights` is."""
         hit = self.weights(x)
         if hit is None:
             return None
@@ -301,9 +285,9 @@ def hyperplane_separated(frame_a: AffineFrame, frame_b: AffineFrame) -> bool:
 # Exact LP: one phase-1 feasibility problem for open-simplex intersection.
 # ---------------------------------------------------------------------------
 
-def _feasible(A: list[list[Fraction]], b: list[Fraction]) -> bool:
-    """Is {x >= 0 : A x = b} nonempty?  Phase 1 of the simplex method, in
-    exact Fractions.
+def _feasible(A: list[list[int]], b: list[int]) -> bool:
+    """Is {x >= 0 : A x = b} nonempty?  Phase 1 of the simplex method on
+    an integer tableau, pivoted by `_pivot`.
 
     After making b >= 0, one artificial per row starts as the basis; the
     last tableau row holds their sum in reduced form, and the system is
@@ -312,27 +296,23 @@ def _feasible(A: list[list[Fraction]], b: list[Fraction]) -> bool:
     1977) -- the lowest improving column enters, ratio ties leave by the
     lowest basic index -- makes the method terminate.  Only original
     columns enter: an artificial that left the basis is 0 in every
-    feasible point, so its column is never needed.  The one caller asks
-    for lambda, mu >= 1 with sum lambda_i (a_i, 1) = sum mu_j (b_j, 1):
-    no objective, as strictly positive weights scale to least weight 1.
+    feasible point, so its column is never needed.  Every pivot is
+    positive, so the common denominator stays positive and every sign and
+    ratio is that of the Fraction tableau; only the ratio test builds
+    Fractions.  No objective: positive weights scale to least weight 1.
     """
     m, n = len(A), len(A[0])
-    T = [[frac(x) for x in row] + [frac(r)] for row, r in zip(A, b)]
-    T = [row if row[n] >= 0 else [-x for x in row] for row in T]
+    T = [[x if r >= 0 else -x for x in row + [r]] for row, r in zip(A, b)]
     T.append([sum(col) for col in zip(*T)])
     basis = list(range(n, n + m))       # n + i: the artificial of row i
+    prev = 1
     while T[m][n]:
         enter = next((j for j in range(n) if T[m][j] > 0), None)
         if enter is None:
             return False
         r = min((i for i in range(m) if T[i][enter] > 0),
-                key=lambda i: (T[i][n] / T[i][enter], basis[i]))
-        pv = T[r][enter]
-        T[r] = top = [x / pv for x in T[r]]
-        for i, row in enumerate(T):
-            f = row[enter]
-            if i != r and f:
-                T[i] = [x - f * y for x, y in zip(row, top)]
+                key=lambda i: (Fraction(T[i][n], T[i][enter]), basis[i]))
+        prev = _pivot(T, r, enter, prev)
         basis[r] = enter
     return True
 
@@ -346,9 +326,12 @@ def convex_positions_intersect(pts_a: Sequence[Vec], pts_b: Sequence[Vec]) -> bo
     sum lambda_i (a_i, 1) = sum mu_j (b_j, 1): positive weights of a common
     point, divided by their least entry, are such lambda, mu, and lambda,
     mu divided by their common sum are positive weights of a common point.
-    With x = (lambda - 1, mu - 1) >= 0 this is one phase-1 problem of d + 1
-    rows and ka + kb columns: A x = -A 1 for A = [(a_i, 1) | -(b_j, 1)].
+    A positive multiple of a column (p, 1) keeps its weight positive, so
+    the columns are the integer points `_integer_point(p)`.  With
+    x = (lambda - 1, mu - 1) >= 0 this is one phase-1 problem of d + 1 rows
+    and ka + kb columns: A x = -A 1 for A = [(a_i, 1) | -(b_j, 1)].
     """
-    cols = [(*p, F1) for p in pts_a] + [(*(-x for x in q), -F1) for q in pts_b]
+    cols = ([_integer_point(p) for p in pts_a]
+            + [[-x for x in _integer_point(q)] for q in pts_b])
     A = [list(row) for row in zip(*cols)]
     return _feasible(A, [-sum(row) for row in A])

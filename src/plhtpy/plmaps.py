@@ -116,6 +116,14 @@ class PLMap:
     def image_points(self, t: Simplex):
         return [self.vertex_image[v] for v in t]
 
+    def missing_image(self) -> str | None:
+        """The least vertex of a fine simplex with no image, or None.  Only
+        an unchecked map (`check=False`, `subdivision.PLHomeo`) has one."""
+        missing = self.fine.vertices.keys() - self.vertex_image.keys()
+        if missing:
+            missing &= {v for t in self.fine.simplices for v in t}
+        return min(missing, default=None)
+
     def evaluate(self, x):
         """Value at a point x of the domain, read on the fine simplex that
         `SubdivisionWitness.locate_piece` finds."""
@@ -270,12 +278,13 @@ def simplicial_approximation(f: PLMap, max_rounds: int = 8):
 # ---------------------------------------------------------------------------
 
 def moved_vertices(f: PLMap, g: PLMap, simplices) -> list[str]:
-    """Sorted vertices of `simplices` where g's image is missing or differs
-    from f's: empty exactly when the two maps agree over them.
+    """Sorted vertices of `simplices` where g's image differs from f's,
+    a missing image differing from any image: empty exactly when the two
+    maps agree over them.
     Precondition: f.fine == g.fine, coordinates included, as vertices are
     matched by name."""
     return sorted(v for v in {v for t in simplices for v in t}
-                  if g.vertex_image.get(v) != f.vertex_image[v])
+                  if g.vertex_image.get(v) != f.vertex_image.get(v))
 
 
 def unit_time(s) -> Fraction:
@@ -328,7 +337,9 @@ class HomotopyCertificate:
 def verify_certificate(cert: HomotopyCertificate):
     """Independent re-check of every witness in a certificate.
 
-    Returns (ok, problems).  A certificate needs a step.  Checks per step:
+    Returns (ok, problems).  A certificate needs a step.  A step whose map
+    lacks the image of a fine vertex gets one problem per such map, naming
+    its least such vertex, and no other check.  Checks per step:
     both maps live on a genuine subdivision of the domain, the refinement
     covers the shared fine domain, each refinement simplex has a common
     closed carrier containing both images of its closure, consecutive steps
@@ -368,6 +379,13 @@ def verify_certificate(cert: HomotopyCertificate):
     for i, step in enumerate(cert.steps):
         f, g = step.frm, step.to
         ref = step.refinement
+        lost = [(i, (v,), f"{side} map has no image of vertex {v}")
+                for side, v in (("from", f.missing_image()),
+                                ("to", g.missing_image()))
+                if v is not None]
+        if lost:
+            problems += lost
+            continue
         if f.codomain != g.codomain:
             problems.append((i, None, "codomain mismatch"))
             continue

@@ -82,6 +82,18 @@ def _declare(table: dict, key, value, what: str) -> None:
     table[key] = value
 
 
+def _carrier(toks: list[str], carriers: dict) -> Simplex:
+    """Record the carrier declaration `<fine> -> <coarse>`, given as its
+    tokens, and return its fine simplex.  Stray tokens, a bad arrow or a
+    repeated fine simplex are a ValueError."""
+    _no_stray(toks, 3)
+    if len(toks) < 3 or toks[1] != "->":
+        raise ValueError("carrier syntax: carrier <fine> -> <coarse>")
+    t = parse_simplex_name(toks[0])
+    _declare(carriers, t, parse_simplex_name(toks[2]), f"carrier {toks[0]}")
+    return t
+
+
 def parse_scx(text: str):
     """Parse SCX (and SCX-M) text into raw pieces."""
     ambient = None
@@ -121,11 +133,7 @@ def parse_scx(text: str):
                          tuple(_parse_coord(t) for t in toks[2:]),
                          f"image {toks[1]}")
             elif kind == "carrier":
-                _no_stray(toks, 4)
-                if toks[2] != "->":
-                    raise ValueError("carrier syntax: carrier <fine> -> <coarse>")
-                _declare(carriers, parse_simplex_name(toks[1]),
-                         parse_simplex_name(toks[3]), f"carrier {toks[1]}")
+                _carrier(toks[1:], carriers)
             else:
                 raise ValueError(f"unknown declaration {kind!r}")
         except (IndexError, ValueError) as exc:
@@ -226,6 +234,22 @@ def load_scxm(text: str, blocks: dict | None = None):
                     f"line {lineno}: {raw.strip()!r}: not in the fine complex")
     images = {v: vec(p) for v, p in images.items()}
     return fine, images, carriers
+
+
+def load_carriers(lines: list[str], fine: Complex,
+                  where: str) -> dict[Simplex, Simplex]:
+    """Carrier lines `<fine> -> <coarse>` of a container field, read as
+    SCX-M `carrier` lines are, each fine simplex in `fine`.  A bad line is
+    a FormatError naming `where` and the line."""
+    carriers: dict[Simplex, Simplex] = {}
+    for lineno, line in enumerate(lines, 1):
+        try:
+            if _carrier(line.split(), carriers) not in fine.simplices:
+                raise ValueError("not in the fine complex")
+        except (IndexError, ValueError) as exc:
+            raise FormatError(f"{where} line {lineno}: {line!r}: {exc}") \
+                from exc
+    return carriers
 
 
 def digest(text: str) -> str:

@@ -302,7 +302,13 @@ def verify_normal(phi: PLMap) -> NormalityReport:
     target carrier; (2) the fine simplices themselves partition each
     coarse simplex (`verify_subdivision`); (3) each fine simplex maps into
     the interior of its own carrier.  (1) and (3) share one `WeightRows`.
+    A map that lacks the image of a fine vertex fails all three with one
+    violation naming its least such vertex, and nothing else is checked.
     """
+    missing = phi.missing_image()
+    if missing is not None:
+        return NormalityReport(False, False, False, [
+            ((missing,), None, f"no image of vertex {missing}")])
     w = phi.dom_subdivision
     sub_ok, violations = verify_subdivision(w)
 

@@ -1,7 +1,8 @@
-"""The one exact elimination kernel: `linalg.eliminate` behind rank and
-volume against minors, `linalg.AffineFrame` against the Fraction solve it
-replaces, and the guard that every path eliminates each simplex of a
-complex once."""
+"""The one exact elimination step, `linalg._pivot`: `linalg.eliminate`
+behind rank and volume against minors, `linalg.AffineFrame` against the
+Fraction solve it replaces, the integer phase-1 LP against the Fraction
+tableau it replaces, and the guard that every path eliminates each simplex
+of a complex once and solves nothing over Fractions."""
 
 import random
 from collections import Counter
@@ -15,18 +16,54 @@ from plhtpy import linalg
 from plhtpy import plmaps as pm
 from plhtpy import scx
 from plhtpy import subdivision as sd
-from plhtpy.complexes import Complex
-from plhtpy.errors import Incompatible
+from plhtpy.complexes import Complex, validate
+from plhtpy.errors import Incompatible, OverlappingSimplices
 
 from conftest import make_perturbed_disk, make_rot
 
 
+def fraction_solve(rows, rhs):
+    """The Fraction Gauss-Jordan `linalg.solve_linear` ran before it went
+    to integers: one solution of A x = b with the free variables 0, or
+    None when the system is inconsistent."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = []
+    rank = 0
+    for col in range(nc):
+        piv = next((i for i in range(rank, nr) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        pv = aug[rank][col]
+        aug[rank] = [x / pv for x in aug[rank]]
+        for i in range(nr):
+            if i != rank and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[rank])]
+        pivots.append((rank, col))
+        rank += 1
+        if rank == nr:
+            break
+    if any(aug[i][nc] != 0 for i in range(rank, nr)):
+        return None
+    x = [F(0)] * nc
+    for r, c in pivots:
+        x[c] = aug[r][nc]
+    return x
+
+
 def solve_reference(points, x):
-    """The Fraction Gauss-Jordan path `barycentric_coords` used to take."""
+    """The Fraction Gauss-Jordan path `barycentric_coords` used to take,
+    checked against `linalg.solve_linear` on the same system."""
     k = len(points)
     rows = [[points[j][i] for j in range(k)] for i in range(len(x))]
     rows.append([F(1)] * k)
-    return linalg.solve_linear(rows, list(x) + [F(1)])
+    rhs = list(x) + [F(1)]
+    sol = fraction_solve(rows, rhs)
+    assert linalg.solve_linear(rows, rhs) == sol, (rows, rhs)
+    return sol
 
 
 def rational(rng, big):
@@ -90,7 +127,9 @@ def test_frame_matches_the_fraction_solve(big):
     assert off
 
 
-def test_frame_keeps_the_solve_on_dependent_points():
+def test_a_dependent_frame_answers_none():
+    """Affinely dependent points have no barycentric coordinates, so their
+    frame answers None to every query, on the hull or off it."""
     rng = random.Random(77)
     for d in range(1, 4):
         for _ in range(30):
@@ -104,7 +143,8 @@ def test_frame_keeps_the_solve_on_dependent_points():
             frame = linalg.AffineFrame(pts)
             assert frame.rows is None
             for x in queries(rng, pts, False):
-                assert frame.coords(x) == solve_reference(pts, x), (pts, x)
+                assert frame.weights(x) is None, (pts, x)
+                assert frame.coords(x) is None, (pts, x)
 
 
 @pytest.mark.parametrize("big", [False, True])
@@ -123,6 +163,9 @@ def test_weights_are_the_coords_over_one_positive_denominator(big):
             for x in queries(rng, pts, big):
                 hit, coords = frame.weights(x), frame.coords(x)
                 assert (hit is None) == (coords is None), (pts, x)
+                if frame.rows is None:
+                    assert hit is None, (pts, x)
+                    continue
                 assert coords == solve_reference(pts, x), (pts, x)
                 if hit is None:
                     off += 1
@@ -253,6 +296,105 @@ def test_eliminate_skips_a_zero_column():
     assert linalg.eliminate([[1, 2], [2, 4]], 2) == ([0], 1)
 
 
+def test_solve_linear_matches_the_fraction_solve():
+    """Systems with dependent rows, zero columns and free variables, half
+    of them consistent by construction."""
+    rng = random.Random(4242)
+    verdicts = Counter()
+    for big in (False, True):
+        for _ in range(300):
+            m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), big)
+            if rng.random() < 0.5:
+                x = [rational(rng, big) for _ in m[0]]
+                rhs = [sum(a * b for a, b in zip(row, x)) for row in m]
+            else:
+                rhs = [rational(rng, big) for _ in m]
+            sol = fraction_solve(m, rhs)
+            assert linalg.solve_linear(m, rhs) == sol, (m, rhs)
+            verdicts[sol is None] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def fraction_tableau_meet(pts_a, pts_b):
+    """The Fraction phase-1 tableau `linalg.convex_positions_intersect`
+    ran before its tableau went to integers: the same problem on the
+    columns (p, 1), the same artificial basis and Bland's rule, with every
+    pivot row divided by its pivot."""
+    cols = ([(*p, F(1)) for p in pts_a]
+            + [(*(-x for x in q), F(-1)) for q in pts_b])
+    A = [list(row) for row in zip(*cols)]
+    m, n = len(A), len(A[0])
+    T = [row + [-sum(row)] for row in A]
+    T = [row if row[n] >= 0 else [-x for x in row] for row in T]
+    T.append([sum(col) for col in zip(*T)])
+    basis = list(range(n, n + m))
+    while T[m][n]:
+        enter = next((j for j in range(n) if T[m][j] > 0), None)
+        if enter is None:
+            return False
+        r = min((i for i in range(m) if T[i][enter] > 0),
+                key=lambda i: (T[i][n] / T[i][enter], basis[i]))
+        pv = T[r][enter]
+        T[r] = top = [x / pv for x in T[r]]
+        for i, row in enumerate(T):
+            f = row[enter]
+            if i != r and f:
+                T[i] = [x - f * y for x, y in zip(row, top)]
+        basis[r] = enter
+    return True
+
+
+def grid_point(rng, d):
+    """A point on a coarse grid with mixed denominators, so columns scale
+    by different factors and shared planes are common."""
+    return tuple(F(rng.randint(-3, 3), rng.choice([1, 1, 2, 3]))
+                 for _ in range(d))
+
+
+def lp_pair(rng, d):
+    """Two point lists of R^d.  B mixes fresh points, vertices of A and
+    points of closed faces of A (on its hull), so shared vertices,
+    touching faces and flat unions are common."""
+    pa = list({grid_point(rng, d) for _ in range(rng.randint(1, d + 1))})
+    pb = []
+    for _ in range(rng.randint(1, d + 1)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            pb.append(rng.choice(pa))
+        elif kind == 1:
+            face = rng.sample(pa, rng.randint(1, len(pa)))
+            pb.append(combination(rng, face, [1] * len(face))[0])
+        else:
+            pb.append(grid_point(rng, d))
+    return pa, pb
+
+
+def test_the_integer_lp_reads_what_the_fraction_tableau_read():
+    rng = random.Random(1968)
+    verdicts = Counter()
+    for d in range(1, 5):
+        for _ in range(500):
+            pa, pb = lp_pair(rng, d)
+            for x, y in ((pa, pb), (pb, pa)):
+                meet = fraction_tableau_meet(x, y)
+                assert linalg.convex_positions_intersect(x, y) is meet, (x, y)
+                verdicts[d, meet] += 1
+    assert sum(verdicts.values()) == 4000
+    assert all(verdicts[d, meet] >= 50 for d in range(1, 5)
+               for meet in (True, False)), verdicts
+
+
+class Opaque(F):
+    """A Fraction whose arithmetic raises: a point of these reaches an
+    integer LP only through `as_integer_ratio`."""
+
+    def _refuse(self, *args):
+        raise AssertionError("Fraction arithmetic on an LP input")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = _refuse
+    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = __neg__ = _refuse
+
+
 @pytest.fixture
 def frame_builds(monkeypatch):
     """Count the frames built inside each `Complex.frame` call, by
@@ -309,6 +451,29 @@ def test_each_simplex_is_eliminated_once(frame_builds):
 
     assert frame_builds
     assert max(frame_builds.values()) == 1
+
+
+def test_no_fraction_solve_in_validate_or_the_lp(frame_builds):
+    """`validate` with disjointness on every corpus complex, and two
+    crossing triangles that reach the LP, solve nothing over Fractions;
+    the LP reads its points through integers only, meeting or not."""
+    for name in scx.CORPUS_NAMES:
+        K, _ = scx.load_corpus(name)
+        assert K.simplices
+    with pytest.raises(OverlappingSimplices,
+                       match="^open simplices a-b-c and d-e-f intersect$"):
+        validate(2, {"a": (0, 0), "b": (4, 0), "c": (2, 3),
+                     "d": (0, 2), "e": (4, 2), "f": (2, -1)},
+                 [["a", "b", "c"], ["d", "e", "f"]])
+
+    def points(*pts):
+        return [tuple(Opaque(x) for x in p) for p in pts]
+    diagonal, antidiagonal = points((0, 0), (2, 2)), points((0, 2), (2, 0))
+    floor, roof = points((0, 0), (F(1, 2), 0)), points((0, 1), (1, F(1, 3)))
+    assert linalg.convex_positions_intersect(diagonal, antidiagonal)
+    assert not linalg.convex_positions_intersect(floor, roof)
+    with pytest.raises(AssertionError, match="Fraction arithmetic"):
+        fraction_tableau_meet(diagonal, antidiagonal)
 
 
 def test_a_fresh_complex_has_no_frames(disk):

@@ -89,6 +89,7 @@ def test_scx_duplicate_declarations(extra, lineno):
     ("ambient 1 junk\nvertex a 0\n", 1, "stray tokens 'junk'"),
     (SEGMENT + "carrier a -> a extra\n", 6, "stray tokens 'extra'"),
     (SEGMENT + "carrier a => a\n", 6, "carrier syntax"),
+    (SEGMENT + "carrier a ->\n", 6, "carrier syntax"),
     ("ambient 1\nvertex a zero\n", 2, "bad coordinate 'zero'"),
     ("ambient 1\nvertex a 1/0\n", 2, "bad coordinate '1/0'"),
     (SEGMENT + "image a nan\n", 6, "bad coordinate 'nan'"),
@@ -161,10 +162,47 @@ def test_cli_verify_normal_rejects_duplicate_image(tmp_path, disk):
     assert code == 2
     assert "FormatError" in out and f"duplicate image {center}" in out
     obj = certio.homeo_to_obj(phi)
-    obj["witness"].append(obj["witness"][0].split(" -> ")[0] + " -> a")
+    first = obj["witness"][0].split(" -> ")[0]
+    obj["witness"].append(first + " -> a")
+    n = len(obj["witness"])
     path.write_text(certio.dumps(obj))
     code, out = run_cli("verify-normal", str(path))
-    assert code == 2 and "duplicate carrier line" in out
+    assert code == 2
+    assert (f"FormatError: plhtpy-homeo/1: field 'witness' line {n}: "
+            f"'{first} -> a': duplicate carrier {first}\n") in out
+
+
+def test_cli_stray_container_carrier_line_exits_2(tmp_path, rot, disk):
+    """A container carrier line is read as an SCX-M `carrier` line is: one
+    whose fine simplex is not in its block's fine complex is an input
+    error naming the format, the field and the line, never a line the
+    verifier silently skips."""
+    path = tmp_path / "stray.json"
+
+    def rejects(command, obj, fmt, lines, line):
+        lines.append(line)
+        path.write_text(certio.dumps(obj))
+        code, out = run_cli(command, str(path))
+        assert code == 2, out
+        assert (f"error: FormatError: {fmt}: field {field!r} line "
+                f"{len(lines)}: '{line}': not in the fine complex\n") in out
+
+    field = "witness"
+    obj = certio.map_to_obj(rot)
+    rejects("approximate", obj, "plhtpy-map/1", obj["witness"], "zz-yy -> a")
+    phi = sd.identity_homeo_on(sd.barycentric_subdivide(disk))
+    obj = certio.homeo_to_obj(phi)
+    rejects("verify-normal", obj, "plhtpy-homeo/1", obj["witness"], "a-b -> a")
+    _, cert = pm.simplicial_approximation(rot)
+    fmt = "plhtpy-cert/1"
+    for key in ("from", "to", "refinement"):
+        obj = certio.cert_to_obj(cert)
+        rejects("verify-cert", obj, fmt, obj["steps"][0][key]["witness"],
+                "qq -> a")
+    field = "carriers"
+    obj = certio.cert_to_obj(cert)
+    rejects("verify-cert", obj, fmt, obj["steps"][0]["carriers"],
+            "zz-yy -> a")
 
 
 def test_scxm_round_trip(rot):

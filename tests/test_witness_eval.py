@@ -495,6 +495,41 @@ def test_cli_missing_image_line_exits_2(tmp_path, rot, disk):
         in out
 
 
+def test_a_map_with_no_image_is_reported_not_raised(tri3, disk):
+    """An unchecked map without the image of vertex a fails both verifiers
+    with one problem naming a, and nothing else of its step is checked."""
+    f = pm.identity_map(tri3)
+    g = pm.PLMap(tri3, tri3, f.dom_subdivision,
+                 {v: p for v, p in f.vertex_image.items() if v != "a"},
+                 f.target_carrier, check=False)
+    carriers = {t: t for t in tri3.simplices}
+
+    def cert(*pairs):
+        steps = [pm.HomotopyStep(h, k, sd.identity_witness(tri3), carriers)
+                 for h, k in pairs]
+        return pm.HomotopyCertificate(steps, tri3.subcomplex(()))
+    assert pm.verify_certificate(cert((f, g))) == (
+        False, [(0, ("a",), "to map has no image of vertex a")])
+    assert pm.verify_certificate(cert((g, f))) == (
+        False, [(0, ("a",), "from map has no image of vertex a")])
+    assert pm.verify_certificate(cert((g, g)))[1] == [
+        (0, ("a",), "from map has no image of vertex a"),
+        (0, ("a",), "to map has no image of vertex a")]
+    # the next step chains from the map without a, and says so
+    assert pm.verify_certificate(cert((f, g), (f, f)))[1] == [
+        (0, ("a",), "to map has no image of vertex a"),
+        (1, ("a",), "steps disagree")]
+
+    w = sd.barycentric_subdivide(disk)
+    images = {v: p for v, p in w.fine.vertices.items()
+              if v not in ("a", "b")}
+    report = sd.verify_normal(sd.PLHomeo(w, images, w.carrier))
+    assert not report.normal
+    assert not (report.partitions_simplices or report.is_subdivision
+                or report.carrier_respecting)
+    assert report.violations == [(("a",), None, "no image of vertex a")]
+
+
 def resize_image(scxm: str, v: str, extra: bool) -> str:
     """The image line of v with a coordinate 1 appended, or its last
     coordinate dropped."""
