@@ -80,9 +80,10 @@ def numerators(hit):
 
 class WeightRows:
     """Barycentric rows of named points in the closed simplices of K: the
-    `AffineFrame.weights` answer for `point[v]` in simplex c of K, once
-    per (v, c) pair however many pieces share it.  A name v is any
-    hashable key of `point`, a vertex id or a caller's own label."""
+    `AffineFrame.weights` answer at the integer point of `point[v]` in
+    simplex c of K, once per (v, c) pair however many pieces share it.  A
+    name v is any hashable key of `point`, a vertex id or a caller's own
+    label."""
 
     def __init__(self, K: "Complex", point):
         self.K = K
@@ -94,7 +95,8 @@ class WeightRows:
         try:
             return self._rows[key]
         except KeyError:
-            hit = self._rows[key] = self.K.frame(c).weights(self.point[v])
+            y = linalg.integer_point(self.point[v])
+            hit = self._rows[key] = self.K.frame(c).weights(y)
             return hit
 
     def support(self, s, c: Simplex) -> Optional[Simplex]:
@@ -111,6 +113,7 @@ class Complex:
         self.vertices = dict(vertices)
         self.simplices = frozenset(tuple(s) for s in simplices)
         self._frames: dict[Simplex, linalg.AffineFrame] = {}
+        self._ints: dict[str, tuple[int, ...]] = {}
         self._scx: Optional[str] = None   # canonical text, see scx.emit_scx
 
     # -- basic queries ------------------------------------------------------
@@ -118,20 +121,27 @@ class Complex:
     def points(self, s: Simplex) -> list[Point]:
         return [self.vertices[v] for v in s]
 
+    def integer_point(self, v: str) -> tuple[int, ...]:
+        """`linalg.integer_point` of vertex v, made once per complex."""
+        y = self._ints.get(v)
+        if y is None:
+            y = self._ints[v] = linalg.integer_point(self.vertices[v])
+        return y
+
     def frame(self, s: Simplex) -> linalg.AffineFrame:
-        """Barycentric frame of s, eliminated once per complex."""
+        """Barycentric frame of s on its vertices' integer points,
+        eliminated once per complex."""
         frame = self._frames.get(s)
         if frame is None:
-            frame = self._frames[s] = linalg.AffineFrame(self.points(s))
+            frame = self._frames[s] = linalg.AffineFrame(
+                [self.integer_point(v) for v in s])
         return frame
 
     def dim(self) -> int:
         return max((sdim(s) for s in self.simplices), default=-1)
 
     def barycenter(self, s: Simplex) -> Point:
-        pts = self.points(s)
-        w = Fraction(1, len(pts))
-        return linalg.vcomb([w] * len(pts), pts)
+        return linalg.centroid(self.points(s))
 
     def vertex_ids(self) -> list[str]:
         return sorted(v for (v,) in (s for s in self.simplices if len(s) == 1))
@@ -174,11 +184,11 @@ class Complex:
     def try_locate(self, x: Point) -> Optional[tuple[Simplex, tuple[Fraction, ...]]]:
         """Global scan for the open simplex holding x; callers that know a
         closed simplex holding x should use `support` instead."""
+        y = linalg.integer_point(x)
         for s in sorted(self.simplices):
-            hit = self.frame(s).weights(x)
+            hit = self.frame(s).weights(y)
             if hit is not None and all(a > 0 for a in hit[0]):
-                w, q = hit
-                return s, tuple(Fraction(a, q) for a in w)
+                return s, tuple(Fraction(a, hit[1]) for a in hit[0])
         return None
 
     def locate(self, x: Point) -> tuple[Simplex, tuple[Fraction, ...]]:
@@ -190,8 +200,9 @@ class Complex:
     def support(self, s: Simplex, points) -> Optional[Simplex]:
         """Face of closed s whose interior holds the open hull of the
         points, or None if a point lies outside closed s."""
-        frame = self.frame(s)
-        return support_face(s, (numerators(frame.weights(p)) for p in points))
+        weights = self.frame(s).weights
+        return support_face(s, (numerators(weights(linalg.integer_point(p)))
+                                for p in points))
 
     def point_in_closure(self, s: Simplex, x: Point) -> bool:
         return self.support(s, [x]) is not None
@@ -361,11 +372,11 @@ def check_pairwise_disjoint(K: Complex) -> None:
     as `validate` checks before it calls this.  Each pair passes the
     screens below in order, and only a pair that none decides reaches the
     exact LP `linalg.convex_positions_intersect`:
-    1. bounding boxes: every used vertex is scaled once to a homogeneous
-       integer row (X_v, D), D the least common denominator, and the
-       integer boxes are swept on axis 0 (sweep and prune: Cohen, Lin,
-       Manocha and Ponamgi, "I-COLLIDE", SI3D 1995); pairs whose closed
-       boxes are apart are never visited;
+    1. bounding boxes: the integer point (X_v, D_v) of every used vertex,
+       `Complex.integer_point`, is scaled to the common denominator D of
+       them all, and the integer boxes are swept on axis 0 (sweep and
+       prune: Cohen, Lin, Manocha and Ponamgi, "I-COLLIDE", SI3D 1995);
+       pairs whose closed boxes are apart are never visited;
     2. one geometric simplex: when the vertex union of a and b is
        affinely independent, a and b are distinct faces of one simplex,
        so disjoint.  A union that is a simplex of K is independent by the
@@ -375,10 +386,9 @@ def check_pairwise_disjoint(K: Complex) -> None:
     """
     d = K.ambient_dim
     sims = sorted(K.simplices)
-    used = {v for s in sims for v in s}
-    den = lcm(*(q.denominator for v in used for q in K.vertices[v]))
-    rows = {v: [q.numerator * (den // q.denominator) for q in K.vertices[v]]
-            + [den] for v in used}
+    rows = {v: K.integer_point(v) for s in sims for v in s}
+    den = lcm(*(y[-1] for y in rows.values()))
+    rows = {v: [x * (den // y[-1]) for x in y] for v, y in rows.items()}
     cols = [list(zip(*(rows[v] for v in s))) for s in sims]
     lo = [tuple(map(min, c)) for c in cols]
     hi = [tuple(map(max, c)) for c in cols]
@@ -398,12 +408,12 @@ def check_pairwise_disjoint(K: Complex) -> None:
         if union in K.simplices:
             continue
         if len(union) <= d + 1:
-            pivots, _ = linalg.eliminate([list(rows[v]) for v in union], d + 1)
+            pivots, _ = linalg.eliminate([rows[v] for v in union], d + 1)
             if len(pivots) == len(union):
                 continue
         fa, fb = K.frame(a), K.frame(b)
         if linalg.hyperplane_separated(fa, fb):
             continue
-        if linalg.convex_positions_intersect(fa.points, fb.points):
+        if linalg.convex_positions_intersect(K.points(a), K.points(b)):
             raise OverlappingSimplices(
                 f"open simplices {sname(a)} and {sname(b)} intersect")

@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Points come in as ``fractions.Fraction`` tuples, with no floating point
-detours; matrices are plain lists of lists.  This is the arithmetic
+detours, and each becomes one integer point (`integer_point`) that frames
+are built from and asked in; matrices are plain lists of lists.  This is
+the arithmetic
 substrate for all geometric predicates: barycentric coordinates, affine
 independence and the strict-feasibility test used to decide whether two
 open simplices meet.  That test is one phase-1 simplex feasibility
@@ -62,12 +64,19 @@ def vcomb(coeffs: Sequence[Fraction], points: Sequence[Vec]) -> Vec:
     return tuple(out)
 
 
-def integer_row(row) -> tuple[list[int], int]:
-    """A rational row times the least common denominator L of its
-    entries: integers, and L."""
-    pairs = [q.as_integer_ratio() for q in row]
+def centroid(points: Sequence[Vec]) -> Vec:
+    """The average of the points: one exact Fraction per coordinate, for
+    integer points too."""
+    n = len(points)
+    return tuple(Fraction(sum(col), n) for col in zip(*points))
+
+
+def integer_point(x) -> tuple[int, ...]:
+    """The homogeneous integer point of a rational point x: (x, 1) times
+    the least common denominator D of x, the integers (X, D)."""
+    pairs = [q.as_integer_ratio() for q in x]
     den = lcm(*[d for _, d in pairs])
-    return [n * (den // d) for n, d in pairs], den
+    return (*[n * (den // d) for n, d in pairs], den)
 
 
 def _pivot(m: list[list[int]], r: int, c: int, prev: int) -> int:
@@ -115,7 +124,7 @@ def eliminate(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
 
 def mat_rank(rows: list[list[Fraction]]) -> int:
     """Rank: the pivots of `eliminate` on the rows scaled to integers."""
-    m = [integer_row(r)[0] for r in rows]
+    m = [integer_point(r)[:-1] for r in rows]
     return len(eliminate(m, len(m[0]) if m else 0)[0])
 
 
@@ -127,7 +136,7 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[li
     underdetermined systems the free variables are set to zero.
     """
     nc = len(rows[0]) if rows else 0
-    m = [integer_row(list(r) + [b])[0] for r, b in zip(rows, rhs)]
+    m = [integer_point([*r, b])[:-1] for r, b in zip(rows, rhs)]
     pivots, _ = eliminate(m, nc)
     if any(row[nc] for row in m[len(pivots):]):
         return None
@@ -147,96 +156,85 @@ def affinely_independent(points: Sequence[Vec]) -> bool:
 class AffineFrame:
     """Barycentric coordinates in one point list, eliminated once.
 
-    Each row of the (d+1) x k system [p_j; 1] is scaled to integers and
-    the system is reduced by `eliminate` alongside an identity block that
-    records the row operations.  For affinely independent points this
-    leaves one integer row per coordinate over one positive denominator
-    |prev|, the last pivot, with lambda_j = row_j . (x, 1) / |prev|, and
-    d+1-k integer left-null rows that vanish at (x, 1) exactly when x lies
-    on the affine hull.  `weights` then needs only integer dot products
-    and returns the coordinates as integer numerators over one positive
-    denominator, which is all a sign test reads; `coords` divides them out
-    into Fractions.  An affinely dependent list has no barycentric
-    coordinates, and its frame answers None to both.
+    Built from and asked in the integer points of `integer_point`: the
+    columns D_j (p_j, 1), kept as `points`, are reduced by `eliminate`
+    alongside an identity block that records the row operations E, so
+    E [D_j (p_j, 1)] = [prev I; 0].  For affinely independent points,
+    lambda_j = D_j (E y)_j / (y_D prev) at y = y_D (x, 1): one integer row
+    per coordinate over one positive denominator |prev|, and d+1-k
+    integer left-null rows that vanish at y exactly when x lies on the
+    affine hull.  `weights` and `offsets` need only integer dot products,
+    which is all a sign test reads; `coords` is their Fraction edge.  An
+    affinely dependent list has no barycentric coordinates, and its frame
+    answers None to every question.
     """
 
     __slots__ = ("points", "rows", "den", "null")
 
-    def __init__(self, points: Sequence[Vec]):
+    def __init__(self, points: Sequence[Sequence[int]]):
         self.points = list(points)
         k = len(self.points)
-        d = len(self.points[0])
-        n = d + 1
-        scaled = [integer_row(c) for c in zip(*self.points)] + [([1] * k, 1)]
-        m = [row + [int(i == j) for j in range(n)]
-             for i, (row, _) in enumerate(scaled)]
-        scale = [den for _, den in scaled]
+        n = len(self.points[0])
+        m = [list(row) + [int(i == j) for j in range(n)]
+             for i, row in enumerate(zip(*self.points))]
         pivots, prev = eliminate(m, k)
         if len(pivots) < k:
             self.rows = self.den = self.null = None
             return
-        # the identity block holds E with E [p_j; 1] = [prev I; 0]
+        # the identity block holds E with E [D_j (p_j, 1)] = [prev I; 0]
         sign = 1 if prev > 0 else -1
-        self.rows = [[sign * e * s for e, s in zip(m[j][k:], scale)]
-                     for j in range(k)]
+        self.rows = [[sign * p[-1] * e for e in m[j][k:]]
+                     for j, p in enumerate(self.points)]
         self.den = abs(prev)
         self.null = []
-        for i in range(k, n):
-            row = [e * s for e, s in zip(m[i][k:], scale)]
-            g = gcd(*row)
-            self.null.append([x // g for x in row])
+        for row in m[k:]:
+            g = gcd(*row[k:])
+            self.null.append([x // g for x in row[k:]])
 
-    def _check_arity(self, x: Vec) -> None:
-        d = len(self.points[0])
-        if len(x) != d:
-            raise Incompatible(f"point has {len(x)} coordinates, but the "
-                               f"frame's points have {d}")
+    def _check_arity(self, y: Sequence[int]) -> None:
+        n = len(self.points[0])
+        if len(y) != n:
+            raise Incompatible(f"point has {len(y) - 1} coordinates, but the "
+                               f"frame's points have {n - 1}")
 
-    def offsets(self, x: Vec) -> list[int]:
-        """Left-null rows at (x, 1), times the positive common denominator
-        of x: all zero exactly when x lies on the affine hull."""
-        self._check_arity(x)
-        scaled = _integer_point(x)
-        return [sum(map(mul, row, scaled)) for row in self.null]
+    def offsets(self, y: Sequence[int]) -> Optional[list[int]]:
+        """Left-null rows at the integer point y, all zero exactly when y
+        is on the affine hull; None on a dependent frame."""
+        self._check_arity(y)
+        if self.null is None:
+            return None
+        return [sum(map(mul, row, y)) for row in self.null]
 
-    def weights(self, x: Vec) -> Optional[tuple[list[int], int]]:
-        """Barycentric coordinates of x as integer numerators w over one
-        positive denominator q, lambda_j = w_j / q, or None if x is off
-        the hull or the points are affinely dependent; a point of another
+    def weights(self, y: Sequence[int]) -> Optional[tuple[list[int], int]]:
+        """Barycentric coordinates at the integer point y as integer
+        numerators w over one positive denominator q, lambda_j = w_j / q,
+        or None off the hull or on a dependent frame; a point of another
         arity than the frame's is Incompatible."""
-        self._check_arity(x)
+        self._check_arity(y)
         if self.rows is None:
             return None
-        scaled = _integer_point(x)
         for row in self.null:
-            if sum(map(mul, row, scaled)):
+            if sum(map(mul, row, y)):
                 return None
-        return ([sum(map(mul, row, scaled)) for row in self.rows],
-                scaled[-1] * self.den)
+        return [sum(map(mul, row, y)) for row in self.rows], y[-1] * self.den
 
     def coords(self, x: Vec) -> Optional[list[Fraction]]:
-        """Barycentric coordinates of x as Fractions, the `weights`
-        divided out, or None when `weights` is."""
-        hit = self.weights(x)
+        """Barycentric coordinates of the rational point x as Fractions,
+        the `weights` divided out, or None when `weights` is."""
+        hit = self.weights(integer_point(x))
         if hit is None:
             return None
         w, q = hit
         return [Fraction(a, q) for a in w]
 
 
-def _integer_point(x: Vec) -> list[int]:
-    """(x, 1) times the least common denominator L of x: integers X, L."""
-    scaled, den = integer_row(x)
-    return scaled + [den]
-
-
 def barycentric_coords(points: Sequence[Vec], x: Vec) -> Optional[list[Fraction]]:
     """Coordinates of x in the affine basis `points`, or None if x is
     outside their affine hull; a one-off `AffineFrame`."""
-    return AffineFrame(points).coords(x)
+    return AffineFrame([integer_point(p) for p in points]).coords(x)
 
 
-def _separates(frame: AffineFrame, other: Sequence[Vec]) -> bool:
+def _separates(frame: AffineFrame, other: Sequence[Sequence[int]]) -> bool:
     if frame.rows is None:
         return False
     offsets = [frame.offsets(q) for q in other]
@@ -259,7 +257,8 @@ def _separates(frame: AffineFrame, other: Sequence[Vec]) -> bool:
 
 def hyperplane_separated(frame_a: AffineFrame, frame_b: AffineFrame) -> bool:
     """Exact sufficient test that the open simplices on two affinely
-    independent point lists, given as their frames, are disjoint.
+    independent point lists, given as their frames, are disjoint; each
+    frame is asked in the integer points of the other.
 
     Each side is tried as `frame` against the other's vertices, inside the
     affine hull H of their union, read from the offsets of `frame`:
@@ -327,11 +326,11 @@ def convex_positions_intersect(pts_a: Sequence[Vec], pts_b: Sequence[Vec]) -> bo
     point, divided by their least entry, are such lambda, mu, and lambda,
     mu divided by their common sum are positive weights of a common point.
     A positive multiple of a column (p, 1) keeps its weight positive, so
-    the columns are the integer points `_integer_point(p)`.  With
+    the columns are the integer points `integer_point(p)`.  With
     x = (lambda - 1, mu - 1) >= 0 this is one phase-1 problem of d + 1 rows
     and ka + kb columns: A x = -A 1 for A = [(a_i, 1) | -(b_j, 1)].
     """
-    cols = ([_integer_point(p) for p in pts_a]
-            + [[-x for x in _integer_point(q)] for q in pts_b])
+    cols = ([integer_point(p) for p in pts_a]
+            + [[-x for x in integer_point(q)] for q in pts_b])
     A = [list(row) for row in zip(*cols)]
     return _feasible(A, [-sum(row) for row in A])

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import linalg, subdivision
 from .complexes import (Complex, SubcomplexRef, Simplex, WeightRows,
-                        numerators, simplex, sname, support_face)
+                        simplex, sname)
 from .errors import (BarrierViolation, CarrierClash, FixedSetMismatch,
                      Incompatible, NotClosed, NotFull, NotSimplicial,
                      NotSubcomplex, PointOutsidePolyhedron, RoundsExhausted,
@@ -53,11 +53,10 @@ def carrier_face(L: Complex, sigma: Simplex, points) -> Simplex | None:
 
 def closed_coords(K: Complex, t: Simplex, x) -> list[Fraction]:
     """Barycentric coordinates of a point x of the closed simplex t of K."""
-    hit = K.frame(t).weights(linalg.vec(x))
-    if support_face(t, [numerators(hit)]) is None:
+    coords = K.frame(t).coords(x)
+    if coords is None or min(coords) < 0:
         raise PointOutsidePolyhedron(f"point {x} is not in closed {sname(t)}")
-    w, q = hit
-    return [Fraction(a, q) for a in w]
+    return coords
 
 
 class PLMap:
@@ -206,8 +205,7 @@ def subdivide_map(f: PLMap) -> PLMap:
     verts = {}
     for t, s in step.carrier.items():
         if len(t) == 1:
-            pts = f.image_points(s)
-            verts[t[0]] = linalg.vcomb([Fraction(1, len(pts))] * len(pts), pts)
+            verts[t[0]] = linalg.centroid(f.image_points(s))
     rows = WeightRows(f.codomain, verts)
     carrier = {}
     for t in step.fine.simplices:

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from plhtpy import linalg
 from plhtpy import plmaps as pm
 from plhtpy import scx
 from plhtpy import subdivision as sd
@@ -49,6 +50,12 @@ def disk_boundary(corpus):
 def fresh(K):
     """A new Complex equal to K, with no frames built and no text written."""
     return Complex(K.ambient_dim, K.vertices, K.simplices)
+
+
+def frame_on(points):
+    """The frame of a rational point list, built from its integer points
+    as `Complex.frame` builds it."""
+    return linalg.AffineFrame([linalg.integer_point(p) for p in points])
 
 
 def make_rot(tri3):

@@ -1,17 +1,21 @@
 """Geometric complex kernel: validation, closure, stars, cores, location."""
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from plhtpy import cylinders as cy
 from plhtpy import linalg, scx
 from plhtpy import subdivision as sd
 from plhtpy.complexes import (Complex, faces_with_self, proper_faces,
                               simplex, sname, validate)
 from plhtpy.errors import (AffinelyDependent, DuplicateSimplex, NotSubcomplex,
                            OverlappingSimplices, PointOutsidePolyhedron)
+from conftest import frame_on
+from test_subdivision import closed_tetra
 
 DISK_VERTS = {"a": (0, 0), "b": (1, 0), "c": (0, 1)}
 DISK_SIMS = [["a"], ["b"], ["c"], ["a", "b"], ["b", "c"], ["a", "c"],
@@ -80,8 +84,7 @@ def test_hyperplane_separation_is_sound(dim):
             for _ in range(15):
                 pa = random_simplex(rng, dim, ka)
                 pb = random_simplex(rng, dim, kb)
-                if linalg.hyperplane_separated(linalg.AffineFrame(pa),
-                                               linalg.AffineFrame(pb)):
+                if linalg.hyperplane_separated(frame_on(pa), frame_on(pb)):
                     separated += 1
                     assert not linalg.convex_positions_intersect(pa, pb), \
                         (pa, pb)
@@ -124,7 +127,7 @@ def test_hull_relative_separation_is_sound():
     for _ in range(3000):
         d = rng.randint(2, 4)
         pa, pb = embedded_pair(rng, rng.randint(1, d - 1), d)
-        fa, fb = linalg.AffineFrame(pa), linalg.AffineFrame(pb)
+        fa, fb = frame_on(pa), frame_on(pb)
         if not linalg.hyperplane_separated(fa, fb):
             continue
         separated += 1
@@ -301,6 +304,71 @@ def test_subdivided_files_validate_without_the_lp(monkeypatch, corpus):
         fine = sd.iterated_subdivision(corpus[name][0], rounds).fine
         K, _ = scx.load_complex(scx.emit_scx(fine))
         assert K == fine
+
+
+@pytest.fixture
+def lp_verdicts(monkeypatch):
+    """The verdicts of every `linalg.convex_positions_intersect` call."""
+    verdicts = []
+    lp = linalg.convex_positions_intersect
+
+    def counted(pts_a, pts_b):
+        verdicts.append(lp(pts_a, pts_b))
+        return verdicts[-1]
+    monkeypatch.setattr(linalg, "convex_positions_intersect", counted)
+    return verdicts
+
+
+def test_validate_in_dimension_three(corpus, lp_verdicts):
+    """3-dimensional frames, the hyperplane screen and the sweep: the
+    subdivided closed tetrahedron and the prism complex over disk r=1
+    pass, the prisms only after the LP, and two crossing tetrahedra are
+    named by the LP."""
+    fine = sd.barycentric_subdivide(closed_tetra()).fine
+    assert len(fine) == 149
+    assert validate(3, fine.vertices, fine.simplices) == fine
+    disk1 = sd.iterated_subdivision(corpus["disk"][0], 1).fine
+    prisms = cy.prism_triangulate(disk1).cylinder
+    assert (prisms.ambient_dim, len(prisms)) == (3, 123)
+    assert validate(3, prisms.vertices, prisms.simplices) == prisms
+    assert lp_verdicts and not any(lp_verdicts)
+    verts = {"a": (0, 0, 0), "b": (4, 0, 0), "c": (0, 4, 0), "d": (0, 0, 4),
+             "e": (1, 1, 1), "f": (3, 1, 1), "g": (1, 3, 1), "h": (1, 1, 3)}
+    with pytest.raises(OverlappingSimplices,
+                       match="^open simplices a-b-c-d and e-f-g-h intersect$"):
+        validate(3, verts, [["a", "b", "c", "d"], ["e", "f", "g", "h"]])
+    assert lp_verdicts[-1] is True
+
+
+def test_validate_makes_each_vertex_integer_once(monkeypatch, corpus):
+    """`validate` of the torus7 r=1 text converts each vertex to its
+    integer point once, in `Complex.integer_point`, and every frame is
+    built from those points: no frame query converts a point again."""
+    text = scx.emit_scx(sd.iterated_subdivision(corpus["torus7"][0], 1).fine)
+    calls = Counter()
+    convert = linalg.integer_point
+
+    def counted(x):
+        assert sys._getframe(1).f_code is Complex.integer_point.__code__
+        calls[tuple(x)] += 1
+        return convert(x)
+    monkeypatch.setattr(linalg, "integer_point", counted)
+    K, _ = scx.load_complex(text)
+    assert len(K.vertices) == 42
+    assert calls == Counter(K.vertices.values())
+    for s in K.simplices:
+        assert all(p is K.integer_point(v)
+                   for p, v in zip(K.frame(s).points, s))
+    assert sum(calls.values()) == 42
+
+
+def test_barycenter_of_integer_vertices_is_exact():
+    K = Complex(2, DISK_VERTS, map(simplex, DISK_SIMS))
+    for s in K.simplices:
+        b = K.barycenter(s)
+        assert all(type(q) is F for q in b), b
+        assert b == linalg.vcomb([F(1, len(s))] * len(s), K.points(s))
+    assert K.barycenter(("a", "b", "c")) == (F(1, 3), F(1, 3))
 
 
 def test_validate_rejects_aliased_vertices():

@@ -19,7 +19,7 @@ from plhtpy import subdivision as sd
 from plhtpy.complexes import Complex, validate
 from plhtpy.errors import Incompatible, OverlappingSimplices
 
-from conftest import make_perturbed_disk, make_rot
+from conftest import frame_on, make_perturbed_disk, make_rot
 
 
 def fraction_solve(rows, rhs):
@@ -113,7 +113,7 @@ def test_frame_matches_the_fraction_solve(big):
         for k in range(1, d + 2):
             for _ in range(25):
                 pts = random_points(rng, d, k, big)
-                frame = linalg.AffineFrame(pts)
+                frame = frame_on(pts)
                 assert frame.rows is not None
                 for x in queries(rng, pts, big):
                     got = frame.coords(x)
@@ -140,11 +140,24 @@ def test_a_dependent_frame_answers_none():
             while len(pts) <= d + 1 and rng.random() < 0.5:
                 pts.append(tuple(rational(rng, False) for _ in range(d)))
             assert not linalg.affinely_independent(pts)
-            frame = linalg.AffineFrame(pts)
+            frame = frame_on(pts)
             assert frame.rows is None
             for x in queries(rng, pts, False):
-                assert frame.weights(x) is None, (pts, x)
+                y = linalg.integer_point(x)
+                assert frame.weights(y) is None, (pts, x)
+                assert frame.offsets(y) is None, (pts, x)
                 assert frame.coords(x) is None, (pts, x)
+
+
+def test_a_flat_triangle_answers_none_to_every_question():
+    """Three points on a line: `weights`, `offsets` and `coords` all
+    answer None, on the line and off it."""
+    frame = frame_on([(F(0), F(0)), (F(1), F(0)), (F(2), F(0))])
+    for x in ((F(1, 2), F(0)), (F(1), F(1))):
+        y = linalg.integer_point(x)
+        assert frame.weights(y) is None
+        assert frame.offsets(y) is None
+        assert frame.coords(x) is None
 
 
 @pytest.mark.parametrize("big", [False, True])
@@ -158,10 +171,11 @@ def test_weights_are_the_coords_over_one_positive_denominator(big):
                 # a repeated point or a point on the hull
                 extra, _ = combination(rng, pts, [1] * len(pts))
                 pts.append(rng.choice([pts[0], extra]))
-            frame = linalg.AffineFrame(pts)
+            frame = frame_on(pts)
             dependent += frame.rows is None
             for x in queries(rng, pts, big):
-                hit, coords = frame.weights(x), frame.coords(x)
+                hit = frame.weights(linalg.integer_point(x))
+                coords = frame.coords(x)
                 assert (hit is None) == (coords is None), (pts, x)
                 if frame.rows is None:
                     assert hit is None, (pts, x)
@@ -178,10 +192,11 @@ def test_weights_are_the_coords_over_one_positive_denominator(big):
 
 
 def test_codimension_one_offsets_vanish_on_the_hull():
-    frame = linalg.AffineFrame([(F(0), F(0), F(1)), (F(1), F(0), F(1)),
-                                (F(0), F(1), F(1))])
-    assert frame.offsets((F(5, 3), F(-7, 2), F(1))) == [0]
-    above, below = (frame.offsets((F(1, 7), F(0), z))[0]
+    frame = frame_on([(F(0), F(0), F(1)), (F(1), F(0), F(1)),
+                      (F(0), F(1), F(1))])
+    # (5/3, -7/2, 1) as the integer point (10, -21, 6, 6)
+    assert frame.offsets((10, -21, 6, 6)) == [0]
+    above, below = (frame.offsets(linalg.integer_point((F(1, 7), F(0), z)))[0]
                     for z in (F(2), F(1, 3)))
     assert above * below < 0
 
@@ -190,14 +205,17 @@ def test_a_point_of_another_arity_is_incompatible(disk, rot):
     """A longer or shorter point is refused, never zipped against the
     frame's rows: zipped, (1/4, 1/4, 7) reads as a point of the unit
     triangle with coordinates [13/2, 1/4, 1/4]."""
-    unit = linalg.AffineFrame([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
-    flat = linalg.AffineFrame([(F(0), F(0)), (F(1), F(0)), (F(2), F(0))])
+    unit = frame_on([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
+    flat = frame_on([(F(0), F(0)), (F(1), F(0)), (F(2), F(0))])
     assert flat.rows is None
     for x in ((F(1, 4), F(1, 4), F(7)), (F(1, 4),)):
         msg = f"point has {len(x)} coordinates, but the frame's points have 2"
-        for query in (unit.coords, unit.offsets, flat.coords):
-            with pytest.raises(Incompatible, match=msg):
-                query(x)
+        y = linalg.integer_point(x)
+        for frame in (unit, flat):
+            for query, point in ((frame.coords, x), (frame.weights, y),
+                                 (frame.offsets, y)):
+                with pytest.raises(Incompatible, match=msg):
+                    query(point)
         with pytest.raises(Incompatible, match=msg):
             disk.star([x])
         with pytest.raises(Incompatible, match=msg):
@@ -261,7 +279,7 @@ def test_rank_and_volume_match_minors(big):
         n = rng.randint(1, 4)
         sq = random_matrix(rng, n, n, big)
         det = leibniz_det(sq)
-        rows = [linalg.integer_row(r) for r in sq]
+        rows = [(y[:-1], y[-1]) for y in map(linalg.integer_point, sq)]
         assert sd.relative_volume(rows) == abs(det), sq
         zero += det == 0
     assert deficient and zero

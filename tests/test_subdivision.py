@@ -233,8 +233,8 @@ def partition_reference(coarse, pieces, point, carrier):
         for t in mine:
             if len(t) != len(c):
                 continue
-            vol = sd.relative_volume([coarse.frame(c).weights(point[v])
-                                      for v in t])
+            vol = sd.relative_volume([coarse.frame(c).weights(
+                linalg.integer_point(point[v])) for v in t])
             if vol == 0:
                 violations.append((t, c, "degenerate"))
                 continue
