@@ -52,6 +52,14 @@ def facets(s: Simplex) -> list[Simplex]:
     return [s[:i] + s[i + 1:] for i in range(len(s))] if len(s) > 1 else []
 
 
+def closed_under_faces(simplices: frozenset) -> bool:
+    """Every face of every member is a member.  By induction on
+    codimension the facets suffice, and combinations(s, k - 1) are the
+    facets of a k-vertex s."""
+    return all(f in simplices for s in simplices if len(s) > 1
+               for f in combinations(s, len(s) - 1))
+
+
 def faces_with_self(s: Simplex):
     for k in range(1, len(s) + 1):
         yield from combinations(s, k)
@@ -176,8 +184,7 @@ class Complex:
         return Complex(self.ambient_dim, self.vertices, closed)
 
     def is_closed(self) -> bool:
-        return all(f in self.simplices for s in self.simplices
-                   for f in proper_faces(s))
+        return closed_under_faces(self.simplices)
 
     # -- point location -----------------------------------------------------
 
@@ -299,7 +306,7 @@ class SubcomplexRef:
         return self.parent.restrict(self.members)
 
     def is_closed(self) -> bool:
-        return all(f in self.members for s in self.members for f in proper_faces(s))
+        return closed_under_faces(self.members)
 
     def __contains__(self, s) -> bool:
         return tuple(s) in self.members

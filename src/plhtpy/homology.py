@@ -1,4 +1,5 @@
-"""Integer simplicial homology via Smith normal form.
+"""Integer simplicial homology: an algebraic Morse reduction, then the
+Smith normal form on the critical cells.
 
 Chain groups are free on the simplices of a closed complex, oriented by the
 sorted order of their vertex identifiers.  Everything is computed over the
@@ -10,26 +11,34 @@ Chains are sparse throughout: a chain is a dict from simplices to
 coefficients, and each boundary column is the list of (facet row, +-1)
 pairs of one simplex, so d d = 0 is checked column by column and chain
 maps (inclusion, projection, connecting map, simplicial push-forward) map
-dicts to dicts.  The dense boundary matrix is built only as the input of
-the Smith normal form.
+dicts to dicts.
+
+Homology first reduces the chain complex, once per complex: pairs of cells
+with a unit incidence are eliminated (`MorseReduction`) until none is
+left, and each elimination is a chain homotopy equivalence with explicit
+maps both ways.  Only the residual complex on the critical cells, a few
+cells where the complex has thousands, is made dense for the Smith normal
+form; generators come back through the inclusion and chains go in through
+the projection.
 
 One Smith normal form kernel serves all of it, empty matrices included.
 Each pivot is the least entry of the remaining block, searched again after
 any nonzero remainder, so |pivot| falls and the kernel ends on dense input
 too; entry growth has no proven bound (a modular SNF is future work).  It
 keeps the column transform V and its inverse only, so H_n needs no rational
-solve: the SNF P D_n V = S of the boundary map gives the cycles (the
-columns of V past the rank r) and, through V^-1, cycle coordinates (rows
-r.. of V^-1 v).  The quotient of Z^k by a lattice of relations, with its
-coordinates and generators, is the class `AbelianQuotient`, shared with the
-abelianized fundamental group; it passes the relations as rows, so the row
-side it needs is the column side of the transpose.
+solve: the SNF P D_n V = S of the residual boundary map gives the cycles
+(the columns of V past the rank r) and, through V^-1, cycle coordinates
+(rows r.. of V^-1 v).  The quotient of Z^k by a lattice of relations, with
+its coordinates and generators, is the class `AbelianQuotient`, shared
+with the abelianized fundamental group; it passes the relations as rows,
+so the row side it needs is the column side of the transpose.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from heapq import heapify, heappop, heappush
 from itertools import combinations
-from operator import add, sub
 
 from .complexes import Complex, Simplex, facets, sdim, sname
 from .errors import (Incompatible, InvalidGroup, NotAChainComplex,
@@ -269,7 +278,8 @@ class ChainComplex:
     basis[n] is the sorted list of n-simplices.  boundary[n][j] is the
     boundary of basis[n][j] as (row, +-1) pairs, rows indexing basis[n-1].
     Chains are dicts from simplices to coefficients; `matrix(n)` is the
-    dense d_n that the Smith normal form reads.
+    dense d_n.  `reduction()` is the complex's Morse reduction, built on
+    first use and kept.
     """
 
     def __init__(self, basis: dict[int, list[Simplex]]):
@@ -283,11 +293,18 @@ class ChainComplex:
             self.boundary[n] = [[(lower[f], (-1) ** drop)
                                  for drop, f in enumerate(facets(s))
                                  if f in lower] for s in b]
-        for n, b in self.basis.items():
-            for s in b:
-                if self.boundary_chain(self.boundary_chain({s: 1})):
+        self._reduction: MorseReduction | None = None
+        # d d = 0, column by column on the integer rows
+        for n, cols in self.boundary.items():
+            lower = self.boundary.get(n - 1)
+            for j, col in enumerate(cols):
+                dd: dict[int, int] = {}
+                for i, e in col:
+                    for k, f in lower[i]:
+                        dd[k] = dd.get(k, 0) + e * f
+                if any(dd.values()):
                     raise NotAChainComplex(
-                        f"d_{n - 1} d_{n} != 0 on {sname(s)}")
+                        f"d_{n - 1} d_{n} != 0 on {sname(self.basis[n][j])}")
 
     def matrix(self, n: int) -> list[list[int]]:
         """Dense d_n, with len(basis[n-1]) rows and len(basis[n]) columns."""
@@ -307,6 +324,193 @@ class ChainComplex:
             for i, e in self.boundary[n][self.index[n][s]]:
                 out[faces[i]] = out.get(faces[i], 0) + c * e
         return {f: c for f, c in out.items() if c}
+
+    def reduction(self) -> "MorseReduction":
+        if self._reduction is None:
+            self._reduction = MorseReduction(self)
+        return self._reduction
+
+
+class MorseReduction(ChainComplex):
+    """Algebraic Morse reduction of a chain complex: the residual complex
+    on the critical cells, and the chain equivalences to and from it.
+
+    Eliminating a pair (a, b) with <d b, a> = eps = +-1 gives every other
+    coface x of a the boundary d x - eps <d x, a> d b and drops b from its
+    cofaces' boundaries.  Pairs are taken in a fixed order (Kaczynski,
+    Mrozek and Slusarek, Comput. Math. Appl. 35, 1998):
+      1. per component, a breadth-first tree from the least vertex pairs
+         each newly reached vertex with its tree edge;
+      2. then zero-fill pairs from a worklist: a cell whose boundary is
+         one unit term, or a face with a single coface of unit incidence;
+      3. only when the worklist is empty, the unit pair of least fill
+         (|cofaces(a)| - 1)(|d b| - 1), ties in basis order.
+    The cells left are critical; `basis`, `index` and `boundary` describe
+    the residual complex on them as for a `ChainComplex`, except that its
+    entries may be any integer.
+
+    Each elimination is a chain homotopy equivalence (Skoldberg, Trans.
+    AMS 358, 2006), with d as at that step: the projection pi(a) =
+    -eps (d b - eps a), pi(b) = 0, the quotient by span{b, d b}, and the
+    inclusion iota(x) = x - eps <d x, a> b.  The log keeps (a, b, eps,
+    d b less its a term) per step, and `up` the steps whose iota reads a
+    cell, with <d x, a>; `project` replays pi in step order and `include`
+    replays iota in reverse.  Cells are numbered in basis order, dimension
+    by dimension.
+    """
+
+    def __init__(self, cc: ChainComplex):
+        dims = sorted(cc.basis)
+        self.cells = cells = [s for n in dims for s in cc.basis[n]]
+        self.source_index = cc.index
+        # working tables, dropped once the residual is read: the boundary
+        # of each live cell and its cofaces (a dict used as an ordered set)
+        self.offset: dict[int, int] = {}
+        bd: list = []
+        for n in dims:
+            self.offset[n] = len(bd)
+            low = self.offset.get(n - 1, 0)
+            bd.extend({low + i: e for i, e in col} for col in cc.boundary[n])
+        cob: list = [{} for _ in cells]
+        for c, d in enumerate(bd):
+            for f in d:
+                cob[f][c] = None
+        self.log: list[tuple[int, int, int, tuple]] = []
+        self.step = [-1] * len(cells)
+        self.up: dict[int, list[tuple[int, int]]] = {}
+        work = deque(range(len(cells)))
+
+        def eliminate(a, b):
+            k = len(self.log)
+            eps = bd[b][a]
+            rest = tuple((y, e) for y, e in bd[b].items() if y != a)
+            for x in cob[a]:
+                if x == b:
+                    continue
+                dx = bd[x]
+                c = dx.pop(a)
+                self.up.setdefault(x, []).append((k, c))
+                m = -eps * c
+                for y, e in rest:
+                    v = dx.get(y, 0) + m * e
+                    if v:
+                        dx[y] = v
+                        cob[y][x] = None
+                    else:
+                        del dx[y], cob[y][x]
+                work.append(x)
+            for y in bd[b]:
+                del cob[y][b]
+            for w in cob[b]:
+                del bd[w][b]
+            for z in bd[a]:
+                del cob[z][a]
+            work.extend(y for y, _ in rest)
+            work.extend(cob[b])
+            work.extend(bd[a])
+            self.log.append((a, b, eps, rest))
+            self.step[a] = self.step[b] = k
+            bd[a] = bd[b] = cob[a] = cob[b] = None
+
+        tree = []
+        seen = bytearray(len(cells))
+        for root in range(len(cc.basis.get(0, []))):
+            if seen[root]:
+                continue
+            seen[root] = 1
+            queue = deque([root])
+            while queue:
+                u = queue.popleft()
+                for e in cob[u]:
+                    if len(bd[e]) == 2:
+                        for v in bd[e]:
+                            if not seen[v]:
+                                seen[v] = 1
+                                tree.append((v, e))
+                                queue.append(v)
+        for v, e in tree:
+            eliminate(v, e)
+        while True:
+            while work:
+                c = work.popleft()
+                if bd[c] is None:
+                    continue
+                if len(bd[c]) == 1:
+                    (a, e), = bd[c].items()
+                    if e in (1, -1):
+                        eliminate(a, c)
+                        continue
+                if len(cob[c]) == 1:
+                    x, = cob[c]
+                    if bd[x][c] in (1, -1):
+                        eliminate(c, x)
+            best = min((((len(cob[a]) - 1) * (len(d) - 1), b, a)
+                        for b, d in enumerate(bd) if d
+                        for a, e in d.items() if e in (1, -1)), default=None)
+            if best is None:
+                break
+            eliminate(best[2], best[1])
+        self.basis, self.index, self.boundary = {}, {}, {}
+        for c, d in enumerate(bd):
+            if d is not None:
+                n, s = len(cells[c]) - 1, cells[c]
+                idx = self.index.setdefault(n, {})
+                idx[s] = len(idx)
+                self.basis.setdefault(n, []).append(s)
+                self.boundary.setdefault(n, []).append(
+                    [(self.index[n - 1][cells[f]], e) for f, e in d.items()])
+        self.dim = max(self.basis, default=-1)
+        self._reduction = None
+
+    def _id(self, s: Simplex) -> int:
+        n = len(s) - 1
+        return self.offset[n] + self.source_index[n][s]
+
+    def project(self, chain: dict[Simplex, int]) -> dict[Simplex, int]:
+        """pi of a chain of the source complex: a chain of critical cells.
+        Each step expands its a into cells still live at that step, so the
+        steps come off a heap of step indices in increasing order."""
+        log, step = self.log, self.step
+        out = {self._id(s): x for s, x in chain.items()}
+        heap = [step[c] for c in out if step[c] >= 0]
+        heapify(heap)
+        while heap:
+            a, b, eps, rest = log[heappop(heap)]
+            out.pop(b, None)
+            x = out.pop(a, 0)
+            for y, e in rest if x else ():
+                out[y] = out.get(y, 0) - eps * x * e
+                if step[y] >= 0:
+                    heappush(heap, step[y])
+        return {self.cells[c]: x for c, x in out.items() if x}
+
+    def include(self, chain: dict[Simplex, int]) -> dict[Simplex, int]:
+        """iota of a chain of critical cells: a chain of the source
+        complex, in basis order.  The b of step k gets -eps times the sum
+        of <d x, a> over the chain's cells x, all of them critical or the
+        b of a later step, so the steps come off a heap in decreasing
+        order."""
+        out: dict[int, int] = {}
+        acc: dict[int, int] = {}
+        heap: list[int] = []
+
+        def put(c, x):
+            out[c] = x
+            for k, e in self.up.get(c, ()):
+                if k not in acc:
+                    acc[k] = 0
+                    heappush(heap, -k)
+                acc[k] += x * e
+
+        for s, x in chain.items():
+            put(self._id(s), x)
+        while heap:
+            k = -heappop(heap)
+            _, b, eps, _ = self.log[k]
+            x = -eps * acc.pop(k)
+            if x:
+                put(b, x)
+        return {self.cells[c]: out[c] for c in sorted(out) if out[c]}
 
 
 def chain_complex(K: Complex, rel=None) -> ChainComplex:
@@ -333,12 +537,14 @@ def chain_complex(K: Complex, rel=None) -> ChainComplex:
 class HomologyData(AbelianQuotient):
     """H_n of a chain complex with explicit generators and coordinates.
 
-    Computed over the integers from two Smith normal forms.  The SNF
-    P D_n V = S of rank r gives the cycle lattice Z_n: its basis is the
-    columns r.. of V, and a chain v has cycle coordinates rows r.. of
-    V^-1 v (rows ..r vanish exactly when v is a cycle).  The boundaries,
-    the sparse columns of d_{n+1}, are cycles; their cycle coordinates are
-    the relations of H_n as an `AbelianQuotient` of Z^(rank Z_n).
+    Computed over the integers from two Smith normal forms on the
+    complex's Morse reduction.  The SNF P D_n V = S of the residual d_n, of
+    rank r, gives the residual cycle lattice Z_n: its basis is the columns
+    r.. of V, and a residual chain v has cycle coordinates rows r.. of
+    V^-1 v.  The residual boundaries, the columns of d_{n+1}, are cycles;
+    their cycle coordinates are the relations of H_n as an
+    `AbelianQuotient` of Z^(rank Z_n).  A generator is the inclusion of a
+    residual cycle, and a cycle's class is read from its projection.
     Generators are signed so that their first nonzero simplex coefficient
     is positive.
     """
@@ -346,59 +552,54 @@ class HomologyData(AbelianQuotient):
     def __init__(self, cc: ChainComplex, n: int):
         self.cc = cc
         self.n = n
-        self.simplices = cc.basis.get(n, [])
-        k = len(self.simplices)
-        S, Vcols, self.Vinv = smith_normal_form(cc.matrix(n), k)
+        self.red = cc.reduction()
+        S, Vcols, self.Vinv = smith_normal_form(
+            self.red.matrix(n), len(self.red.basis.get(n, [])))
         self.r = snf_rank(S)
-        # lattice basis of Z_n, one vector per cycle coordinate
+        # lattice basis of the residual Z_n, one vector per cycle coordinate
         self.cycles = Vcols[self.r:]
         super().__init__(len(self.cycles),
-                         self._relations(cc.boundary.get(n + 1, [])))
+                         self._relations(self.red.boundary.get(n + 1, [])))
         for j in range(self.ngens()):
             if next(iter(self.generator_chain(j).values()), 0) < 0:
                 self.negate(j)
 
     def _relations(self, columns) -> list[list[int]]:
-        """Cycle coordinates, rows r.. of V^-1 v, of the sparse columns v
-        of d_{n+1}: each adds or subtracts (the entries are +-1) the few
-        columns of V^-1 that v meets.  Rows ..r are not computed; they
-        vanish, as boundaries are cycles (`ChainComplex` checks dd = 0
-        column by column)."""
+        """Cycle coordinates, rows r.. of V^-1 v, of residual columns v
+        given as (row, entry) pairs: each adds its entries' multiples of
+        the columns of V^-1 that v meets.  Rows ..r are not computed; they
+        vanish on cycles."""
         low = self.Vinv[self.r:]
-        cols = list(zip(*low)) if low else [()] * len(self.simplices)
+        cols = list(zip(*low)) if low else [()] * len(self.Vinv)
         relations = []
         for support in columns:
             y = [0] * len(low)
             for j, x in support:
-                y = list(map(add if x > 0 else sub, y, cols[j]))
+                y = [a + x * b for a, b in zip(y, cols[j])]
             relations.append(y)
         return relations
-
-    def _cycle_coords(self, support) -> list[int]:
-        """Rows of V^-1 v, v given by its (index, entry) pairs: zero up to
-        r exactly when v is a cycle."""
-        return [sum(row[j] * x for j, x in support) for row in self.Vinv]
 
     def coords_of_chain(self, chain: dict[Simplex, int]) -> tuple[int, ...]:
         """Class of a cycle in group coordinates (torsion reduced)."""
         idx = self.cc.index.get(self.n, {})
-        support = []
-        for s, c in chain.items():
+        for s in chain:
             if s not in idx:
                 raise NotSubcomplex(f"{sname(s)} is not a basis simplex")
-            support.append((idx[s], c))
-        y = self._cycle_coords(support)
-        if any(y[:self.r]):
+        if self.cc.boundary_chain(chain):
             raise ValueError("chain is not a cycle")
-        return self.coords(y[self.r:])
+        pos = self.red.index.get(self.n, {})
+        z = self.red.project(chain)
+        return self.coords(self._relations(
+            [[(pos[s], x) for s, x in z.items()]])[0])
 
     def generator_chain(self, j: int) -> dict[Simplex, int]:
         """Cycle representing the j-th group generator."""
-        v = [0] * len(self.simplices)
+        crit = self.red.basis.get(self.n, [])
+        v = [0] * len(crit)
         for z, x in zip(self.cycles, self.generator(j)):
             if x:
                 v = [a + x * b for a, b in zip(v, z)]
-        return {s: c for s, c in zip(self.simplices, v) if c}
+        return self.red.include({s: c for s, c in zip(crit, v) if c})
 
 
 def homology(K: Complex, n: int) -> AbelianGroup:

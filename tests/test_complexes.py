@@ -22,6 +22,24 @@ DISK_SIMS = [["a"], ["b"], ["c"], ["a", "b"], ["b", "c"], ["a", "c"],
              ["a", "b", "c"]]
 
 
+def test_is_closed_reads_facets_only(corpus):
+    # the all-proper-faces definition is the reference, on seeded subsets
+    # of the r=1 corpus: as picked, closed, and closed less one simplex
+    rng = random.Random(24)
+    for name, (K, _) in sorted(corpus.items()):
+        fine = sd.iterated_subdivision(K, 1).fine
+        simplices = sorted(fine.simplices)
+        for _ in range(10):
+            picked = {s for s in simplices if rng.random() < 0.2}
+            closed = {f for s in picked for f in faces_with_self(s)}
+            dented = closed - {rng.choice(sorted(closed))} if closed else closed
+            for members in (picked, closed, dented):
+                expected = all(f in members for s in members
+                               for f in proper_faces(s))
+                assert fine.subcomplex(members).is_closed() == expected
+                assert fine.restrict(members).is_closed() == expected
+
+
 def test_validate_disk():
     K = validate(2, DISK_VERTS, DISK_SIMS)
     assert len(K.simplices) == 7

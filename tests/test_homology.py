@@ -24,8 +24,8 @@ from plhtpy.homology import (AbelianGroup, AbelianQuotient, ChainComplex,
                              homology, identity_matrix, induced_map,
                              induced_map_on_vertices, lattice_subset,
                              mat_mul, push_chain, relative_homology,
-                             smith_normal_form, unimodular_inverse,
-                             verify_les)
+                             smith_normal_form, snf_rank,
+                             unimodular_inverse, verify_les)
 from conftest import make_deg2, make_rot
 
 Z = AbelianGroup(1)
@@ -495,17 +495,89 @@ def test_integer_homology_coordinates(lattice_spaces):
                         H.coords_of_chain({moved[0]: 1})
 
 
+def dense_groups(cc):
+    """H_n of a chain complex from the dense Smith normal forms of the full
+    d_n and d_{n+1}, each taken on its shorter side (a matrix and its
+    transpose have the same invariant factors): the reference for the
+    groups of the Morse reduction."""
+    factors = {}
+    for n in range(cc.dim + 2):
+        D = cc.matrix(n)
+        if D and len(D[0]) > len(D):
+            D = [list(col) for col in zip(*D)]
+        S = smith_normal_form(D, len(cc.basis.get(n, [])))[0]
+        factors[n] = [S[i][i] for i in range(snf_rank(S))]
+    return {n: AbelianGroup(
+        len(cc.basis.get(n, [])) - len(factors[n]) - len(factors[n + 1]),
+        [d for d in factors[n + 1] if d > 1]) for n in range(cc.dim + 1)}
+
+
+def test_reduction_matches_the_dense_smith_normal_form(corpus):
+    for name, (K, subs) in sorted(corpus.items()):
+        for r in range(3):
+            w = sd.iterated_subdivision(K, r)
+            for rel in [None] + [[t for t in w.fine.simplices
+                                  if w.carrier[t] in ref.members]
+                                 for ref in subs.values()]:
+                cc = chain_complex(w.fine, rel=rel)
+                groups = dense_groups(cc)
+                for n in range(cc.dim + 1):
+                    assert HomologyData(cc, n).group == groups[n], (name, r)
+                # pi iota = 1 on the residual, and iota and pi are chain
+                # maps
+                red = cc.reduction()
+                for s in (s for b in red.basis.values() for s in b):
+                    assert red.project(red.include({s: 1})) == {s: 1}
+                    assert cc.boundary_chain(red.include({s: 1})) == \
+                        red.include(red.boundary_chain({s: 1})), (name, r)
+                for s in (s for b in cc.basis.values() for s in b):
+                    assert red.project(cc.boundary_chain({s: 1})) == \
+                        red.boundary_chain(red.project({s: 1})), (name, r)
+    for name, cells in (("torus7", (1, 2, 1)), ("s2", (1, 0, 1)),
+                        ("disk", (1, 0, 0))):
+        fine = sd.iterated_subdivision(corpus[name][0], 2).fine
+        red = chain_complex(fine).reduction()
+        assert tuple(len(red.basis.get(n, [])) for n in range(3)) == cells
+
+
+def test_generator_chains_are_seed_independent():
+    # the matching never iterates a set, so the generators of H_1 on
+    # torus7 r=1, their order included, are one text under four hash seeds
+    code = textwrap.dedent("""
+        from plhtpy import scx, subdivision
+        from plhtpy.homology import HomologyData, chain_complex
+        K, _ = scx.load_corpus("torus7")
+        fine = subdivision.iterated_subdivision(K, 1).fine
+        H = HomologyData(chain_complex(fine), 1)
+        for j in range(H.ngens()):
+            print(list(H.generator_chain(j).items()))
+    """)
+    src = str(Path(plhtpy.__file__).resolve().parents[1])
+    outs = set()
+    for seed in "1234":
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONHASHSEED": seed,
+                                   "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        outs.add(proc.stdout)
+    [out] = outs
+    assert len(out.splitlines()) == 2
+
+
 def test_relations_match_the_row_by_row_cycle_coordinates(lattice_spaces):
     # the relations sum columns of V^-1 and skip rows ..r; the row-by-row
-    # products of `_cycle_coords` are the reference
+    # products of V^-1 with the residual columns, whose entries may be any
+    # integer, are the reference
     for label, K, subs in lattice_spaces:
         for cc in [chain_complex(K)] + [chain_complex(K, rel=m)
                                         for m in subs.values()]:
             for n in range(K.dim() + 1):
                 H = HomologyData(cc, n)
-                cols = cc.boundary.get(n + 1, [])
-                assert H._relations(cols) == \
-                    [H._cycle_coords(col)[H.r:] for col in cols], (label, n)
+                cols = cc.reduction().boundary.get(n + 1, [])
+                assert H._relations(cols) == [
+                    [sum(row[j] * x for j, x in col) for row in H.Vinv[H.r:]]
+                    for col in cols], (label, n)
 
 
 def test_smith_normal_form_inverses_on_boundaries(lattice_spaces):
