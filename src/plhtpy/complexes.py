@@ -248,7 +248,10 @@ class Complex:
             hit = set()
             for x in target:
                 p = vec(x)
-                support = {s: self.support(s, [p]) for s in self.simplices}
+                y = linalg.integer_point(p)
+                support = {
+                    s: support_face(s, [numerators(self.frame(s).weights(y))])
+                    for s in self.simplices}
                 if all(f != s for s, f in support.items()):
                     raise PointOutsidePolyhedron(
                         f"point {p} is not in the polyhedron")
@@ -370,6 +373,19 @@ def validate(ambient_dim: int, vertex_coords: dict[str, Sequence],
     return K
 
 
+def union_independent(frame: linalg.AffineFrame, extra) -> bool:
+    """Are the points of an affinely independent frame together with the
+    integer points `extra` affinely independent?  The frame's null rows
+    have full row rank and vanish exactly on the span of its homogeneous
+    points, so the union is independent exactly when the offsets of
+    `extra` are linearly independent: for one point a nonzero vector, for
+    more a full-rank matrix under `linalg.eliminate`."""
+    offsets = [frame.offsets(y) for y in extra]
+    if len(offsets) == 1:
+        return any(offsets[0])
+    return len(linalg.eliminate(offsets, len(frame.null))[0]) == len(offsets)
+
+
 def check_pairwise_disjoint(K: Complex) -> None:
     """Raise OverlappingSimplices naming the first pair of open simplices,
     in `combinations(sorted(K.simplices), 2)` order, that meet.  For raw,
@@ -388,7 +404,8 @@ def check_pairwise_disjoint(K: Complex) -> None:
        affinely independent, a and b are distinct faces of one simplex,
        so disjoint.  A union that is a simplex of K is independent by the
        precondition, one of more than d + 1 vertices is dependent, and
-       any other is ranked by `linalg.eliminate` on its integer rows;
+       any other is decided by `union_independent` in the kept frame of
+       the larger of a and b, from the offsets of the vertices it lacks;
     3. `linalg.hyperplane_separated`, inside the affine hull of the union.
     """
     d = K.ambient_dim
@@ -415,8 +432,9 @@ def check_pairwise_disjoint(K: Complex) -> None:
         if union in K.simplices:
             continue
         if len(union) <= d + 1:
-            pivots, _ = linalg.eliminate([rows[v] for v in union], d + 1)
-            if len(pivots) == len(union):
+            big, small = (a, b) if len(a) >= len(b) else (b, a)
+            extra = [K.integer_point(v) for v in small if v not in big]
+            if union_independent(K.frame(big), extra):
                 continue
         fa, fb = K.frame(a), K.frame(b)
         if linalg.hyperplane_separated(fa, fb):

@@ -159,10 +159,10 @@ class Presentation:
         self.tree_edges = {simplex((u, w)) for w, u in self.parent.items()
                            if w != u}
         self.generator_edges: list[Simplex] = [
-            e for e in sorted(K.by_dim(1)) if e not in self.tree_edges]
+            e for e in K.by_dim(1) if e not in self.tree_edges]
         self._gen_index = {e: i + 1 for i, e in enumerate(self.generator_edges)}
         self.relators: list[Word] = []
-        for (a, b, c) in sorted(K.by_dim(2)):
+        for (a, b, c) in K.by_dim(2):
             w = self.word_of_path([a, b, c, a])
             if w:
                 self.relators.append(w)

@@ -19,8 +19,9 @@ Every elimination is over the integers, one fraction-free step `_pivot`
 at a time: `eliminate` serves coordinates, rank and volume (`AffineFrame`,
 one frame per point list, kept per simplex by `Complex.frame`, whose rows
 decide affine independence; the determinants of `subdivision`; the rank
-of each vertex union in `check_pairwise_disjoint`), and the LP pivots its
-integer tableau with the same step.  A frame answers with
+of the offsets a vertex union adds to a frame in
+`complexes.union_independent`), and the LP pivots its integer tableau
+with the same step.  A frame answers with
 `AffineFrame.weights`: integer numerators over one positive denominator,
 so the sign tests and the relative volumes build no Fraction; `coords` is
 the Fraction form of the same answer.  `solve_linear`,

@@ -8,13 +8,15 @@ from fractions import Fraction as F
 import pytest
 
 from plhtpy import cylinders as cy
-from plhtpy import linalg, scx
+from plhtpy import complexes, linalg, scx
 from plhtpy import subdivision as sd
-from plhtpy.complexes import (Complex, faces_with_self, proper_faces,
-                              simplex, sname, validate)
+from plhtpy.complexes import (Complex, check_pairwise_disjoint,
+                              faces_with_self, proper_faces, simplex, sname,
+                              union_independent, validate)
 from plhtpy.errors import (AffinelyDependent, DuplicateSimplex, NotSubcomplex,
                            OverlappingSimplices, PointOutsidePolyhedron)
 from conftest import frame_on
+from test_kernel import combination, grid_point
 from test_subdivision import closed_tetra
 
 DISK_VERTS = {"a": (0, 0), "b": (1, 0), "c": (0, 1)}
@@ -289,16 +291,86 @@ def test_validate_names_the_first_overlapping_pair_in_sorted_order():
         validate(1, verts, [["h", "i"], ["f", "g"], ["c", "e"], ["a", "b"]])
 
 
-def test_validate_ranks_a_union_missing_from_the_complex():
+def forbid_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("linalg.eliminate called")
+    monkeypatch.setattr(linalg, "eliminate", refuse)
+
+
+def test_validate_ranks_a_union_missing_from_the_complex(monkeypatch):
     # collinear unions of d + 1 vertices that are no simplex of K: the
-    # union screen must rank them, not skip them
+    # union screen must rank them, not skip them.  Each adds one vertex to
+    # a-b, so the kept frame of a-b decides it and nothing is eliminated
     verts = {"a": (0, 0), "b": (2, 0), "c": (1, 0)}
-    with pytest.raises(OverlappingSimplices,
-                       match="^open simplices a-b and c intersect$"):
-        validate(2, verts, [["a"], ["b"], ["c"], ["a", "b"]])
-    with pytest.raises(OverlappingSimplices,
-                       match="^open simplices a-b and a-c intersect$"):
-        validate(2, verts, [["a", "b"], ["a", "c"]])
+    cases = [([["a"], ["b"], ["c"], ["a", "b"]], "a-b and c"),
+             ([["a", "b"], ["a", "c"]], "a-b and a-c")]
+    for sims, names in cases:
+        with pytest.raises(OverlappingSimplices,
+                           match=f"^open simplices {names} intersect$"):
+            validate(2, verts, sims)
+    built = [(validate(2, verts, sims, check_disjoint=False), names)
+             for sims, names in cases]
+    forbid_elimination(monkeypatch)
+    for K, names in built:
+        with pytest.raises(OverlappingSimplices,
+                           match=f"^open simplices {names} intersect$"):
+            check_pairwise_disjoint(K)
+
+
+def test_planar_disjointness_eliminates_nothing(monkeypatch, corpus):
+    """In the plane a union of at most 3 vertices that is no simplex of K
+    adds one vertex to the larger simplex, so one offsets vector of its
+    kept frame decides it."""
+    fine = sd.iterated_subdivision(corpus["disk"][0], 2).fine
+    K = validate(2, fine.vertices, fine.simplices, check_disjoint=False)
+    forbid_elimination(monkeypatch)
+    asked = Counter()
+
+    def counted(frame, extra):
+        asked[len(extra)] += 1
+        return union_independent(frame, extra)
+    monkeypatch.setattr(complexes, "union_independent", counted)
+    check_pairwise_disjoint(K)
+    assert set(asked) == {1} and asked[1] > 100, asked
+
+
+def test_union_screen_reads_the_union_rank():
+    """`union_independent` on the frame of the larger point list and the
+    points the smaller one adds agrees with the rank of the union's
+    integer rows: seeded pairs of affinely independent lists in R^1..R^6
+    on a grid with mixed denominators, sharing 0-2 vertices, whose union
+    has at most d + 1 points.  An added point is a fresh grid point or,
+    for a dependent union, an affine combination of the points before it."""
+    rng = random.Random(25)
+    seen = Counter()
+    for _ in range(2000):
+        d = rng.randint(1, 6)
+        e = rng.randint(1, min(3, (d + 1) // 2))        # points added
+        shared = rng.randint(0, min(2, d + 1 - 2 * e))
+        big = list({grid_point(rng, d)
+                    for _ in range(rng.randint(shared + e, d + 1 - e))})
+        if len(big) < shared + e or frame_on(big).rows is None:
+            continue
+        extra = []
+        for _ in range(e):
+            if rng.random() < 0.3:
+                pts = big + extra
+                extra.append(combination(rng, pts, [rng.choice((1, -1))
+                                                    for _ in pts])[0])
+            else:
+                extra.append(grid_point(rng, d))
+        small = rng.sample(big, shared) + extra
+        if (len(set(big + extra)) < len(big) + e
+                or frame_on(small).rows is None):
+            continue
+        union = [list(linalg.integer_point(p)) for p in big + extra]
+        rank = len(linalg.eliminate(union, d + 1)[0])
+        got = union_independent(frame_on(big),
+                                [linalg.integer_point(p) for p in extra])
+        assert got is (rank == len(union)), (big, small)
+        seen[e, got] += 1
+    assert all(seen[e, got] >= 50 for e in (1, 2, 3)
+               for got in (True, False)), seen
 
 
 def test_validate_in_ambient_dimension_zero():
@@ -348,8 +420,10 @@ def test_validate_in_dimension_three(corpus, lp_verdicts):
     disk1 = sd.iterated_subdivision(corpus["disk"][0], 1).fine
     prisms = cy.prism_triangulate(disk1).cylinder
     assert (prisms.ambient_dim, len(prisms)) == (3, 123)
+    before = len(lp_verdicts)
     assert validate(3, prisms.vertices, prisms.simplices) == prisms
-    assert lp_verdicts and not any(lp_verdicts)
+    assert len(lp_verdicts) - before == 12
+    assert not any(lp_verdicts)
     verts = {"a": (0, 0, 0), "b": (4, 0, 0), "c": (0, 4, 0), "d": (0, 0, 4),
              "e": (1, 1, 1), "f": (3, 1, 1), "g": (1, 3, 1), "h": (1, 1, 3)}
     with pytest.raises(OverlappingSimplices,
@@ -427,6 +501,27 @@ def test_star_of_vertex_in_circle(tri3):
 def test_star_of_interior_point(disk):
     st = disk.star([(F(1, 3), F(1, 3))])
     assert set(st.members) == {("a", "b", "c")}
+
+
+def test_star_of_points_converts_each_point_once(monkeypatch, corpus):
+    """The star of 20 barycenters of disk r=2 converts each to its
+    integer point once, not once per simplex, and is the union of the
+    simplices whose closure holds one of them."""
+    fine = sd.iterated_subdivision(corpus["disk"][0], 2).fine
+    assert len(fine) == 121
+    points = [fine.barycenter(s) for s in sorted(fine.simplices)
+              if len(s) > 1][:20]
+    expected = {s for s in fine.simplices for p in points
+                if fine.point_in_closure(s, p)}
+    calls = Counter()
+    convert = linalg.integer_point
+
+    def counted(x):
+        calls[tuple(x)] += 1
+        return convert(x)
+    monkeypatch.setattr(linalg, "integer_point", counted)
+    assert set(fine.star(points).members) == expected
+    assert sum(calls[p] for p in points) == 20
 
 
 def test_star_outside_polyhedron(disk):
