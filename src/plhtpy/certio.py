@@ -6,7 +6,13 @@ the domain-subdivision carrier lines, read as SCX-M `carrier` lines over
 the fine complex of their block.  Certificates bundle the shared
 domain and codomain once plus one entry per straight-line step.  All
 emission is canonical (sorted keys, sorted lines), so files and their
-digests are byte-stable.
+digests are byte-stable.  `dumps` writes exactly what
+`json.dumps(obj, sort_keys=True, indent=1)` writes, byte for byte, but
+encodes every string with the C string encoder: CPython's own encoder
+leaves C for its pure-Python generators whenever `indent` is set.  The
+carrier tables read the canonical order that each fine complex keeps
+(`scx.canonical_order`); nothing is kept on maps, witnesses or steps,
+whose tables are plain dicts a caller may change.
 
 Loading a container parses and validates each distinct complex block
 once: blocks with equal `ambient`, `vertex` and `simplex` declarations
@@ -30,8 +36,34 @@ HOMEO_FORMAT = "plhtpy-homeo/1"
 CERT_FORMAT = "plhtpy-cert/1"
 
 
+_string = json.encoder.encode_basestring_ascii   # C, where CPython has it
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=1) + "\\n"`, byte for byte,
+    for a tree of dicts with string keys, lists and strings; any other
+    value is written by `json.dumps` of that value."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj, nl: str) -> str:
+    """obj as `dumps` writes it, where `nl` is a newline and the indent of
+    obj's own line."""
+    if isinstance(obj, str):
+        return _string(obj)
+    inner = nl + " "
+    if isinstance(obj, dict):
+        items = [f"{_string(k)}: {_encode(obj[k], inner)}"
+                 for k in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_encode(x, inner) for x in obj]
+        brackets = "[]"
+    else:
+        return json.dumps(obj)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
 
 
 def _carriers(obj: dict, key: str, fmt: str,
@@ -66,7 +98,7 @@ def _field(obj: dict, key: str, fmt: str, kind=str, item=str):
 
 def _map_entry(f: PLMap) -> dict:
     return {"scxm": scx.emit_scxm(f.fine, f.vertex_image, f.target_carrier),
-            "witness": scx.carrier_lines(f.dom_subdivision.carrier)}
+            "witness": scx.carrier_lines(f.dom_subdivision.carrier, f.fine)}
 
 
 def _check_ambient(fine: Complex, domain: Complex, what: str) -> None:
@@ -162,9 +194,10 @@ def cert_to_obj(cert: HomotopyCertificate) -> dict:
         steps.append({
             "from": _map_entry(step.frm),
             "to": _map_entry(step.to),
-            "refinement": {"scx": scx.emit_scx(ref.fine),
-                           "witness": scx.carrier_lines(ref.carrier)},
-            "carriers": scx.carrier_lines(step.carriers)})
+            "refinement": {
+                "scx": scx.emit_scx(ref.fine),
+                "witness": scx.carrier_lines(ref.carrier, ref.fine)},
+            "carriers": scx.carrier_lines(step.carriers, ref.fine)})
     fixed = sorted(sname(s) for s in cert.fixed_set.members)
     return {"format": CERT_FORMAT,
             "domain": scx.emit_scx(f0.domain),
@@ -215,11 +248,23 @@ def save(path: str, obj: dict) -> None:
         fh.write(dumps(obj))
 
 
+def _object(pairs: list, path: str) -> dict:
+    """A JSON object of the container file `path`; a key given twice is a
+    FormatError naming it, never a silent override."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise FormatError(f"{path}: repeated key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def load(path: str):
     """Load any container file; returns (format, decoded object)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(
+                fh, object_pairs_hook=lambda pairs: _object(pairs, path))
         except (ValueError, RecursionError) as exc:   # bad JSON, UTF-8, depth
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     fmt = obj.get("format") if isinstance(obj, dict) else None

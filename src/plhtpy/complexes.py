@@ -123,6 +123,8 @@ class Complex:
         self._frames: dict[Simplex, linalg.AffineFrame] = {}
         self._ints: dict[str, tuple[int, ...]] = {}
         self._scx: Optional[str] = None   # canonical text, see scx.emit_scx
+        # (simplex, name) pairs in canonical order, see scx.canonical_order
+        self._order: Optional[list[tuple[Simplex, str]]] = None
 
     # -- basic queries ------------------------------------------------------
 

@@ -19,10 +19,12 @@ would read as a simplex name) and stray tokens after `ambient <p>` or a
 carrier line.
 
 Emission is canonical (sorted declarations, reduced fractions), so content
-digests are stable across runs.  Each complex's text is written once: a
-Complex is immutable, so `emit_scx` keeps the text on the object, and a
-certificate and the map written after it share one text per distinct
-complex.
+digests are stable across runs.  A Complex is immutable, so each one keeps
+what emission derives from it: its canonical order (`canonical_order`, its
+simplices with their names, by dimension, then vertex ids), sorted once and
+read by its `simplex` lines and by every carrier table over it, and its
+text, written once, which a certificate and the map written after it
+share.
 """
 
 from __future__ import annotations
@@ -174,6 +176,21 @@ def load_complex(text: str, check_disjoint: bool = True,
     return K, subs
 
 
+def _canonical_key(s: Simplex):
+    return len(s), s
+
+
+def canonical_order(K: Complex) -> list[tuple[Simplex, str]]:
+    """The simplices of K with their names, by dimension, then vertex ids:
+    the order of its `simplex` lines and of a carrier table over all of
+    them.  Sorted once per Complex and kept on it (a Complex is
+    immutable)."""
+    if K._order is None:
+        K._order = [(s, sname(s))
+                    for s in sorted(K.simplices, key=_canonical_key)]
+    return K._order
+
+
 def emit_scx(K: Complex, subcomplexes: dict | None = None) -> str:
     """Canonical SCX text of K, then one line per named subcomplex.  The
     text of K alone is written once per Complex and kept on it (a Complex
@@ -184,22 +201,29 @@ def emit_scx(K: Complex, subcomplexes: dict | None = None) -> str:
         for v in used:
             coords = " ".join(coord_str(q) for q in K.vertices[v])
             lines.append(f"vertex {v} {coords}")
-        for s in sorted(K.simplices, key=lambda s: (len(s), s)):
+        for s, _ in canonical_order(K):
             lines.append("simplex " + " ".join(s))
         K._scx = "\n".join(lines) + "\n"
     lines = [K._scx]
     for name in sorted(subcomplexes or {}):
         members = subcomplexes[name]
         members = getattr(members, "members", members)
-        names = " ".join(sname(m) for m in sorted(members, key=lambda s: (len(s), s)))
+        names = " ".join(sname(m) for m in sorted(members, key=_canonical_key))
         lines.append(f"subcomplex {name} {names}\n")
     return "".join(lines)
 
 
-def carrier_lines(carriers: dict[Simplex, Simplex]) -> list[str]:
-    """One `fine -> coarse` line per simplex, by dimension, then name."""
-    return [f"{sname(s)} -> {sname(carriers[s])}"
-            for s in sorted(carriers, key=lambda s: (len(s), s))]
+def carrier_lines(carriers: dict[Simplex, Simplex],
+                  fine: Complex) -> list[str]:
+    """One `fine -> coarse` line per simplex of `carriers`, by dimension,
+    then vertex ids.  A table over all the simplices of the complex `fine`
+    reads their order and names from `canonical_order(fine)`; any other
+    key set is sorted here."""
+    if carriers.keys() == fine.simplices:
+        order = canonical_order(fine)
+    else:
+        order = [(s, sname(s)) for s in sorted(carriers, key=_canonical_key)]
+    return [f"{name} -> {sname(carriers[s])}" for s, name in order]
 
 
 def emit_scxm(fine: Complex, images: dict[str, Point],
@@ -208,7 +232,7 @@ def emit_scxm(fine: Complex, images: dict[str, Point],
     for v in sorted(images):
         coords = " ".join(coord_str(q) for q in images[v])
         lines.append(f"image {v} {coords}")
-    lines += [f"carrier {line}" for line in carrier_lines(carriers)]
+    lines += [f"carrier {line}" for line in carrier_lines(carriers, fine)]
     return "\n".join(lines) + "\n"
 
 

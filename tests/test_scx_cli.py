@@ -17,7 +17,7 @@ from plhtpy import cylinders as cy
 from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
 from plhtpy.cli import main
-from plhtpy.complexes import validate
+from plhtpy.complexes import Complex, sname, validate
 from plhtpy.errors import FormatError, OverlappingSimplices
 from plhtpy.homology import euler_characteristic
 from conftest import fresh
@@ -283,6 +283,28 @@ def test_cli_deeply_nested_container_exit2(tmp_path):
     assert f"error: FormatError: {path}: not valid JSON: " in out
 
 
+def test_cli_container_with_a_repeated_key_exit2(tmp_path, rot):
+    # the first "fixed" fails the certificate; a JSON reader that keeps the
+    # last value of a key would pass it on the second
+    mapfile = tmp_path / "rot.json"
+    certfile = tmp_path / "cert.json"
+    certio.save(str(mapfile), certio.map_to_obj(rot))
+    code, _ = run_cli("approximate", str(mapfile), "--cert", str(certfile))
+    assert code == 0
+    text = certfile.read_text()
+    assert text.count(' "fixed": [],\n') == 1
+    certfile.write_text(text.replace(
+        ' "fixed": [],\n', ' "fixed": ["a", "b", "c"],\n "fixed": [],\n'))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plhtpy.cli", "verify-cert", str(certfile)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert f"error: FormatError: {certfile}: repeated key 'fixed'" \
+        in proc.stdout
+
+
 def test_cli_verify_cert_tampered_exit1(tmp_path, rot):
     from plhtpy.plmaps import simplicial_approximation
     _, cert = simplicial_approximation(rot)
@@ -434,6 +456,108 @@ def test_written_containers_match_fresh_emission(tmp_path, rot):
     for path in paths:
         text = path.read_text()
         assert certio.dumps(refreshed(*certio.load(str(path)))) == text, path
+
+
+# ---------------------------------------------------------------------------
+# Artifact writing: the stdlib encoder's bytes at C speed
+# ---------------------------------------------------------------------------
+
+def stdlib_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def golden_containers(rot, perturbed_disk, disk, disk_boundary):
+    """name -> container object of four Tier-1 artifacts."""
+    _, approx = pm.simplicial_approximation(rot)
+    _, rel = pm.simplicialize_rel(perturbed_disk, disk_boundary)
+    phi0 = sd.identity_homeo_on(
+        sd.iterated_subdivision(disk_boundary.as_complex(), 2))
+    phi = sd.extend_normal(disk, disk_boundary, phi0)
+    return {"map rot": certio.map_to_obj(rot),
+            "approximate rot": certio.cert_to_obj(approx),
+            "simplicialize_rel perturbed_disk": certio.cert_to_obj(rel),
+            "extend-normal disk r=2": certio.homeo_to_obj(phi)}
+
+
+# sha256 of each container as the stdlib's json.dumps(sort_keys=True,
+# indent=1) wrote it before `certio.dumps` had its own writer
+GOLDEN = {
+    "map rot":
+        "c44ae4106abff0a36f24b0f4b4dbe8c92dd186966668c2693a76b82507b1fb6b",
+    "approximate rot":
+        "94288ded26b6a71db38b32120eea3effc558dbb1916b18742c5d425de8d68c0d",
+    "simplicialize_rel perturbed_disk":
+        "8b98ac2e2c7fff20bfafabbde73568c92e046c3ebb22aab32052b50a7f5d31e7",
+    "extend-normal disk r=2":
+        "987dbc25f36737990dd9b9352bfba5c33c15d3a338a758849304978718d91b9a",
+}
+
+
+def test_dumps_writes_the_stdlib_bytes(rot, perturbed_disk, disk,
+                                       disk_boundary):
+    objs = golden_containers(rot, perturbed_disk, disk, disk_boundary)
+    for name, obj in objs.items():
+        text = certio.dumps(obj)
+        assert scx.digest(text) == GOLDEN[name], name
+        assert text == stdlib_dumps(obj), name
+    for obj in ([], {}, [[]], {"a": {}, "b": []},
+                "caf\u00e9 \u2603 \U0001f600 \x00\x1f\t\n\"\\/\x7f",
+                {"\u00e9\n": ["\x00", "\u2028"], "": ""},
+                [{"b": ["x", "y"], "a": "z"}, {}, {"c": [{"d": []}]}],
+                {"n": [0, -3, True, None], "f": ["1/2", "-1"]}):
+        assert certio.dumps(obj) == stdlib_dumps(obj), obj
+
+
+def test_dumps_stays_off_the_pure_python_encoder(monkeypatch, rot):
+    # CPython's json leaves its C encoder for the generators that
+    # _make_iterencode builds whenever `indent` is set
+    _, cert = pm.simplicial_approximation(rot)
+    expected = stdlib_dumps(certio.cert_to_obj(cert))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert certio.dumps(certio.cert_to_obj(cert)) == expected
+
+
+def reference_carrier_lines(carriers):
+    return [f"{sname(s)} -> {sname(carriers[s])}"
+            for s in sorted(carriers, key=lambda s: (len(s), s))]
+
+
+@pytest.mark.parametrize("keys", ["full", "missing", "extra"])
+def test_carrier_lines_match_the_sorted_reference(rot, keys):
+    # `a!` sorts after `a` as a vertex id, but `a!-b` before `a-c` as a
+    # name: lines go by dimension, then vertex ids
+    odd = Complex(1, {"a": (0,), "a!": (1,), "b": (2,), "c": (3,)},
+                  [("a",), ("a!",), ("b",), ("c",), ("a", "c"), ("a!", "b")])
+    for K, carriers in ((fresh(rot.fine), dict(rot.dom_subdivision.carrier)),
+                        (odd, {s: s[:1] for s in odd.simplices})):
+        if keys == "missing":
+            del carriers[max(carriers)]
+        elif keys == "extra":
+            carriers[("zz",)] = ("a",)
+        assert scx.carrier_lines(carriers, K) == \
+            reference_carrier_lines(carriers)
+
+
+def test_canonical_order_is_sorted_once_per_complex(monkeypatch, rot):
+    K = fresh(rot.fine)
+    scx.emit_scx(K)
+    order = K._order
+    assert order == [(s, sname(s))
+                     for s in sorted(K.simplices, key=lambda s: (len(s), s))]
+    carriers = rot.dom_subdivision.carrier
+    expected = reference_carrier_lines(carriers)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted again")
+
+    # a table over every simplex of K reads the order emit_scx kept
+    monkeypatch.setattr(scx, "sorted", refuse, raising=False)
+    assert scx.carrier_lines(carriers, K) == expected
+    assert scx.canonical_order(K) is order
 
 
 def test_cli_verify_cert_tells_a_moved_fine_vertex_apart(tmp_path, rot):
