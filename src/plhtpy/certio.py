@@ -10,9 +10,9 @@ digests are byte-stable.  `dumps` writes exactly what
 `json.dumps(obj, sort_keys=True, indent=1)` writes, byte for byte, but
 encodes every string with the C string encoder: CPython's own encoder
 leaves C for its pure-Python generators whenever `indent` is set.  The
-carrier tables read the canonical order that each fine complex keeps
-(`scx.canonical_order`); nothing is kept on maps, witnesses or steps,
-whose tables are plain dicts a caller may change.
+carrier tables read the canonical order and names that each fine complex
+keeps (`Complex.canonical_order`, `Complex.simplex_names`); nothing is kept
+on maps, witnesses or steps, whose tables are plain dicts a caller may change.
 
 Loading a container parses and validates each distinct complex block
 once: blocks with equal `ambient`, `vertex` and `simplex` declarations
@@ -115,7 +115,7 @@ def _load_entry(entry: dict, fmt: str, domain: Complex, codomain: Complex,
     fine, images, carriers = scx.load_scxm(_field(entry, "scxm", fmt),
                                            blocks)
     _check_ambient(fine, domain, "fine complex")
-    missing = sorted({v for s in fine.simplices for v in s} - images.keys())
+    missing = sorted(fine.used_vertices() - images.keys())
     if missing:
         raise FormatError(f"no image line for fine vertex {missing[0]}")
     wrong = sorted(v for v, p in images.items()

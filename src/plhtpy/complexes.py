@@ -4,11 +4,15 @@ A complex is a finite set of *open* simplices with exact rational vertex
 coordinates.  Distinct open simplices must be pairwise disjoint subsets of
 ambient space; closedness (all faces present) is a derived predicate, not an
 invariant.  Simplices are stored as sorted tuples of vertex identifiers; the
-sorted order fixes orientations everywhere downstream.
+sorted order fixes orientations everywhere downstream.  Walks over a whole
+complex go by `canonical_key`.  A Complex is immutable, so it keeps what it
+derives from its simplices: that order (`by_dim` and `vertex_ids` slice
+it), the simplex names, the used vertices, and its closedness.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -45,6 +49,11 @@ def proper_faces(s: Simplex):
     """All nonempty proper faces, by vertex subsets."""
     for k in range(1, len(s)):
         yield from combinations(s, k)
+
+
+def canonical_key(s: Simplex):
+    """By dimension, then vertex ids."""
+    return len(s), s
 
 
 def facets(s: Simplex) -> list[Simplex]:
@@ -123,8 +132,9 @@ class Complex:
         self._frames: dict[Simplex, linalg.AffineFrame] = {}
         self._ints: dict[str, tuple[int, ...]] = {}
         self._scx: Optional[str] = None   # canonical text, see scx.emit_scx
-        # (simplex, name) pairs in canonical order, see scx.canonical_order
-        self._order: Optional[list[tuple[Simplex, str]]] = None
+        # derived on first use: see canonical_order, simplex_names,
+        # used_vertices and is_closed
+        self._order = self._snames = self._used = self._closed = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -153,11 +163,31 @@ class Complex:
     def barycenter(self, s: Simplex) -> Point:
         return linalg.centroid(self.points(s))
 
-    def vertex_ids(self) -> list[str]:
-        return sorted(v for (v,) in (s for s in self.simplices if len(s) == 1))
+    def canonical_order(self) -> list[Simplex]:
+        """The simplices by `canonical_key`, in two sorts that compare in C."""
+        if self._order is None:
+            self._order = sorted(sorted(self.simplices), key=len)
+        return self._order
+
+    def simplex_names(self) -> list[str]:
+        """The `sname` of each simplex of `canonical_order`."""
+        if self._snames is None:
+            self._snames = list(map(sname, self.canonical_order()))
+        return self._snames
 
     def by_dim(self, d: int) -> list[Simplex]:
-        return sorted(s for s in self.simplices if sdim(s) == d)
+        order = self.canonical_order()
+        lo, hi = (bisect_left(order, n, key=len) for n in (d + 1, d + 2))
+        return order[lo:hi]
+
+    def vertex_ids(self) -> list[str]:
+        return [v for (v,) in self.by_dim(0)]
+
+    def used_vertices(self) -> frozenset[str]:
+        """The vertices of the simplices; the vertex table may hold more."""
+        if self._used is None:
+            self._used = frozenset(v for s in self.simplices for v in s)
+        return self._used
 
     def __contains__(self, s) -> bool:
         return tuple(s) in self.simplices
@@ -172,7 +202,7 @@ class Complex:
             and self.simplices == other.simplices
             and all(v in self.vertices and v in other.vertices
                     and self.vertices[v] == other.vertices[v]
-                    for s in self.simplices for v in s))
+                    for v in self.used_vertices()))
 
     def __hash__(self):
         return hash((self.ambient_dim, self.simplices))
@@ -186,7 +216,9 @@ class Complex:
         return Complex(self.ambient_dim, self.vertices, closed)
 
     def is_closed(self) -> bool:
-        return closed_under_faces(self.simplices)
+        if self._closed is None:
+            self._closed = closed_under_faces(self.simplices)
+        return self._closed
 
     # -- point location -----------------------------------------------------
 

@@ -64,11 +64,10 @@ def prism_triangulate(K: Complex) -> PrismComplex:
     if not K.is_closed():
         raise NotClosed("prisms require a closed base")
     verts: dict[str, tuple] = {}
-    for s in K.simplices:
-        for v in s:
-            p = K.vertices[v]
-            verts[lift(v, 0)] = tuple(p) + (F0,)
-            verts[lift(v, 1)] = tuple(p) + (F1,)
+    for v in K.used_vertices():
+        p = K.vertices[v]
+        verts[lift(v, 0)] = tuple(p) + (F0,)
+        verts[lift(v, 1)] = tuple(p) + (F1,)
     sims: set[Simplex] = set()
     for s in sorted(K.simplices):
         n = sdim(s)
@@ -118,7 +117,7 @@ class _Composite:
         self.simplices: set[Simplex] = set()      # current fine complex
         self.domcar: dict[Simplex, Simplex] = {}
         self.image = {v: cylinder.vertices[v]
-                      for s in cylinder.simplices for v in s}
+                      for v in cylinder.used_vertices()}
         self.carrier: dict[Simplex, Simplex] = {}  # in live complex
         self.by_vertex: dict[str, set[Simplex]] = defaultdict(set)
         self.by_carrier: dict[Simplex, set[Simplex]] = defaultdict(set)

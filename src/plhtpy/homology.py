@@ -520,18 +520,13 @@ def chain_complex(K: Complex, rel=None) -> ChainComplex:
         raise NotClosed("chain complex requires a closed complex")
     drop = frozenset()
     if rel is not None:
-        members = frozenset(tuple(s) for s in getattr(rel, "members", rel))
-        if not members <= K.simplices:
+        drop = frozenset(tuple(s) for s in getattr(rel, "members", rel))
+        if not drop <= K.simplices:
             raise NotSubcomplex("relative part is not a subcomplex")
-        sub = K.subcomplex(members)
-        if not sub.is_closed():
+        if not K.subcomplex(drop).is_closed():
             raise NotClosed("relative part must be closed")
-        drop = members
-    basis: dict[int, list[Simplex]] = {}
-    for s in sorted(K.simplices, key=lambda s: (len(s), s)):
-        if s not in drop:
-            basis.setdefault(sdim(s), []).append(s)
-    return ChainComplex(basis)
+    return ChainComplex({n: [s for s in K.by_dim(n) if s not in drop]
+                         for n in range(K.dim() + 1)})
 
 
 class HomologyData(AbelianQuotient):

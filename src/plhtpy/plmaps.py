@@ -39,7 +39,7 @@ F1 = Fraction(1)
 
 def minimal_carrier(L: Complex, points) -> Simplex | None:
     """Smallest closed simplex of L containing all the points, or None."""
-    for s in sorted(L.simplices, key=lambda s: (len(s), s)):
+    for s in L.canonical_order():
         if all(L.point_in_closure(s, p) for p in points):
             return s
     return None
@@ -120,7 +120,7 @@ class PLMap:
         an unchecked map (`check=False`, `subdivision.PLHomeo`) has one."""
         missing = self.fine.vertices.keys() - self.vertex_image.keys()
         if missing:
-            missing &= {v for t in self.fine.simplices for v in t}
+            missing &= self.fine.used_vertices()
         return min(missing, default=None)
 
     def evaluate(self, x):
@@ -136,10 +136,10 @@ class PLMap:
 
     def simplicial_vertex_map(self) -> dict | None:
         """Vertex-to-vertex map if the map is simplicial, else None."""
-        coord_to_vertex = {self.codomain.vertices[v[0]]: v[0]
-                           for v in self.codomain.simplices if len(v) == 1}
+        coord_to_vertex = {self.codomain.vertices[v]: v
+                           for v in self.codomain.vertex_ids()}
         vmap = {}
-        for v in sorted({v for t in self.fine.simplices for v in t}):
+        for v in sorted(self.fine.used_vertices()):
             w = coord_to_vertex.get(self.vertex_image[v])
             if w is None:
                 return None
@@ -155,7 +155,7 @@ class PLMap:
 
 
 def identity_map_on(w: SubdivisionWitness) -> PLMap:
-    verts = {v: w.fine.vertices[v] for s in w.fine.simplices for v in s}
+    verts = {v: w.fine.vertices[v] for v in w.fine.used_vertices()}
     return PLMap(w.coarse, w.coarse, w, verts, dict(w.carrier))
 
 
@@ -167,7 +167,7 @@ def constant_map(K: Complex, L: Complex, point) -> PLMap:
     point = linalg.vec(point)
     c, _ = L.locate(point)
     w = identity_witness(K)
-    verts = {v: point for s in K.simplices for v in s}
+    verts = dict.fromkeys(K.used_vertices(), point)
     return PLMap(K, L, w, verts, {s: c for s in K.simplices})
 
 
@@ -179,7 +179,7 @@ def simplicial_map(K: Complex, L: Complex, vmap: dict[str, str]) -> PLMap:
 
 def simplicial_map_on(w: SubdivisionWitness, L: Complex,
                       vmap: dict[str, str]) -> PLMap:
-    used = sorted({v for t in w.fine.simplices for v in t})
+    used = sorted(w.fine.used_vertices())
     missing = [v for v in used if v not in vmap]
     if missing:
         raise NotSimplicial(f"no image for vertex {missing[0]}")
@@ -253,7 +253,7 @@ def simplicial_approximation(f: PLMap, max_rounds: int = 8):
         assignment = {}
         failing = []
         incident = incident_simplices(cur.fine)
-        for (v,) in (s for s in cur.fine.simplices if len(s) == 1):
+        for v in cur.fine.vertex_ids():
             w = check_star_condition(cur, v, incident[v])
             if w is None:
                 failing.append(v)
@@ -510,8 +510,7 @@ def urysohn(K: Complex, K_C: SubcomplexRef, K_E: SubcomplexRef) -> PLFunction:
     if not K.closed_star(K_C).members <= K_E.members:
         raise BarrierViolation("closed star of K_C leaves K_E")
     cverts = {v for s in K_C.members for v in s}
-    values = {v: (F0 if v in cverts else F1)
-              for s in K.simplices for v in s}
+    values = {v: (F0 if v in cverts else F1) for v in K.used_vertices()}
     return PLFunction(identity_witness(K), values)
 
 

@@ -19,12 +19,10 @@ would read as a simplex name) and stray tokens after `ambient <p>` or a
 carrier line.
 
 Emission is canonical (sorted declarations, reduced fractions), so content
-digests are stable across runs.  A Complex is immutable, so each one keeps
-what emission derives from it: its canonical order (`canonical_order`, its
-simplices with their names, by dimension, then vertex ids), sorted once and
-read by its `simplex` lines and by every carrier table over it, and its
-text, written once, which a certificate and the map written after it
-share.
+digests are stable across runs.  `simplex` lines and carrier tables over a
+whole complex read the order and names it keeps (`Complex.canonical_order`,
+`Complex.simplex_names`), and its text, written once, which a certificate
+and the map written after it share.
 """
 
 from __future__ import annotations
@@ -34,7 +32,8 @@ import os
 from fractions import Fraction
 from importlib import resources
 
-from .complexes import Complex, Point, Simplex, simplex, sname, validate
+from .complexes import (Complex, Point, Simplex, canonical_key, simplex,
+                        sname, validate)
 from .errors import FormatError
 from .linalg import vec
 
@@ -176,39 +175,22 @@ def load_complex(text: str, check_disjoint: bool = True,
     return K, subs
 
 
-def _canonical_key(s: Simplex):
-    return len(s), s
-
-
-def canonical_order(K: Complex) -> list[tuple[Simplex, str]]:
-    """The simplices of K with their names, by dimension, then vertex ids:
-    the order of its `simplex` lines and of a carrier table over all of
-    them.  Sorted once per Complex and kept on it (a Complex is
-    immutable)."""
-    if K._order is None:
-        K._order = [(s, sname(s))
-                    for s in sorted(K.simplices, key=_canonical_key)]
-    return K._order
-
-
 def emit_scx(K: Complex, subcomplexes: dict | None = None) -> str:
     """Canonical SCX text of K, then one line per named subcomplex.  The
     text of K alone is written once per Complex and kept on it (a Complex
     is immutable); the subcomplex lines are written on every call."""
     if K._scx is None:
         lines = [f"ambient {K.ambient_dim}"]
-        used = sorted({v for s in K.simplices for v in s})
-        for v in used:
+        for v in sorted(K.used_vertices()):
             coords = " ".join(coord_str(q) for q in K.vertices[v])
             lines.append(f"vertex {v} {coords}")
-        for s, _ in canonical_order(K):
-            lines.append("simplex " + " ".join(s))
+        lines += ["simplex " + " ".join(s) for s in K.canonical_order()]
         K._scx = "\n".join(lines) + "\n"
     lines = [K._scx]
     for name in sorted(subcomplexes or {}):
         members = subcomplexes[name]
         members = getattr(members, "members", members)
-        names = " ".join(sname(m) for m in sorted(members, key=_canonical_key))
+        names = " ".join(sname(m) for m in sorted(members, key=canonical_key))
         lines.append(f"subcomplex {name} {names}\n")
     return "".join(lines)
 
@@ -217,12 +199,12 @@ def carrier_lines(carriers: dict[Simplex, Simplex],
                   fine: Complex) -> list[str]:
     """One `fine -> coarse` line per simplex of `carriers`, by dimension,
     then vertex ids.  A table over all the simplices of the complex `fine`
-    reads their order and names from `canonical_order(fine)`; any other
-    key set is sorted here."""
+    reads the order and names that `fine` keeps; any other key set is
+    sorted here."""
     if carriers.keys() == fine.simplices:
-        order = canonical_order(fine)
+        order = zip(fine.canonical_order(), fine.simplex_names())
     else:
-        order = [(s, sname(s)) for s in sorted(carriers, key=_canonical_key)]
+        order = [(s, sname(s)) for s in sorted(carriers, key=canonical_key)]
     return [f"{name} -> {sname(carriers[s])}" for s, name in order]
 
 
@@ -246,8 +228,7 @@ def load_scxm(text: str, blocks: dict | None = None):
     if subcomplexes:
         raise FormatError("subcomplex declarations in SCX-M input")
     fine = _complex(ambient, vertices, simplices, False, blocks)
-    used = {v for s in fine.simplices for v in s}
-    stray = (vertices.keys() | images.keys()) - used
+    stray = (vertices.keys() | images.keys()) - fine.used_vertices()
     if stray or carriers.keys() - fine.simplices:
         for lineno, raw in enumerate(text.splitlines(), 1):
             kind, key = (raw.split("#", 1)[0].split() + ["", ""])[:2]

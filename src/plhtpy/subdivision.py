@@ -109,7 +109,7 @@ def barycentric_subdivide(K: Complex) -> SubdivisionWitness:
         raise NotClosed("barycentric subdivision requires a closed complex")
     verts = {}
     pieces: dict[Simplex, list[Simplex]] = {}
-    for s in sorted(K.simplices, key=lambda s: (len(s), s)):
+    for s in K.canonical_order():
         b = s[0] if len(s) == 1 else bary_name(s)
         if b in verts:
             raise Incompatible(f"vertex id {b} names two vertices of the "
@@ -276,7 +276,7 @@ def identity_homeo(K: Complex) -> PLMap:
 
 def identity_homeo_on(w: SubdivisionWitness) -> PLMap:
     """The identity of |K| presented on an arbitrary subdivision."""
-    verts = {v: w.fine.vertices[v] for s in w.fine.simplices for v in s}
+    verts = {v: w.fine.vertices[v] for v in w.fine.used_vertices()}
     return PLHomeo(w, verts, dict(w.carrier))
 
 
@@ -349,8 +349,7 @@ def extend_normal(K: Complex, K_Z: SubcomplexRef, phi0: PLMap) -> PLMap:
     pieces: dict[Simplex, list[Simplex]] = {}
     for t, c in phi0.dom_subdivision.carrier.items():
         pieces.setdefault(c, []).append(t)
-    todo = sorted((s for s in K.simplices if s not in K_Z),
-                  key=lambda s: (len(s), s))
+    todo = [s for s in K.canonical_order() if s not in K_Z]
     for (v,) in (s for s in todo if len(s) == 1):
         verts[v] = image[v] = K.vertices[v]
     for s in todo:

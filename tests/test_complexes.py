@@ -42,6 +42,41 @@ def test_is_closed_reads_facets_only(corpus):
                 assert fine.restrict(members).is_closed() == expected
 
 
+def kept_table_inputs(corpus):
+    """The corpus at r=0..1, seeded subsets of it (as picked, and closed)
+    on its whole vertex table, a vertex table with an unused vertex, and
+    the empty complex."""
+    rng = random.Random(27)
+    for name, (K, _) in sorted(corpus.items()):
+        for r in (0, 1):
+            fine = sd.iterated_subdivision(K, r).fine
+            yield fine
+            simplices = sorted(fine.simplices)
+            for _ in range(3):
+                picked = {s for s in simplices if rng.random() < 0.3}
+                closed = {f for s in picked for f in faces_with_self(s)}
+                for members in (picked, closed):
+                    yield Complex(fine.ambient_dim, fine.vertices, members)
+    yield Complex(2, dict(DISK_VERTS, z=(5, 5)), map(tuple, DISK_SIMS))
+    yield Complex(2, {}, [])
+
+
+def test_kept_tables_match_their_definitions(corpus):
+    for K in kept_table_inputs(corpus):
+        S = K.simplices
+        order = sorted(S, key=lambda s: (len(s), s))
+        assert K.canonical_order() == order
+        assert K.simplex_names() == [sname(s) for s in order]
+        assert K.canonical_order() is K.canonical_order()
+        assert K.simplex_names() is K.simplex_names()
+        for d in range(-1, K.dim() + 2):
+            assert K.by_dim(d) == sorted(s for s in S if len(s) == d + 1)
+        assert K.vertex_ids() == sorted(s[0] for s in S if len(s) == 1)
+        assert K.used_vertices() == {v for s in S for v in s}
+        assert K.is_closed() == all(f in S for s in S
+                                    for f in proper_faces(s))
+
+
 def test_validate_disk():
     K = validate(2, DISK_VERTS, DISK_SIMS)
     assert len(K.simplices) == 7

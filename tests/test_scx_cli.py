@@ -12,12 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from plhtpy import certio, scx
+from plhtpy import certio, complexes, homology, scx
+from plhtpy import fungroup as fg
 from plhtpy import cylinders as cy
 from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
 from plhtpy.cli import main
-from plhtpy.complexes import Complex, sname, validate
+from plhtpy.complexes import Complex, closed_under_faces, sname, validate
 from plhtpy.errors import FormatError, OverlappingSimplices
 from plhtpy.homology import euler_characteristic
 from conftest import fresh
@@ -542,22 +543,42 @@ def test_carrier_lines_match_the_sorted_reference(rot, keys):
             reference_carrier_lines(carriers)
 
 
-def test_canonical_order_is_sorted_once_per_complex(monkeypatch, rot):
-    K = fresh(rot.fine)
-    scx.emit_scx(K)
-    order = K._order
-    assert order == [(s, sname(s))
-                     for s in sorted(K.simplices, key=lambda s: (len(s), s))]
-    carriers = rot.dom_subdivision.carrier
-    expected = reference_carrier_lines(carriers)
+def test_canonical_order_is_sorted_once_per_complex(monkeypatch, disk):
+    # every walk over one fresh complex reads the order it sorted once, and
+    # its closedness is decided once
+    w = sd.barycentric_subdivide(disk)
+    K = fresh(w.fine)
+    by_key = sorted(K.simplices, key=lambda s: (len(s), s))
+    sorts, closed_checks = [], []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("sorted again")
+    def counting_sorted(items, **kwargs):
+        if items is K.simplices or kwargs.get("key") is complexes.canonical_key:
+            sorts.append(len(items))
+        return sorted(items, **kwargs)
 
-    # a table over every simplex of K reads the order emit_scx kept
-    monkeypatch.setattr(scx, "sorted", refuse, raising=False)
-    assert scx.carrier_lines(carriers, K) == expected
-    assert scx.canonical_order(K) is order
+    def counting_closed(simplices):
+        closed_checks.append(len(simplices))
+        return closed_under_faces(simplices)
+
+    for module in (complexes, scx, homology, fg, sd):
+        monkeypatch.setattr(module, "sorted", counting_sorted, raising=False)
+    monkeypatch.setattr(complexes, "closed_under_faces", counting_closed)
+    lines = scx.emit_scx(K).splitlines()
+    assert [x for x in lines if x.startswith("simplex ")] == \
+        ["simplex " + " ".join(s) for s in by_key]
+    assert scx.carrier_lines(w.carrier, K) == \
+        reference_carrier_lines(w.carrier)
+    assert homology.chain_complex(K).basis == \
+        {n: [s for s in by_key if len(s) == n + 1] for n in range(3)}
+    assert [s for n in range(3) for s in K.by_dim(n)] == by_key
+    assert K.vertex_ids() == [s[0] for s in by_key if len(s) == 1]
+    fg.Presentation(K, K.vertex_ids()[0])
+    sd.barycentric_subdivide(K)
+    pm.identity_map(K)
+    assert K.canonical_order() == by_key
+    assert K.simplex_names() == [sname(s) for s in by_key]
+    assert sorts == [len(K)]
+    assert closed_checks == [len(K)]
 
 
 def test_cli_verify_cert_tells_a_moved_fine_vertex_apart(tmp_path, rot):
