@@ -407,19 +407,6 @@ def validate(ambient_dim: int, vertex_coords: dict[str, Sequence],
     return K
 
 
-def union_independent(frame: linalg.AffineFrame, extra) -> bool:
-    """Are the points of an affinely independent frame together with the
-    integer points `extra` affinely independent?  The frame's null rows
-    have full row rank and vanish exactly on the span of its homogeneous
-    points, so the union is independent exactly when the offsets of
-    `extra` are linearly independent: for one point a nonzero vector, for
-    more a full-rank matrix under `linalg.eliminate`."""
-    offsets = [frame.offsets(y) for y in extra]
-    if len(offsets) == 1:
-        return any(offsets[0])
-    return len(linalg.eliminate(offsets, len(frame.null))[0]) == len(offsets)
-
-
 def check_pairwise_disjoint(K: Complex) -> None:
     """Raise OverlappingSimplices naming the first pair of open simplices,
     in `combinations(sorted(K.simplices), 2)` order, that meet.  For raw,
@@ -434,15 +421,12 @@ def check_pairwise_disjoint(K: Complex) -> None:
        them all, and the integer boxes are swept on axis 0 (sweep and
        prune: Cohen, Lin, Manocha and Ponamgi, "I-COLLIDE", SI3D 1995);
        pairs whose closed boxes are apart are never visited;
-    2. one geometric simplex: when the vertex union of a and b is
-       affinely independent, a and b are distinct faces of one simplex,
-       so disjoint.  A union that is a simplex of K is independent by the
-       precondition, one of more than d + 1 vertices is dependent, and
-       any other is decided by `union_independent` in the kept frame of
-       the larger of a and b, from the offsets of the vertices it lacks;
-    3. `linalg.hyperplane_separated`, inside the affine hull of the union.
+    2. a vertex union that is a simplex of K: a and b are distinct faces
+       of it, so disjoint;
+    3. `linalg.hyperplane_separated` on the kept frames, inside the affine
+       hull of the union; its last case passes every other affinely
+       independent union.
     """
-    d = K.ambient_dim
     sims = sorted(K.simplices)
     rows = {v: K.integer_point(v) for s in sims for v in s}
     den = lcm(*(y[-1] for y in rows.values()))
@@ -462,16 +446,9 @@ def check_pairwise_disjoint(K: Complex) -> None:
     pairs.sort()
     for i, j in pairs:
         a, b = sims[i], sims[j]
-        union = tuple(sorted(set(a) | set(b)))
-        if union in K.simplices:
+        if tuple(sorted(set(a) | set(b))) in K.simplices:
             continue
-        if len(union) <= d + 1:
-            big, small = (a, b) if len(a) >= len(b) else (b, a)
-            extra = [K.integer_point(v) for v in small if v not in big]
-            if union_independent(K.frame(big), extra):
-                continue
-        fa, fb = K.frame(a), K.frame(b)
-        if linalg.hyperplane_separated(fa, fb):
+        if linalg.hyperplane_separated(K.frame(a), K.frame(b)):
             continue
         if linalg.convex_positions_intersect(K.points(a), K.points(b)):
             raise OverlappingSimplices(

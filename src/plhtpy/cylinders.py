@@ -19,8 +19,8 @@ from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .complexes import (Complex, SubcomplexRef, Simplex, faces_with_self,
-                        proper_faces, sdim, simplex)
+from .complexes import (Complex, SubcomplexRef, Simplex, WeightRows,
+                        faces_with_self, proper_faces, sdim, simplex)
 from .errors import Incompatible, NotClosed, NotSubcomplex
 from .linalg import vcomb
 from .plmaps import PLMap, simplicial_map
@@ -100,15 +100,11 @@ class _Composite:
     `simplices` is the current fine complex, `domcar` the cylinder simplex
     carrying each fine simplex (the subdivision witness), `image` the
     composite's vertex images and `carrier` the live-complex simplex whose
-    closure holds each fine simplex's image.  Invariants:
-
-    - `by_vertex[v]` (the fine simplices containing v) and `by_carrier[c]`
-      (the fine simplices carried by c) always match `simplices` and
-      `carrier`, so a cut or a collapse touches only the simplices it
-      changes;
-    - the memo of `bary_in` is valid for one collapse only: `image` of an
-      existing vertex changes only at the end of `apply_collapse`, which
-      clears it.
+    closure holds each fine simplex's image; `rows` reads `image` in the
+    cylinder's frames, one `WeightRows` per collapse.  `by_vertex[v]` (the
+    fine simplices containing v) and `by_carrier[c]` (the fine simplices
+    carried by c) always match `simplices` and `carrier`, so a cut or a
+    collapse touches only the simplices it changes.
     """
 
     def __init__(self, cylinder: Complex):
@@ -121,7 +117,7 @@ class _Composite:
         self.carrier: dict[Simplex, Simplex] = {}  # in live complex
         self.by_vertex: dict[str, set[Simplex]] = defaultdict(set)
         self.by_carrier: dict[Simplex, set[Simplex]] = defaultdict(set)
-        self._bary: dict[tuple[Simplex, str], list] = {}
+        self.rows = WeightRows(cylinder, self.image)
         for s in cylinder.simplices:
             self._add(s, s, s)
 
@@ -163,12 +159,6 @@ class _Composite:
                 created.append(child)
         return created
 
-    def bary_in(self, c: Simplex, v: str):
-        b = self._bary.get((c, v))
-        if b is None:
-            b = self._bary[c, v] = self.cylinder.frame(c).coords(self.image[v])
-        return b
-
     def cut_region(self, c: Simplex, tau: Simplex):
         """Refine simplices carried by c until each is sign-pure for every
         difference of barycentric coordinates over the tau vertices.
@@ -180,7 +170,7 @@ class _Composite:
         idx = [c.index(u) for u in tau]
         pairs = [(i, j) for i in idx for j in idx if i < j]
         for (i, j) in pairs:
-            vals: dict[str, Fraction] = {}
+            vals: dict[str, tuple[int, int]] = {}
             signs: dict[str, int] = {}
 
             def mixed(t):
@@ -189,8 +179,9 @@ class _Composite:
                 sg = []
                 for v in t:
                     if v not in signs:
-                        b = self.bary_in(c, v)
-                        d = vals[v] = b[i] - b[j]
+                        w, q = self.rows.weights(v, c)
+                        d = w[i] - w[j]
+                        vals[v] = d, q
                         signs[v] = (d > 0) - (d < 0)
                     sg.append(signs[v])
                 if 1 in sg and -1 in sg:
@@ -204,8 +195,9 @@ class _Composite:
                 if t not in self.simplices:
                     continue
                 x, y = mixed(t)
-                wx, wy = vals[x], vals[y]
-                lam = wx / (wx - wy)      # zero of the affine functional
+                (dx, qx), (dy, qy) = vals[x], vals[y]
+                # zero of the affine functional: dx/qx / (dx/qx - dy/qy)
+                lam = Fraction(dx * qy, dx * qy - dy * qx)
                 for child in self.split_edge(x, y, lam):
                     if self.carrier[child] == c and mixed(child):
                         heappush(heap, child)
@@ -226,17 +218,18 @@ class _Composite:
         def lowest_at(c, v):
             """The tau vertices of least barycentric coordinate at v."""
             if (c, v) not in lowest:
-                b = self.bary_in(c, v)
+                b = self.rows.weights(v, c)[0]
                 least = min(b[c.index(u)] for u in tau)
                 lowest[c, v] = {u for u in tau if b[c.index(u)] == least}
             return lowest[c, v]
 
         def collapse_image(c, u_min, v):
-            b = self.bary_in(c, v)
+            b, q = self.rows.weights(v, c)
             au = b[c.index(u_min)]
             rest = [u for u in tau if u != u_min]
-            wcoef = m * au + (b[c.index(w)] if w in c else F0)
-            return vcomb([b[c.index(u)] - au for u in rest] + [wcoef],
+            wcoef = m * au + (b[c.index(w)] if w in c else 0)
+            return vcomb([Fraction(b[c.index(u)] - au, q) for u in rest]
+                         + [Fraction(wcoef, q)],
                          self.cylinder.points(rest + [w]))
 
         for t in sorted(self.by_carrier[s] | self.by_carrier[tau]):
@@ -254,7 +247,8 @@ class _Composite:
             self.by_carrier[self.carrier[t]].discard(t)
             self.by_carrier[rc].add(t)
         self.carrier.update(new_carrier)
-        self._bary.clear()
+        # `image` of an existing vertex changes only here
+        self.rows = WeightRows(self.cylinder, self.image)
 
 
 def _free_pairs(live: set, keep: frozenset):

@@ -425,19 +425,20 @@ def pi2_via_hurewicz(K: Complex, x0: str,
     """pi_2 of a simply connected complex, as H_2.
 
     Requires the caller's assertion plus an internal certificate: the
-    abelianization must be trivial and the triviality verdict must be
-    Trivial (bounded relator elimination); otherwise refuses.
+    triviality verdict must be Trivial (bounded relator elimination),
+    which makes the abelianization trivial too; otherwise refuses, naming
+    a nontrivial abelianization when there is one.
     """
     if not simply_connected_assertion:
         raise NotCertifiablySimplyConnected(
             "caller did not assert simple connectivity")
     pres = Presentation(K, x0)
-    ab = abelianization(pres)
-    if not ab.group.is_trivial():
-        raise NotCertifiablySimplyConnected(
-            f"abelianized fundamental group is {ab.group}, not trivial")
     verdict = group_verdict(pres)
     if verdict is not GroupVerdict.Trivial:
+        ab = abelianization(pres)
+        if not ab.group.is_trivial():
+            raise NotCertifiablySimplyConnected(
+                f"abelianized fundamental group is {ab.group}, not trivial")
         raise NotCertifiablySimplyConnected(
             f"triviality verdict is {verdict.value}; no certificate found")
     return Pi2Result(

@@ -19,9 +19,9 @@ Every elimination is over the integers, one fraction-free step `_pivot`
 at a time: `eliminate` serves coordinates, rank and volume (`AffineFrame`,
 one frame per point list, kept per simplex by `Complex.frame`, whose rows
 decide affine independence; the determinants of `subdivision`; the rank
-of the offsets a vertex union adds to a frame in
-`complexes.union_independent`), and the LP pivots its integer tableau
-with the same step.  A frame answers with
+of the offsets a vertex union adds to a frame, the last case of
+`hyperplane_separated`), and the LP pivots its integer tableau with the
+same step.  A frame answers with
 `AffineFrame.weights`: integer numerators over one positive denominator,
 so the sign tests and the relative volumes build no Fraction; `coords` is
 the Fraction form of the same answer.  `solve_linear`,
@@ -253,7 +253,19 @@ def _separates(frame: AffineFrame, other: Sequence[Sequence[int]]) -> bool:
     # a vertex with a nonzero offset: psi = 0 is a hyperplane of the
     # union's hull through hull(frame), with `other` on one closed side
     # and not all on it
-    return not any(min(col) < 0 < max(col) for col in zip(*offsets))
+    if not any(min(col) < 0 < max(col) for col in zip(*offsets)):
+        return True
+    # the null rows have full row rank and vanish exactly on the span of
+    # the frame's homogeneous points, so the union is affinely independent
+    # exactly when the offsets of the points `other` adds are linearly
+    # independent (two or more here, as a coordinate takes both signs;
+    # more than there are coordinates never are).  Only the larger frame
+    # is asked: it adds fewer rows
+    if len(frame.points) < len(other):
+        return False
+    added = [o for q, o in zip(other, offsets) if q not in frame.points]
+    return (len(added) <= len(frame.null)
+            and len(eliminate(added, len(frame.null))[0]) == len(added))
 
 
 def hyperplane_separated(frame_a: AffineFrame, frame_b: AffineFrame) -> bool:
@@ -272,10 +284,15 @@ def hyperplane_separated(frame_a: AffineFrame, frame_b: AffineFrame) -> bool:
       side and one strictly off it.  This covers a codimension-1 simplex,
       and every case where the nonzero offsets are positive multiples of
       one vector, i.e. hull(frame) is a hyperplane of H;
+    - `frame` has at least as many points as the other list, and the
+      offsets of the points the other list adds are linearly independent
+      under `eliminate`: the union is affinely independent, so the two
+      are distinct faces of one simplex, and a hyperplane of H through
+      hull(frame) has the added points strictly on one side;
     - anything else is undecided.
     False means undecided, not intersecting.  In
-    `complexes.check_pairwise_disjoint` this runs after the box and
-    vertex-union screens and before the exact LP.
+    `complexes.check_pairwise_disjoint` this runs after the box sweep and
+    the skip of a union that is a simplex of K, and before the exact LP.
     """
     return (_separates(frame_a, frame_b.points)
             or _separates(frame_b, frame_a.points))

@@ -4,15 +4,16 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations, islice
 
 import pytest
 
 from plhtpy import cylinders as cy
-from plhtpy import complexes, linalg, scx
+from plhtpy import linalg, scx
 from plhtpy import subdivision as sd
 from plhtpy.complexes import (Complex, check_pairwise_disjoint,
                               faces_with_self, proper_faces, simplex, sname,
-                              union_independent, validate)
+                              validate)
 from plhtpy.errors import (AffinelyDependent, DuplicateSimplex, NotSubcomplex,
                            OverlappingSimplices, PointOutsidePolyhedron)
 from conftest import frame_on
@@ -189,23 +190,28 @@ def test_hull_relative_separation_is_sound():
         assert not linalg.convex_positions_intersect(pa, pb), (pa, pb)
         # which test separated: a facet inside hull(f) when the other
         # simplex lies on it, else a hyperplane through hull(f), with the
-        # nonzero offsets on one ray or only in one closed orthant.  Every
-        # f here has codimension >= 1 in R^d, and a ray is counted at
-        # codimension >= 2: facet and codimension-1 tests in R^d miss all
-        # three
+        # nonzero offsets on one ray or only in one closed orthant, else
+        # independent offsets of the added vertices, whose union is then
+        # affinely independent.  Every f here has codimension >= 1 in R^d,
+        # and a ray is counted at codimension >= 2: facet and
+        # codimension-1 tests in R^d miss all four
         for f, g in ((fa, fb), (fb, fa)):
             if linalg._separates(f, g.points):
                 offsets = [f.offsets(q) for q in g.points]
                 if not any(map(any, offsets)):
                     branches["facet"] += 1
+                elif any(min(col) < 0 < max(col) for col in zip(*offsets)):
+                    assert linalg.affinely_independent(
+                        list(set(pa) | set(pb))), (pa, pb)
+                    branches["independent"] += 1
                 elif linalg.mat_rank([[F(x) for x in o]
                                       for o in offsets]) > 1:
                     branches["orthant"] += 1
                 elif len(f.null) >= 2:
                     branches["ray"] += 1
     assert separated >= 2000
-    assert branches["facet"] and branches["ray"] and branches["orthant"], \
-        branches
+    assert all(branches[b] for b in ("facet", "ray", "orthant",
+                                     "independent")), branches
 
 
 def weights(rng, k):
@@ -326,6 +332,51 @@ def test_validate_names_the_first_overlapping_pair_in_sorted_order():
         validate(1, verts, [["h", "i"], ["f", "g"], ["c", "e"], ["a", "b"]])
 
 
+def perturbed_complexes(corpus, rng):
+    """Small corpus complexes with one or two vertices moved on a rational
+    grid, built without the disjointness check; a move that makes a
+    simplex dependent or lands on another vertex is skipped."""
+    bases = [sd.iterated_subdivision(corpus[name][0], r).fine
+             for name, r in (("cube2", 0), ("wedge2", 1), ("s2", 1),
+                             ("torus7", 0), ("disk", 1), ("cube2", 1))]
+    bases.append(closed_tetra())
+    while True:
+        K = rng.choice(bases)
+        verts = dict(K.vertices)
+        for v in rng.sample(sorted(K.used_vertices()), rng.randint(1, 2)):
+            verts[v] = tuple(x + F(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                             for x in verts[v])
+        try:
+            yield validate(K.ambient_dim, verts, K.simplices,
+                           check_disjoint=False)
+        except (AffinelyDependent, OverlappingSimplices):
+            continue
+
+
+def test_pairwise_disjointness_matches_the_lp_alone(corpus):
+    """Accept or reject, and the pair named, are those of the exact LP
+    asked on every pair in sorted order, which no screen decides.  A
+    failing case prints its SCX."""
+    rng = random.Random(28)
+    rejects = 0
+    for K in islice(perturbed_complexes(corpus, rng), 60):
+        meeting = next(((a, b) for a, b in combinations(sorted(K.simplices), 2)
+                        if linalg.convex_positions_intersect(K.points(a),
+                                                             K.points(b))),
+                       None)
+        expected = got = None
+        if meeting is not None:
+            rejects += 1
+            expected = "open simplices {} and {} intersect".format(
+                *map(sname, meeting))
+        try:
+            check_pairwise_disjoint(K)
+        except OverlappingSimplices as exc:
+            got = str(exc)
+        assert got == expected, scx.emit_scx(K)
+    assert rejects >= 15, rejects
+
+
 def forbid_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("linalg.eliminate called")
@@ -334,8 +385,9 @@ def forbid_elimination(monkeypatch):
 
 def test_validate_ranks_a_union_missing_from_the_complex(monkeypatch):
     # collinear unions of d + 1 vertices that are no simplex of K: the
-    # union screen must rank them, not skip them.  Each adds one vertex to
-    # a-b, so the kept frame of a-b decides it and nothing is eliminated
+    # hyperplane screen must leave them to the LP, not skip them.  Each
+    # adds one vertex to a-b, on its hull, so the facet case reads it and
+    # nothing is eliminated
     verts = {"a": (0, 0), "b": (2, 0), "c": (1, 0)}
     cases = [([["a"], ["b"], ["c"], ["a", "b"]], "a-b and c"),
              ([["a", "b"], ["a", "c"]], "a-b and a-c")]
@@ -353,29 +405,47 @@ def test_validate_ranks_a_union_missing_from_the_complex(monkeypatch):
 
 
 def test_planar_disjointness_eliminates_nothing(monkeypatch, corpus):
-    """In the plane a union of at most 3 vertices that is no simplex of K
-    adds one vertex to the larger simplex, so one offsets vector of its
-    kept frame decides it."""
+    """In the plane the rank case of `hyperplane_separated` never
+    eliminates: it needs two added points, so a frame of two or three,
+    which leaves at most one offset coordinate for them."""
     fine = sd.iterated_subdivision(corpus["disk"][0], 2).fine
     K = validate(2, fine.vertices, fine.simplices, check_disjoint=False)
     forbid_elimination(monkeypatch)
-    asked = Counter()
-
-    def counted(frame, extra):
-        asked[len(extra)] += 1
-        return union_independent(frame, extra)
-    monkeypatch.setattr(complexes, "union_independent", counted)
     check_pairwise_disjoint(K)
-    assert set(asked) == {1} and asked[1] > 100, asked
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that gains one entry per call of module.name from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_torus7_disjointness_runs_no_lp_and_few_eliminations(monkeypatch,
+                                                            corpus):
+    """With its frames built, torus7 r=1 (252 simplices in R^6) is decided
+    by the hyperplane screen alone, and its rank case eliminates only
+    where the signs of the offsets leave the pair open."""
+    fine = sd.iterated_subdivision(corpus["torus7"][0], 1).fine
+    K = validate(6, fine.vertices, fine.simplices, check_disjoint=False)
+    lps = count_calls(monkeypatch, linalg, "convex_positions_intersect")
+    eliminations = count_calls(monkeypatch, linalg, "eliminate")
+    check_pairwise_disjoint(K)
+    assert not lps and len(eliminations) <= 100, len(eliminations)
 
 
 def test_union_screen_reads_the_union_rank():
-    """`union_independent` on the frame of the larger point list and the
-    points the smaller one adds agrees with the rank of the union's
-    integer rows: seeded pairs of affinely independent lists in R^1..R^6
-    on a grid with mixed denominators, sharing 0-2 vertices, whose union
-    has at most d + 1 points.  An added point is a fresh grid point or,
-    for a dependent union, an affine combination of the points before it."""
+    """`linalg.hyperplane_separated` separates every pair whose union of
+    integer rows has full rank, in either order: seeded pairs of affinely
+    independent lists in R^1..R^6 on a grid with mixed denominators,
+    sharing 0-2 vertices, whose union has at most d + 1 points.  An added
+    point is a fresh grid point or, for a dependent union, an affine
+    combination of the points before it."""
     rng = random.Random(25)
     seen = Counter()
     for _ in range(2000):
@@ -399,13 +469,13 @@ def test_union_screen_reads_the_union_rank():
                 or frame_on(small).rows is None):
             continue
         union = [list(linalg.integer_point(p)) for p in big + extra]
-        rank = len(linalg.eliminate(union, d + 1)[0])
-        got = union_independent(frame_on(big),
-                                [linalg.integer_point(p) for p in extra])
-        assert got is (rank == len(union)), (big, small)
-        seen[e, got] += 1
-    assert all(seen[e, got] >= 50 for e in (1, 2, 3)
-               for got in (True, False)), seen
+        if len(linalg.eliminate(union, d + 1)[0]) < len(union):
+            continue
+        fb, fs = frame_on(big), frame_on(small)
+        assert linalg.hyperplane_separated(fb, fs), (big, small)
+        assert linalg.hyperplane_separated(fs, fb), (big, small)
+        seen[e] += 1
+    assert all(seen[e] >= 50 for e in (1, 2, 3)), seen
 
 
 def test_validate_in_ambient_dimension_zero():

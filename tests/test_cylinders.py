@@ -1,9 +1,11 @@
 """Prism triangulations, cylinder retractions, and homotopy extension."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
+from plhtpy import certio
 from plhtpy import cylinders as cy
 from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
@@ -326,6 +328,22 @@ class CountingSet(set):
     def __iter__(self):
         CountingSet.iterations += 1
         return super().__iter__()
+
+
+@pytest.mark.parametrize("name,sub,digest", [
+    ("disk", "boundary",
+     "7bb6750b1563ed71e72623e47f1d8e6d2ab4babed5590a53e7d846c459533777"),
+    ("cube2", "boundary",
+     "7826589459e2fd0bbf2ccc95406cb4441fe4992c072628cb76feff2b24004e5a"),
+    ("cube1", "ends",
+     "5d2ecb968e3484910547294731277c1366ec624ca86b20d105f08dc5a506b119")])
+def test_retraction_container_is_pinned(corpus, name, sub, digest):
+    """sha256 of the written retraction onto a subcomplex of the base: the
+    cuts, their order and every exact coordinate of the composite."""
+    K, subs = corpus[name]
+    r = cy.cylinder_retraction(K, subs[sub].members)
+    text = certio.dumps(certio.map_to_obj(r.map))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_cut_region_reads_indexes_instead_of_scanning(corpus):
