@@ -251,37 +251,31 @@ class _Composite:
         self.rows = WeightRows(self.cylinder, self.image)
 
 
-def _free_pairs(live: set, keep: frozenset):
-    cofaces: dict[Simplex, list[Simplex]] = {t: [] for t in live}
-    for s in live:
-        for f in proper_faces(s):
-            if f in live:
-                cofaces[f].append(s)
-    out = []
-    for tau in live:
-        if tau in keep:
-            continue
-        cf = cofaces[tau]
-        if len(cf) == 1:
-            s = cf[0]
-            if s not in keep and len(s) == len(tau) + 1 and not cofaces[s]:
-                out.append((tau, s))
-    return out
-
-
 def _collapses(cylinder: Complex, target: frozenset):
     """The greedy collapse sequence (tau, s, w) of the cylinder onto the
-    target, w the vertex of s opposite tau."""
+    target, w the vertex of s opposite tau: each step collapses the
+    greatest free pair of `live - target` under (len(s), s, tau).  The
+    coface table is built once, and the cylinder is closed, so every
+    proper face has an entry; a collapse drops s and tau from it."""
     live = set(cylinder.simplices)
+    cofaces: dict[Simplex, set[Simplex]] = {t: set() for t in live}
+    for s in live:
+        for f in proper_faces(s):
+            cofaces[f].add(s)
     while live != target:
-        pairs = _free_pairs(live, target)
+        pairs = [(tau, s) for tau in live - target if len(cofaces[tau]) == 1
+                 for s in cofaces[tau]
+                 if s not in target and len(s) == len(tau) + 1
+                 and not cofaces[s]]
         if not pairs:
             raise Incompatible("cylinder does not collapse onto the target")
         tau, s = max(pairs, key=lambda p: (len(p[1]), p[1], p[0]))
         (w,) = set(s) - set(tau)
         yield tau, s, w
-        live.discard(s)
-        live.discard(tau)
+        for t in (s, tau):
+            live.discard(t)
+            for f in proper_faces(t):
+                cofaces[f].discard(t)
 
 
 def cylinder_retraction(K: Complex, K_A) -> CylinderRetraction:
@@ -316,6 +310,10 @@ def extend_homotopy(f: PLMap, H: PLMap, r: CylinderRetraction) -> PLMap:
     f must be affine on the base simplices and H on the prism simplices of
     the |K_A| cylinder (identity domain subdivisions); then H' is affine on
     every target simplex and the composition needs no further refinement.
+    A target vertex of H's domain takes H's image and any other f's image
+    of its base vertex; a simplex of H's domain takes H's carrier and any
+    other f's carrier of its projection.  H' and G are checked PLMaps,
+    the safety net for unchecked f and H.
     """
     P = r.prism
     if f.codomain != H.codomain:
@@ -335,20 +333,13 @@ def extend_homotopy(f: PLMap, H: PLMap, r: CylinderRetraction) -> PLMap:
                 raise Incompatible(f"H(.,0) differs from f at {base}")
 
     Z = f.codomain
-    timgs: dict[str, tuple] = {}
-    tcar: dict[Simplex, Simplex] = {}
-    for t in r.target.members:
-        if t in H.domain.simplices:
-            tcar[t] = H.target_carrier[t]
-            for v in t:
-                timgs[v] = H.vertex_image[v]
-        else:
-            sigma = P.projection[t]
-            tcar[t] = f.target_carrier[sigma]
-            for v in t:
-                base, lv = unlift(v)
-                if v not in timgs:
-                    timgs[v] = f.vertex_image[base]
+    wall = H.domain.used_vertices()
+    timgs = {v: H.vertex_image[v] if v in wall
+             else f.vertex_image[unlift(v)[0]]
+             for t in r.target.members for v in t}
+    tcar = {t: H.target_carrier[t] if t in H.domain.simplices
+            else f.target_carrier[P.projection[t]]
+            for t in r.target.members}
     Tc = r.target.as_complex()
     Hprime = PLMap(Tc, Z, identity_witness(Tc), timgs, tcar)
 

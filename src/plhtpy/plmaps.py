@@ -337,7 +337,8 @@ def verify_certificate(cert: HomotopyCertificate):
 
     Returns (ok, problems).  A certificate needs a step.  A step whose map
     lacks the image of a fine vertex gets one problem per such map, naming
-    its least such vertex, and no other check.  Checks per step:
+    its least such vertex, and no other check.  Checks per step: a
+    shared closed codomain (so closed carriers lie in the polyhedron),
     both maps live on a genuine subdivision of the domain, the refinement
     covers the shared fine domain, each refinement simplex has a common
     closed carrier containing both images of its closure, consecutive steps
@@ -386,6 +387,9 @@ def verify_certificate(cert: HomotopyCertificate):
             continue
         if f.codomain != g.codomain:
             problems.append((i, None, "codomain mismatch"))
+            continue
+        if not f.codomain.is_closed():
+            problems.append((i, None, "codomain is not closed"))
             continue
         if f.fine != g.fine:
             problems.append((i, None, "domain subdivision mismatch"))

@@ -8,7 +8,7 @@ from plhtpy import linalg
 from plhtpy import plmaps as pm
 from plhtpy import scx
 from plhtpy import subdivision as sd
-from plhtpy.complexes import Complex, validate
+from plhtpy.complexes import Complex, faces_with_self, validate
 
 
 @pytest.fixture(scope="session")
@@ -50,6 +50,14 @@ def disk_boundary(corpus):
 def fresh(K):
     """A new Complex equal to K, with no frames built and no text written."""
     return Complex(K.ambient_dim, K.vertices, K.simplices)
+
+
+def random_closure(K, rng):
+    """The closure of 1 to a third of K's simplices, drawn by rng: a
+    closed subcomplex of K, often non-pure, disconnected or wedge-like."""
+    pool = sorted(K.simplices)
+    picked = rng.sample(pool, rng.randint(1, max(1, len(pool) // 3)))
+    return frozenset(f for s in picked for f in faces_with_self(s))
 
 
 def frame_on(points):

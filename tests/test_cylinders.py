@@ -1,6 +1,7 @@
 """Prism triangulations, cylinder retractions, and homotopy extension."""
 
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,9 +9,12 @@ import pytest
 from plhtpy import certio
 from plhtpy import cylinders as cy
 from plhtpy import plmaps as pm
+from plhtpy import scx
 from plhtpy import subdivision as sd
-from plhtpy.complexes import Complex, simplex, validate
+from plhtpy.complexes import Complex, proper_faces, simplex, validate
 from plhtpy.errors import Incompatible, NotClosed, NotSubcomplex
+
+from conftest import random_closure
 
 
 def barycenter(K, s):
@@ -357,3 +361,137 @@ def test_cut_region_reads_indexes_instead_of_scanning(corpus):
     # the rescanning cut iterates the complex once per cut, plus once
     assert len(comp.simplices) > before
     assert CountingSet.iterations <= 2
+
+
+def extension_disk_to_tri3(corpus):
+    disk, tri3 = corpus["disk"][0], corpus["tri3"][0]
+    r = cy.cylinder_retraction(disk, frozenset({("a",)}))
+    f = pm.constant_map(disk, tri3, tri3.vertices["a"])
+    H = wall_homotopy(disk, r.prism, tri3,
+                      {"a": {0: tri3.vertices["a"], 1: tri3.vertices["b"]}})
+    return f, H, r
+
+
+def extension_edge_slide(corpus):
+    cube1 = corpus["cube1"][0]
+    r = cy.cylinder_retraction(cube1, frozenset({("u0",)}))
+    H = wall_homotopy(cube1, r.prism, cube1,
+                      {"u0": {0: (F(0),), 1: (F(1),)}})
+    return pm.identity_map(cube1), H, r
+
+
+def extension_constant(corpus):
+    tri3 = corpus["tri3"][0]
+    r = cy.cylinder_retraction(tri3, frozenset({("a",)}))
+    a = tri3.vertices["a"]
+    H = wall_homotopy(tri3, r.prism, tri3, {"a": {0: a, 1: a}})
+    return pm.constant_map(tri3, tri3, a), H, r
+
+
+def extension_empty_wall(corpus):
+    tri3 = corpus["tri3"][0]
+    r = cy.cylinder_retraction(tri3, None)
+    empty = Complex(r.prism.cylinder.ambient_dim, {}, [])
+    H = pm.PLMap(empty, tri3, sd.identity_witness(empty), {}, {})
+    return pm.identity_map(tri3), H, r
+
+
+@pytest.mark.parametrize("inputs,digest", [
+    (extension_edge_slide,
+     "e944bc7ce8b264db73f860da4514ddcecb978664c2dc711d56a617f05fd5c098"),
+    (extension_constant,
+     "be1cdf73e9bea744cf6784eaa13399da5c03cf934c199252f22f6cf8c6310365"),
+    (extension_empty_wall,
+     "7cef27c9134aa4f9b7e1e205551ad71a631c0d42630d58fc22aeb9b0360609b0"),
+    (extension_disk_to_tri3,
+     "1f717e43e1d68b372d9b1f4651236eb2e38daa6eb630bd85f99afaf4fdb190da")],
+    ids=["edge_slide", "constant", "empty_wall", "disk_to_tri3"])
+def test_extension_container_is_pinned(corpus, inputs, digest):
+    """sha256 of the written extension G = H' o r for the inputs of the
+    extend_homotopy tests above: H' reads H on its domain and f elsewhere,
+    and G takes the retraction's cuts and carriers."""
+    G = cy.extend_homotopy(*inputs(corpus))
+    text = certio.dumps(certio.map_to_obj(G))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def rebuilding_free_pairs(live, keep):
+    """The free pairs (tau, s) of the live set outside keep, from a coface
+    table built afresh over the live set."""
+    cofaces = {t: [] for t in live}
+    for s in live:
+        for f in proper_faces(s):
+            if f in live:
+                cofaces[f].append(s)
+    out = []
+    for tau in live:
+        if tau in keep:
+            continue
+        cf = cofaces[tau]
+        if len(cf) == 1:
+            s = cf[0]
+            if s not in keep and len(s) == len(tau) + 1 and not cofaces[s]:
+                out.append((tau, s))
+    return out
+
+
+def rebuilding_collapses(cylinder, target):
+    """Reference: the greedy collapse sequence that rebuilds the coface
+    table of the whole live set for every collapse."""
+    live = set(cylinder.simplices)
+    while live != target:
+        pairs = rebuilding_free_pairs(live, target)
+        if not pairs:
+            raise Incompatible("cylinder does not collapse onto the target")
+        tau, s = max(pairs, key=lambda p: (len(p[1]), p[1], p[0]))
+        (w,) = set(s) - set(tau)
+        yield tau, s, w
+        live.discard(s)
+        live.discard(tau)
+
+
+def run_collapses(collapses):
+    """The steps a collapse sequence yields, and whether it then raises
+    Incompatible."""
+    steps = []
+    try:
+        for step in collapses:
+            steps.append(step)
+    except Incompatible:
+        return steps, True
+    return steps, False
+
+
+COLLAPSE_INPUTS = ([(name, 0) for name in scx.CORPUS_NAMES]
+                   + [(name, 1) for name in ("cube1", "cube2", "disk",
+                                             "tri3", "wedge2")])
+
+
+def test_collapses_match_the_rebuilding_reference(corpus):
+    """Three seeded random closed subcomplexes K_A of each input: the
+    collapse sequence onto (|K_A| x I) u (|K| x 0) is the reference's."""
+    rng = random.Random(29)
+    for name, rounds in COLLAPSE_INPUTS:
+        K = sd.iterated_subdivision(corpus[name][0], rounds).fine
+        P = cy.prism_triangulate(K)
+        for _ in range(3):
+            members = random_closure(K, rng)
+            target = P.over(members) | P.bottom_members()
+            assert run_collapses(cy._collapses(P.cylinder, target)) == \
+                run_collapses(rebuilding_collapses(P.cylinder, target)), \
+                (name, rounds, sorted(members))
+
+
+def test_collapse_sequence_of_disk_r2_is_pinned(corpus):
+    """sha256 of the repr of the collapse sequence of the cylinder over
+    disk r=2 onto its boundary wall and its bottom."""
+    K, subs = corpus["disk"]
+    w = sd.iterated_subdivision(K, 2)
+    P = cy.prism_triangulate(w.fine)
+    members = [t for t in w.fine.simplices
+               if w.carrier[t] in subs["boundary"].members]
+    steps = list(cy._collapses(P.cylinder,
+                               P.over(members) | P.bottom_members()))
+    assert (len(P.cylinder.simplices), len(steps)) == (627, 217)
+    assert hashlib.sha256(repr(steps).encode()).hexdigest() == (
+        "21cbb9ada4f06cc1b0ae96d2bb8cb3dca2e13a765c68df740d59ecc13813aae2")

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import plhtpy
+from plhtpy import fungroup as fg
 from plhtpy import plmaps as pm
+from plhtpy import scx
 from plhtpy import subdivision as sd
 from plhtpy.complexes import proper_faces, simplex, validate
 from plhtpy import homology as hm
@@ -26,7 +28,7 @@ from plhtpy.homology import (AbelianGroup, AbelianQuotient, ChainComplex,
                              mat_mul, push_chain, relative_homology,
                              smith_normal_form, snf_rank,
                              unimodular_inverse, verify_les)
-from conftest import make_deg2, make_rot
+from conftest import make_deg2, make_rot, random_closure
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(2)
@@ -538,6 +540,38 @@ def test_reduction_matches_the_dense_smith_normal_form(corpus):
         fine = sd.iterated_subdivision(corpus[name][0], 2).fine
         red = chain_complex(fine).reduction()
         assert tuple(len(red.basis.get(n, [])) for n in range(3)) == cells
+
+
+def test_random_closed_subcomplexes_agree_across_routes(corpus):
+    """Seeded closures of random simplex samples of each corpus complex
+    at r=1 and r=2: the Morse-reduced groups equal the dense Smith normal
+    forms, the Euler characteristic is the alternating sum of ranks, pi_0
+    counts rank H_0, and on a connected sample abelianized pi_1 -> H_1 is
+    an isomorphism.  A failure prints the sample's SCX."""
+    rng = random.Random(29)
+    connected = higher = 0
+    for name in scx.CORPUS_NAMES:
+        for r in (1, 2):
+            fine = sd.iterated_subdivision(corpus[name][0], r).fine
+            for _ in range(4):
+                A = fine.restrict(random_closure(fine, rng))
+                cc = chain_complex(A)
+                dense = dense_groups(cc)
+                groups = [HomologyData(cc, n).group
+                          for n in range(cc.dim + 1)]
+                assert groups == [dense[n] for n in range(cc.dim + 1)], \
+                    scx.emit_scx(A)
+                assert euler_characteristic(A) == sum(
+                    (-1) ** n * g.rank for n, g in enumerate(groups)), \
+                    scx.emit_scx(A)
+                components = fg.pi0(A)
+                assert len(components) == groups[0].rank, scx.emit_scx(A)
+                if len(components) == 1:
+                    connected += 1
+                    assert fg.Hurewicz1(A, components[0][0]) \
+                        .is_isomorphism(), scx.emit_scx(A)
+                higher += any(not g.is_trivial() for g in groups[1:])
+    assert connected >= 10 and higher >= 10
 
 
 def test_generator_chains_are_seed_independent():

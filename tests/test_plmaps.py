@@ -10,8 +10,9 @@ from plhtpy import scx
 from plhtpy import subdivision as sd
 from plhtpy.complexes import Complex, faces_with_self, simplex
 from plhtpy.errors import (CarrierClash, FixedSetMismatch, Incompatible,
-                           NotFull, NotSimplicial, PointOutsidePolyhedron,
-                           RoundsExhausted, ValueOutOfRange)
+                           NotClosed, NotFull, NotSimplicial,
+                           PointOutsidePolyhedron, RoundsExhausted,
+                           ValueOutOfRange)
 from plhtpy.homology import induced_map
 
 from conftest import fresh, make_hexagon
@@ -184,6 +185,27 @@ def test_certificate_without_steps_fails(disk):
     cert = pm.HomotopyCertificate([], disk.subcomplex(()))
     assert pm.verify_certificate(cert) == (
         False, [(0, None, "certificate has no steps")])
+
+
+def test_certificate_into_a_non_closed_codomain_fails():
+    """L is the triangle abc without its edges; f sends the segment pq to
+    (1, 0), the midpoint of the missing edge ab, which is not a point of
+    |L| although it lies in the closed hull of abc."""
+    L = Complex(2, {"a": (0, 0), "b": (2, 0), "c": (0, 2)},
+                [("a",), ("b",), ("c",), ("a", "b", "c")])
+    K = Complex(1, {"p": (0,), "q": (1,)}, [("p",), ("q",), ("p", "q")])
+    mid = (F(1), F(0))
+    carriers = {t: ("a", "b", "c") for t in K.simplices}
+    w = sd.identity_witness(K)
+    f = pm.PLMap(K, L, w, {"p": mid, "q": mid}, carriers, check=False)
+    g = pm.PLMap(K, L, w, {"p": mid, "q": L.vertices["a"]}, carriers,
+                 check=False)
+    with pytest.raises(NotClosed):
+        pm.PLMap(K, L, w, f.vertex_image, carriers)
+    cert = pm.HomotopyCertificate([pm.HomotopyStep(f, g, w, carriers)],
+                                  K.subcomplex(()))
+    assert pm.verify_certificate(cert) == (
+        False, [(0, None, "codomain is not closed")])
 
 
 ROT_AB = ("a", "a.b^bary")
