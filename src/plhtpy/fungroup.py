@@ -3,12 +3,13 @@
 One breadth-first walk of the 1-skeleton, `spanning_tree`, serves pi_0
 (one tree per component), the presentation and `boundary_component`.
 Presentations are built from the spanning tree at the base vertex
-(generators = non-tree edges, one relator per 2-simplex),
-with abelianization via Smith normal form, the degree-1 Hurewicz map to
-simplicial H_1, the conjugation action on words, and pi_2 for certified
-simply connected complexes.  The word problem is undecidable in
-general, so triviality verdicts are three-valued and `Trivial` /
-`Nontrivial` are only returned with a certificate.
+(generators = non-tree edges, one relator per 2-simplex); one length-one
+relator elimination each certifies triviality and leaves the generators
+the abelianization's Smith normal form runs on.  Also here: the degree-1
+Hurewicz map to simplicial H_1, the conjugation action on words, and
+pi_2 for certified simply connected complexes.  The word problem is
+undecidable in general, so triviality verdicts are three-valued and
+`Trivial` / `Nontrivial` are only returned with a certificate.
 """
 
 from __future__ import annotations
@@ -166,6 +167,7 @@ class Presentation:
             w = self.word_of_path([a, b, c, a])
             if w:
                 self.relators.append(w)
+        self._eliminated = None
 
     def ngens(self) -> int:
         return len(self.generator_edges)
@@ -202,14 +204,28 @@ class Presentation:
         down = self.tree_path(v)
         return up + down[::-1]
 
-    def word(self, *letters) -> Word:
-        return Word(letters)
-
-    def exponent_vector(self, w: Word) -> list[int]:
-        out = [0] * self.ngens()
-        for x in w.letters:
-            out[abs(x) - 1] += 1 if x > 0 else -1
-        return out
+    def eliminated(self) -> tuple[set[int], list[tuple[int, ...]]]:
+        """(dead generators, relators left over the live ones) of
+        length-one Tietze elimination, built once: each pass deletes the
+        dead letters of every relator and freely reduces it, and one
+        letter left kills its generator, until a pass kills none."""
+        if self._eliminated is None:
+            dead: set[int] = set()
+            relators = [r.letters for r in self.relators]
+            changed = True
+            while changed:
+                changed = False
+                nxt = []
+                for r in relators:
+                    r = _reduce(x for x in r if abs(x) not in dead)
+                    if len(r) == 1:
+                        dead.add(abs(r[0]))
+                        changed = True
+                    elif r:
+                        nxt.append(r)
+                relators = nxt
+            self._eliminated = dead, relators
+        return self._eliminated
 
     def loop_chain(self, path: list[str]) -> dict[Simplex, int]:
         """Oriented 1-chain of a closed vertex path."""
@@ -236,19 +252,36 @@ def edge_path_presentation(K: Complex, x0: str) -> Presentation:
 # ---------------------------------------------------------------------------
 
 class Abelianization(AbelianQuotient):
-    """Quotient of Z^gens by the relator exponent lattice, in Smith
-    normal form coordinates (torsion coordinates first, then free)."""
+    """Z^live modulo the exponent vectors of the relators that
+    `Presentation.eliminated` leaves, in Smith normal form coordinates
+    (torsion first, then free); `live` maps each live generator, in
+    increasing order, to its coordinate.
+
+    This is the abelianization Z^gens / L, L spanned by all relators:
+    the relator that kills g has exponent vector +-e_g plus multiples of
+    the unit vectors of generators dead before g, so by induction every
+    dead unit vector lies in L, and dropping the dead coordinates maps L
+    onto the span of the leftover relators (one that killed or was
+    dropped maps to 0).
+    """
 
     def __init__(self, pres: Presentation):
-        self.pres = pres
-        super().__init__(pres.ngens(),
-                         [pres.exponent_vector(r) for r in pres.relators])
+        dead, relators = pres.eliminated()
+        self.live = {g: i for i, g in enumerate(
+            g for g in range(1, pres.ngens() + 1) if g not in dead)}
+        super().__init__(len(self.live),
+                         [self._exponents(r) for r in relators])
 
-    project_vector = AbelianQuotient.coords
-    generator_exponents = AbelianQuotient.generator
+    def _exponents(self, letters) -> list[int]:
+        """Exponents over the live generators; dead letters count 0."""
+        x = [0] * len(self.live)
+        for g in letters:
+            if abs(g) in self.live:
+                x[self.live[abs(g)]] += 1 if g > 0 else -1
+        return x
 
     def project(self, w: Word) -> tuple[int, ...]:
-        return self.coords(self.pres.exponent_vector(w))
+        return self.coords(self._exponents(w.letters))
 
 
 def abelianization(pres: Presentation) -> Abelianization:
@@ -272,32 +305,12 @@ class GroupVerdict(enum.Enum):
 def group_verdict(pres: Presentation) -> GroupVerdict:
     """Certified three-valued triviality verdict.
 
-    Trivial: every generator is killed by iterating free reduction and
-    length-one relator elimination.  Nontrivial: the presentation is free
-    of positive rank, or the abelianization is nontrivial.  Otherwise
-    Unknown.
+    Trivial: `Presentation.eliminated` kills every generator.
+    Nontrivial: the abelianization is nontrivial, a free presentation of
+    positive rank included.  Otherwise Unknown.
     """
-    k = pres.ngens()
-    if k == 0:
+    if len(pres.eliminated()[0]) == pres.ngens():
         return GroupVerdict.Trivial
-    dead: set[int] = set()
-    relators = [r.letters for r in pres.relators]
-    changed = True
-    while changed:
-        changed = False
-        nxt = []
-        for r in relators:
-            r = _reduce(x for x in r if abs(x) not in dead)
-            if len(r) == 1:
-                dead.add(abs(r[0]))
-                changed = True
-            elif r:
-                nxt.append(r)
-        relators = nxt
-    if len(dead) == k:
-        return GroupVerdict.Trivial
-    if not relators:
-        return GroupVerdict.Nontrivial  # free of positive rank
     if not abelianization(pres).group.is_trivial():
         return GroupVerdict.Nontrivial
     return GroupVerdict.Unknown
@@ -311,8 +324,8 @@ class Hurewicz1:
     """Degree-1 Hurewicz map: presentation words to H_1 classes.
 
     Each generator edge, closed into a based loop through the spanning
-    tree, gives a 1-cycle; words map linearly through their exponent
-    vectors.  The map kills relators and factors through the
+    tree, gives a 1-cycle; a word maps to the sum of its letters'
+    classes.  The map kills relators and factors through the
     abelianization.
     """
 
@@ -327,10 +340,12 @@ class Hurewicz1:
 
     def class_of(self, w: Word) -> tuple[int, ...]:
         """H_1 class of a word, in the homology group's coordinates."""
-        e = self.pres.exponent_vector(w)
-        return self.h1.reduce(
-            [sum(x * c[j] for x, c in zip(e, self.gen_classes))
-             for j in range(self.h1.ngens())])
+        out = [0] * self.h1.ngens()
+        for x in w.letters:
+            sign = 1 if x > 0 else -1
+            for j, c in enumerate(self.gen_classes[abs(x) - 1]):
+                out[j] += sign * c
+        return self.h1.reduce(out)
 
     def kills_relators(self) -> bool:
         zero = (0,) * self.h1.ngens()

@@ -238,8 +238,9 @@ def barycentric_coords(points: Sequence[Vec], x: Vec) -> Optional[list[Fraction]
 def _separates(frame: AffineFrame, other: Sequence[Sequence[int]]) -> bool:
     if frame.rows is None:
         return False
-    offsets = [frame.offsets(q) for q in other]
-    if not any(map(any, offsets)):
+    # points of `frame` have zero offsets: ask only those `other` adds
+    added = [frame.offsets(q) for q in other if q not in frame.points]
+    if not any(map(any, added)):
         # `other` lies on hull(frame), where barycentric coordinate j
         # vanishes on facet j and is positive on the open simplex: `other`
         # must sit on its closed negative side
@@ -253,7 +254,7 @@ def _separates(frame: AffineFrame, other: Sequence[Sequence[int]]) -> bool:
     # a vertex with a nonzero offset: psi = 0 is a hyperplane of the
     # union's hull through hull(frame), with `other` on one closed side
     # and not all on it
-    if not any(min(col) < 0 < max(col) for col in zip(*offsets)):
+    if not any(min(col) < 0 < max(col) for col in zip(*added)):
         return True
     # the null rows have full row rank and vanish exactly on the span of
     # the frame's homogeneous points, so the union is affinely independent
@@ -263,7 +264,6 @@ def _separates(frame: AffineFrame, other: Sequence[Sequence[int]]) -> bool:
     # is asked: it adds fewer rows
     if len(frame.points) < len(other):
         return False
-    added = [o for q, o in zip(other, offsets) if q not in frame.points]
     return (len(added) <= len(frame.null)
             and len(eliminate(added, len(frame.null))[0]) == len(added))
 

@@ -466,6 +466,27 @@ def test_les_torus_vertex(corpus):
     assert report["pair_groups"][2][2] == "Z"
 
 
+def test_exact_at_hand_built_sequences(monkeypatch):
+    def times(k):
+        return HomologyClassMap(Z, Z, [[k]])
+
+    mod2 = HomologyClassMap(Z, Z_MOD2, [[1]])
+
+    def refuse(a, b):
+        raise AssertionError("lattice test reached")
+
+    # Z -x1-> Z -> Z/2: g f = mod2 is not zero, which decides before the
+    # lattice test
+    with monkeypatch.context() as m:
+        m.setattr(hm, "lattice_subset", refuse)
+        assert not hm._exact_at(times(1), mod2)
+    # Z -x4-> Z -> Z/2: g f = 0, but the kernel 2Z is not in the image 4Z
+    assert mod2.compose(times(4)).is_zero()
+    assert not hm._exact_at(times(4), mod2)
+    # Z -x2-> Z -> Z/2 is exact
+    assert hm._exact_at(times(2), mod2)
+
+
 def test_group_printing():
     assert str(AbelianGroup(2, (2,))) == "Z^2 + Z/2"
     assert str(Z) == "Z"
