@@ -280,7 +280,7 @@ def cmd_homology(args, report: Report):
     cc = homology.chain_complex(K, rel=rel)
     dims = [args.dim] if args.dim is not None else list(range(K.dim() + 1))
     for n in dims:
-        group = homology.HomologyData(cc, n).group
+        group = cc.homology(n).group
         report.add(f"H{n}", group)
     report.check("boundary_squares_to_zero", True)
 

@@ -7,7 +7,9 @@ invariant.  Simplices are stored as sorted tuples of vertex identifiers; the
 sorted order fixes orientations everywhere downstream.  Walks over a whole
 complex go by `canonical_key`.  A Complex is immutable, so it keeps what it
 derives from its simplices: that order (`by_dim` and `vertex_ids` slice
-it), the simplex names, the used vertices, and its closedness.
+it), the simplex names, the used vertices, its closedness, and its chain
+complex with the Morse reduction and the homology groups built on it
+(`homology.chain_complex`).
 """
 
 from __future__ import annotations
@@ -132,6 +134,8 @@ class Complex:
         self._frames: dict[Simplex, linalg.AffineFrame] = {}
         self._ints: dict[str, tuple[int, ...]] = {}
         self._scx: Optional[str] = None   # canonical text, see scx.emit_scx
+        # chain complex, its reduction and H_n: see homology.chain_complex
+        self._chains = None
         # derived on first use: see canonical_order, simplex_names,
         # used_vertices and is_closed
         self._order = self._snames = self._used = self._closed = None

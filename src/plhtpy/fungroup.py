@@ -20,8 +20,8 @@ from collections import deque
 from .complexes import Complex, Simplex, SubcomplexRef, simplex
 from .errors import (BaseVertexMismatch, NotCertifiablySimplyConnected,
                      NotClosed, NotConnected, StartNotInA)
-from .homology import (AbelianGroup, AbelianQuotient, HomologyData,
-                       chain_complex, homology, relation_gens)
+from .homology import (AbelianGroup, AbelianQuotient, chain_complex,
+                       homology, relation_gens)
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +327,31 @@ class Hurewicz1:
     tree, gives a 1-cycle; a word maps to the sum of its letters'
     classes.  The map kills relators and factors through the
     abelianization.
+
+    The loop of generator uv is the chain T(u) + uv - T(v), T(x) the tree
+    path from the base to x.  The Morse projection and the cycle
+    coordinates are linear, so the loop's class is the torsion reduction
+    of the sum of the unreduced coordinates of those three chains, though
+    only the sum is a cycle.  Each edge is projected once, and T(x) is
+    T(parent) plus the tree edge into x, summed in the tree's walk order.
+    H_1 is the one kept on K's chain complex.
     """
 
     def __init__(self, K: Complex, x0: str):
         self.pres = Presentation(K, x0)
         self.ab = abelianization(self.pres)
-        self.h1 = HomologyData(chain_complex(K), 1)
+        self.h1 = h1 = chain_complex(K).homology(1)
+        edge = {e: h1.chain_unreduced({e: 1}) for e in K.by_dim(1)}
+        tree = {x0: [0] * h1.ngens()}
+        for w, u in self.pres.parent.items():
+            if w != u:
+                sign = 1 if u < w else -1
+                tree[w] = [a + sign * b
+                           for a, b in zip(tree[u], edge[simplex((u, w))])]
         self.gen_classes = [
-            self.h1.coords_of_chain(
-                self.pres.loop_chain(self.pres.generator_loop(i + 1)))
-            for i in range(self.pres.ngens())]
+            h1.reduce([a + b - c for a, b, c in zip(tree[u], edge[(u, v)],
+                                                    tree[v])])
+            for u, v in self.pres.generator_edges]
 
     def class_of(self, w: Word) -> tuple[int, ...]:
         """H_1 class of a word, in the homology group's coordinates."""

@@ -16,7 +16,9 @@ dicts to dicts.
 Homology first reduces the chain complex, once per complex: pairs of cells
 with a unit incidence are eliminated (`MorseReduction`) until none is
 left, and each elimination is a chain homotopy equivalence with explicit
-maps both ways.  Only the residual complex on the critical cells, a few
+maps both ways.  A closed Complex keeps its chain complex, and that keeps
+its reduction and each H_n, so every degree and every caller on one
+complex share them.  Only the residual complex on the critical cells, a few
 cells where the complex has thousands, is made dense for the Smith normal
 form; generators come back through the inclusion and chains go in through
 the projection.
@@ -98,6 +100,9 @@ def smith_normal_form(A, ncols=0):
     Vinv = identity_matrix(m)
     # kept transposed, so that its column operations act on rows
     V_t = identity_matrix(m)
+    if not any(map(any, S)):
+        # no pivot: the loop below would return these as they are
+        return S, V_t, Vinv
 
     def addmul_row(dst, src, c):
         S[dst] = [x + c * y for x, y in zip(S[dst], S[src])]
@@ -256,18 +261,23 @@ class AbelianQuotient:
         """Group coordinates with each torsion entry reduced mod its order."""
         return tuple(x % d if d else x for x, d in zip(c, self.orders))
 
+    def unreduced(self, x: list[int]) -> list[int]:
+        """Group coordinates of x in Z^k before torsion reduction: linear
+        in x, so sums may be reduced once at the end."""
+        support = [(j, v) for j, v in enumerate(x) if v]
+        return [sum(col[j] * v for j, v in support) for col in self.coord_cols]
+
     def coords(self, x: list[int]) -> tuple[int, ...]:
         """Class of x in Z^k, in group coordinates."""
-        support = [(j, v) for j, v in enumerate(x) if v]
-        return self.reduce([sum(col[j] * v for j, v in support)
-                            for col in self.coord_cols])
+        return self.reduce(self.unreduced(x))
 
     def generator(self, j: int) -> list[int]:
         """Vector of Z^k representing the j-th group generator."""
         return list(self.gen_rows[j])
 
-    def negate(self, j: int) -> None:
-        """Replace the j-th generator by its negative."""
+    def _negate(self, j: int) -> None:
+        """Replace the j-th generator by its negative; only a constructor
+        may, since a kept `HomologyData` is shared by its callers."""
         self.coord_cols[j] = [-x for x in self.coord_cols[j]]
         self.gen_rows[j] = [-x for x in self.gen_rows[j]]
 
@@ -278,8 +288,10 @@ class ChainComplex:
     basis[n] is the sorted list of n-simplices.  boundary[n][j] is the
     boundary of basis[n][j] as (row, +-1) pairs, rows indexing basis[n-1].
     Chains are dicts from simplices to coefficients; `matrix(n)` is the
-    dense d_n.  `reduction()` is the complex's Morse reduction, built on
-    first use and kept.
+    dense d_n.  `reduction()` is the complex's Morse reduction and
+    `homology(n)` its H_n, each built on first use and kept, so every
+    degree and every caller of one chain complex share one reduction.
+    `chain_complex` keeps a closed complex's own chain complex on it.
     """
 
     def __init__(self, basis: dict[int, list[Simplex]]):
@@ -294,6 +306,7 @@ class ChainComplex:
                                  for drop, f in enumerate(facets(s))
                                  if f in lower] for s in b]
         self._reduction: MorseReduction | None = None
+        self._homology: dict[int, HomologyData] = {}
         # d d = 0, column by column on the integer rows
         for n, cols in self.boundary.items():
             lower = self.boundary.get(n - 1)
@@ -329,6 +342,13 @@ class ChainComplex:
         if self._reduction is None:
             self._reduction = MorseReduction(self)
         return self._reduction
+
+    def homology(self, n: int) -> "HomologyData":
+        """H_n of this complex, built on first use and kept: callers share
+        it and must not change it."""
+        if n not in self._homology:
+            self._homology[n] = HomologyData(self, n)
+        return self._homology[n]
 
 
 class MorseReduction(ChainComplex):
@@ -461,6 +481,7 @@ class MorseReduction(ChainComplex):
                     [(self.index[n - 1][cells[f]], e) for f, e in d.items()])
         self.dim = max(self.basis, default=-1)
         self._reduction = None
+        self._homology = {}
 
     def _id(self, s: Simplex) -> int:
         n = len(s) - 1
@@ -515,16 +536,24 @@ class MorseReduction(ChainComplex):
 
 def chain_complex(K: Complex, rel=None) -> ChainComplex:
     """Chain complex of a closed K; with `rel`, the quotient by a closed
-    subcomplex (its simplices are dropped from every basis)."""
+    subcomplex (its simplices are dropped from every basis).
+
+    K's own chain complex is built here on first use and kept on K (a
+    Complex is immutable), so its reduction and each H_n are built once
+    per complex however many callers ask; a relative one is built per
+    call."""
     if not K.is_closed():
         raise NotClosed("chain complex requires a closed complex")
-    drop = frozenset()
-    if rel is not None:
-        drop = frozenset(tuple(s) for s in getattr(rel, "members", rel))
-        if not drop <= K.simplices:
-            raise NotSubcomplex("relative part is not a subcomplex")
-        if not K.subcomplex(drop).is_closed():
-            raise NotClosed("relative part must be closed")
+    if rel is None:
+        if K._chains is None:
+            K._chains = ChainComplex({n: K.by_dim(n)
+                                      for n in range(K.dim() + 1)})
+        return K._chains
+    drop = frozenset(tuple(s) for s in getattr(rel, "members", rel))
+    if not drop <= K.simplices:
+        raise NotSubcomplex("relative part is not a subcomplex")
+    if not K.subcomplex(drop).is_closed():
+        raise NotClosed("relative part must be closed")
     return ChainComplex({n: [s for s in K.by_dim(n) if s not in drop]
                          for n in range(K.dim() + 1)})
 
@@ -557,7 +586,7 @@ class HomologyData(AbelianQuotient):
                          self._relations(self.red.boundary.get(n + 1, [])))
         for j in range(self.ngens()):
             if next(iter(self.generator_chain(j).values()), 0) < 0:
-                self.negate(j)
+                self._negate(j)
 
     def _relations(self, columns) -> list[list[int]]:
         """Cycle coordinates, rows r.. of V^-1 v, of residual columns v
@@ -582,9 +611,15 @@ class HomologyData(AbelianQuotient):
                 raise NotSubcomplex(f"{sname(s)} is not a basis simplex")
         if self.cc.boundary_chain(chain):
             raise ValueError("chain is not a cycle")
+        return self.reduce(self.chain_unreduced(chain))
+
+    def chain_unreduced(self, chain: dict[Simplex, int]) -> list[int]:
+        """Group coordinates, before torsion reduction, of the projection
+        of any n-chain: linear in the chain (the projection and the cycle
+        coordinates are), and on a cycle its reduction is the class."""
         pos = self.red.index.get(self.n, {})
         z = self.red.project(chain)
-        return self.coords(self._relations(
+        return self.unreduced(self._relations(
             [[(pos[s], x) for s, x in z.items()]])[0])
 
     def generator_chain(self, j: int) -> dict[Simplex, int]:
@@ -598,7 +633,10 @@ class HomologyData(AbelianQuotient):
 
 
 def homology(K: Complex, n: int) -> AbelianGroup:
-    return HomologyData(chain_complex(K), n).group
+    """H_n of a closed K: the H_n kept on the chain complex kept on K,
+    each built by its first caller (`chain_complex`,
+    `ChainComplex.homology`) and shared with every later one."""
+    return chain_complex(K).homology(n).group
 
 
 def relative_homology(K: Complex, K_A, n: int) -> AbelianGroup:
@@ -688,7 +726,7 @@ def induced_map_on_vertices(K: Complex, L: Complex, vmap: dict[str, str],
                             n: int) -> HomologyClassMap:
     """H_n map induced by a simplicial vertex map K -> L."""
     src_cc, dst_cc = chain_complex(K), chain_complex(L)
-    return class_map(HomologyData(src_cc, n), HomologyData(dst_cc, n),
+    return class_map(src_cc.homology(n), dst_cc.homology(n),
                      lambda z: push_chain(vmap, z, dst_cc))
 
 
@@ -755,9 +793,9 @@ def verify_les(K: Complex, K_A) -> dict:
     cc_A, cc_X = chain_complex(A), chain_complex(K)
     cc_rel = chain_complex(K, rel=members)
     top = max(K.dim(), 0) + 1
-    HA = {n: HomologyData(cc_A, n) for n in range(-1, top + 1)}
-    HX = {n: HomologyData(cc_X, n) for n in range(top + 1)}
-    HR = {n: HomologyData(cc_rel, n) for n in range(top + 1)}
+    HA = {n: cc_A.homology(n) for n in range(-1, top + 1)}
+    HX = {n: cc_X.homology(n) for n in range(top + 1)}
+    HR = {n: cc_rel.homology(n) for n in range(top + 1)}
 
     report = {"pair_groups": {}, "exact": True, "nodes": {}}
     maps_i, maps_j, maps_d = {}, {}, {}

@@ -1,5 +1,6 @@
 """Edge-path fundamental groups, Hurewicz comparison, and pi_2."""
 
+import copy
 import random
 
 import pytest
@@ -341,6 +342,49 @@ def test_class_of_matches_the_exponent_vector_sum(corpus):
                 [sum(x * c[j] for x, c in zip(e, h.gen_classes))
                  for j in range(h.h1.ngens())])
             assert h.class_of(w) == dense, (name, w)
+
+
+def loop_classes(h):
+    """Reference generator classes: each generator's whole based loop,
+    projected through the reduction as one cycle."""
+    return [h.h1.coords_of_chain(h.pres.loop_chain(h.pres.generator_loop(i)))
+            for i in range(1, h.pres.ngens() + 1)]
+
+
+def check_generator_classes(K, x0):
+    """The tree-prefix generator classes equal the loop route's, and the
+    three Hurewicz checks read the same from either."""
+    h = fg.hurewicz_h1(K, x0)
+    ref = copy.copy(h)
+    ref.gen_classes = loop_classes(h)
+    assert h.gen_classes == ref.gen_classes, (x0, scx.emit_scx(K))
+    checks = [(g.kills_relators(), g.is_surjective(), g.is_isomorphism())
+              for g in (h, ref)]
+    assert checks == [(True, True, True)] * 2, (x0, scx.emit_scx(K))
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2])
+def test_generator_classes_match_the_loop_route(corpus, rounds):
+    rng = random.Random(31 + rounds)
+    for name, (K, _) in sorted(corpus.items()):
+        fine = sd.iterated_subdivision(K, rounds).fine
+        ids = fine.vertex_ids()
+        for x0 in (ids[0], ids[-1], rng.choice(ids)):
+            check_generator_classes(fine, x0)
+
+
+def test_generator_classes_of_random_closures(corpus):
+    rng = random.Random(31)
+    connected = 0
+    for name, (K, _) in sorted(corpus.items()):
+        for r in (1, 2):
+            fine = sd.iterated_subdivision(K, r).fine
+            for _ in range(3):
+                A = fine.restrict(random_closure(fine, rng))
+                if len(fg.pi0(A)) == 1:
+                    connected += 1
+                    check_generator_classes(A, rng.choice(A.vertex_ids()))
+    assert connected >= 10
 
 
 def test_abelianization_eliminates_before_its_smith_normal_form(corpus,

@@ -16,7 +16,8 @@ from plhtpy import fungroup as fg
 from plhtpy import plmaps as pm
 from plhtpy import scx
 from plhtpy import subdivision as sd
-from plhtpy.complexes import proper_faces, simplex, validate
+from plhtpy.complexes import (Complex, faces_with_self, proper_faces,
+                               simplex, validate)
 from plhtpy import homology as hm
 from plhtpy.errors import (Incompatible, NotAChainComplex, NotClosed,
                            NotSimplicial, NotSubcomplex)
@@ -79,6 +80,21 @@ def test_smith_normal_form_transforms():
     # d1*d2*d3 = |det A| = 624
     assert diag == [2, 2, 156]
     check_row_side(A, diag)
+
+
+def test_smith_normal_form_of_a_zero_matrix():
+    """A matrix with no nonzero entry returns at once, with the values the
+    pivot loop gives it: S a copy of A, and V and V^-1 two fresh
+    identities."""
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3)):
+        A = [[0] * cols for _ in range(rows)]
+        S, Vcols, Vinv = smith_normal_form(A, cols)
+        I = identity_matrix(cols)
+        assert (S, Vcols, Vinv) == (A, I, I), (rows, cols)
+        assert S is not A and not any(s is a for s, a in zip(S, A))
+        assert Vcols is not Vinv and not any(
+            v is w for v, w in zip(Vcols, Vinv))
+        check_row_side(A, check_column_side(A, S, Vcols, Vinv))
 
 
 def brute_det(M):
@@ -593,6 +609,60 @@ def test_random_closed_subcomplexes_agree_across_routes(corpus):
                         .is_isomorphism(), scx.emit_scx(A)
                 higher += any(not g.is_trivial() for g in groups[1:])
     assert connected >= 10 and higher >= 10
+
+
+def test_one_morse_reduction_per_complex(corpus, monkeypatch):
+    """Every degree and every caller on one complex share its kept chain
+    complex, reduction and H_n; an equal complex, a closure, a
+    restriction and a relative chain complex each build their own."""
+    built = []
+
+    class Counted(hm.MorseReduction):
+        def __init__(self, cc):
+            built.append(cc)
+            super().__init__(cc)
+
+    monkeypatch.setattr(hm, "MorseReduction", Counted)
+    S = sd.iterated_subdivision(corpus["s2"][0], 1).fine
+    K = Complex(S.ambient_dim, S.vertices, S.simplices)
+    x0, x1 = min(K.vertex_ids()), max(K.vertex_ids())
+    assert [homology(K, n) for n in range(-1, K.dim() + 2)] == [
+        ZERO, Z, ZERO, Z, ZERO]
+    for x in (x0, x1):
+        assert fg.hurewicz_h1(K, x).is_isomorphism()
+    assert fg.pi2_via_hurewicz(K, x0, True).group == Z
+    ident = pm.simplicial_map(K, K, {v: v for v in K.vertex_ids()})
+    assert induced_map(ident, 2).is_identity()
+    assert built == [chain_complex(K)]
+    assert chain_complex(K).homology(2) is chain_complex(K).homology(2)
+    for L in (K.closure(), K.restrict(K.simplices),
+              Complex(K.ambient_dim, K.vertices, K.simplices)):
+        assert homology(L, 2) == Z
+    assert len(built) == 4
+    star = frozenset(f for s in K.simplices if x0 in s
+                     for f in faces_with_self(s))
+    for _ in range(2):
+        assert chain_complex(K, rel=star).homology(2).group == Z
+    assert len(built) == 6
+
+
+def test_kept_homology_equals_a_fresh_one(corpus):
+    """On seeded random closures, the H_n kept on a complex has the
+    groups and generator cycles of one built afresh."""
+    rng = random.Random(31)
+    for name, r in ((name, r) for name in scx.CORPUS_NAMES for r in (1, 2)):
+        fine = sd.iterated_subdivision(corpus[name][0], r).fine
+        for _ in range(3):
+            A = fine.restrict(random_closure(fine, rng))
+            fresh = ChainComplex({n: A.by_dim(n)
+                                  for n in range(A.dim() + 1)})
+            for n in range(A.dim() + 1):
+                kept, new = chain_complex(A).homology(n), HomologyData(fresh, n)
+                assert homology(A, n) == kept.group == new.group, \
+                    scx.emit_scx(A)
+                assert [kept.generator_chain(j) for j in range(kept.ngens())] \
+                    == [new.generator_chain(j) for j in range(new.ngens())], \
+                    scx.emit_scx(A)
 
 
 def test_generator_chains_are_seed_independent():
