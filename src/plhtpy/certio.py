@@ -17,8 +17,13 @@ on maps, witnesses or steps, whose tables are plain dicts a caller may change.
 Loading a container parses and validates each distinct complex block
 once: blocks with equal `ambient`, `vertex` and `simplex` declarations
 share one `Complex` (and the frames built on it) within that file, and a
-codomain with the domain's text is the domain.  The intern table lives
-for one call of a loader; nothing is shared across files.
+codomain with the domain's text is the domain.  A block is looked up
+first by its raw key, those declaration lines with comments cut off, so a
+repeated block (a step's `to` and refinement after its `from`) has no
+coordinate parsed again and only its `image` and `carrier` lines are
+read; the parsed declarations are the fallback key, which joins equal
+values spelled differently (`scx._complex`).  The intern table lives for
+one call of a loader; nothing is shared across files.
 """
 
 from __future__ import annotations

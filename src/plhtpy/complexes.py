@@ -417,9 +417,13 @@ def check_pairwise_disjoint(K: Complex) -> None:
     untrusted input.
 
     Precondition: every simplex of K is nonempty and affinely independent,
-    as `validate` checks before it calls this.  Each pair passes the
-    screens below in order, and only a pair that none decides reaches the
-    exact LP `linalg.convex_positions_intersect`:
+    as `validate` checks before it calls this.  Screen 0 decides the whole
+    complex at once (`_spans_one_simplex`): when the used vertices of K
+    are affinely independent, they span one simplex, every simplex of K
+    is a face of it, and distinct open faces of a simplex are disjoint
+    (Rourke and Sanderson, ch. 2), so no pair is visited.  Otherwise each
+    pair passes the screens below in order, and only a pair that none
+    decides reaches the exact LP `linalg.convex_positions_intersect`:
     1. bounding boxes: the integer point (X_v, D_v) of every used vertex,
        `Complex.integer_point`, is scaled to the common denominator D of
        them all, and the integer boxes are swept on axis 0 (sweep and
@@ -431,6 +435,8 @@ def check_pairwise_disjoint(K: Complex) -> None:
        hull of the union; its last case passes every other affinely
        independent union.
     """
+    if _spans_one_simplex(K):
+        return
     sims = sorted(K.simplices)
     rows = {v: K.integer_point(v) for s in sims for v in s}
     den = lcm(*(y[-1] for y in rows.values()))
@@ -457,3 +463,29 @@ def check_pairwise_disjoint(K: Complex) -> None:
         if linalg.convex_positions_intersect(K.points(a), K.points(b)):
             raise OverlappingSimplices(
                 f"open simplices {sname(a)} and {sname(b)} intersect")
+
+
+def _spans_one_simplex(K: Complex) -> bool:
+    """Are the used vertices of K affinely independent?  Screen 0 of
+    `check_pairwise_disjoint`, the last case of `linalg._separates` asked
+    of the whole complex in the kept frame of a largest simplex sigma:
+    the null rows of that frame vanish exactly on the span of its
+    homogeneous points, so the used vertices are independent exactly when
+    the offsets of those outside sigma are linearly independent.  There
+    are at most `ambient_dim + 1` independent points, and a vertex on the
+    hull of sigma (zero offsets) ends the test before any elimination.
+    A complex with no simplex has no pair to test."""
+    used = K.used_vertices()
+    if not used:
+        return True
+    if len(used) > K.ambient_dim + 1:
+        return False
+    sigma = K.canonical_order()[-1]
+    frame = K.frame(sigma)
+    if frame.null is None:      # a dependent sigma, against the precondition
+        return False
+    added = [frame.offsets(K.integer_point(v))
+             for v in sorted(used.difference(sigma))]
+    if not all(map(any, added)):
+        return False
+    return len(linalg.eliminate(added, len(frame.null))[0]) == len(added)

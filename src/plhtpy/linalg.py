@@ -20,8 +20,9 @@ at a time: `eliminate` serves coordinates, rank and volume (`AffineFrame`,
 one frame per point list, kept per simplex by `Complex.frame`, whose rows
 decide affine independence; the determinants of `subdivision`; the rank
 of the offsets a vertex union adds to a frame, the last case of
-`hyperplane_separated`), and the LP pivots its integer tableau with the
-same step.  A frame answers with
+`hyperplane_separated`, and of those a whole complex adds to its largest
+simplex, screen 0 of `complexes.check_pairwise_disjoint`), and the LP
+pivots its integer tableau with the same step.  A frame answers with
 `AffineFrame.weights`: integer numerators over one positive denominator,
 so the sign tests and the relative volumes build no Fraction; `coords` is
 the Fraction form of the same answer.  `solve_linear`,

@@ -32,8 +32,8 @@ import os
 from fractions import Fraction
 from importlib import resources
 
-from .complexes import (Complex, Point, Simplex, canonical_key, simplex,
-                        sname, validate)
+from .complexes import (Complex, Point, Simplex, canonical_key,
+                        check_pairwise_disjoint, simplex, sname, validate)
 from .errors import FormatError
 from .linalg import vec
 
@@ -95,20 +95,39 @@ def _carrier(toks: list[str], carriers: dict) -> Simplex:
     return t
 
 
-def parse_scx(text: str):
-    """Parse SCX (and SCX-M) text into raw pieces."""
+_BLOCK_KINDS = frozenset(("ambient", "vertex", "simplex"))
+
+
+def parse_scx(text: str, blocks: dict | None = None):
+    """Parse SCX (and SCX-M) text into raw pieces: ambient, vertices,
+    simplices, subcomplexes, images, carriers, and the raw key of the
+    text's block, its `ambient`, `vertex` and `simplex` lines in order with
+    comments cut off.  When the intern table `blocks` (see `_complex`)
+    already holds that key, those lines passed a full parse before and are
+    not parsed again: ambient comes back None, vertices and simplices
+    empty, and only the other lines are read, each error naming its own
+    line."""
     ambient = None
     vertices: dict[str, tuple[Fraction, ...]] = {}
     simplices: list[list[str]] = []
     subcomplexes: dict[str, list[Simplex]] = {}
     images: dict[str, tuple[Fraction, ...]] = {}
     carriers: dict[Simplex, Simplex] = {}
+    lines = []
+    key = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0]
         toks = line.split()
+        if toks:
+            lines.append((lineno, raw, toks))
+            if toks[0] in _BLOCK_KINDS:
+                key.append(line)
+    key = tuple(key)
+    known = blocks is not None and key in blocks
+    for lineno, raw, toks in lines:
         kind = toks[0]
+        if known and kind in _BLOCK_KINDS:
+            continue
         try:
             if kind == "ambient":
                 if ambient is not None:
@@ -139,38 +158,50 @@ def parse_scx(text: str):
                 raise ValueError(f"unknown declaration {kind!r}")
         except (IndexError, ValueError) as exc:
             raise FormatError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
-    if ambient is None:
+    if ambient is None and not known:
         raise FormatError("missing 'ambient' declaration")
-    return ambient, vertices, simplices, subcomplexes, images, carriers
+    return ambient, vertices, simplices, subcomplexes, images, carriers, key
 
 
-def _complex(ambient: int, vertices: dict, simplices: list,
+def _complex(ambient: int, vertices: dict, simplices: list, key: tuple,
              check_disjoint: bool, blocks: dict | None) -> Complex:
     """`validate` on parsed declarations, or the Complex that `blocks` holds
-    for equal `ambient`, `vertex` and `simplex` declarations (in declaration
-    order), so that equal blocks of one file share one object and its
-    frames.  A block that needs the disjointness check reuses only a
-    Complex that passed it."""
+    for an equal block, so that equal blocks of one file share one object
+    and its frames.  A block is found first by `key`, the raw key of
+    `parse_scx`, which skipped parsing its lines on a hit, and else by its
+    parsed `ambient`, `vertex` and `simplex` declarations (in declaration
+    order), which also joins equal values spelled differently (`2/4` and
+    `1/2`, other blanks, a comment).  It is stored under both keys, and
+    only once it has parsed and validated.  A block that needs the
+    disjointness check gets it on the shared Complex the first time."""
     if blocks is None:
         return validate(ambient, vertices, simplices,
                         check_disjoint=check_disjoint)
-    key = (ambient, tuple(vertices.items()), tuple(map(tuple, simplices)))
-    hit = blocks.get(key)
-    if hit is None or check_disjoint and not hit[1]:
-        hit = blocks[key] = (validate(ambient, vertices, simplices,
-                                      check_disjoint=check_disjoint),
-                             check_disjoint)
-    return hit[0]
+    entry = blocks.get(key)
+    if entry is None:
+        parsed = (ambient, tuple(vertices.items()),
+                  tuple(map(tuple, simplices)))
+        entry = blocks.get(parsed)
+        if entry is None:
+            entry = blocks[parsed] = [
+                validate(ambient, vertices, simplices,
+                         check_disjoint=check_disjoint), check_disjoint]
+        blocks[key] = entry
+    if check_disjoint and not entry[1]:
+        check_pairwise_disjoint(entry[0])
+        entry[1] = True
+    return entry[0]
 
 
 def load_complex(text: str, check_disjoint: bool = True,
                  blocks: dict | None = None):
     """SCX text -> (Complex, named subcomplexes).  `blocks` is the intern
     table of the file being loaded (see `_complex`)."""
-    ambient, vertices, simplices, subcomplexes, images, carriers = parse_scx(text)
+    ambient, vertices, simplices, subcomplexes, images, carriers, key = \
+        parse_scx(text, blocks)
     if images or carriers:
         raise FormatError("SCX-M declarations in plain SCX input")
-    K = _complex(ambient, vertices, simplices, check_disjoint, blocks)
+    K = _complex(ambient, vertices, simplices, key, check_disjoint, blocks)
     subs = {name: K.subcomplex(members) for name, members in subcomplexes.items()}
     return K, subs
 
@@ -224,11 +255,12 @@ def load_scxm(text: str, blocks: dict | None = None):
     A vertex that no simplex uses, or an image or carrier line for none of
     the fine complex, is a FormatError naming its line, never silently
     dropped."""
-    ambient, vertices, simplices, subcomplexes, images, carriers = parse_scx(text)
+    ambient, vertices, simplices, subcomplexes, images, carriers, key = \
+        parse_scx(text, blocks)
     if subcomplexes:
         raise FormatError("subcomplex declarations in SCX-M input")
-    fine = _complex(ambient, vertices, simplices, False, blocks)
-    stray = (vertices.keys() | images.keys()) - fine.used_vertices()
+    fine = _complex(ambient, vertices, simplices, key, False, blocks)
+    stray = (fine.vertices.keys() | images.keys()) - fine.used_vertices()
     if stray or carriers.keys() - fine.simplices:
         for lineno, raw in enumerate(text.splitlines(), 1):
             kind, key = (raw.split("#", 1)[0].split() + ["", ""])[:2]

@@ -377,6 +377,85 @@ def test_pairwise_disjointness_matches_the_lp_alone(corpus):
     assert rejects >= 15, rejects
 
 
+def relabeled(K, rng):
+    """K with its vertex ids shuffled among its points, so another simplex
+    comes last in sorted order."""
+    ids = sorted(K.vertices)
+    new = dict(zip(ids, rng.sample(ids, len(ids))))
+    return validate(K.ambient_dim,
+                    {new[v]: p for v, p in K.vertices.items()},
+                    [[new[v] for v in s] for s in K.simplices],
+                    check_disjoint=False)
+
+
+def test_a_complex_on_one_simplex_visits_no_pair(monkeypatch, corpus):
+    """Screen 0: the used vertices of torus7, rp6, s2, tri3 and the disk
+    at r=0 are affinely independent, so every simplex is a face of one
+    simplex and no pair reaches the hyperplane screen or the LP.  So it
+    goes for seeded relabelings, and for the empty complex, which has no
+    pair."""
+    rng = random.Random(32)
+    cases = [Complex(3, {}, [])]
+    for name in ("torus7", "rp6", "s2", "tri3", "disk"):
+        K = corpus[name][0]
+        cases += [K] + [relabeled(K, rng) for _ in range(3)]
+
+    def refuse(*args):
+        raise AssertionError("a pair reached a screen")
+    monkeypatch.setattr(linalg, "hyperplane_separated", refuse)
+    monkeypatch.setattr(linalg, "convex_positions_intersect", refuse)
+    for K in cases:
+        check_pairwise_disjoint(K)
+
+
+def lp_alone(K):
+    """The reference of `test_pairwise_disjointness_matches_the_lp_alone`:
+    the message naming the first pair in sorted order that the exact LP
+    finds meeting, or None."""
+    for a, b in combinations(sorted(K.simplices), 2):
+        if linalg.convex_positions_intersect(K.points(a), K.points(b)):
+            return f"open simplices {sname(a)} and {sname(b)} intersect"
+    return None
+
+
+def moved_onto_the_others(corpus, rng):
+    """torus7, rp6 or s2 at r=0 with one vertex moved to a seeded affine
+    combination of the others, so the used vertices span no simplex,
+    built without the disjointness check; a move that makes a simplex
+    dependent or lands on another vertex is skipped."""
+    while True:
+        K = corpus[rng.choice(("torus7", "rp6", "s2"))][0]
+        v = rng.choice(sorted(K.vertices))
+        others = [p for u, p in sorted(K.vertices.items()) if u != v]
+        c = [rng.choice((-1, 0, 0, 1, 1, 2)) for _ in others]
+        if not sum(c):
+            continue
+        verts = dict(K.vertices)
+        verts[v] = linalg.vcomb([F(x, sum(c)) for x in c], others)
+        try:
+            yield validate(K.ambient_dim, verts, K.simplices,
+                           check_disjoint=False)
+        except (AffinelyDependent, OverlappingSimplices):
+            continue
+
+
+def test_a_dependent_vertex_set_falls_through_to_the_pairs(corpus):
+    """When screen 0 does not decide, accept or reject and the pair named
+    are those of the LP alone; the seeds give both."""
+    rng = random.Random(32)
+    rejects = 0
+    for K in islice(moved_onto_the_others(corpus, rng), 30):
+        expected = lp_alone(K)
+        got = None
+        try:
+            check_pairwise_disjoint(K)
+        except OverlappingSimplices as exc:
+            got = str(exc)
+        assert got == expected, scx.emit_scx(K)
+        rejects += expected is not None
+    assert 5 <= rejects <= 25, rejects
+
+
 def forbid_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("linalg.eliminate called")

@@ -398,6 +398,58 @@ def test_loaders_share_one_complex_per_distinct_block(rot):
     assert phi.fine is phi.domain is phi.codomain
 
 
+def declarations(text, kinds):
+    return [line.split() for line in text.splitlines()
+            if line.split()[:1] and line.split()[0] in kinds]
+
+
+def test_loaders_parse_each_distinct_block_once(monkeypatch, rot):
+    """The `to` and refinement blocks of the rot approximation certificate
+    repeat its `from` block: their coordinates are parsed once, and only
+    their own `image` lines are read.  The same block spelled otherwise
+    (`2/4`, a comment, leading blanks) is parsed in full and still shares
+    the Complex.  A bad line of a block found in the table is named by its
+    own line number."""
+    _, cert = pm.simplicial_approximation(rot)
+    obj = certio.cert_to_obj(cert)
+    step = obj["steps"][0]
+    scxm = [step[key]["scxm"] for key in ("from", "to")]
+    texts = [obj["domain"], *scxm, step["refinement"]["scx"]]
+    blocks = {str(declarations(t, ("ambient", "vertex", "simplex"))): t
+              for t in texts}
+    assert len(blocks) == 2
+    coords = (sum(len(toks) - 2 for t in blocks.values()
+                  for toks in declarations(t, ("vertex",)))
+              + sum(len(toks) - 2 for t in scxm
+                    for toks in declarations(t, ("image",))))
+    parsed = []
+    parse = scx._parse_coord
+    monkeypatch.setattr(scx, "_parse_coord",
+                        lambda tok: parsed.append(tok) or parse(tok))
+    certio.cert_from_obj(obj)
+    assert len(parsed) == coords == 42
+
+    fine_coords = sum(len(toks) - 2
+                      for toks in declarations(scxm[1], ("vertex",)))
+    line = "vertex a.b^bary 1/2 0\n"
+    for spelling in ("vertex a.b^bary 2/4 0\n",
+                     "vertex a.b^bary 1/2 0  # the midpoint of a-b\n",
+                     "  " + line):
+        step["to"]["scxm"] = scxm[1].replace(line, spelling)
+        parsed.clear()
+        loaded = certio.cert_from_obj(obj).steps[0]
+        assert len(parsed) == coords + fine_coords, spelling
+        assert loaded.to.fine is loaded.frm.fine, spelling
+
+    bad = scxm[1].replace("image a.b^bary 1 0\n", "image a.b^bary one 0\n")
+    lineno = bad.splitlines().index("image a.b^bary one 0") + 1
+    step["to"]["scxm"] = bad
+    with pytest.raises(FormatError, match=(
+            f"^line {lineno}: 'image a.b\\^bary one 0': "
+            "bad coordinate 'one'$")):
+        certio.cert_from_obj(obj)
+
+
 def test_a_checked_block_reuses_only_a_checked_complex():
     text = scx.emit_scx(overlapping_domain())
     blocks = {}
