@@ -62,7 +62,10 @@ def _encode(obj, nl: str) -> str:
                  for k in sorted(obj)]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        items = [_encode(x, inner) for x in obj]
+        if all(type(x) is str for x in obj):
+            items = list(map(_string, obj))
+        else:
+            items = [_encode(x, inner) for x in obj]
         brackets = "[]"
     else:
         return json.dumps(obj)

@@ -68,9 +68,17 @@ def vcomb(coeffs: Sequence[Fraction], points: Sequence[Vec]) -> Vec:
 
 def centroid(points: Sequence[Vec]) -> Vec:
     """The average of the points: one exact Fraction per coordinate, for
-    integer points too."""
+    integer points too.  A coordinate's numerators are summed over the
+    least common denominator D of its column, and one Fraction of that sum
+    over n * D is normalised once, where a sum of Fractions normalises
+    after every addition; both are the same reduced fraction."""
     n = len(points)
-    return tuple(Fraction(sum(col), n) for col in zip(*points))
+    out = []
+    for col in zip(*points):
+        den = lcm(*[q.denominator for q in col])
+        out.append(Fraction(sum([q.numerator * (den // q.denominator)
+                                 for q in col]), den * n))
+    return tuple(out)
 
 
 def integer_point(x) -> tuple[int, ...]:

@@ -195,23 +195,35 @@ def simplicial_map_on(w: SubdivisionWitness, L: Complex,
 
 
 def subdivide_map(f: PLMap) -> PLMap:
-    """Same map on the once-more barycentrically subdivided domain, with
-    carriers recomputed as minimal faces of the parent carriers, as
-    `carrier_face` finds them, from one `WeightRows` row per (parent
-    carrier, vertex) pair.  A new vertex is the barycenter of its carrier,
-    so its image is the average of that simplex's vertex images."""
+    """Same map on the once-more barycentrically subdivided domain.  A new
+    vertex is the barycenter of its carrier, so its image is the average
+    of that simplex's vertex images.
+
+    Each new piece t gets the minimal face of its parent carrier, as
+    `carrier_face` finds it on t's images, read once per old fine simplex
+    s = `step.carrier[t]` from s's own images: one `WeightRows` row per
+    (parent carrier, old vertex) pair.  Precondition: every image lies in
+    its closed carrier, as `PLMap._check` proves.  Then the face is the
+    same.  t is the chain of barycenters of faces of s topped by s, and a
+    barycentric row is affine in the point, so the row of a centroid is
+    the average of its constituents' rows.  On nonnegative rows the
+    positive entries of an average are the union of theirs; t's top vertex
+    averages all of s's images, and every other vertex of t averages some
+    of them, so support(t) = support(s).  A parent carrier that does not
+    hold s's images (an unchecked map) is kept as every piece's carrier."""
     step = barycentric_subdivide(f.fine)
     w = f.dom_subdivision.compose(step)
     verts = {}
     for t, s in step.carrier.items():
         if len(t) == 1:
             verts[t[0]] = linalg.centroid(f.image_points(s))
-    rows = WeightRows(f.codomain, verts)
-    carrier = {}
-    for t in step.fine.simplices:
-        parent = f.target_carrier[step.carrier[t]]
-        c = rows.support(t, parent)
-        carrier[t] = c if c is not None else parent
+    rows = WeightRows(f.codomain, f.vertex_image)
+    face = {}
+    for s in f.fine.simplices:
+        parent = f.target_carrier[s]
+        c = rows.support(s, parent)
+        face[s] = c if c is not None else parent
+    carrier = {t: face[s] for t, s in step.carrier.items()}
     return PLMap(f.domain, f.codomain, w, verts, carrier, check=False)
 
 

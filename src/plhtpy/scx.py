@@ -231,19 +231,21 @@ def carrier_lines(carriers: dict[Simplex, Simplex],
     """One `fine -> coarse` line per simplex of `carriers`, by dimension,
     then vertex ids.  A table over all the simplices of the complex `fine`
     reads the order and names that `fine` keeps; any other key set is
-    sorted here."""
+    sorted here.  Each distinct coarse carrier is named once per table."""
     if carriers.keys() == fine.simplices:
         order = zip(fine.canonical_order(), fine.simplex_names())
     else:
         order = [(s, sname(s)) for s in sorted(carriers, key=canonical_key)]
-    return [f"{name} -> {sname(carriers[s])}" for s, name in order]
+    coarse = {c: sname(c) for c in set(carriers.values())}
+    return [f"{name} -> {coarse[carriers[s]]}" for s, name in order]
 
 
 def emit_scxm(fine: Complex, images: dict[str, Point],
               carriers: dict[Simplex, Simplex]) -> str:
     lines = [emit_scx(fine).rstrip("\n")]
     for v in sorted(images):
-        coords = " ".join(coord_str(q) for q in images[v])
+        # str is coord_str for a Fraction or an int
+        coords = " ".join(map(str, images[v]))
         lines.append(f"image {v} {coords}")
     lines += [f"carrier {line}" for line in carrier_lines(carriers, fine)]
     return "\n".join(lines) + "\n"

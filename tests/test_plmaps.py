@@ -1,5 +1,6 @@
 """PL maps: evaluation, approximation, certificates, and the rel pipeline."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -440,6 +441,61 @@ def scrambled_disk(disk):
     return pm.PLMap(disk, disk, w, images, carrier)
 
 
+def seeded_scramble(base, rng):
+    """Map base_1 -> base with every vertex of the subdivision sent to a
+    seeded point of its own closed carrier, some weights zero.  Any such
+    image lies in the closed carrier of every piece through the vertex, so
+    the map passes `PLMap._check`.  A piece's target carrier is, by a
+    seeded coin, its minimal face or the whole coarse carrier."""
+    step = sd.barycentric_subdivide(base)
+    images = {}
+    for t, c in sorted(step.carrier.items()):
+        if len(t) == 1:
+            wts = [rng.choice((0, 0, 1, 2, 5)) for _ in c]
+            wts[rng.randrange(len(c))] += 1
+            images[t[0]] = linalg.vcomb([F(x, sum(wts)) for x in wts],
+                                        base.points(c))
+    carrier = {t: (c if rng.random() < 0.5 else
+                   pm.carrier_face(base, c, [images[v] for v in t]))
+               for t, c in sorted(step.carrier.items())}
+    return pm.PLMap(base, base, step, images, carrier)
+
+
+@pytest.mark.parametrize("name", scx.CORPUS_NAMES)
+def test_subdivide_map_carriers_match_the_per_piece_route(corpus, name):
+    # each piece's carrier is read off its chain's top simplex; the
+    # reference reads it from the piece's own images
+    rng = random.Random(f"subdivide_map:{name}")
+    for r in (0, 1):
+        base = sd.iterated_subdivision(fresh(corpus[name][0]), r).fine
+        f = seeded_scramble(base, rng)
+        g = pm.subdivide_map(f)
+        step = sd.barycentric_subdivide(f.fine)
+        assert g.target_carrier.keys() == step.fine.simplices
+        for t in step.fine.simplices:
+            ref = pm.carrier_face(base, f.target_carrier[step.carrier[t]],
+                                  [g.vertex_image[v] for v in t])
+            assert ref is not None and g.target_carrier[t] == ref, (r, t)
+
+
+def test_subdivide_map_keeps_the_parent_where_an_image_leaves_it(disk):
+    # a's image 2a - b leaves every carrier, the whole triangle: each piece
+    # over a simplex through a keeps the triangle, though the piece route
+    # would give the barycenter of a-b the carrier a (its image is a)
+    abc = ("a", "b", "c")
+    images = dict(disk.vertices, a=(F(-1), F(0)))
+    f = pm.PLMap(disk, disk, sd.identity_witness(disk), images,
+                 dict.fromkeys(disk.simplices, abc), check=False)
+    g = pm.subdivide_map(f)
+    step = sd.barycentric_subdivide(disk)
+    mid = sd.bary_name(("a", "b"))
+    assert g.vertex_image[mid] == disk.vertices["a"]
+    assert pm.carrier_face(disk, abc, [g.vertex_image[mid]]) == ("a",)
+    for t in step.fine.simplices:
+        s = step.carrier[t]
+        assert g.target_carrier[t] == (abc if "a" in s else s), t
+
+
 @pytest.fixture(params=["rot0", "rot1", "rot2", "scrambled_disk"])
 def producer_map(request, tri3, disk):
     if request.param == "scrambled_disk":
@@ -462,11 +518,11 @@ def test_subdivide_map_reads_one_row_per_carrier_and_vertex(monkeypatch,
     monkeypatch.undo()
     step = sd.barycentric_subdivide(f.fine)
     assert g.fine.simplices == step.fine.simplices
-    pairs = set()
     for t in step.fine.simplices:
         parent = f.target_carrier[step.carrier[t]]
         ref = pm.carrier_face(f.codomain, parent,
                               [g.vertex_image[v] for v in t])
         assert g.target_carrier[t] == (ref if ref is not None else parent)
-        pairs.update((parent, v) for v in t)
+    # rows are read at the old vertices, once per (carrier, vertex) pair
+    pairs = {(f.target_carrier[s], v) for s in f.fine.simplices for v in s}
     assert 0 < len(calls) <= len(pairs)

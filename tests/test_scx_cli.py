@@ -546,6 +546,10 @@ GOLDEN = {
 }
 
 
+class Tagged(str):
+    """A str subclass: `certio.dumps` writes it as the stdlib does."""
+
+
 def test_dumps_writes_the_stdlib_bytes(rot, perturbed_disk, disk,
                                        disk_boundary):
     objs = golden_containers(rot, perturbed_disk, disk, disk_boundary)
@@ -557,7 +561,8 @@ def test_dumps_writes_the_stdlib_bytes(rot, perturbed_disk, disk,
                 "caf\u00e9 \u2603 \U0001f600 \x00\x1f\t\n\"\\/\x7f",
                 {"\u00e9\n": ["\x00", "\u2028"], "": ""},
                 [{"b": ["x", "y"], "a": "z"}, {}, {"c": [{"d": []}]}],
-                {"n": [0, -3, True, None], "f": ["1/2", "-1"]}):
+                {"n": [0, -3, True, None], "f": ["1/2", "-1"]},
+                ["a", 1, "b"], [Tagged("x\u00e9"), "y"]):
         assert certio.dumps(obj) == stdlib_dumps(obj), obj
 
 

@@ -47,6 +47,27 @@ def test_bary_factorial_top_count():
     assert len(w.fine.by_dim(3)) == 24  # (3+1)!
 
 
+def test_centroid_matches_the_fraction_sum():
+    # one Fraction over the common denominator of each column, against a
+    # sum that normalises after every addition
+    rng = random.Random(7)
+    for _ in range(300):
+        n, d = rng.randint(1, 5), rng.randint(0, 4)
+        points = [tuple(rng.choice((rng.randint(-9, 9),
+                                    F(rng.randint(-30, 30),
+                                      rng.randint(1, 12))))
+                        for _ in range(d)) for _ in range(n)]
+        ref = tuple(F(sum(col), n) for col in zip(*points))
+        got = linalg.centroid(points)
+        assert got == ref and all(type(q) is F for q in got), points
+        assert [(q.numerator, q.denominator) for q in got] == \
+            [(q.numerator, q.denominator) for q in ref]
+    assert linalg.centroid([(3, F(-5, 2))]) == (F(3), F(-5, 2))
+    assert linalg.centroid([(F(-1, 3), 1), (1, F(-1, 6))]) == \
+        (F(1, 3), F(5, 12))
+    assert linalg.centroid([]) == ()
+
+
 class CountingSet(frozenset):
     """A frozenset that counts the iterations over it."""
 
