@@ -76,25 +76,20 @@ def faces_with_self(s: Simplex):
         yield from combinations(s, k)
 
 
-def support_face(s: Simplex, rows) -> Optional[Simplex]:
-    """Face of closed s spanned by the positive entries of the barycentric
-    rows (one row per point, in the vertex order of s): the face whose
-    interior holds the open hull of the points.  None when a row is missing
-    (a point off the affine hull of s) or has a negative entry (a point
-    outside closed s).  Only signs are read, so a row may be the integer
-    numerators of `AffineFrame.weights`."""
+def support_face(s: Simplex, hits) -> Optional[Simplex]:
+    """Face of closed s spanned by the positive barycentric weights of the
+    points: the face whose interior holds the open hull of the points.
+    Each point is its `AffineFrame.weights` answer in the frame of s,
+    (numerators, denominator) or None.  None when an answer is None (a
+    point off the affine hull of s) or has a negative numerator (a point
+    outside closed s).  The denominator is positive, so only the
+    numerators' signs are read."""
     on = [False] * len(s)
-    for row in rows:
-        if row is None or any(x < 0 for x in row):
+    for hit in hits:
+        if hit is None or any(x < 0 for x in hit[0]):
             return None
-        on = [hit or x > 0 for hit, x in zip(on, row)]
-    return tuple(v for v, hit in zip(s, on) if hit)
-
-
-def numerators(hit):
-    """The numerators of an `AffineFrame.weights` answer, None for None:
-    a row for `support_face`."""
-    return None if hit is None else hit[0]
+        on = [o or x > 0 for o, x in zip(on, hit[0])]
+    return tuple(v for v, o in zip(s, on) if o)
 
 
 class WeightRows:
@@ -120,7 +115,7 @@ class WeightRows:
 
     def support(self, s, c: Simplex) -> Optional[Simplex]:
         """`support_face` of closed c on the points of the vertices of s."""
-        return support_face(c, (numerators(self.weights(v, c)) for v in s))
+        return support_face(c, (self.weights(v, c) for v in s))
 
 
 class Complex:
@@ -246,7 +241,7 @@ class Complex:
         """Face of closed s whose interior holds the open hull of the
         points, or None if a point lies outside closed s."""
         weights = self.frame(s).weights
-        return support_face(s, (numerators(weights(linalg.integer_point(p)))
+        return support_face(s, (weights(linalg.integer_point(p))
                                 for p in points))
 
     def point_in_closure(self, s: Simplex, x: Point) -> bool:
@@ -288,7 +283,7 @@ class Complex:
                 p = vec(x)
                 y = linalg.integer_point(p)
                 support = {
-                    s: support_face(s, [numerators(self.frame(s).weights(y))])
+                    s: support_face(s, [self.frame(s).weights(y)])
                     for s in self.simplices}
                 if all(f != s for s, f in support.items()):
                     raise PointOutsidePolyhedron(

@@ -21,7 +21,7 @@ from .complexes import Complex, Simplex, SubcomplexRef, simplex
 from .errors import (BaseVertexMismatch, NotCertifiablySimplyConnected,
                      NotClosed, NotConnected, StartNotInA)
 from .homology import (AbelianGroup, AbelianQuotient, chain_complex,
-                       homology, relation_gens)
+                       homology)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +349,8 @@ class Hurewicz1:
                 tree[w] = [a + sign * b
                            for a, b in zip(tree[u], edge[simplex((u, w))])]
         self.gen_classes = [
-            h1.reduce([a + b - c for a, b, c in zip(tree[u], edge[(u, v)],
-                                                    tree[v])])
+            h1.group.reduce([a + b - c for a, b, c
+                             in zip(tree[u], edge[(u, v)], tree[v])])
             for u, v in self.pres.generator_edges]
 
     def class_of(self, w: Word) -> tuple[int, ...]:
@@ -360,7 +360,7 @@ class Hurewicz1:
             sign = 1 if x > 0 else -1
             for j, c in enumerate(self.gen_classes[abs(x) - 1]):
                 out[j] += sign * c
-        return self.h1.reduce(out)
+        return self.h1.group.reduce(out)
 
     def kills_relators(self) -> bool:
         zero = (0,) * self.h1.ngens()
@@ -370,7 +370,7 @@ class Hurewicz1:
         """Every H_1 generator is the class of some word: the generator
         classes and the torsion relations span Z^m, i.e. their quotient
         (one Smith normal form) is trivial."""
-        rels = self.gen_classes + relation_gens(self.h1.group)
+        rels = self.gen_classes + self.h1.group.relations()
         return AbelianQuotient(self.h1.ngens(), rels).group.is_trivial()
 
     def is_isomorphism(self) -> bool:

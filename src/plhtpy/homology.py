@@ -34,6 +34,12 @@ solve: the SNF P D_n V = S of the residual boundary map gives the cycles
 its coordinates and generators, is the class `AbelianQuotient`, shared
 with the abelianized fundamental group; it passes the relations as rows,
 so the row side it needs is the column side of the transpose.
+
+`AbelianGroup` owns the coordinate convention of every group here: its
+`orders` are the torsion coordinates' (first) then the free ones' (0),
+`reduce` takes each coordinate mod its order, and `relations` are the
+d_i e_i of the torsion coordinates.  Class coordinates, induced maps, the
+exactness check and the Hurewicz comparison read them from the group.
 """
 
 from __future__ import annotations
@@ -208,6 +214,17 @@ class AbelianGroup:
                 f"torsion orders {torsion} must each divide the next")
         self.rank = rank
         self.torsion = torsion
+        # one order per coordinate: the torsion ones first, then the free
+        self.orders = torsion + (0,) * rank
+
+    def reduce(self, c) -> tuple[int, ...]:
+        """Coordinates c with each torsion entry reduced mod its order."""
+        return tuple(x % d if d else x for x, d in zip(c, self.orders))
+
+    def relations(self) -> list[list[int]]:
+        """The relations d_i e_i of the torsion coordinates."""
+        return [[d if j == i else 0 for j in range(len(self.orders))]
+                for i, d in enumerate(self.torsion)]
 
     def is_trivial(self):
         return self.rank == 0 and not self.torsion
@@ -239,8 +256,8 @@ class AbelianQuotient:
     With P R V = S for the relations as the rows of R, the class of x in
     Z^k has SNF coordinates x V.  Coordinates with invariant factor 1 are
     dropped; the rest are the group's: torsion ones (order d > 1) first,
-    in divisibility order, then free ones (order 0).  Generator j is the
-    matching row of V^-1.
+    in divisibility order, then free ones (order 0), as `AbelianGroup`
+    orders them.  Generator j is the matching row of V^-1.
     """
 
     def __init__(self, k: int, relations: list[list[int]]):
@@ -250,16 +267,11 @@ class AbelianQuotient:
         self.coord_idx = [i for i in range(k) if invs[i] != 1]
         self.coord_cols = [Vcols[i] for i in self.coord_idx]
         self.gen_rows = [Vinv[i] for i in self.coord_idx]
-        self.orders = [invs[i] for i in self.coord_idx]
-        self.group = AbelianGroup(self.orders.count(0),
-                                  [d for d in self.orders if d])
+        orders = [invs[i] for i in self.coord_idx]
+        self.group = AbelianGroup(orders.count(0), [d for d in orders if d])
 
     def ngens(self) -> int:
         return len(self.coord_idx)
-
-    def reduce(self, c) -> tuple[int, ...]:
-        """Group coordinates with each torsion entry reduced mod its order."""
-        return tuple(x % d if d else x for x, d in zip(c, self.orders))
 
     def unreduced(self, x: list[int]) -> list[int]:
         """Group coordinates of x in Z^k before torsion reduction: linear
@@ -269,7 +281,7 @@ class AbelianQuotient:
 
     def coords(self, x: list[int]) -> tuple[int, ...]:
         """Class of x in Z^k, in group coordinates."""
-        return self.reduce(self.unreduced(x))
+        return self.group.reduce(self.unreduced(x))
 
     def generator(self, j: int) -> list[int]:
         """Vector of Z^k representing the j-th group generator."""
@@ -590,18 +602,11 @@ class HomologyData(AbelianQuotient):
 
     def _relations(self, columns) -> list[list[int]]:
         """Cycle coordinates, rows r.. of V^-1 v, of residual columns v
-        given as (row, entry) pairs: each adds its entries' multiples of
-        the columns of V^-1 that v meets.  Rows ..r are not computed; they
-        vanish on cycles."""
+        given as (row, entry) pairs: each row's product with v reads only
+        v's pairs.  Rows ..r are not computed; they vanish on cycles."""
         low = self.Vinv[self.r:]
-        cols = list(zip(*low)) if low else [()] * len(self.Vinv)
-        relations = []
-        for support in columns:
-            y = [0] * len(low)
-            for j, x in support:
-                y = [a + x * b for a, b in zip(y, cols[j])]
-            relations.append(y)
-        return relations
+        return [[sum(row[j] * x for j, x in support) for row in low]
+                for support in columns]
 
     def coords_of_chain(self, chain: dict[Simplex, int]) -> tuple[int, ...]:
         """Class of a cycle in group coordinates (torsion reduced)."""
@@ -611,7 +616,7 @@ class HomologyData(AbelianQuotient):
                 raise NotSubcomplex(f"{sname(s)} is not a basis simplex")
         if self.cc.boundary_chain(chain):
             raise ValueError("chain is not a cycle")
-        return self.reduce(self.chain_unreduced(chain))
+        return self.group.reduce(self.chain_unreduced(chain))
 
     def chain_unreduced(self, chain: dict[Simplex, int]) -> list[int]:
         """Group coordinates, before torsion reduction, of the projection
@@ -652,19 +657,20 @@ def euler_characteristic(K: Complex) -> int:
 # ---------------------------------------------------------------------------
 
 class HomologyClassMap:
-    """Map between homology groups, as a matrix in group coordinates."""
+    """Map between homology groups, as a matrix in group coordinates: one
+    row per coordinate of the target, reduced mod its order, and one column
+    per coordinate of the source."""
 
     def __init__(self, source: AbelianGroup, target: AbelianGroup,
                  matrix: list[list[int]]):
+        rows, cols = len(target.orders), len(source.orders)
+        if len(matrix) != rows or any(len(row) != cols for row in matrix):
+            raise Incompatible(f"a map from {source} to {target} needs "
+                               f"{rows} rows of {cols} entries")
         self.source = source
         self.target = target
-        tors = target.torsion
-        toff = len(tors)
-        red = []
-        for i, row in enumerate(matrix):
-            d = tors[i] if i < toff else 0
-            red.append([x % d if d else x for x in row])
-        self.matrix = red
+        self.matrix = [[x % d if d else x for x in row]
+                       for row, d in zip(matrix, target.orders)]
 
     def __eq__(self, other):
         return (isinstance(other, HomologyClassMap)
@@ -672,11 +678,8 @@ class HomologyClassMap:
                     == (other.source, other.target, other.matrix))
 
     def is_identity(self):
-        n = len(self.matrix)
         return (self.source == self.target
-                and all(len(r) == n for r in self.matrix)
-                and all(self.matrix[i][j] == (1 if i == j else 0)
-                        for i in range(n) for j in range(n)))
+                and self.matrix == identity_matrix(len(self.matrix)))
 
     def is_zero(self):
         return all(x == 0 for row in self.matrix for x in row)
@@ -761,26 +764,18 @@ def fundamental_class(n: int):
 # Long exact sequence of a closed pair
 # ---------------------------------------------------------------------------
 
-def relation_gens(group: AbelianGroup) -> list[list[int]]:
-    """The relations d e_i of the torsion coordinates, which come first."""
-    k = group.rank + len(group.torsion)
-    return [[d if j == i else 0 for j in range(k)]
-            for i, d in enumerate(group.torsion)]
-
-
 def _exact_at(f: HomologyClassMap, g: HomologyClassMap) -> bool:
     """Exactness of  . --f--> G --g--> .  (image f = kernel g): g sends
     each column of f to 0, then kernel g lies in image f."""
-    orders = g.target.torsion + (0,) * g.target.rank
     for col in zip(*f.matrix):
-        images = (sum(a * b for a, b in zip(row, col)) for row in g.matrix)
-        if any(x % d if d else x for x, d in zip(images, orders)):
+        if any(g.target.reduce(sum(a * b for a, b in zip(row, col))
+                               for row in g.matrix)):
             return False
-    kmid = f.target.rank + len(f.target.torsion)
+    kmid = len(f.target.orders)
     # image lattice: columns of f plus relations of the middle group
-    im = [list(col) for col in zip(*f.matrix)] + relation_gens(f.target)
+    im = [list(col) for col in zip(*f.matrix)] + f.target.relations()
     # kernel lattice: y with g y in relations of the end group
-    rel3 = relation_gens(g.target)
+    rel3 = g.target.relations()
     A = [row + [rel[i] for rel in rel3] for i, row in enumerate(g.matrix)]
     ker = [k[:kmid] for k in kernel_basis(A, kmid + len(rel3))]
     return lattice_subset(ker, im)

@@ -338,7 +338,7 @@ def test_class_of_matches_the_exponent_vector_sum(corpus):
         for _ in range(200):
             w = fg.Word(rng.choices(letters, k=rng.randrange(12)))
             e = exponent_vector(h.pres, w)
-            dense = h.h1.reduce(
+            dense = h.h1.group.reduce(
                 [sum(x * c[j] for x, c in zip(e, h.gen_classes))
                  for j in range(h.h1.ngens())])
             assert h.class_of(w) == dense, (name, w)

@@ -406,6 +406,24 @@ def test_compose_requires_matching_groups():
         triple.compose(to_z_z)
 
 
+def test_class_map_rejects_a_matrix_of_the_wrong_shape(tri3):
+    # one row per target coordinate, one entry per source coordinate: a
+    # second entry in Z -> Z would be dropped by compose
+    for source, target, matrix in [(Z, Z, [[1, 5]]), (Z, Z, [[1], [0]]),
+                                   (Z, Z, []), (Z2, Z2, [[1, 0], [0]])]:
+        with pytest.raises(Incompatible, match="needs"):
+            HomologyClassMap(source, target, matrix)
+    assert HomologyClassMap(ZERO, Z2, [[], []]).is_zero()
+    assert HomologyClassMap(Z2, ZERO, []).is_zero()
+    # class_map with no generator on either side: tri3 and a point
+    point = tri3.restrict([("a",)])
+    onto = induced_map_on_vertices(tri3, point, dict.fromkeys("abc", "a"), 1)
+    into = induced_map_on_vertices(point, tri3, {"a": "a"}, 1)
+    assert (onto.source, onto.target, onto.matrix) == (Z, ZERO, [])
+    assert (into.source, into.target, into.matrix) == (ZERO, Z, [[]])
+    assert onto.compose(into).is_zero()
+
+
 def test_coords_of_chain_rejects_non_basis_simplices(tri3, disk,
                                                       disk_boundary):
     H = HomologyData(chain_complex(tri3), 1)
@@ -482,6 +500,24 @@ def test_les_torus_vertex(corpus):
     assert report["pair_groups"][2][2] == "Z"
 
 
+@pytest.mark.parametrize("r", [0, 1])
+def test_les_with_torsion(corpus, r):
+    # H_1(rp6) = Z/2, so the sequence meets torsion coordinates, alone and
+    # beside free ones
+    K = sd.iterated_subdivision(corpus["rp6"][0], r).fine
+    rng = random.Random(f"les-torsion@{r}")
+    subs = [K.skeleton(0), K.skeleton(1),
+            K.closed_star(K.subcomplex([(min(K.vertex_ids()),)]))]
+    subs += [random_closure(K, rng) for _ in range(3)]
+    for members in subs:
+        report = verify_les(K, members)
+        assert all(all(node.values()) for node in report["nodes"].values())
+        assert report["exact"]
+    if r == 0:
+        pair = verify_les(K, K.skeleton(0))["pair_groups"][1]
+        assert pair == ("0", "Z/2", "Z^5 + Z/2")
+
+
 def test_exact_at_hand_built_sequences(monkeypatch):
     def times(k):
         return HomologyClassMap(Z, Z, [[k]])
@@ -507,6 +543,36 @@ def test_group_printing():
     assert str(AbelianGroup(2, (2,))) == "Z^2 + Z/2"
     assert str(Z) == "Z"
     assert str(ZERO) == "0"
+
+
+def test_abelian_group_owns_its_coordinates():
+    # torsion coordinates first, each reduced mod its order, then free ones
+    G = AbelianGroup(2, (2, 4))
+    assert G.orders == (2, 4, 0, 0)
+    assert G.reduce((3, 5, 7, -1)) == (1, 1, 7, -1)
+    assert G.relations() == [[2, 0, 0, 0], [0, 4, 0, 0]]
+    assert (ZERO.orders, ZERO.reduce(()), ZERO.relations()) == ((), (), [])
+
+
+def test_quotient_orders_are_the_invariant_factors():
+    # the SNF lists its invariant factors as 1s, then the d > 1 in
+    # divisibility order, then 0s: dropping the 1s leaves the group's orders
+    rng = random.Random(34)
+    for _ in range(300):
+        k = rng.randint(0, 5)
+        R = [[rng.choice((0, 0, 1, -2, 3, 4, -6, 8)) for _ in range(k)]
+             for _ in range(rng.randint(0, 5))]
+        S, _, _ = smith_normal_form(R, k)
+        factors = [S[i][i] for i in range(min(len(R), k))]
+        nonzero = [d for d in factors if d]
+        Q = AbelianQuotient(k, R)
+        assert Q.group.orders == (tuple(d for d in nonzero if d != 1)
+                                  + (0,) * (k - len(nonzero))), R
+        # each torsion relation d_i e_i is the class of d_i times generator i
+        for rel in Q.group.relations():
+            x = [sum(c * g for c, g in zip(rel, col))
+                 for col in zip(*map(Q.generator, range(Q.ngens())))]
+            assert not any(Q.coords(x)), R
 
 
 def unit(j, m):
@@ -703,6 +769,30 @@ def test_relations_match_the_row_by_row_cycle_coordinates(lattice_spaces):
                 assert H._relations(cols) == [
                     [sum(row[j] * x for j, x in col) for row in H.Vinv[H.r:]]
                     for col in cols], (label, n)
+
+
+def test_relations_are_the_dense_product_with_the_low_rows(corpus):
+    # each residual column, boundary or random chain, made a dense vector
+    # and multiplied by the rows r.. of V^-1
+    rng = random.Random(3401)
+    for name, (K, _) in sorted(corpus.items()):
+        fine = sd.iterated_subdivision(K, 1).fine
+        for _ in range(2):
+            cc = chain_complex(fine.restrict(random_closure(fine, rng)))
+            red = cc.reduction()
+            for n in range(cc.dim + 1):
+                H = cc.homology(n)
+                size = len(red.basis.get(n, []))
+                cols = red.boundary.get(n + 1, []) + [
+                    [(j, rng.randint(-3, 3))
+                     for j in rng.sample(range(size), min(size, 3))]]
+                dense = []
+                for col in cols:
+                    v = [[0] for _ in range(size)]
+                    for j, x in col:
+                        v[j][0] += x
+                    dense.append([y for y, in mat_mul(H.Vinv[H.r:], v)])
+                assert H._relations(cols) == dense, (name, n)
 
 
 def test_smith_normal_form_inverses_on_boundaries(lattice_spaces):

@@ -23,12 +23,13 @@ from test_subdivision import boundary_slide_homeo
 
 
 def test_support_face():
+    # each point is an `AffineFrame.weights` answer: (numerators,
+    # denominator), or None off the affine hull
     s = ("a", "b", "c")
-    assert support_face(s, [[F(1), F(0), F(0)]]) == ("a",)
-    assert support_face(s, [[F(1, 2), F(1, 2), F(0)],
-                            [F(0), F(1, 2), F(1, 2)]]) == s
-    assert support_face(s, [[F(1, 2), F(1, 2), F(0)], None]) is None
-    assert support_face(s, [[F(2), F(-1), F(0)]]) is None
+    assert support_face(s, [((1, 0, 0), 1)]) == ("a",)
+    assert support_face(s, [((1, 1, 0), 2), ((0, 1, 1), 2)]) == s
+    assert support_face(s, [((1, 1, 0), 2), None]) is None
+    assert support_face(s, [((2, -1, 0), 1)]) is None
 
 
 def test_support_in_complex(disk):
