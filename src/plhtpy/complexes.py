@@ -7,9 +7,9 @@ invariant.  Simplices are stored as sorted tuples of vertex identifiers; the
 sorted order fixes orientations everywhere downstream.  Walks over a whole
 complex go by `canonical_key`.  A Complex is immutable, so it keeps what it
 derives from its simplices: that order (`by_dim` and `vertex_ids` slice
-it), the simplex names, the used vertices, its closedness, and its chain
-complex with the Morse reduction and the homology groups built on it
-(`homology.chain_complex`).
+it), the simplex names, the used vertices, its closedness, the affine
+independence of its simplices, and its chain complex with the Morse
+reduction and the homology groups built on it (`homology.chain_complex`).
 """
 
 from __future__ import annotations
@@ -132,8 +132,9 @@ class Complex:
         # chain complex, its reduction and H_n: see homology.chain_complex
         self._chains = None
         # derived on first use: see canonical_order, simplex_names,
-        # used_vertices and is_closed
+        # used_vertices, is_closed and is_independent
         self._order = self._snames = self._used = self._closed = None
+        self._independent = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -218,6 +219,33 @@ class Complex:
         if self._closed is None:
             self._closed = closed_under_faces(self.simplices)
         return self._closed
+
+    def maximal_simplices(self) -> list[Simplex]:
+        """The simplices that are a proper face of no other, longest
+        first.  A proper face of a non-maximal simplex is a proper face of
+        a longer maximal one, so only the maximal simplices list their
+        faces."""
+        covered: set[Simplex] = set()
+        top = []
+        for s in reversed(self.canonical_order()):
+            if s not in covered:
+                top.append(s)
+                covered.update(proper_faces(s))
+        return top
+
+    def is_independent(self) -> bool:
+        """Is every simplex affinely independent?  A face of an
+        independent simplex is independent (Rourke and Sanderson, ch. 2),
+        so only the maximal simplices are asked: a vertex always is, an
+        edge exactly when its two points differ, and a larger simplex when
+        its kept frame has rows.  The only frames built are those."""
+        if self._independent is None:
+            pts = self.vertices
+            self._independent = all(
+                len(s) < 2 or (pts[s[0]] != pts[s[1]] if len(s) == 2
+                               else self.frame(s).rows is not None)
+                for s in self.maximal_simplices())
+        return self._independent
 
     # -- point location -----------------------------------------------------
 
@@ -364,7 +392,11 @@ def validate(ambient_dim: int, vertex_coords: dict[str, Sequence],
     """Build a Complex, checking every structural invariant exactly.
 
     Raises DuplicateSimplex / AffinelyDependent / OverlappingSimplices with
-    the offending simplices named.
+    the offending simplices named.  Affine independence is
+    `Complex.is_independent`, read from the maximal simplices; only when
+    it fails are the simplices asked one by one, in input order, for the
+    first dependent one to name, so accepted input builds no frame for a
+    face.
     """
     if ambient_dim < 0:
         raise AffinelyDependent(f"ambient dimension {ambient_dim} is negative")
@@ -398,9 +430,11 @@ def validate(ambient_dim: int, vertex_coords: dict[str, Sequence],
         simplices.append(s)
 
     K = Complex(ambient_dim, verts, simplices)
-    for s in simplices:
-        if K.frame(s).rows is None:
-            raise AffinelyDependent(f"vertices of {sname(s)} are affinely dependent")
+    if not K.is_independent():
+        for s in simplices:
+            if K.frame(s).rows is None:
+                raise AffinelyDependent(
+                    f"vertices of {sname(s)} are affinely dependent")
     if check_disjoint:
         check_pairwise_disjoint(K)
     return K
@@ -426,9 +460,9 @@ def check_pairwise_disjoint(K: Complex) -> None:
        pairs whose closed boxes are apart are never visited;
     2. a vertex union that is a simplex of K: a and b are distinct faces
        of it, so disjoint;
-    3. `linalg.hyperplane_separated` on the kept frames, inside the affine
-       hull of the union; its last case passes every other affinely
-       independent union.
+    3. `linalg.hyperplane_separated` on the pair's frames, built on first
+       use and kept, inside the affine hull of the union; its last case
+       passes every other affinely independent union.
     """
     if _spans_one_simplex(K):
         return

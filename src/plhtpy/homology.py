@@ -621,9 +621,12 @@ class HomologyData(AbelianQuotient):
     def chain_unreduced(self, chain: dict[Simplex, int]) -> list[int]:
         """Group coordinates, before torsion reduction, of the projection
         of any n-chain: linear in the chain (the projection and the cycle
-        coordinates are), and on a cycle its reduction is the class."""
-        pos = self.red.index.get(self.n, {})
+        coordinates are), and on a cycle its reduction is the class.  A
+        chain that projects to nothing has zero coordinates."""
         z = self.red.project(chain)
+        if not z:
+            return [0] * self.ngens()
+        pos = self.red.index.get(self.n, {})
         return self.unreduced(self._relations(
             [[(pos[s], x) for s, x in z.items()]])[0])
 

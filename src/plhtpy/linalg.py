@@ -17,8 +17,10 @@ rows of their frames.
 
 Every elimination is over the integers, one fraction-free step `_pivot`
 at a time: `eliminate` serves coordinates, rank and volume (`AffineFrame`,
-one frame per point list, kept per simplex by `Complex.frame`, whose rows
-decide affine independence; the determinants of `subdivision`; the rank
+one frame per point list, built on first use and kept per simplex by
+`Complex.frame`; the rows of a maximal simplex's frame decide the affine
+independence of its faces, `Complex.is_independent`; the signed
+determinants of `subdivision`, whose signs give the facet sides; the rank
 of the offsets a vertex union adds to a frame, the last case of
 `hyperplane_separated`, and of those a whole complex adds to its largest
 simplex, screen 0 of `complexes.check_pairwise_disjoint`), and the LP

@@ -131,17 +131,19 @@ def iterated_subdivision(K: Complex, rounds: int) -> SubdivisionWitness:
     return w
 
 
-def relative_volume(rows) -> Fraction:
+def relative_volume(rows, signed: bool = False) -> Fraction:
     """vol(fine simplex) / vol(coarse simplex), both of the same dimension,
     from the barycentric coordinates of the fine vertices in the coarse
     simplex, one (integer row, positive denominator) pair per fine vertex
     as `AffineFrame.weights` gives them: the absolute determinant, the
     last pivot of `linalg.eliminate` on the integer rows over the product
-    of the denominators."""
+    of the denominators.  With `signed` the determinant keeps its sign,
+    which is the orientation of the fine vertices, in the order given,
+    against the coarse simplex's."""
     pivots, last = linalg.eliminate([list(w) for w, _ in rows], len(rows))
     if len(pivots) < len(rows):
         return Fraction(0)
-    return Fraction(abs(last), prod(q for _, q in rows))
+    return Fraction(last if signed else abs(last), prod(q for _, q in rows))
 
 
 def partition_violations(rows: WeightRows, pieces, carrier,
@@ -163,7 +165,12 @@ def partition_violations(rows: WeightRows, pieces, carrier,
     * every lower-dimensional piece is a face of a top piece;
     * every facet f carried by c has exactly two top cofaces, on opposite
       sides of it: the determinants of the integer rows of (f..., u1) and
-      (f..., u2), u1 and u2 their apexes, have opposite signs;
+      (f..., u2), u1 and u2 their apexes, have opposite signs.  Each is
+      read off its top piece t's signed volume, kept from the volume
+      step, so no facet is eliminated again: (f..., u) is t with u = t[i]
+      moved last, a cycle of sign (-1)^(k-1-i) for k = len(t), and as
+      both cofaces have k vertices the sides compare as the volume's sign
+      times (-1)^i;
     * every facet carried by a facet of c has exactly one top coface.
 
     The facet conditions make the number of top pieces over a generic point
@@ -193,40 +200,39 @@ def partition_violations(rows: WeightRows, pieces, carrier,
                                              "missing"))
         total = Fraction(0)
         faces: set[Simplex] = set()
-        cofaces: dict[Simplex, list[Simplex]] = {}
+        # facet -> the side of each top coface, +1 or -1 up to a factor
+        # common to all of them
+        cofaces: dict[Simplex, list[int]] = {}
         for t in mine:
             if len(t) != len(c):
                 continue
-            vol = relative_volume([rows.weights(v, c) for v in t])
+            vol = relative_volume([rows.weights(v, c) for v in t],
+                                  signed=True)
             if vol == 0:
                 violations.append((t, c, what + "degenerate"))
                 continue
-            total += vol
+            total += abs(vol)
             faces.update(proper_faces(t))
+            side = 1 if vol > 0 else -1
             for f in facets(t):
-                cofaces.setdefault(f, []).append(t)
+                cofaces.setdefault(f, []).append(side)
+                side = -side
         for t in mine:
             if len(t) < len(c) and t not in faces:
                 violations.append((t, c, what + "not a face of a top piece"))
-        for f, tops in sorted(cofaces.items()):
+        for f, sides in sorted(cofaces.items()):
             if f not in pieces:
                 continue
             if carrier.get(f) != c:
-                if len(tops) != 1:
+                if len(sides) != 1:
                     violations.append((f, c, f"{what}boundary facet with "
-                                             f"{len(tops)} top cofaces"))
-            elif len(tops) != 2:
+                                             f"{len(sides)} top cofaces"))
+            elif len(sides) != 2:
                 violations.append((f, c, f"{what}interior facet with "
-                                         f"{len(tops)} top cofaces"))
-            else:
-                t1, t2 = tops
-                (u1,), (u2,) = set(t1) - set(f), set(t2) - set(f)
-                side = [linalg.eliminate([list(rows.weights(v, c)[0])
-                                          for v in f + (u,)], len(c))[1]
-                        for u in (u1, u2)]
-                if side[0] * side[1] >= 0:
-                    violations.append((f, c, f"{what}top cofaces on one "
-                                             "side"))
+                                         f"{len(sides)} top cofaces"))
+            elif sides[0] == sides[1]:
+                violations.append((f, c, f"{what}top cofaces on one "
+                                         "side"))
         for e in facets(c):
             for f in by_coarse.get(e, ()):
                 if len(f) == len(e) and f not in cofaces:
@@ -243,16 +249,15 @@ def verify_subdivision(w: SubdivisionWitness):
 
     An identity witness passes without the partition pass: when the fine
     complex equals the coarse one, every simplex is its own carrier and
-    every coarse frame is nondegenerate, each piece is the one top piece
-    over its carrier, with relative volume 1 and its facets carried by
-    the facets of the carrier, so `partition_violations` finds nothing.
-    The frames it builds are those `plmaps.verify_certificate` reads the
-    images in.  Any other witness gets the full check.
+    every coarse simplex is affinely independent (`Complex.is_independent`,
+    kept on the complex and read from its maximal simplices), each piece
+    is the one top piece over its carrier, with relative volume 1 and its
+    facets carried by the facets of the carrier, so `partition_violations`
+    finds nothing.  Any other witness gets the full check.
     """
     if (w.fine == w.coarse
             and all(w.carrier.get(t) == t for t in w.fine.simplices)
-            and all(w.coarse.frame(t).rows is not None
-                    for t in w.fine.simplices)):
+            and w.coarse.is_independent()):
         return True, []
     violations = partition_violations(WeightRows(w.coarse, w.fine.vertices),
                                       w.fine.simplices, w.carrier)

@@ -76,6 +76,9 @@ def test_kept_tables_match_their_definitions(corpus):
         assert K.used_vertices() == {v for s in S for v in s}
         assert K.is_closed() == all(f in S for s in S
                                     for f in proper_faces(s))
+        top = K.maximal_simplices()
+        assert set(top) == maximal_by_definition(K)
+        assert [len(s) for s in top] == sorted(map(len, top), reverse=True)
 
 
 def test_validate_disk():
@@ -96,21 +99,174 @@ def test_validate_affinely_dependent():
         validate(2, verts, [["a"], ["b"], ["c"], ["a", "b", "c"]])
 
 
+def maximal_by_definition(K, least=1):
+    """The simplices of K with at least `least` vertices that lie in no
+    other simplex of K, by the definition."""
+    return {s for s in K.simplices if len(s) >= least
+            and not any(set(s) < set(t) for t in K.simplices)}
+
+
 def test_validate_reads_independence_from_the_kept_frames(monkeypatch,
                                                          corpus):
     def no_rank_test(*args):
         raise AssertionError("affinely_independent called")
     monkeypatch.setattr(linalg, "affinely_independent", no_rank_test)
+    # a face of an independent simplex is independent, so only maximal
+    # simplices of three or more vertices build a frame; an edge compares
+    # its two points
     for K, _ in corpus.values():
         text = scx.emit_scx(K)
-        V = scx.load_complex(text)[0]
-        assert set(V._frames) == V.simplices
+        V = scx.load_complex(text, check_disjoint=False)[0]
+        assert set(V._frames) == maximal_by_definition(V, 3)
     flat = {"a": (0, 0), "b": (1, 0), "c": (2, 0)}
     line = {"a": (0,), "b": (1,), "c": (2,)}
     for d, verts in ((2, flat), (1, line)):
         with pytest.raises(AffinelyDependent,
                            match="vertices of a-b-c are affinely dependent"):
             validate(d, verts, [["a"], ["b"], ["c"], ["a", "b", "c"]])
+
+
+def independence_reference(ambient_dim, verts, sims):
+    """`validate`'s independence check as a frame per simplex in input
+    order, on a fresh Complex: the message naming the first dependent
+    simplex, or None."""
+    K = Complex(ambient_dim, {v: linalg.vec(p) for v, p in verts.items()},
+                map(simplex, sims))
+    for raw in sims:
+        s = simplex(raw)
+        if K.frame(s).rows is None:
+            return f"vertices of {sname(s)} are affinely dependent"
+    return None
+
+
+def validate_reference(ambient_dim, verts, sims):
+    """`validate`'s verdict before independence was read from the maximal
+    simplices: the independence loop, then the disjointness check with
+    every frame built.  The error's class and message, or None."""
+    message = independence_reference(ambient_dim, verts, sims)
+    if message is not None:
+        return "AffinelyDependent", message
+    K = build_frames(validate(ambient_dim, verts, sims, check_disjoint=False))
+    try:
+        check_pairwise_disjoint(K)
+    except OverlappingSimplices as exc:
+        return "OverlappingSimplices", str(exc)
+    return None
+
+
+def validate_verdict(ambient_dim, verts, sims):
+    try:
+        validate(ambient_dim, verts, sims)
+    except (AffinelyDependent, OverlappingSimplices) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+PLACEMENTS = ("face of a listed simplex", "maximal",
+              "face of a simplex left out", "unlisted face")
+
+
+def dependent_case(rng, d, place, closed):
+    """(vertices, simplices) in R^d with one affinely dependent vertex set
+    D: a point q on the hull of 2..d+1 independent grid points, D those
+    points and q.  S is D and one more grid point r, so S is dependent too.
+    Where D sits: listed under the listed S; listed with no listed coface;
+    listed with the other facets of S but not S; or left out under a
+    listed S.  Random faces of the independent simplex on all 2..d+1
+    grid points fill the rest, and the list is shuffled; closed lists
+    every face of what it lists, otherwise a random share of the faces."""
+    base = random_simplex(rng, d, rng.randint(2, d + 1))
+    verts = {f"p{i}": p for i, p in enumerate(base)}
+    whole = simplex(verts)
+    on = rng.sample(sorted(verts), rng.randint(2, len(base)))
+    while True:
+        wts = [F(rng.randint(-2, 4), 2) for _ in on[1:]]
+        wts.insert(0, 1 - sum(wts))
+        q = linalg.vcomb(wts, [verts[v] for v in on])
+        if q not in verts.values():
+            break
+    verts["q"] = q
+    while True:
+        r = tuple(F(rng.randint(0, 4), 2) for _ in range(d))
+        if r not in verts.values():
+            break
+    verts["r"] = r
+    D = simplex(on + ["q"])
+    S = simplex(D + ("r",))
+    listed = {"face of a listed simplex": [D, S], "maximal": [D],
+              "face of a simplex left out":
+                  [D] + [f for f in combinations(S, len(S) - 1)
+                         if "r" in f],
+              "unlisted face": [S]}[place]
+    filler = [f for f in faces_with_self(whole) if rng.random() < 0.4]
+    sims = set(listed) | set(filler)
+    faces = {f for s in sims for f in faces_with_self(s)} - sims
+    if place == "unlisted face":
+        faces.discard(D)
+    sims |= faces if closed else {f for f in sorted(faces)
+                                  if rng.random() < 0.5}
+    sims = sorted(sims)
+    rng.shuffle(sims)
+    return verts, [list(s) for s in sims]
+
+
+def test_validate_matches_the_per_simplex_reference():
+    """Seeded complexes in R^1..R^4, closed and not, with one dependent
+    vertex set in each of four places: verdict and message of `validate`
+    equal those of the frame per simplex, and so do those of the same
+    lists without q: most pass independence and reach the disjointness
+    check, some overlap, and some are dependent through r."""
+    rng = random.Random(35)
+    seen = Counter()
+    for _ in range(240):
+        d = rng.randint(1, 4)
+        place = rng.choice(PLACEMENTS)
+        closed = rng.random() < 0.5 and place != "unlisted face"
+        verts, sims = dependent_case(rng, d, place, closed)
+        expected = validate_reference(d, verts, sims)
+        assert expected[0] == "AffinelyDependent", (verts, sims)
+        assert validate_verdict(d, verts, sims) == expected, (verts, sims)
+        seen[place, closed] += 1
+        rest = [s for s in sims if "q" not in s]
+        expected = validate_reference(d, verts, rest)
+        assert validate_verdict(d, verts, rest) == expected, (verts, rest)
+        seen[expected and expected[0]] += 1
+    assert all(seen[p, c] >= 15 for p in PLACEMENTS for c in (False, True)
+               if (p, c) != ("unlisted face", True)), seen
+    assert seen[None] and seen["OverlappingSimplices"], seen
+
+
+def test_validate_names_the_first_dependent_simplex_listed():
+    verts = {"a": (0, 0, 0), "b": (1, 0, 0), "c": (2, 0, 0),
+             "d": (0, 1, 0)}
+    for sims, name in (([["a", "b", "c"], ["a", "b", "c", "d"]], "a-b-c"),
+                       ([["a", "b", "c", "d"], ["a", "b", "c"]],
+                        "a-b-c-d")):
+        message = f"vertices of {name} are affinely dependent"
+        assert independence_reference(3, verts, sims) == message
+        with pytest.raises(AffinelyDependent, match=f"^{message}$"):
+            validate(3, verts, sims)
+
+
+def test_identity_witness_of_a_dependent_triangle_gets_the_full_check(
+        monkeypatch):
+    """The identity fast path of `verify_subdivision` asks
+    `Complex.is_independent`: a flat triangle, or an edge on one point,
+    is no subdivision of itself, and the partition pass says why."""
+    calls = count_calls(monkeypatch, sd, "partition_violations")
+    sims = list(faces_with_self(("a", "b", "c")))
+    flat = Complex(2, {"a": (0, 0), "b": (1, 0), "c": (2, 0)}, sims)
+    ok, violations = sd.verify_subdivision(sd.identity_witness(flat))
+    assert not ok and len(calls) == 1
+    assert (("a", "b", "c"), ("a", "b", "c"), "not inside carrier") \
+        in violations
+    pinched = Complex(2, {"a": (0, 0), "b": (0, 0)}, [("a",), ("b",),
+                                                       ("a", "b")])
+    assert not sd.verify_subdivision(sd.identity_witness(pinched))[0]
+    assert len(calls) == 2
+    disk = Complex(2, DISK_VERTS, sims)
+    assert sd.verify_subdivision(sd.identity_witness(disk)) == (True, [])
+    assert len(calls) == 2
 
 
 def test_validate_overlapping_triangles():
@@ -456,6 +612,14 @@ def test_a_dependent_vertex_set_falls_through_to_the_pairs(corpus):
     assert 5 <= rejects <= 25, rejects
 
 
+def build_frames(K):
+    """K with the frame of every simplex built, so a later count of
+    eliminations sees only those of the disjointness check."""
+    for s in K.simplices:
+        K.frame(s)
+    return K
+
+
 def forbid_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("linalg.eliminate called")
@@ -474,8 +638,8 @@ def test_validate_ranks_a_union_missing_from_the_complex(monkeypatch):
         with pytest.raises(OverlappingSimplices,
                            match=f"^open simplices {names} intersect$"):
             validate(2, verts, sims)
-    built = [(validate(2, verts, sims, check_disjoint=False), names)
-             for sims, names in cases]
+    built = [(build_frames(validate(2, verts, sims, check_disjoint=False)),
+              names) for sims, names in cases]
     forbid_elimination(monkeypatch)
     for K, names in built:
         with pytest.raises(OverlappingSimplices,
@@ -488,7 +652,8 @@ def test_planar_disjointness_eliminates_nothing(monkeypatch, corpus):
     eliminates: it needs two added points, so a frame of two or three,
     which leaves at most one offset coordinate for them."""
     fine = sd.iterated_subdivision(corpus["disk"][0], 2).fine
-    K = validate(2, fine.vertices, fine.simplices, check_disjoint=False)
+    K = build_frames(validate(2, fine.vertices, fine.simplices,
+                              check_disjoint=False))
     forbid_elimination(monkeypatch)
     check_pairwise_disjoint(K)
 
@@ -511,7 +676,8 @@ def test_torus7_disjointness_runs_no_lp_and_few_eliminations(monkeypatch,
     by the hyperplane screen alone, and its rank case eliminates only
     where the signs of the offsets leave the pair open."""
     fine = sd.iterated_subdivision(corpus["torus7"][0], 1).fine
-    K = validate(6, fine.vertices, fine.simplices, check_disjoint=False)
+    K = build_frames(validate(6, fine.vertices, fine.simplices,
+                              check_disjoint=False))
     lps = count_calls(monkeypatch, linalg, "convex_positions_intersect")
     eliminations = count_calls(monkeypatch, linalg, "eliminate")
     check_pairwise_disjoint(K)

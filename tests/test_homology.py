@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from itertools import combinations, permutations
 from math import gcd
 from pathlib import Path
@@ -675,6 +676,49 @@ def test_random_closed_subcomplexes_agree_across_routes(corpus):
                         .is_isomorphism(), scx.emit_scx(A)
                 higher += any(not g.is_trivial() for g in groups[1:])
     assert connected >= 10 and higher >= 10
+
+
+def chain_unreduced_reference(h, chain):
+    """`HomologyData.chain_unreduced` as it read before an empty Morse
+    projection returned zeros: the relations and coordinates of every
+    projection, empty or not."""
+    pos = h.red.index.get(h.n, {})
+    z = h.red.project(chain)
+    return h.unreduced(h._relations([[(pos[s], x) for s, x in z.items()]])[0])
+
+
+def test_empty_projections_have_zero_coordinates(corpus, monkeypatch):
+    """Seeded closures of random samples of each corpus complex at r=1 and
+    r=2: every edge's unreduced H_1 coordinates are those of the full
+    route, whether its Morse projection is empty or not, and on a
+    connected sample the Hurewicz generator classes are too."""
+    rng = random.Random(3436)
+    seen = Counter()
+    for name in scx.CORPUS_NAMES:
+        for r in (1, 2):
+            fine = sd.iterated_subdivision(corpus[name][0], r).fine
+            for _ in range(4):
+                A = fine.restrict(random_closure(fine, rng))
+                h1 = chain_complex(A).homology(1)
+                for e in A.by_dim(1):
+                    assert h1.chain_unreduced({e: 1}) == \
+                        chain_unreduced_reference(h1, {e: 1}), \
+                        scx.emit_scx(A)
+                    seen[bool(h1.red.project({e: 1}))] += 1
+                components = fg.pi0(A)
+                if len(components) != 1:
+                    continue
+                x0 = rng.choice(A.vertex_ids())
+                got = fg.Hurewicz1(A, x0).gen_classes
+                with monkeypatch.context() as m:
+                    m.setattr(hm.HomologyData, "chain_unreduced",
+                              chain_unreduced_reference)
+                    expected = fg.Hurewicz1(A, x0).gen_classes
+                assert got == expected, scx.emit_scx(A)
+                seen["connected"] += 1
+                seen["nontrivial"] += any(map(any, got))
+    assert seen[False] > seen[True] > 0, seen
+    assert seen["connected"] >= 5 and seen["nontrivial"] >= 3, seen
 
 
 def test_one_morse_reduction_per_complex(corpus, monkeypatch):

@@ -226,20 +226,40 @@ def test_verify_normal_rejects_folded_images(disk):
         in report.violations
 
 
-def partition_reference(coarse, pieces, point, carrier):
-    """`partition_violations` as it read before its facet side test moved
-    to determinants: the apex of one top coface gets its barycentric
-    coordinates in a one-off `barycentric_coords` frame of the other, and
-    the two lie on one side when the coordinate at the other's apex is
-    not negative."""
+def side_by_coordinates(coarse, point, c, f, t1, u1, u2):
+    """The facet side test before it moved to determinants: the apex u2
+    of one top coface gets its barycentric coordinates in a one-off
+    `barycentric_coords` frame of the other, t1, and the two lie on one
+    side when the coordinate at t1's apex u1 is not negative."""
+    lam = linalg.barycentric_coords([point[v] for v in t1], point[u2])
+    return lam[t1.index(u1)] >= 0
+
+
+def side_by_two_eliminations(coarse, point, c, f, t1, u1, u2):
+    """The facet side test before the sides were read off the top pieces'
+    volumes: the rows of (f..., u1) and of (f..., u2) in c are eliminated
+    once more each, and the two lie on one side when the determinants'
+    product is not negative."""
+    frame = coarse.frame(c)
+    dets = [linalg.eliminate(
+        [frame.weights(linalg.integer_point(point[v]))[0] for v in f + (u,)],
+        len(c))[1] for u in (u1, u2)]
+    return dets[0] * dets[1] >= 0
+
+
+def partition_reference(coarse, pieces, point, carrier, what="",
+                        one_side=side_by_coordinates):
+    """`partition_violations` by first principles, with the facet side
+    test `one_side` of an interior facet f of c and its two top cofaces
+    t1, t2 with apexes u1, u2.  Messages start with `what`."""
     violations = []
     by_coarse = {c: [] for c in coarse.simplices}
     for t in sorted(pieces):
         c = carrier.get(t)
         if c is None or c not in coarse.simplices:
-            violations.append((t, c, "carrier missing"))
+            violations.append((t, c, what + "carrier missing"))
         elif coarse.support(c, [point[v] for v in t]) != c:
-            violations.append((t, c, "not inside carrier"))
+            violations.append((t, c, what + "not inside carrier"))
         else:
             by_coarse[c].append(t)
     for c in sorted(coarse.simplices, key=lambda c: (-len(c), c)):
@@ -248,7 +268,8 @@ def partition_reference(coarse, pieces, point, carrier):
             for f in facets(t):
                 if f not in pieces and coarse.support(
                         c, [point[v] for v in f]) in coarse.simplices:
-                    violations.append((f, c, f"face of {sname(t)} missing"))
+                    violations.append((f, c, f"{what}face of {sname(t)} "
+                                             "missing"))
         total = F(0)
         faces, cofaces = set(), {}
         for t in mine:
@@ -257,7 +278,7 @@ def partition_reference(coarse, pieces, point, carrier):
             vol = sd.relative_volume([coarse.frame(c).weights(
                 linalg.integer_point(point[v])) for v in t])
             if vol == 0:
-                violations.append((t, c, "degenerate"))
+                violations.append((t, c, what + "degenerate"))
                 continue
             total += vol
             faces.update(proper_faces(t))
@@ -265,31 +286,30 @@ def partition_reference(coarse, pieces, point, carrier):
                 cofaces.setdefault(f, []).append(t)
         for t in mine:
             if len(t) < len(c) and t not in faces:
-                violations.append((t, c, "not a face of a top piece"))
+                violations.append((t, c, what + "not a face of a top piece"))
         for f, tops in sorted(cofaces.items()):
             if f not in pieces:
                 continue
             if carrier.get(f) != c:
                 if len(tops) != 1:
-                    violations.append((f, c, "boundary facet with "
+                    violations.append((f, c, f"{what}boundary facet with "
                                              f"{len(tops)} top cofaces"))
             elif len(tops) != 2:
-                violations.append((f, c, "interior facet with "
+                violations.append((f, c, f"{what}interior facet with "
                                          f"{len(tops)} top cofaces"))
             else:
                 t1, t2 = tops
                 (u1,), (u2,) = set(t1) - set(f), set(t2) - set(f)
-                lam = linalg.barycentric_coords([point[v] for v in t1],
-                                                point[u2])
-                if lam[t1.index(u1)] >= 0:
-                    violations.append((f, c, "top cofaces on one side"))
+                if one_side(coarse, point, c, f, t1, u1, u2):
+                    violations.append((f, c, f"{what}top cofaces on one "
+                                             "side"))
         for e in facets(c):
             for f in by_coarse.get(e, ()):
                 if len(f) == len(e) and f not in cofaces:
-                    violations.append((f, c, "boundary facet with 0 top "
-                                             "cofaces"))
+                    violations.append((f, c, f"{what}boundary facet with "
+                                             "0 top cofaces"))
         if total != 1:
-            violations.append((None, c, f"coverage {total} != 1"))
+            violations.append((None, c, f"{what}coverage {total} != 1"))
     return violations
 
 
@@ -313,24 +333,59 @@ def partition_forgeries(w, rng):
     return [(moved, carrier), (point, swapped)]
 
 
+def image_perturbations(w, rng):
+    """Point tables of w: a cone point moved onto a vertex of its carrier,
+    as the benchmark's image_shift tamper moves its image, and moved
+    across the facet opposite it in a top piece, which folds two top
+    pieces onto one side of a facet."""
+    top = w.coarse.dim() + 1
+    cones = sorted(v for (v,) in w.fine.by_dim(0)
+                   if len(w.carrier[(v,)]) == top)
+    v = rng.choice(cones)
+    shifted = dict(w.fine.vertices)
+    shifted[v] = w.coarse.vertices[rng.choice(w.carrier[(v,)])]
+    t = rng.choice([t for t in sorted(w.fine.simplices)
+                    if len(t) == top and v in t])
+    s = F(rng.randint(1, 8), 4)
+    folded = dict(w.fine.vertices)
+    folded[v] = linalg.vcomb([1 + s, -s], [
+        w.fine.barycenter(tuple(u for u in t if u != v)), folded[v]])
+    return [shifted, folded]
+
+
 def test_partition_sides_match_the_reference(disk):
+    """Seeded forgeries of disk r=1..2 and the closed tetrahedron r=1,
+    images moved as the benchmark's image_shift tamper moves them or
+    folded across a facet, and the forged partitions of the triangle:
+    the violation lists, in order, are those of the reference under
+    either side test, and some put two top cofaces on one side."""
     tetra = closed_tetra()
     rng = random.Random(2121)
-    sides = 0
+    moves = random.Random(3535)
+    cases = []
+    for closed in (False, True):
+        ref = forged_witness(disk, closed)
+        cases.append((disk, ref.fine.vertices, ref.fine.simplices,
+                      ref.carrier, ""))
     for K, r in ((disk, 1), (disk, 2), (tetra, 1)):
         w = sd.iterated_subdivision(K, r)
-        cases = [(w.fine.vertices, w.carrier)]
+        cases.append((K, w.fine.vertices, w.fine.simplices, w.carrier, ""))
         for _ in range(12):
-            cases += partition_forgeries(w, rng)
-        for point, carrier in cases:
-            expected = partition_reference(w.coarse, w.fine.simplices,
-                                           point, carrier)
-            assert sd.partition_violations(WeightRows(w.coarse, point),
-                                           w.fine.simplices,
-                                           carrier) == expected
-            sides += any(m == "top cofaces on one side"
-                         for _, _, m in expected)
-    assert sides
+            cases += [(K, point, w.fine.simplices, carrier, "")
+                      for point, carrier in partition_forgeries(w, rng)]
+        for _ in range(6):
+            cases += [(K, point, w.fine.simplices, w.carrier, "image ")
+                      for point in image_perturbations(w, moves)]
+    seen = set()
+    for K, point, pieces, carrier, what in cases:
+        got = sd.partition_violations(WeightRows(K, point), pieces, carrier,
+                                      what)
+        for one_side in (side_by_coordinates, side_by_two_eliminations):
+            assert got == partition_reference(K, pieces, point, carrier,
+                                              what, one_side)
+        seen.update(m[len(what):] for _, _, m in got)
+    assert {"top cofaces on one side", "degenerate",
+            "boundary facet with 0 top cofaces"} <= seen, seen
 
 
 def test_partition_checks_never_call_the_lp(monkeypatch, disk,
