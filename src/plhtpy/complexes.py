@@ -220,31 +220,26 @@ class Complex:
             self._closed = closed_under_faces(self.simplices)
         return self._closed
 
-    def maximal_simplices(self) -> list[Simplex]:
-        """The simplices that are a proper face of no other, longest
-        first.  A proper face of a non-maximal simplex is a proper face of
-        a longer maximal one, so only the maximal simplices list their
-        faces."""
-        covered: set[Simplex] = set()
-        top = []
-        for s in reversed(self.canonical_order()):
-            if s not in covered:
-                top.append(s)
-                covered.update(proper_faces(s))
-        return top
-
     def is_independent(self) -> bool:
         """Is every simplex affinely independent?  A face of an
         independent simplex is independent (Rourke and Sanderson, ch. 2),
         so only the maximal simplices are asked: a vertex always is, an
         edge exactly when its two points differ, and a larger simplex when
-        its kept frame has rows.  The only frames built are those."""
+        its kept frame has rows.  The only frames built are those.  Walked
+        longest first, a simplex is maximal when no maximal simplex met
+        before has it as a proper face."""
         if self._independent is None:
             pts = self.vertices
-            self._independent = all(
-                len(s) < 2 or (pts[s[0]] != pts[s[1]] if len(s) == 2
-                               else self.frame(s).rows is not None)
-                for s in self.maximal_simplices())
+            covered: set[Simplex] = set()
+            self._independent = True
+            for s in reversed(self.canonical_order()):
+                if s in covered:
+                    continue
+                if (pts[s[0]] == pts[s[1]] if len(s) == 2
+                        else len(s) > 2 and self.frame(s).rows is None):
+                    self._independent = False
+                    break
+                covered.update(proper_faces(s))
         return self._independent
 
     # -- point location -----------------------------------------------------

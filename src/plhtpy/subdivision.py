@@ -131,19 +131,18 @@ def iterated_subdivision(K: Complex, rounds: int) -> SubdivisionWitness:
     return w
 
 
-def relative_volume(rows, signed: bool = False) -> Fraction:
-    """vol(fine simplex) / vol(coarse simplex), both of the same dimension,
-    from the barycentric coordinates of the fine vertices in the coarse
-    simplex, one (integer row, positive denominator) pair per fine vertex
-    as `AffineFrame.weights` gives them: the absolute determinant, the
+def relative_volume(rows) -> Fraction:
+    """Signed vol(fine simplex) / vol(coarse simplex), both of the same
+    dimension, from the barycentric coordinates of the fine vertices in
+    the coarse simplex, one (integer row, positive denominator) pair per
+    fine vertex as `AffineFrame.weights` gives them: the determinant, the
     last pivot of `linalg.eliminate` on the integer rows over the product
-    of the denominators.  With `signed` the determinant keeps its sign,
-    which is the orientation of the fine vertices, in the order given,
-    against the coarse simplex's."""
+    of the denominators.  Its sign is the orientation of the fine
+    vertices, in the order given, against the coarse simplex's."""
     pivots, last = linalg.eliminate([list(w) for w, _ in rows], len(rows))
     if len(pivots) < len(rows):
         return Fraction(0)
-    return Fraction(last if signed else abs(last), prod(q for _, q in rows))
+    return Fraction(last, prod(q for _, q in rows))
 
 
 def partition_violations(rows: WeightRows, pieces, carrier,
@@ -206,8 +205,7 @@ def partition_violations(rows: WeightRows, pieces, carrier,
         for t in mine:
             if len(t) != len(c):
                 continue
-            vol = relative_volume([rows.weights(v, c) for v in t],
-                                  signed=True)
+            vol = relative_volume([rows.weights(v, c) for v in t])
             if vol == 0:
                 violations.append((t, c, what + "degenerate"))
                 continue
