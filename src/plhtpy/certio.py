@@ -14,16 +14,17 @@ carrier tables read the canonical order and names that each fine complex
 keeps (`Complex.canonical_order`, `Complex.simplex_names`); nothing is kept
 on maps, witnesses or steps, whose tables are plain dicts a caller may change.
 
-Loading a container parses and validates each distinct complex block
-once: blocks with equal `ambient`, `vertex` and `simplex` declarations
-share one `Complex` (and the frames built on it) within that file, and a
-codomain with the domain's text is the domain.  A block is looked up
-first by its raw key, those declaration lines with comments cut off, so a
-repeated block (a step's `to` and refinement after its `from`) has no
-coordinate parsed again and only its `image` and `carrier` lines are
-read; the parsed declarations are the fallback key, which joins equal
-values spelled differently (`scx._complex`).  The intern table lives for
-one call of a loader; nothing is shared across files.
+Loading a container parses and validates each block once per distinct
+spelling: blocks whose `ambient`, `vertex` and `simplex` lines are
+identical (comments cut off) share one `Complex` (and the frames built on
+it) within that file, and a codomain with the domain's text is the domain.
+The lookup key is those raw lines, taken before any coordinate is parsed,
+so a repeated block (a step's `to` and refinement after its `from`) has
+only its `image` and `carrier` lines read.  A block spelled differently
+(`2/4` for `1/2`, other blanks, a comment) is parsed and validated as its
+own `Complex`, which compares equal by value, so every verdict is the same
+(`scx._complex`).  The intern table lives for one call of a loader;
+nothing is shared across files.
 """
 
 from __future__ import annotations

@@ -190,15 +190,15 @@ def cmd_verify_normal(args, report: Report):
     report.check("carrier_respecting", rep.carrier_respecting, first)
 
 
-def _report_cert(report: Report, cert, prefix: str = "cert") -> None:
+def _report_cert(report: Report, cert) -> None:
     ok, problems = plmaps.verify_certificate(cert)
-    report.add(f"{prefix}_steps", len(cert.steps))
+    report.add("cert_steps", len(cert.steps))
     witness = None
     if problems:
         i, t, msg = problems[0]
         where = sname(t) if t else "-"
         witness = f"step {i} simplex {where}: {msg}"
-    report.check(f"{prefix}_valid", ok, witness)
+    report.check("cert_valid", ok, witness)
 
 
 def cmd_approximate(args, report: Report):

@@ -334,11 +334,8 @@ class Complex:
             s for s in self.simplices
             if all(f in self.simplices for f in proper_faces(s))))
 
-    def skeleton(self, m: int, union_with: Optional["SubcomplexRef"] = None) -> "SubcomplexRef":
-        members = {s for s in self.simplices if sdim(s) <= m}
-        if union_with is not None:
-            members |= set(union_with.members)
-        return SubcomplexRef(self, members)
+    def skeleton(self, m: int) -> "SubcomplexRef":
+        return SubcomplexRef(self, (s for s in self.simplices if sdim(s) <= m))
 
     def subcomplex(self, members: Iterable[Simplex]) -> "SubcomplexRef":
         return SubcomplexRef(self, members)

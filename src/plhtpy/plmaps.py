@@ -362,19 +362,21 @@ def verify_certificate(cert: HomotopyCertificate):
     domain subdivisions and the refinement, so each refinement simplex
     lies in its host (refinement carrier), where both maps are affine.  A
     refinement vertex at the point of a host vertex u takes u's images,
-    unevaluated; it is matched by point, never by name, so a relabelled
-    refinement reads no other vertex's image, and an identity refinement
-    evaluates nothing.  Any other vertex is evaluated once per (vertex,
-    host) by `closed_coords`.  Both images are proved in the closed
-    carrier through one `WeightRows` of the codomain, and a failure is
-    reported for every refinement simplex and vertex it concerns.
+    unevaluated; it is matched by point equality against the at most d+1
+    host vertices, never by name, so a relabelled refinement reads no
+    other vertex's image, and an identity refinement evaluates nothing.
+    Any other vertex is evaluated once per (vertex, host) by
+    `closed_coords`.  Both images are proved in the closed carrier through
+    one `WeightRows` of the codomain, and a failure is reported for every
+    refinement simplex and vertex it concerns.
 
     Consecutive steps chain when the maps between them share their fine
     complex, coordinates included, and agree at every vertex
     (`moved_vertices`, one problem per moved vertex in vertex order); the
     fixed set is checked the same way.  A certificate from
-    `certio.cert_from_obj` shares one Complex per distinct block, so
-    equal fine complexes compare by identity.
+    `certio.cert_from_obj` shares one Complex between identical block
+    lines, so those fine complexes compare by identity; a block spelled
+    differently is its own Complex and compares equal by value.
     """
     if not cert.steps:
         return False, [(0, None, "certificate has no steps")]
@@ -427,10 +429,9 @@ def verify_certificate(cert: HomotopyCertificate):
                 problems.append((i, t, "missing carrier"))
                 continue
             host = ref.carrier[t]
-            at = {hosts.vertices[u]: u for u in host}
             for v in t:
                 x = ref.fine.vertices[v]
-                u = at.get(x)
+                u = next((u for u in host if hosts.vertices[u] == x), None)
                 name = (v, host) if u is None else u
                 if (0, name) not in image:
                     if u is None:

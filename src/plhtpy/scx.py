@@ -103,10 +103,11 @@ def parse_scx(text: str, blocks: dict | None = None):
     simplices, subcomplexes, images, carriers, and the raw key of the
     text's block, its `ambient`, `vertex` and `simplex` lines in order with
     comments cut off.  When the intern table `blocks` (see `_complex`)
-    already holds that key, those lines passed a full parse before and are
-    not parsed again: ambient comes back None, vertices and simplices
+    already holds that key, identical lines passed a full parse before and
+    are not parsed again: ambient comes back None, vertices and simplices
     empty, and only the other lines are read, each error naming its own
-    line."""
+    line.  Lines that differ in any character, equal values or not, make
+    another key and get a full parse."""
     ambient = None
     vertices: dict[str, tuple[Fraction, ...]] = {}
     simplices: list[list[str]] = []
@@ -166,27 +167,21 @@ def parse_scx(text: str, blocks: dict | None = None):
 def _complex(ambient: int, vertices: dict, simplices: list, key: tuple,
              check_disjoint: bool, blocks: dict | None) -> Complex:
     """`validate` on parsed declarations, or the Complex that `blocks` holds
-    for an equal block, so that equal blocks of one file share one object
-    and its frames.  A block is found first by `key`, the raw key of
-    `parse_scx`, which skipped parsing its lines on a hit, and else by its
-    parsed `ambient`, `vertex` and `simplex` declarations (in declaration
-    order), which also joins equal values spelled differently (`2/4` and
-    `1/2`, other blanks, a comment).  It is stored under both keys, and
-    only once it has parsed and validated.  A block that needs the
-    disjointness check gets it on the shared Complex the first time."""
+    for `key`, the raw key of `parse_scx`, which skipped parsing the block's
+    lines on a hit.  So identical declaration lines of one file share one
+    Complex and its frames; a block spelled differently (`2/4` for `1/2`,
+    other blanks, a comment) is parsed and validated as its own Complex,
+    which compares equal by value.  A block is stored only once it has
+    parsed and validated, and one that needs the disjointness check gets it
+    on the shared Complex the first time."""
     if blocks is None:
         return validate(ambient, vertices, simplices,
                         check_disjoint=check_disjoint)
     entry = blocks.get(key)
     if entry is None:
-        parsed = (ambient, tuple(vertices.items()),
-                  tuple(map(tuple, simplices)))
-        entry = blocks.get(parsed)
-        if entry is None:
-            entry = blocks[parsed] = [
-                validate(ambient, vertices, simplices,
-                         check_disjoint=check_disjoint), check_disjoint]
-        blocks[key] = entry
+        entry = blocks[key] = [
+            validate(ambient, vertices, simplices,
+                     check_disjoint=check_disjoint), check_disjoint]
     if check_disjoint and not entry[1]:
         check_pairwise_disjoint(entry[0])
         entry[1] = True

@@ -1022,7 +1022,7 @@ def test_skeleton(disk, tri3):
     assert names == {"a", "b", "c", "a-b", "b-c", "a-c"}
     assert len(disk.skeleton(0).members) == 3
     boundary = disk.subcomplex([s for s in disk.simplices if len(s) <= 2])
-    sk = disk.skeleton(1, union_with=boundary)
+    sk = disk.subcomplex(disk.skeleton(1).members | boundary.members)
     assert len(sk.members) == 6
 
 

@@ -407,9 +407,9 @@ def test_loaders_parse_each_distinct_block_once(monkeypatch, rot):
     """The `to` and refinement blocks of the rot approximation certificate
     repeat its `from` block: their coordinates are parsed once, and only
     their own `image` lines are read.  The same block spelled otherwise
-    (`2/4`, a comment, leading blanks) is parsed in full and still shares
-    the Complex.  A bad line of a block found in the table is named by its
-    own line number."""
+    (`2/4`, a comment, leading blanks) is parsed in full into its own
+    Complex, equal by value, and the certificate still verifies.  A bad
+    line of a block found in the table is named by its own line number."""
     _, cert = pm.simplicial_approximation(rot)
     obj = certio.cert_to_obj(cert)
     step = obj["steps"][0]
@@ -437,9 +437,12 @@ def test_loaders_parse_each_distinct_block_once(monkeypatch, rot):
                      "  " + line):
         step["to"]["scxm"] = scxm[1].replace(line, spelling)
         parsed.clear()
-        loaded = certio.cert_from_obj(obj).steps[0]
+        loaded = certio.cert_from_obj(obj)
         assert len(parsed) == coords + fine_coords, spelling
-        assert loaded.to.fine is loaded.frm.fine, spelling
+        frm, to = loaded.steps[0].frm, loaded.steps[0].to
+        assert to.fine is not frm.fine, spelling
+        assert to.fine == frm.fine, spelling
+        assert pm.verify_certificate(loaded) == (True, []), spelling
 
     bad = scxm[1].replace("image a.b^bary 1 0\n", "image a.b^bary one 0\n")
     lineno = bad.splitlines().index("image a.b^bary one 0") + 1

@@ -148,62 +148,87 @@ def test_verify_subdivision_flags_swapped_carrier(disk):
     assert not ok and violations
 
 
-def forged_witness(disk, closed):
-    """The standard triangle abc "refined" by (a, b, p) and (a, c, q), with
-    p = (0, 1/2) on ac and q = (1/2, 0) on ab: relative volumes 1/2 + 1/2,
-    overlapping near a and leaving a gap along bc.  Open: only the two
-    triangles are added.  Closed: every face is declared and carried."""
+# the family of the benchmark's forged_partition tamper (bench/tamper.py):
+# the corner x the two triangles share, and the parameter t of p on xz
+FORGED = [(x, t) for x in "abc"
+          for t in (F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4))]
+
+
+def forged_witness(disk, closed, x, t):
+    """The standard triangle abc "refined" by (x, y, p) and (x, z, q), y < z
+    the other corners, with p = x + t(z - x) on xz and q = x + (1 - t)(y - x)
+    on xy: relative volumes t + (1 - t), overlapping near x and leaving a
+    gap along yz.  Open: only the two triangles are added.  Closed: every
+    face is declared and carried."""
+    y, z = sorted({"a", "b", "c"} - {x})
+    X, Y, Z = (disk.vertices[n] for n in (x, y, z))
     whole = ("a", "b", "c")
     verts = dict(disk.vertices)
-    verts["p"] = (F(0), F(1, 2))
-    verts["q"] = (F(1, 2), F(0))
+    verts["p"] = linalg.vcomb([1 - t, t], [X, Z])
+    verts["q"] = linalg.vcomb([t, 1 - t], [X, Y])
     carrier = {s: s for s in disk.simplices if s != whole}
-    carrier[("a", "b", "p")] = whole
-    carrier[("a", "c", "q")] = whole
+    carrier[simplex((x, y, "p"))] = whole
+    carrier[simplex((x, z, "q"))] = whole
     if closed:
-        carrier.update({("p",): ("a", "c"), ("a", "p"): ("a", "c"),
-                        ("q",): ("a", "b"), ("a", "q"): ("a", "b"),
-                        ("b", "p"): whole, ("c", "q"): whole})
+        xy, xz = simplex((x, y)), simplex((x, z))
+        carrier.update({("p",): xz, simplex((x, "p")): xz,
+                        ("q",): xy, simplex((x, "q")): xy,
+                        simplex((y, "p")): whole, simplex((z, "q")): whole})
     fine = Complex(2, verts, carrier)
     assert fine.is_closed() == closed
     return sd.SubdivisionWitness(fine, disk, carrier)
 
 
+def first_forged_violation(x, closed):
+    """The first violation `verify_subdivision` names for the forged
+    partition at corner x.  Open: the first facet of the first piece
+    (x, y, p) is missing.  Closed: the interior edge yp has one top
+    coface."""
+    y = min({"a", "b", "c"} - {x})
+    whole = ("a", "b", "c")
+    if closed:
+        return (simplex((y, "p")), whole, "interior facet with 1 top cofaces")
+    piece = simplex((x, y, "p"))
+    return (facets(piece)[0], whole, f"face of {sname(piece)} missing")
+
+
 def test_forged_partition_open_is_not_closed(disk):
-    ok, violations = sd.verify_subdivision(forged_witness(disk, False))
-    assert not ok
-    assert (("a", "p"), ("a", "b", "c"), "face of a-b-p missing") \
-        in violations
+    for x, t in FORGED:
+        ok, violations = sd.verify_subdivision(forged_witness(disk, False,
+                                                              x, t))
+        assert not ok, (x, t)
+        first = first_forged_violation(x, False)
+        assert violations[0] == first, (x, t)
+        # the piece's other facet through x is missing too
+        assert (simplex((x, "p")), *first[1:]) in violations, (x, t)
 
 
 def test_forged_partition_closed_fails_the_facet_rule(disk):
-    ok, violations = sd.verify_subdivision(forged_witness(disk, True))
-    assert not ok
-    assert violations[0] == (("b", "p"), ("a", "b", "c"),
-                             "interior facet with 1 top cofaces")
-    # the gap along bc: its edge has no top coface inside abc
-    assert (("b", "c"), ("a", "b", "c"),
-            "boundary facet with 0 top cofaces") in violations
+    for x, t in FORGED:
+        ok, violations = sd.verify_subdivision(forged_witness(disk, True,
+                                                              x, t))
+        assert not ok, (x, t)
+        assert violations[0] == first_forged_violation(x, True), (x, t)
+        # the gap along yz: its edge has no top coface inside abc
+        assert (simplex(set("abc") - {x}), ("a", "b", "c"),
+                "boundary facet with 0 top cofaces") in violations, (x, t)
 
 
 @pytest.mark.parametrize("closed", [False, True])
 def test_cli_verify_cert_rejects_forged_partition(tmp_path, disk, closed):
-    ref = forged_witness(disk, closed)
     f = pm.identity_map(disk)
-    step = pm.HomotopyStep(f, f, ref, ref.carrier)
-    cert = pm.HomotopyCertificate([step], disk.subcomplex(()))
     path = tmp_path / "forged.json"
-    certio.save(str(path), certio.cert_to_obj(cert))
-    code, out = run_cli("verify-cert", str(path))
-    assert code == 1
-    assert "check_cert_valid: fail" in out
-    witness = next(line for line in out.splitlines()
-                   if line.startswith("witness_cert_valid:"))
-    if closed:
-        assert "('b', 'p'), ('a', 'b', 'c'), 'interior facet" in witness
-    else:
-        assert "('b', 'p'), ('a', 'b', 'c'), 'face of a-b-p missing'" \
-            in witness
+    for x, t in FORGED:
+        ref = forged_witness(disk, closed, x, t)
+        step = pm.HomotopyStep(f, f, ref, ref.carrier)
+        cert = pm.HomotopyCertificate([step], disk.subcomplex(()))
+        certio.save(str(path), certio.cert_to_obj(cert))
+        code, out = run_cli("verify-cert", str(path))
+        assert code == 1, (x, t)
+        assert "check_cert_valid: fail" in out, (x, t)
+        first = first_forged_violation(x, closed)
+        assert (f"witness_cert_valid: step 0 simplex -: bad refinement: "
+                f"[{first!r}") in out, (x, t)
 
 
 def test_verify_normal_rejects_folded_images(disk):
@@ -356,7 +381,8 @@ def image_perturbations(w, rng):
 def test_partition_sides_match_the_reference(disk):
     """Seeded forgeries of disk r=1..2 and the closed tetrahedron r=1,
     images moved as the benchmark's image_shift tamper moves them or
-    folded across a facet, and the forged partitions of the triangle:
+    folded across a facet, and the forged partitions of the triangle
+    (the benchmark's whole family, open and closed):
     the violation lists, in order, are those of the reference under
     either side test, and some put two top cofaces on one side."""
     tetra = closed_tetra()
@@ -364,9 +390,10 @@ def test_partition_sides_match_the_reference(disk):
     moves = random.Random(3535)
     cases = []
     for closed in (False, True):
-        ref = forged_witness(disk, closed)
-        cases.append((disk, ref.fine.vertices, ref.fine.simplices,
-                      ref.carrier, ""))
+        for x, t in FORGED:
+            ref = forged_witness(disk, closed, x, t)
+            cases.append((disk, ref.fine.vertices, ref.fine.simplices,
+                          ref.carrier, ""))
     for K, r in ((disk, 1), (disk, 2), (tetra, 1)):
         w = sd.iterated_subdivision(K, r)
         cases.append((K, w.fine.vertices, w.fine.simplices, w.carrier, ""))
