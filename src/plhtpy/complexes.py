@@ -221,25 +221,19 @@ class Complex:
         return self._closed
 
     def is_independent(self) -> bool:
-        """Is every simplex affinely independent?  A face of an
-        independent simplex is independent (Rourke and Sanderson, ch. 2),
-        so only the maximal simplices are asked: a vertex always is, an
-        edge exactly when its two points differ, and a larger simplex when
-        its kept frame has rows.  The only frames built are those.  Walked
-        longest first, a simplex is maximal when no maximal simplex met
-        before has it as a proper face."""
+        """Is every simplex affinely independent?  Faces of independent
+        simplices are (Rourke and Sanderson, ch. 2), so only the simplices
+        that are no simplex's facet are asked, the maximal ones when K is
+        closed: a vertex always is, an edge when its two points differ,
+        and a larger simplex when its kept frame, the only frames built,
+        has rows."""
         if self._independent is None:
-            pts = self.vertices
-            covered: set[Simplex] = set()
-            self._independent = True
-            for s in reversed(self.canonical_order()):
-                if s in covered:
-                    continue
-                if (pts[s[0]] == pts[s[1]] if len(s) == 2
-                        else len(s) > 2 and self.frame(s).rows is None):
-                    self._independent = False
-                    break
-                covered.update(proper_faces(s))
+            facet_of = {f for s in self.simplices if len(s) > 1
+                        for f in combinations(s, len(s) - 1)}
+            self._independent = not any(
+                self.vertices[s[0]] == self.vertices[s[1]] if len(s) == 2
+                else len(s) > 2 and self.frame(s).rows is None
+                for s in self.canonical_order() if s not in facet_of)
         return self._independent
 
     # -- point location -----------------------------------------------------
@@ -281,6 +275,8 @@ class Complex:
         when t is a face of s or a face of s missing from this complex
         meets t; the exact LP decides only that case, which needs a
         non-closed complex.  Points are read from barycentric supports.
+        A subcomplex target walks every face of every simplex, so on a
+        non-closed complex its time is exponential in dimension.
         """
         if isinstance(target, SubcomplexRef):
             members = target.members
@@ -315,6 +311,8 @@ class Complex:
         return SubcomplexRef(self, hit)
 
     def closed_star(self, target) -> "SubcomplexRef":
+        """`star` with its members' faces in K.  It walks every face of
+        every member, exponential in dimension on a non-closed complex."""
         st = self.star(target)
         closed = set(st.members)
         for s in st.members:
@@ -324,15 +322,15 @@ class Complex:
         return SubcomplexRef(self, closed)
 
     def core(self) -> "SubcomplexRef":
-        """Maximal subcomplex whose realization is a closed set.
-
-        The greatest fixed point of face-completeness is reached in one
-        step: a simplex survives exactly when all of its proper faces lie in
-        K, since the faces of a face are faces.
-        """
-        return SubcomplexRef(self, (
-            s for s in self.simplices
-            if all(f in self.simplices for f in proper_faces(s))))
+        """Maximal subcomplex whose realization is a closed set: the
+        simplices with every proper face in K.  A proper face lies in a
+        facet, so walked in `canonical_order` a simplex is kept when its
+        facets were."""
+        kept: set[Simplex] = set()
+        for s in self.canonical_order():
+            if all(f in kept for f in facets(s)):
+                kept.add(s)
+        return SubcomplexRef(self, kept)
 
     def skeleton(self, m: int) -> "SubcomplexRef":
         return SubcomplexRef(self, (s for s in self.simplices if sdim(s) <= m))
@@ -385,10 +383,10 @@ def validate(ambient_dim: int, vertex_coords: dict[str, Sequence],
 
     Raises DuplicateSimplex / AffinelyDependent / OverlappingSimplices with
     the offending simplices named.  Affine independence is
-    `Complex.is_independent`, read from the maximal simplices; only when
-    it fails are the simplices asked one by one, in input order, for the
-    first dependent one to name, so accepted input builds no frame for a
-    face.
+    `Complex.is_independent`, read from the simplices that are no
+    simplex's facet; only when it fails are the simplices asked one by
+    one, in input order, for the first dependent one to name, so accepted
+    closed input builds no frame for a face.
     """
     if ambient_dim < 0:
         raise AffinelyDependent(f"ambient dimension {ambient_dim} is negative")

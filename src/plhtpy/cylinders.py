@@ -20,7 +20,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .complexes import (Complex, SubcomplexRef, Simplex, WeightRows,
-                        faces_with_self, proper_faces, sdim, simplex)
+                        faces_with_self, facets, sdim, simplex)
 from .errors import Incompatible, NotClosed, NotSubcomplex
 from .linalg import vcomb
 from .plmaps import PLMap, simplicial_map
@@ -255,18 +255,18 @@ def _collapses(cylinder: Complex, target: frozenset):
     """The greedy collapse sequence (tau, s, w) of the cylinder onto the
     target, w the vertex of s opposite tau: each step collapses the
     greatest free pair of `live - target` under (len(s), s, tau).  The
-    coface table is built once, and the cylinder is closed, so every
-    proper face has an entry; a collapse drops s and tau from it."""
+    table of one-up cofaces is built once.  `live` stays closed, so tau
+    is free when its one one-up coface s has none, and a collapse drops
+    s and tau from the table."""
     live = set(cylinder.simplices)
     cofaces: dict[Simplex, set[Simplex]] = {t: set() for t in live}
     for s in live:
-        for f in proper_faces(s):
+        for f in facets(s):
             cofaces[f].add(s)
     while live != target:
         pairs = [(tau, s) for tau in live - target if len(cofaces[tau]) == 1
                  for s in cofaces[tau]
-                 if s not in target and len(s) == len(tau) + 1
-                 and not cofaces[s]]
+                 if s not in target and not cofaces[s]]
         if not pairs:
             raise Incompatible("cylinder does not collapse onto the target")
         tau, s = max(pairs, key=lambda p: (len(p[1]), p[1], p[0]))
@@ -274,7 +274,7 @@ def _collapses(cylinder: Complex, target: frozenset):
         yield tau, s, w
         for t in (s, tau):
             live.discard(t)
-            for f in proper_faces(t):
+            for f in facets(t):
                 cofaces[f].discard(t)
 
 

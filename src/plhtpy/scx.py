@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -39,6 +40,22 @@ from .linalg import vec
 
 
 def _parse_coord(tok: str) -> Fraction:
+    # Fraction raises 10 to the exponent e of m * 10**e, for hours at
+    # 1e1000000000: a zero m is read as 0, and as the terms of m have
+    # fewer digits than its text, |e| >= limit + len(m) gives more digits
+    # than the int-to-str limit (4300 when off) lets `coord_str` write
+    head, _, exp = tok.lower().rpartition("e")
+    if head:
+        try:
+            zero, e = not Fraction(head + "e0"), int(exp)
+        except ValueError:
+            zero, e = False, 0  # a bad token, which Fraction names below
+        if zero:
+            return Fraction(0)
+        limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+        if abs(e) >= limit + len(head):
+            raise ValueError(f"coordinate {tok!r} has more digits than "
+                             "can be written back")
     try:
         q = Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:

@@ -161,7 +161,8 @@ def partition_violations(rows: WeightRows, pieces, carrier,
       of c that the coarse complex leaves out;
     * the top (d-dimensional) pieces are nondegenerate and their relative
       volumes sum to 1;
-    * every lower-dimensional piece is a face of a top piece;
+    * every lower-dimensional piece is a face of a nondegenerate top
+      piece through its first vertex;
     * every facet f carried by c has exactly two top cofaces, on opposite
       sides of it: the determinants of the integer rows of (f..., u1) and
       (f..., u2), u1 and u2 their apexes, have opposite signs.  Each is
@@ -198,7 +199,8 @@ def partition_violations(rows: WeightRows, pieces, carrier,
                     violations.append((f, c, f"{what}face of {sname(t)} "
                                              "missing"))
         total = Fraction(0)
-        faces: set[Simplex] = set()
+        # vertex -> the nondegenerate top pieces through it
+        through: dict[str, list[frozenset]] = defaultdict(list)
         # facet -> the side of each top coface, +1 or -1 up to a factor
         # common to all of them
         cofaces: dict[Simplex, list[int]] = {}
@@ -210,13 +212,16 @@ def partition_violations(rows: WeightRows, pieces, carrier,
                 violations.append((t, c, what + "degenerate"))
                 continue
             total += abs(vol)
-            faces.update(proper_faces(t))
+            top = frozenset(t)
+            for v in t:
+                through[v].append(top)
             side = 1 if vol > 0 else -1
             for f in facets(t):
                 cofaces.setdefault(f, []).append(side)
                 side = -side
         for t in mine:
-            if len(t) < len(c) and t not in faces:
+            if len(t) < len(c) and not any(
+                    top.issuperset(t) for top in through.get(t[0], ())):
                 violations.append((t, c, what + "not a face of a top piece"))
         for f, sides in sorted(cofaces.items()):
             if f not in pieces:
@@ -248,7 +253,7 @@ def verify_subdivision(w: SubdivisionWitness):
     An identity witness passes without the partition pass: when the fine
     complex equals the coarse one, every simplex is its own carrier and
     every coarse simplex is affinely independent (`Complex.is_independent`,
-    kept on the complex and read from its maximal simplices), each piece
+    kept on the complex), each piece
     is the one top piece over its carrier, with relative volume 1 and its
     facets carried by the facets of the carrier, so `partition_violations`
     finds nothing.  Any other witness gets the full check.

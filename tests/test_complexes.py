@@ -2,6 +2,8 @@
 
 import random
 import sys
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations, islice
@@ -16,7 +18,7 @@ from plhtpy.complexes import (Complex, check_pairwise_disjoint,
                               validate)
 from plhtpy.errors import (AffinelyDependent, DuplicateSimplex, NotSubcomplex,
                            OverlappingSimplices, PointOutsidePolyhedron)
-from conftest import frame_on
+from conftest import frame_on, random_closure
 from test_kernel import combination, grid_point
 from test_subdivision import closed_tetra
 
@@ -989,6 +991,55 @@ def test_core_matches_the_fixed_point_definition(corpus, name, rounds):
             gone = set(rng.sample(order, k))
             K = fine.restrict([s for s in order if s not in gone])
             assert set(K.core().members) == fixed_point_core(K)
+
+
+def test_core_matches_the_proper_faces_definition(corpus):
+    """Seeded non-closed samples: the closure of random simplices of the
+    r=1 corpus with random faces dropped.  The core read from facets is
+    the set of simplices all of whose proper faces are in K."""
+    rng = random.Random(53)
+    for name in scx.CORPUS_NAMES:
+        fine = sd.iterated_subdivision(corpus[name][0], 1).fine
+        for _ in range(4):
+            closed = sorted(random_closure(fine, rng))
+            gone = set(rng.sample(closed, rng.randint(1, len(closed))))
+            K = fine.restrict([s for s in closed if s not in gone])
+            assert set(K.core().members) == {
+                s for s in K.simplices
+                if all(f in K.simplices for f in proper_faces(s))}, name
+
+
+def measured(step):
+    """step(), asserted to take under 1 s and a tracemalloc peak under
+    5 MB."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    got = step()
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 1 and peak < 5_000_000, (elapsed, peak)
+    return got
+
+
+def test_one_big_simplex_is_read_by_facets():
+    """One 24-vertex simplex and nothing else: validating it, taking its
+    core and checking a relabelled copy as its subdivision ask its
+    facets, never its 2**24 faces."""
+    n = 24
+    s = simplex(f"v{i}" for i in range(n))
+    text = f"ambient {n - 1}\n" + "".join(
+        f"vertex v{i} " + " ".join("1" if j == i - 1 else "0"
+                                   for j in range(n - 1)) + "\n"
+        for i in range(n)) + "simplex " + " ".join(s) + "\n"
+    K, _ = measured(lambda: scx.load_complex(text))
+    assert K.simplices == {s}
+    assert measured(lambda: K.core().members) == frozenset()
+    fine = Complex(K.ambient_dim,
+                   {"w" + v: p for v, p in K.vertices.items()},
+                   [tuple("w" + v for v in s)])
+    w = sd.SubdivisionWitness(fine, K, {t: s for t in fine.simplices})
+    assert measured(lambda: sd.verify_subdivision(w)) == (True, [])
 
 
 def test_locate_oracles(disk):

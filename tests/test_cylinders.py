@@ -482,6 +482,43 @@ def test_collapses_match_the_rebuilding_reference(corpus):
                 (name, rounds, sorted(members))
 
 
+def all_cofaces_collapses(cylinder, target):
+    """Reference: the greedy collapse sequence from a table of the
+    cofaces of every dimension, built once; a collapse drops s and tau
+    from it."""
+    live = set(cylinder.simplices)
+    cofaces = {t: set() for t in live}
+    for s in live:
+        for f in proper_faces(s):
+            cofaces[f].add(s)
+    while live != target:
+        pairs = [(tau, s) for tau in live - target if len(cofaces[tau]) == 1
+                 for s in cofaces[tau]
+                 if s not in target and len(s) == len(tau) + 1
+                 and not cofaces[s]]
+        if not pairs:
+            raise Incompatible("cylinder does not collapse onto the target")
+        tau, s = max(pairs, key=lambda p: (len(p[1]), p[1], p[0]))
+        (w,) = set(s) - set(tau)
+        yield tau, s, w
+        for t in (s, tau):
+            live.discard(t)
+            for f in proper_faces(t):
+                cofaces[f].discard(t)
+
+
+@pytest.mark.parametrize("name", ["disk", "cube2"])
+def test_one_up_cofaces_give_the_all_dimension_sequence(corpus, name):
+    """The r=0 cylinder onto its boundary wall and bottom: the collapse
+    sequence from one-up cofaces is the one from cofaces of every
+    dimension."""
+    K, subs = corpus[name]
+    P = cy.prism_triangulate(K)
+    target = P.over(subs["boundary"].members) | P.bottom_members()
+    steps = list(cy._collapses(P.cylinder, target))
+    assert steps and steps == list(all_cofaces_collapses(P.cylinder, target))
+
+
 def test_collapse_sequence_of_disk_r2_is_pinned(corpus):
     """sha256 of the repr of the collapse sequence of the cylinder over
     disk r=2 onto its boundary wall and its bottom."""

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
@@ -141,6 +142,50 @@ def test_cli_validate_unwritable_coordinate_exit2(tmp_path, coord):
     assert (f"FormatError: line 2: 'vertex a {coord}': coordinate "
             f"'{coord}' has more digits than can be written back"
             in proc.stdout)
+
+
+@pytest.mark.parametrize("coord", ["1e1000000000", "1e-1000000000"])
+def test_huge_exponent_exits2_at_once(tmp_path, disk, coord):
+    # Fraction raises 10 to the exponent: hours before the exponent bound
+    cause = f"coordinate '{coord}' has more digits than can be written back"
+    bad = tmp_path / "huge.scx"
+    bad.write_text(f"ambient 1\nvertex a 0\nvertex b {coord}\nsimplex a\n")
+    start = time.perf_counter()
+    code, out = run_cli("validate", str(bad))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert f"FormatError: line 3: 'vertex b {coord}': {cause}" in out
+    obj = certio.homeo_to_obj(sd.identity_homeo_on(
+        sd.barycentric_subdivide(disk)))
+    line = f"image a {coord} 0"
+    obj["scxm"] = obj["scxm"].replace("image a 0 0\n", line + "\n")
+    lineno = obj["scxm"].splitlines().index(line) + 1
+    path = tmp_path / "huge.json"
+    path.write_text(certio.dumps(obj))
+    start = time.perf_counter()
+    code, out = run_cli("verify-normal", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert f"line {lineno}: '{line}': {cause}" in out
+
+
+@pytest.mark.parametrize("coord, value", [
+    ("1e500", F(10 ** 500)), ("1e-500", F(1, 10 ** 500)),
+    ("12.5e3", F(12500)), ("3/4", F(3, 4)), ("0e1000000000", F(0)),
+    ("-2.5e-3", F(-1, 400))])
+def test_exponent_bound_keeps_values(coord, value):
+    assert scx.parse_scx(f"ambient 1\nvertex a {coord}\n")[1]["a"] \
+        == (value,)
+
+
+@pytest.mark.parametrize("coord, cause", [
+    ("1e5000", "has more digits than can be written back"),
+    ("1e5_000", "has more digits than can be written back"),
+    ("1e-5000", "has more digits than can be written back"),
+    ("1/2e5", "bad coordinate"), ("e5", "bad coordinate")])
+def test_exponent_bound_keeps_messages(coord, cause):
+    with pytest.raises(FormatError, match=f"^line 2: .*{cause}"):
+        scx.parse_scx(f"ambient 1\nvertex a {coord}\n")
 
 
 def test_cli_validate_negative_ambient_exit2(tmp_path):

@@ -3,19 +3,20 @@
 import random
 import re
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
-from plhtpy import certio, linalg
+from plhtpy import certio, complexes, cylinders, linalg
 from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
 from plhtpy import scx
 from plhtpy.complexes import (Complex, WeightRows, facets, proper_faces,
                               simplex, sname, validate)
 from plhtpy.errors import (Incompatible, NotClosed, NotNormal, NotNormalInput,
-                           NotSubcomplex)
+                           NotSubcomplex, PlhtpyError)
 from plhtpy.homology import euler_characteristic
-from test_scx_cli import run_cli
+from test_scx_cli import golden_containers, run_cli
 
 TETRA_VERTS = {"p": (0, 0, 0), "q": (1, 0, 0), "r": (0, 1, 0),
                "s": (0, 0, 1)}
@@ -413,6 +414,111 @@ def test_partition_sides_match_the_reference(disk):
         seen.update(m[len(what):] for _, _, m in got)
     assert {"top cofaces on one side", "degenerate",
             "boundary facet with 0 top cofaces"} <= seen, seen
+
+
+def stray_pieces(w, rng):
+    """(points, pieces, carriers) of w with one stray lower piece added
+    inside a top coarse simplex c: a new vertex z at the barycenter of a
+    top piece t, an edge from z to a vertex of t, or an edge joining two
+    vertices inside c that no piece joins."""
+    top = w.coarse.dim() + 1
+    t = rng.choice([t for t in sorted(w.fine.simplices)
+                    if len(t) == len(w.carrier[t]) == top])
+    c = w.carrier[t]
+    point = dict(w.fine.vertices)
+    point["z"] = w.fine.barycenter(t)
+    inner = [v for (v,) in w.fine.by_dim(0) if w.carrier[(v,)] == c]
+    joins = [e for e in combinations(sorted(inner), 2)
+             if e not in w.fine.simplices]
+    strays = [("z",), simplex(("z", rng.choice(t)))] \
+        + rng.sample(joins, min(1, len(joins)))
+    return [(point, w.fine.simplices | {e}, w.carrier | {e: c})
+            for e in strays]
+
+
+def test_lower_pieces_match_the_face_set_rule(disk):
+    """A lower piece is a face of a top piece exactly when its vertices
+    lie in a nondegenerate top piece through its first vertex: the
+    violation lists are those of the reference, which lists every face
+    of every top piece, on the forged partitions of the triangle and on
+    seeded refinements given a stray lower piece."""
+    rng = random.Random(4747)
+    cases = []
+    for closed in (False, True):
+        for x, t in FORGED:
+            ref = forged_witness(disk, closed, x, t)
+            cases.append((disk, ref.fine.vertices, ref.fine.simplices,
+                          ref.carrier))
+    for K, r in ((disk, 1), (disk, 2), (closed_tetra(), 1)):
+        w = sd.iterated_subdivision(K, r)
+        for _ in range(4):
+            cases += [(K, *case) for case in stray_pieces(w, rng)]
+    seen = set()
+    for K, point, pieces, carrier in cases:
+        got = sd.partition_violations(WeightRows(K, point), pieces, carrier)
+        assert got == partition_reference(K, pieces, point, carrier)
+        seen.update(m for _, _, m in got)
+    assert "not a face of a top piece" in seen, seen
+
+
+def test_trust_anchors_never_enumerate_faces(monkeypatch, corpus, rot,
+                                             perturbed_disk, disk,
+                                             disk_boundary):
+    """validate, verify_certificate and verify_normal on the corpus, the
+    saved certificate and homeo artifacts and the forged partitions give
+    the same verdicts and first violations with every binding of
+    `proper_faces` and `faces_with_self` raising."""
+    bad_scx = [
+        "ambient 2\nvertex a 0 0\nvertex b 1 1\nvertex c 2 2\n"
+        "simplex a b c\n",
+        "ambient 3\nvertex a 0 0 0\nvertex b 1 0 0\nvertex c 2 0 0\n"
+        "vertex d 0 1 0\nsimplex a b c d\nsimplex a b c\n",
+        "ambient 1\nvertex a 0\nvertex b 2\nvertex c 1\n"
+        "simplex a b\nsimplex c\n"]
+    texts = [scx.corpus_text(name) for name in scx.CORPUS_NAMES] + bad_scx
+    homeos = [certio.homeo_to_obj(sd.identity_homeo_on(
+        sd.barycentric_subdivide(K))) for K, _ in corpus.values()]
+    objs = golden_containers(rot, perturbed_disk, disk, disk_boundary)
+    certs = [objs["approximate rot"],
+             objs["simplicialize_rel perturbed_disk"]]
+    homeos.append(objs["extend-normal disk r=2"])
+    f = pm.identity_map(disk)
+    for closed in (False, True):
+        for x, t in FORGED:
+            ref = forged_witness(disk, closed, x, t)
+            certs.append(certio.cert_to_obj(pm.HomotopyCertificate(
+                [pm.HomotopyStep(f, f, ref, ref.carrier)],
+                disk.subcomplex(()))))
+            homeos.append(certio.homeo_to_obj(
+                sd.PLHomeo(ref, ref.fine.vertices, ref.carrier)))
+
+    def verdicts():
+        out = []
+        for text in texts:
+            try:
+                K, _ = scx.load_complex(text)
+                out.append((scx.complex_digest(K), sorted(K.core().members)))
+            except PlhtpyError as exc:
+                out.append((type(exc).__name__, str(exc)))
+        for obj in certs:
+            ok, problems = pm.verify_certificate(certio.cert_from_obj(obj))
+            out.append((ok, problems[:1]))
+        for obj in homeos:
+            rep = sd.verify_normal(certio.homeo_from_obj(obj))
+            out.append((rep.partitions_simplices, rep.is_subdivision,
+                        rep.carrier_respecting, rep.violations[:1]))
+        return out
+
+    before = verdicts()
+    assert sum(v[0] is False for v in before) == 2 * 2 * len(FORGED)
+
+    def enumerate_faces(s):
+        raise AssertionError(f"the faces of {s} listed")
+    for module in (complexes, sd, cylinders):
+        for name in ("proper_faces", "faces_with_self"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, enumerate_faces)
+    assert verdicts() == before
 
 
 def test_partition_checks_never_call_the_lp(monkeypatch, disk,
