@@ -272,30 +272,26 @@ class Complex:
 
         Precondition: the open simplices are pairwise disjoint, as
         `validate` checks.  Then closed s meets an open member t exactly
-        when t is a face of s or a face of s missing from this complex
-        meets t; the exact LP decides only that case, which needs a
-        non-closed complex.  Points are read from barycentric supports.
-        A subcomplex target walks every face of every simplex, so on a
-        non-closed complex its time is exponential in dimension.
+        when t is a face of s or a face of s missing from K, which only a
+        simplex outside `core` has, meets t.  So members are found by
+        vertex sets; the exact LP asks closed s against open t only for s
+        outside the core.  Points are read from barycentric supports.
         """
         if isinstance(target, SubcomplexRef):
             members = target.members
             if not members <= self.simplices:
                 raise NotSubcomplex("not simplices of this complex: "
                                     f"{sorted(members - self.simplices)}")
-            meets: dict[Simplex, bool] = {}
-
-            def face_meets(f: Simplex) -> bool:
-                if f in self.simplices:
-                    return f in members
-                if f not in meets:
-                    pts = self.points(f)
-                    meets[f] = any(linalg.convex_positions_intersect(
-                        pts, self.points(t)) for t in sorted(members))
-                return meets[f]
-
+            first: dict[str, list[frozenset]] = {}
+            for t in members:
+                first.setdefault(t[0], []).append(frozenset(t))
+            outside = (frozenset() if self.is_closed()
+                       else self.simplices - self.core().members)
             hit = {s for s in self.simplices
-                   if any(face_meets(f) for f in faces_with_self(s))}
+                   if any(t.issubset(s) for v in s for t in first.get(v, ()))
+                   or s in outside and any(linalg.convex_positions_intersect(
+                       self.points(s), self.points(t), closed_a=True)
+                       for t in sorted(members))}
         else:
             hit = set()
             for x in target:
@@ -311,15 +307,14 @@ class Complex:
         return SubcomplexRef(self, hit)
 
     def closed_star(self, target) -> "SubcomplexRef":
-        """`star` with its members' faces in K.  It walks every face of
-        every member, exponential in dimension on a non-closed complex."""
-        st = self.star(target)
-        closed = set(st.members)
-        for s in st.members:
-            for f in proper_faces(s):
-                if f in self.simplices:
-                    closed.add(f)
-        return SubcomplexRef(self, closed)
+        """`star` with its members' faces in K: the simplices of K whose
+        vertex set lies in a star member, found by their first vertex."""
+        by_vertex: dict[str, list[frozenset]] = {}
+        for s in map(frozenset, self.star(target).members):
+            for v in s:
+                by_vertex.setdefault(v, []).append(s)
+        return SubcomplexRef(self, (f for f in self.simplices if any(
+            s.issuperset(f) for s in by_vertex.get(f[0], ()))))
 
     def core(self) -> "SubcomplexRef":
         """Maximal subcomplex whose realization is a closed set: the

@@ -3,17 +3,17 @@
 Points come in as ``fractions.Fraction`` tuples, with no floating point
 detours, and each becomes one integer point (`integer_point`) that frames
 are built from and asked in; matrices are plain lists of lists.  This is
-the arithmetic
-substrate for all geometric predicates: barycentric coordinates, affine
-independence and the strict-feasibility test used to decide whether two
-open simplices meet.  That test is one phase-1 simplex feasibility
-problem, `_feasible`: the open hulls of a_1..a_ka and b_1..b_kb meet
-exactly when some lambda_i >= 1, mu_j >= 1 give
-sum lambda_i (a_i, 1) = sum mu_j (b_j, 1).  It is the last screen of
-`complexes.check_pairwise_disjoint`; the one before it,
-`hyperplane_separated`, looks for a separating hyperplane inside the
-affine hull of the two simplices' union, read from the integer left-null
-rows of their frames.
+the arithmetic substrate for all geometric predicates: barycentric
+coordinates, affine independence and the strict-feasibility test used to
+decide whether two open simplices meet.  That test is one phase-1 simplex
+feasibility problem, `_feasible`: the open hulls of a_1..a_ka and
+b_1..b_kb meet exactly when some lambda_i >= 1, mu_j >= 1 give
+sum lambda_i (a_i, 1) = sum mu_j (b_j, 1), and closed a meets open b when
+lambda_i >= 0 do.  It is the last screen of
+`complexes.check_pairwise_disjoint` and decides `Complex.star` outside
+the core; the one before it, `hyperplane_separated`, looks for a
+separating hyperplane inside the affine hull of the two simplices' union,
+read from the integer left-null rows of their frames.
 
 Every elimination is over the integers, one fraction-free step `_pivot`
 at a time: `eliminate` serves coordinates, rank and volume (`AffineFrame`,
@@ -345,21 +345,26 @@ def _feasible(A: list[list[int]], b: list[int]) -> bool:
     return True
 
 
-def convex_positions_intersect(pts_a: Sequence[Vec], pts_b: Sequence[Vec]) -> bool:
+def convex_positions_intersect(pts_a: Sequence[Vec], pts_b: Sequence[Vec],
+                               closed_a: bool = False) -> bool:
     """Exact test whether the relatively open hulls of the two point lists
     meet (all barycentric weights > 0 on both sides): the open simplices,
-    when the points are affinely independent.
+    when the points are affinely independent.  With `closed_a` the hull of
+    pts_a is closed instead (weights >= 0).
 
     They meet exactly when some lambda_i >= 1, mu_j >= 1 give
     sum lambda_i (a_i, 1) = sum mu_j (b_j, 1): positive weights of a common
     point, divided by their least entry, are such lambda, mu, and lambda,
     mu divided by their common sum are positive weights of a common point.
-    A positive multiple of a column (p, 1) keeps its weight positive, so
-    the columns are the integer points `integer_point(p)`.  With
+    A positive multiple of a column (p, 1) keeps its weight's sign, so the
+    columns are the integer points `integer_point(p)`.  With
     x = (lambda - 1, mu - 1) >= 0 this is one phase-1 problem of d + 1 rows
-    and ka + kb columns: A x = -A 1 for A = [(a_i, 1) | -(b_j, 1)].
+    and ka + kb columns: A x = -A 1 for A = [(a_i, 1) | -(b_j, 1)].  A
+    closed a needs lambda >= 0 only (the last row keeps it nonzero), so
+    x = (lambda, mu - 1) and the right-hand side sums b's columns alone.
     """
     cols = ([integer_point(p) for p in pts_a]
             + [[-x for x in integer_point(q)] for q in pts_b])
     A = [list(row) for row in zip(*cols)]
-    return _feasible(A, [-sum(row) for row in A])
+    skip = len(pts_a) if closed_a else 0
+    return _feasible(A, [-sum(row[skip:]) for row in A])

@@ -10,8 +10,9 @@ from itertools import combinations, islice
 
 import pytest
 
+from plhtpy import complexes, linalg, scx
 from plhtpy import cylinders as cy
-from plhtpy import linalg, scx
+from plhtpy import plmaps as pm
 from plhtpy import subdivision as sd
 from plhtpy.complexes import (Complex, check_pairwise_disjoint,
                               faces_with_self, proper_faces, simplex, sname,
@@ -662,9 +663,9 @@ def count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(None)
-        return original(*args)
+        return original(*args, **kwargs)
     monkeypatch.setattr(module, name, counted)
     return calls
 
@@ -906,8 +907,11 @@ class LPReference:
 
 
 def star_cases(corpus):
-    """Closed corpus complexes, non-closed restrictions of them, and a
-    triangle whose missing edge other simplices cover."""
+    """Closed corpus complexes, non-closed restrictions of them, a
+    triangle whose missing edge other simplices cover, a lone simplex of
+    R^5 with a vertex on its missing edge, and a triangle without its
+    vertex a, whose point an edge crosses and whose missing edge b-c is
+    covered at its midpoint m."""
     cases = [corpus[name][0] for name in ("cube1", "cube2", "disk", "s2",
                                           "tri3", "wedge2")]
     disk, s2 = corpus["disk"][0], corpus["s2"][0]
@@ -920,6 +924,15 @@ def star_cases(corpus):
                               "m": (1, 0)},
                           [["a", "b", "c"], ["a"], ["m"], ["b"], ["a", "m"],
                            ["m", "b"]]))
+    lone = [f"v{i}" for i in range(6)]
+    cases.append(validate(5, {"m": (F(1, 2), 0, 0, 0, 0), **{
+        v: tuple(int(j == i - 1) for j in range(5))
+        for i, v in enumerate(lone)}}, [lone, ["m"]]))
+    cases.append(validate(2, {"a": (0, 0), "b": (2, 0), "c": (0, 2),
+                              "m": (1, 1), "x": (-1, 1), "y": (1, -1)},
+                          [["a", "b", "c"], ["b"], ["c"], ["m"], ["a", "b"],
+                           ["a", "c"], ["b", "m"], ["m", "c"], ["x"], ["y"],
+                           ["x", "y"]]))
     return cases
 
 
@@ -945,6 +958,56 @@ def test_star_matches_the_lp_reference(corpus):
                 assert set(K.star([p]).members) == expected, p
     K = cases[-1]
     assert ("a", "b", "c") in K.star(K.subcomplex([("m",)])).members
+
+
+def test_closed_star_matches_the_proper_faces_definition(corpus):
+    """On every star case, the closed star of each simplex and of a
+    seeded triple of members is the LP reference's star with the proper
+    faces of its members that lie in K."""
+    rng = random.Random(38)
+    ref = LPReference()
+    for K in star_cases(corpus):
+        order = sorted(K.simplices)
+        targets = [[t] for t in order]
+        targets.append(rng.sample(order, min(3, len(order))))
+        for members in targets:
+            star = ref.star(K, [K.points(t) for t in members])
+            expected = star | {f for s in star for f in proper_faces(s)
+                               if f in K.simplices}
+            assert set(K.closed_star(K.subcomplex(members)).members) \
+                == expected, (members, order)
+
+
+def test_stars_never_list_faces(monkeypatch, corpus):
+    """`star` and `closed_star` of every simplex of the star cases and of
+    the r=1 corpus, and `urysohn` on disk r=2 about a vertex and about
+    the boundary, give the same answers with `complexes.proper_faces`
+    and `faces_with_self` raising."""
+    cases = star_cases(corpus) + [sd.iterated_subdivision(K, 1).fine
+                                  for K, _ in corpus.values()]
+    disk, subs = corpus["disk"]
+    w = sd.iterated_subdivision(disk, 2)
+    rims = [w.fine.subcomplex([("a",)]), w.fine.subcomplex(
+        pm.restrict_members(w, subs["boundary"].members))]
+
+    def answers():
+        out = []
+        for K in cases:
+            for t in sorted(K.simplices):
+                target = K.subcomplex([t])
+                out.append((K.star(target).members,
+                            K.closed_star(target).members))
+        for C in rims:
+            out.append(pm.urysohn(w.fine, C, w.fine.closed_star(C)).values)
+        return out
+
+    before = answers()
+
+    def enumerate_faces(s):
+        raise AssertionError(f"the faces of {s} listed")
+    for name in ("proper_faces", "faces_with_self"):
+        monkeypatch.setattr(complexes, name, enumerate_faces)
+    assert answers() == before
 
 
 def test_star_rejects_a_foreign_target(disk, tri3):
@@ -1022,10 +1085,12 @@ def measured(step):
     return got
 
 
-def test_one_big_simplex_is_read_by_facets():
+def test_one_big_simplex_is_read_by_facets(monkeypatch):
     """One 24-vertex simplex and nothing else: validating it, taking its
     core and checking a relabelled copy as its subdivision ask its
-    facets, never its 2**24 faces."""
+    facets, never its 2**24 faces.  Its star and closed star, alone and
+    with a vertex m on its missing edge v0-v1, read vertex sets and run
+    at most one LP each."""
     n = 24
     s = simplex(f"v{i}" for i in range(n))
     text = f"ambient {n - 1}\n" + "".join(
@@ -1040,6 +1105,16 @@ def test_one_big_simplex_is_read_by_facets():
                    [tuple("w" + v for v in s)])
     w = sd.SubdivisionWitness(fine, K, {t: s for t in fine.simplices})
     assert measured(lambda: sd.verify_subdivision(w)) == (True, [])
+    K_m, _ = scx.load_complex(
+        text + "vertex m 1/2" + " 0" * (n - 2) + "\nsimplex m\n")
+    lps = count_calls(monkeypatch, linalg, "convex_positions_intersect")
+    for L, t, star in ((K, s, {s}), (K_m, s, {s}),
+                       (K_m, ("m",), {s, ("m",)})):
+        for ask in (L.star, L.closed_star):
+            before = len(lps)
+            assert measured(lambda: ask(L.subcomplex([t])).members) == star
+            assert len(lps) - before <= 1, (ask.__name__, t)
+    assert len(lps) == 2
 
 
 def test_locate_oracles(disk):

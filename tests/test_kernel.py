@@ -402,6 +402,76 @@ def test_the_integer_lp_reads_what_the_fraction_tableau_read():
                for meet in (True, False)), verdicts
 
 
+def closed_meets_by_faces(pts_a, pts_b):
+    """Closed a meets open b by its definition: closed a is the union of
+    the open hulls of the nonempty vertex subsets of a, so some subset f
+    has open f meeting open b."""
+    return any(linalg.convex_positions_intersect(list(f), pts_b)
+               for k in range(1, len(pts_a) + 1)
+               for f in combinations(pts_a, k))
+
+
+def touching_pair(rng, d):
+    """Two integer point lists of R^d: a on even coordinates, b mixing
+    vertices of a, midpoints of two vertices of a and fresh points, so
+    that hulls touch often."""
+    pa = list({tuple(F(2 * rng.randint(-1, 1)) for _ in range(d))
+               for _ in range(rng.randint(1, d + 1))})
+    pb = []
+    for _ in range(rng.randint(1, d + 1)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            pb.append(rng.choice(pa))
+        elif kind == 1:
+            p, q = rng.sample(pa, 2) if len(pa) > 1 else pa * 2
+            pb.append(tuple((x + y) / 2 for x, y in zip(p, q)))
+        else:
+            pb.append(tuple(F(rng.randint(-2, 2)) for _ in range(d)))
+    return pa, list(dict.fromkeys(pb))
+
+
+def test_the_closed_side_lp_matches_its_definition():
+    """`convex_positions_intersect(a, b, closed_a=True)` against the
+    union of its open faces, on seeded integer pairs of R^2 and R^3 in
+    both orders; touching pairs, where closed a meets open b and open a
+    does not, are common."""
+    rng = random.Random(1985)
+    seen = Counter()
+    for d in (2, 3):
+        for _ in range(400):
+            pa, pb = touching_pair(rng, d)
+            for x, y in ((pa, pb), (pb, pa)):
+                meet = closed_meets_by_faces(x, y)
+                assert linalg.convex_positions_intersect(
+                    x, y, closed_a=True) is meet, (x, y)
+                seen[d, meet, linalg.convex_positions_intersect(x, y)] += 1
+    assert not seen[2, False, True] and not seen[3, False, True]
+    assert all(seen[d, closed, open_] >= 50 for d in (2, 3)
+               for closed, open_ in ((True, True), (True, False),
+                                     (False, False))), seen
+
+
+def test_the_closed_side_lp_by_hand():
+    """A triangle of R^3 whose vertex lies inside another triangle and
+    which is otherwise above it, and a point on an edge and at a vertex:
+    the closed side meets where the open side does not."""
+    def pts(*ps):
+        return [tuple(F(x) for x in p) for p in ps]
+    floor = pts((0, 0, 0), (4, 0, 0), (0, 4, 0))
+    tent = pts((1, 1, 0), (0, 0, 2), (2, 0, 2))
+    assert linalg.convex_positions_intersect(tent, floor, closed_a=True)
+    assert not linalg.convex_positions_intersect(tent, floor)
+    assert not linalg.convex_positions_intersect(floor, tent, closed_a=True)
+    triangle = pts((0, 0), (2, 0), (0, 2))
+    edge, mid, corner = triangle[:2], pts((1, 0)), pts((0, 0))
+    for a, b in ((triangle, mid), (triangle, corner), (edge, corner)):
+        assert linalg.convex_positions_intersect(a, b, closed_a=True)
+        assert not linalg.convex_positions_intersect(a, b)
+        assert not linalg.convex_positions_intersect(b, a, closed_a=True)
+    assert linalg.convex_positions_intersect(edge, mid)
+    assert linalg.convex_positions_intersect(mid, edge, closed_a=True)
+
+
 class Opaque(F):
     """A Fraction whose arithmetic raises: a point of these reaches an
     integer LP only through `as_integer_ratio`."""
