@@ -11,7 +11,11 @@ they can be re-verified independently of how they were produced.
 
 The pipelines evaluate through the witnesses in hand, never by searching a
 complex: `PLMap.evaluate_in` takes a fine simplex whose closure holds the
-point, and `carrier_face` finds a minimal carrier inside a known one.
+point.  Every containment question, a producer's minimal carrier inside a
+known one as much as a verifier's proof or `PLMap._check`, is one rule:
+the support of barycentric rows that one `complexes.WeightRows` computes
+once per (named image point, carrier); `map_rows` names the images of
+several maps apart.
 `PLMap.evaluate` and `PLFunction.evaluate`, for a point with no witness,
 locate it in the small coarse complex of the domain subdivision and test
 only the fine simplices that coarse simplex carries
@@ -47,7 +51,9 @@ def minimal_carrier(L: Complex, points) -> Simplex | None:
 
 def carrier_face(L: Complex, sigma: Simplex, points) -> Simplex | None:
     """Smallest face of closed sigma containing the points, or None if one
-    lies outside it; the unique minimal closed carrier."""
+    lies outside it; the unique minimal closed carrier.  Kept for callers
+    outside the package with raw points in hand; the package's own paths
+    ask `WeightRows.support` of named images (`map_rows`)."""
     return L.support(sigma, points)
 
 
@@ -90,12 +96,14 @@ class PLMap:
         An image equal, as an exact tuple, to a vertex of the carrier is a
         point of the closed carrier, so vertex equality proves it with no
         frame: a simplicial map builds no codomain frame.  Any other image
-        is located by `point_in_closure`, once per (carrier, vertex) pair.
-        A missing carrier or image is a CarrierClash naming it."""
+        is proved by the support of its `WeightRows` row, once per
+        (carrier, vertex) pair.  A missing carrier or image is a
+        CarrierClash naming it."""
         L = self.codomain
         if not L.is_closed():
             raise NotClosed("codomain must be closed")
         proved = set()   # (carrier, vertex) pairs, each checked once
+        rows = WeightRows(L, self.vertex_image)
         for t in sorted(self.fine.simplices):
             c = self.target_carrier.get(t)
             if c is None or c not in L.simplices:
@@ -107,7 +115,7 @@ class PLMap:
                 if y is None:
                     raise CarrierClash(f"no image for vertex {v}")
                 if not (any(L.vertices[u] == y for u in c)
-                        or L.point_in_closure(c, y)):
+                        or rows.support((v,), c) is not None):
                     raise CarrierClash(
                         f"image of vertex {v} outside carrier {sname(c)}")
                 proved.add((c, v))
@@ -225,6 +233,14 @@ def subdivide_map(f: PLMap) -> PLMap:
         face[s] = c if c is not None else parent
     carrier = {t: face[s] for t, s in step.carrier.items()}
     return PLMap(f.domain, f.codomain, w, verts, carrier, check=False)
+
+
+def map_rows(L: Complex, *maps: PLMap) -> WeightRows:
+    """One `WeightRows` of L over the vertex images of the maps, the image
+    of vertex v under maps[i] named (i, v), as `verify_certificate` names
+    the images of a step's two maps."""
+    return WeightRows(L, {(i, v): y for i, h in enumerate(maps)
+                          for v, y in h.vertex_image.items()})
 
 
 def incident_simplices(K: Complex) -> dict[str, list[Simplex]]:
@@ -465,10 +481,11 @@ def straight_line_homotopy(f: PLMap, g: PLMap,
     if f.fine != g.fine:
         raise Incompatible("maps must share their domain subdivision")
     L = f.codomain
+    rows = map_rows(L, f, g)
     carriers = {}
     for t in sorted(f.fine.simplices):
-        faces = [carrier_face(L, h.target_carrier[t], h.image_points(t))
-                 for h in (f, g)]
+        faces = [rows.support([(i, v) for v in t], h.target_carrier[t])
+                 for i, h in enumerate((f, g))]
         c = None if None in faces else simplex(set(faces[0]) | set(faces[1]))
         if c not in L.simplices:
             raise CarrierClash(
@@ -548,6 +565,16 @@ def simplicialize_rel(f: PLMap, K_C: SubcomplexRef | None,
     star of K_C in the final fine complex, blend with the 0/1 Urysohn
     function, and certify f -> result (and -> mu when mu already agrees on
     |K_C|), all constant on |K_C|.
+
+    The blend is read off the vertices of the fine copy of K_C: base's
+    image there, mu's elsewhere.  These are the values `urysohn` returns
+    for K_C and its closed star, with nothing left to check: the fine
+    complex is closed (`barycentric_subdivide` requires it), the copy of
+    closed K_C is closed, a derived subdivision makes it full (Rourke and
+    Sanderson, 1972), and K_E is its closed star by definition.  Every
+    result image is base's or mu's, so a step's common carrier over t is
+    the support of base's and mu's images of t in t's result carrier,
+    read from one `map_rows` of the two maps.
     """
     if K_C is None or len(K_C.members) == 0:
         g, cert = simplicial_approximation(f, max_rounds)
@@ -562,23 +589,23 @@ def simplicialize_rel(f: PLMap, K_C: SubcomplexRef | None,
     base = cert_mu.steps[-1].frm          # f on the final subdivision
     fine = base.fine
     cfine = restrict_members(base.dom_subdivision, K_C.members)
-    ref_c = fine.subcomplex(cfine)
-    lam = urysohn(fine, ref_c, fine.closed_star(ref_c))
 
-    # blend (1 - lam) * base + lam * mu: the Urysohn values are 0 or 1, so
-    # every blended vertex is a vertex image of base or of mu, and both lie
-    # in base's carriers (mu's vertices were chosen among them); PLMap._check
-    # re-proves it
-    verts = {v: (mu if lv else base).vertex_image[v]
-             for v, lv in lam.values.items()}
+    # blend (1 - lam) * base + lam * mu, lam 0 on the vertices of cfine and
+    # 1 elsewhere: every blended vertex is a vertex image of base or of mu,
+    # so the step-carrier loop below, which finds base's and mu's images of
+    # each t in its closed carrier, is the proof that PLMap._check would
+    # repeat
+    verts = dict(mu.vertex_image)
+    verts.update((v, base.vertex_image[v]) for t in cfine for v in t)
     L = f.codomain
     result = PLMap(f.domain, L, base.dom_subdivision, verts,
-                   base.target_carrier)
+                   base.target_carrier, check=False)
 
+    rows = map_rows(L, base, mu)
     step_carriers = {}
     for t in fine.simplices:
-        pts = base.image_points(t) + mu.image_points(t) + result.image_points(t)
-        c = carrier_face(L, result.target_carrier[t], pts)
+        c = rows.support([(i, v) for i in (0, 1) for v in t],
+                         result.target_carrier[t])
         if c is None:
             raise CarrierClash(f"no common carrier over {sname(t)}")
         step_carriers[t] = c

@@ -507,14 +507,22 @@ def all_cofaces_collapses(cylinder, target):
                 cofaces[f].discard(t)
 
 
-@pytest.mark.parametrize("name", ["disk", "cube2"])
-def test_one_up_cofaces_give_the_all_dimension_sequence(corpus, name):
-    """The r=0 cylinder onto its boundary wall and bottom: the collapse
-    sequence from one-up cofaces is the one from cofaces of every
-    dimension."""
+@pytest.mark.parametrize("name,rounds", [("disk", 0), ("disk", 1),
+                                         ("disk", 2), ("cube2", 0),
+                                         ("cube2", 1)],
+                         ids=["disk", "disk-1", "disk-2", "cube2",
+                              "cube2-1"])
+def test_one_up_cofaces_give_the_all_dimension_sequence(corpus, name,
+                                                        rounds):
+    """The cylinder over the r-th subdivision onto its boundary wall and
+    bottom: the collapse sequence from one-up cofaces is the one from
+    cofaces of every dimension."""
     K, subs = corpus[name]
-    P = cy.prism_triangulate(K)
-    target = P.over(subs["boundary"].members) | P.bottom_members()
+    w = sd.iterated_subdivision(K, rounds)
+    P = cy.prism_triangulate(w.fine)
+    members = [t for t in w.fine.simplices
+               if w.carrier[t] in subs["boundary"].members]
+    target = P.over(members) | P.bottom_members()
     steps = list(cy._collapses(P.cylinder, target))
     assert steps and steps == list(all_cofaces_collapses(P.cylinder, target))
 

@@ -1,11 +1,12 @@
 """PL maps: evaluation, approximation, certificates, and the rel pipeline."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from plhtpy import linalg
+from plhtpy import certio, linalg
 from plhtpy import plmaps as pm
 from plhtpy import scx
 from plhtpy import subdivision as sd
@@ -16,7 +17,7 @@ from plhtpy.errors import (CarrierClash, FixedSetMismatch, Incompatible,
                            ValueOutOfRange)
 from plhtpy.homology import induced_map
 
-from conftest import fresh, make_hexagon
+from conftest import fresh, make_hexagon, make_perturbed_disk
 
 
 def test_evaluate_identity(disk):
@@ -526,3 +527,84 @@ def test_subdivide_map_reads_one_row_per_carrier_and_vertex(monkeypatch,
     # rows are read at the old vertices, once per (carrier, vertex) pair
     pairs = {(f.target_carrier[s], v) for s in f.fine.simplices for v in s}
     assert 0 < len(calls) <= len(pairs)
+
+
+# ---------------------------------------------------------------------------
+# One containment rule: producers and PLMap._check read `WeightRows`
+# ---------------------------------------------------------------------------
+
+def forbid_other_containment_routes(m):
+    """Make every containment route other than `WeightRows` raise."""
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+    for owner, name in ((pm, "urysohn"), (pm, "carrier_face"),
+                        (Complex, "closed_star"), (Complex, "support"),
+                        (Complex, "point_in_closure")):
+        m.setattr(owner, name, forbidden(name))
+
+
+def rel_input(name, disk):
+    if name == "perturbed_disk":
+        return make_perturbed_disk(disk)
+    return pm.identity_map_on(sd.iterated_subdivision(disk, int(name[-1])))
+
+
+@pytest.mark.parametrize("name", ["perturbed_disk", "disk_r1", "disk_r2"])
+def test_simplicialize_rel_blends_and_carries_as_urysohn_and_carrier_face(
+        monkeypatch, disk, disk_boundary, name):
+    f = rel_input(name, disk)
+    with monkeypatch.context() as m:
+        forbid_other_containment_routes(m)
+        g, cert = pm.simplicialize_rel(f, disk_boundary)
+    assert pm.verify_certificate(cert) == (True, [])
+    # the construction's own rules, asked of the same base and mu
+    mu, cert_mu = pm.simplicial_approximation(pm.subdivide_map(f))
+    base = cert_mu.steps[-1].frm
+    fine = base.fine
+    assert g.fine == fine
+    c_ref = fine.subcomplex(pm.restrict_members(base.dom_subdivision,
+                                                disk_boundary.members))
+    lam = pm.urysohn(fine, c_ref, fine.closed_star(c_ref))
+    assert g.vertex_image == {v: (mu if x else base).vertex_image[v]
+                              for v, x in lam.values.items()}
+    carriers = {t: pm.carrier_face(f.codomain, g.target_carrier[t],
+                                   base.image_points(t) + mu.image_points(t)
+                                   + g.image_points(t))
+                for t in fine.simplices}
+    assert cert.steps and all(step.carriers == carriers
+                              for step in cert.steps)
+
+
+def common_carriers(f, g):
+    """The carriers `straight_line_homotopy` certifies, by `carrier_face`
+    on each map's raw image points."""
+    out = {}
+    for t in f.fine.simplices:
+        faces = [pm.carrier_face(f.codomain, h.target_carrier[t],
+                                 h.image_points(t)) for h in (f, g)]
+        out[t] = simplex(set(faces[0]) | set(faces[1]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["rot", "perturbed_disk"])
+def test_plmap_check_and_straight_line_homotopy_read_weight_rows(
+        monkeypatch, request, name):
+    f = request.getfixturevalue(name)
+    step = pm.simplicial_approximation(f)[1].steps[0]
+    want = common_carriers(step.frm, step.to)
+    parts = (f.domain, f.codomain, f.dom_subdivision, f.vertex_image,
+             f.target_carrier)
+    v = min(f.fine.used_vertices())
+    far = dict(f.vertex_image, **{v: (F(7),) * f.codomain.ambient_dim})
+    with monkeypatch.context() as m:
+        forbid_other_containment_routes(m)
+        rebuilt = pm.PLMap(*parts)
+        h = pm.straight_line_homotopy(step.frm, step.to)
+        with pytest.raises(CarrierClash,
+                           match=f"image of vertex {re.escape(v)} outside"):
+            pm.PLMap(*parts[:3], far, parts[4])
+    assert certio.dumps(certio.map_to_obj(rebuilt)) == \
+        certio.dumps(certio.map_to_obj(f))
+    assert h.steps[0].carriers == want
