@@ -15,6 +15,7 @@ reduction and the homology groups built on it (`homology.chain_complex`).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -90,6 +91,21 @@ def support_face(s: Simplex, hits) -> Optional[Simplex]:
             return None
         on = [o or x > 0 for o, x in zip(on, hit[0])]
     return tuple(v for v, o in zip(s, on) if o)
+
+
+def spanning_tree(adj: dict, start) -> dict:
+    """Breadth-first tree of start's component, neighbours visited in
+    sorted order: vertex -> parent, the start its own parent, in the order
+    the walk reaches them."""
+    parent = {start: start}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for w in sorted(adj[u]):
+            if w not in parent:
+                parent[w] = u
+                queue.append(w)
+    return parent
 
 
 class WeightRows:

@@ -59,14 +59,6 @@ class RoundsExhausted(PlhtpyError):
         self.failing_vertices = tuple(failing_vertices)
 
 
-class NotFull(PlhtpyError):
-    pass
-
-
-class BarrierViolation(PlhtpyError):
-    pass
-
-
 class Incompatible(PlhtpyError):
     pass
 

@@ -1,7 +1,9 @@
 """Edge-path fundamental groups.
 
-One breadth-first walk of the 1-skeleton, `spanning_tree`, serves pi_0
-(one tree per component), the presentation and `boundary_component`.
+One breadth-first walk of the 1-skeleton, `complexes.spanning_tree`,
+serves pi_0 (one tree per component), the presentation and
+`boundary_component`, and its forest is the first phase of homology's
+Morse reduction.
 Presentations are built from the spanning tree at the base vertex
 (generators = non-tree edges, one relator per 2-simplex); one length-one
 relator elimination each certifies triviality and leaves the generators
@@ -15,9 +17,8 @@ undecidable in general, so triviality verdicts are three-valued and
 from __future__ import annotations
 
 import enum
-from collections import deque
 
-from .complexes import Complex, Simplex, SubcomplexRef, simplex
+from .complexes import Complex, Simplex, SubcomplexRef, simplex, spanning_tree
 from .errors import (BaseVertexMismatch, NotCertifiablySimplyConnected,
                      NotClosed, NotConnected, StartNotInA)
 from .homology import (AbelianGroup, AbelianQuotient, chain_complex,
@@ -37,21 +38,6 @@ def adjacency(K: Complex) -> dict[str, set[str]]:
         adj[u].add(v)
         adj[v].add(u)
     return adj
-
-
-def spanning_tree(adj: dict[str, set[str]], start: str) -> dict[str, str]:
-    """Breadth-first tree of start's component, neighbours visited in
-    identifier order: vertex -> parent, the start its own parent, in the
-    order the walk reaches them."""
-    parent = {start: start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(adj[u]):
-            if w not in parent:
-                parent[w] = u
-                queue.append(w)
-    return parent
 
 
 def pi0(K: Complex) -> list[tuple[str, ...]]:

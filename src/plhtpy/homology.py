@@ -15,13 +15,14 @@ dicts to dicts.
 
 Homology first reduces the chain complex, once per complex: pairs of cells
 with a unit incidence are eliminated (`MorseReduction`) until none is
-left, and each elimination is a chain homotopy equivalence with explicit
-maps both ways.  A closed Complex keeps its chain complex, and that keeps
-its reduction and each H_n, so every degree and every caller on one
-complex share them.  Only the residual complex on the critical cells, a few
-cells where the complex has thousands, is made dense for the Smith normal
-form; generators come back through the inclusion and chains go in through
-the projection.
+left, starting with each vertex and its edge in the spanning forest that
+pi_0 and pi_1 walk (`complexes.spanning_tree`), and each elimination is a
+chain homotopy equivalence with explicit maps both ways.  A closed
+Complex keeps its chain complex, and that keeps its reduction and each
+H_n, so every degree and every caller on one complex share them.  Only the
+residual complex on the critical cells, a few cells where the complex has
+thousands, is made dense for the Smith normal form; generators come back
+through the inclusion and chains go in through the projection.
 
 One Smith normal form kernel serves all of it, empty matrices included.
 Each pivot is the least entry of the remaining block, searched again after
@@ -48,7 +49,8 @@ from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
-from .complexes import Complex, Simplex, facets, sdim, sname
+from .complexes import (Complex, Simplex, facets, sdim, sname,
+                        spanning_tree)
 from .errors import (Incompatible, InvalidGroup, NotAChainComplex,
                      NotClosed, NotSimplicial, NotSubcomplex)
 from .linalg import eliminate
@@ -371,8 +373,9 @@ class MorseReduction(ChainComplex):
     coface x of a the boundary d x - eps <d x, a> d b and drops b from its
     cofaces' boundaries.  Pairs are taken in a fixed order (Kaczynski,
     Mrozek and Slusarek, Comput. Math. Appl. 35, 1998):
-      1. per component, a breadth-first tree from the least vertex pairs
-         each newly reached vertex with its tree edge;
+      1. per component, `complexes.spanning_tree` (pi_0's and pi_1's walk)
+         from the least vertex over the edges whose two vertices are live
+         pairs each newly reached vertex with its tree edge;
       2. then zero-fill pairs from a worklist: a cell whose boundary is
          one unit term, or a face with a single coface of unit incidence;
       3. only when the worklist is empty, the unit pair of least fill
@@ -444,24 +447,18 @@ class MorseReduction(ChainComplex):
             self.step[a] = self.step[b] = k
             bd[a] = bd[b] = cob[a] = cob[b] = None
 
-        tree = []
-        seen = bytearray(len(cells))
-        for root in range(len(cc.basis.get(0, []))):
-            if seen[root]:
-                continue
-            seen[root] = 1
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for e in cob[u]:
-                    if len(bd[e]) == 2:
-                        for v in bd[e]:
-                            if not seen[v]:
-                                seen[v] = 1
-                                tree.append((v, e))
-                                queue.append(v)
-        for v, e in tree:
-            eliminate(v, e)
+        # vertex -> {neighbour: edge} over the edges whose two vertices are
+        # live; cell numbers order the vertices as their ids do
+        adj = {u: {v: e for e in cob[u] if len(bd[e]) == 2
+                   for v in bd[e] if v != u}
+               for u in range(len(cc.basis.get(0, [])))}
+        tree = {}
+        for root in adj:
+            if root not in tree:
+                tree.update(spanning_tree(adj, root))
+        for v, u in tree.items():
+            if u != v:
+                eliminate(v, adj[u][v])
         while True:
             while work:
                 c = work.popleft()

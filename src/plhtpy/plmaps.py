@@ -16,10 +16,10 @@ known one as much as a verifier's proof or `PLMap._check`, is one rule:
 the support of barycentric rows that one `complexes.WeightRows` computes
 once per (named image point, carrier); `map_rows` names the images of
 several maps apart.
-`PLMap.evaluate` and `PLFunction.evaluate`, for a point with no witness,
-locate it in the small coarse complex of the domain subdivision and test
-only the fine simplices that coarse simplex carries
-(`SubdivisionWitness.locate_piece`), never every fine simplex.
+`PLMap.evaluate`, for a point with no witness, locates it in the small
+coarse complex of the domain subdivision and tests only the fine simplices
+that coarse simplex carries (`SubdivisionWitness.locate_piece`), never
+every fine simplex.
 """
 
 from __future__ import annotations
@@ -30,15 +30,11 @@ from fractions import Fraction
 from . import linalg, subdivision
 from .complexes import (Complex, SubcomplexRef, Simplex, WeightRows,
                         simplex, sname)
-from .errors import (BarrierViolation, CarrierClash, FixedSetMismatch,
-                     Incompatible, NotClosed, NotFull, NotSimplicial,
-                     NotSubcomplex, PointOutsidePolyhedron, RoundsExhausted,
-                     ValueOutOfRange)
+from .errors import (CarrierClash, FixedSetMismatch, Incompatible,
+                     NotClosed, NotSimplicial, NotSubcomplex,
+                     PointOutsidePolyhedron, RoundsExhausted, ValueOutOfRange)
 from .subdivision import (SubdivisionWitness, barycentric_subdivide,
                           identity_witness)
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 def minimal_carrier(L: Complex, points) -> Simplex | None:
@@ -187,6 +183,8 @@ def simplicial_map(K: Complex, L: Complex, vmap: dict[str, str]) -> PLMap:
 
 def simplicial_map_on(w: SubdivisionWitness, L: Complex,
                       vmap: dict[str, str]) -> PLMap:
+    """Affine extension of vmap on w.fine.  Each image is a vertex of its
+    carrier, so the loop proves all `PLMap._check` would but a closed L."""
     used = sorted(w.fine.used_vertices())
     missing = [v for v in used if v not in vmap]
     if missing:
@@ -198,8 +196,10 @@ def simplicial_map_on(w: SubdivisionWitness, L: Complex,
             raise NotSimplicial(
                 f"image {sname(img)} of {sname(t)} is not a simplex")
         carrier[t] = img
+    if not L.is_closed():
+        raise NotClosed("codomain must be closed")
     verts = {v: L.vertices[vmap[v]] for v in used}
-    return PLMap(w.coarse, L, w, verts, carrier)
+    return PLMap(w.coarse, L, w, verts, carrier, check=False)
 
 
 def subdivide_map(f: PLMap) -> PLMap:
@@ -389,7 +389,8 @@ def verify_certificate(cert: HomotopyCertificate):
     Consecutive steps chain when the maps between them share their fine
     complex, coordinates included, and agree at every vertex
     (`moved_vertices`, one problem per moved vertex in vertex order); the
-    fixed set is checked the same way.  A certificate from
+    fixed set the same way, named by vertices, so only as a subcomplex of
+    each step's domain (an equal copy will do).  A certificate from
     `certio.cert_from_obj` shares one Complex between identical block
     lines, so those fine complexes compare by identity; a block spelled
     differently is its own Complex and compares equal by value.
@@ -466,6 +467,9 @@ def verify_certificate(cert: HomotopyCertificate):
             else:
                 problems += [(i, (v,), "steps disagree") for v in
                              moved_vertices(prev, f, f.fine.simplices)]
+        if f.dom_subdivision.coarse != cert.fixed_set.parent:
+            problems.append((i, None, "fixed set is not on the domain"))
+            continue
         fixed = restrict_members(f.dom_subdivision, cert.fixed_set.members)
         problems += [(i, (v,), "not constant on fixed set")
                      for v in moved_vertices(f, g, fixed)]
@@ -502,51 +506,8 @@ def straight_line_homotopy(f: PLMap, g: PLMap,
 
 
 # ---------------------------------------------------------------------------
-# Urysohn separation and the rel-subcomplex pipeline
+# The rel-subcomplex pipeline
 # ---------------------------------------------------------------------------
-
-class PLFunction:
-    """PL function |K| -> [0,1] given by vertex values on a subdivision."""
-
-    def __init__(self, witness: SubdivisionWitness, values: dict[str, Fraction]):
-        self.witness = witness
-        self.values = {v: linalg.frac(x) for v, x in values.items()}
-        bad = sorted(v for v, x in self.values.items() if not 0 <= x <= 1)
-        if bad:
-            raise ValueOutOfRange(
-                f"values outside [0, 1] at {' '.join(bad)}")
-
-    def evaluate(self, x) -> Fraction:
-        x = linalg.vec(x)
-        t = self.witness.locate_piece(x)
-        coords = closed_coords(self.witness.fine, t, x)
-        return sum((c * self.values[v] for c, v in zip(coords, t)), F0)
-
-
-def is_full(K: Complex, members) -> bool:
-    """Every K-simplex all of whose vertices lie in the subcomplex belongs
-    to it."""
-    members = frozenset(tuple(s) for s in members)
-    cverts = {v for s in members for v in s}
-    return all(s in members for s in K.simplices if set(s) <= cverts)
-
-
-def urysohn(K: Complex, K_C: SubcomplexRef, K_E: SubcomplexRef) -> PLFunction:
-    """PL separating function: exactly 0 on |K_C|, 1 outside the interior
-    of |K_E|.  K_C must be closed and full; the closed star of K_C must
-    stay inside K_E."""
-    if not K.is_closed():
-        raise NotClosed("urysohn requires a closed complex")
-    if not K_C.is_closed():
-        raise NotSubcomplex("K_C must be closed")
-    if not is_full(K, K_C.members):
-        raise NotFull("K_C is not full; subdivide once first")
-    if not K.closed_star(K_C).members <= K_E.members:
-        raise BarrierViolation("closed star of K_C leaves K_E")
-    cverts = {v for s in K_C.members for v in s}
-    values = {v: (F0 if v in cverts else F1) for v in K.used_vertices()}
-    return PLFunction(identity_witness(K), values)
-
 
 def restrict_members(w: SubdivisionWitness, coarse_members) -> frozenset:
     """Fine simplices lying over a set of coarse simplices."""
@@ -561,20 +522,22 @@ def simplicialize_rel(f: PLMap, K_C: SubcomplexRef | None,
     keeping it fixed on |K_C| exactly.
 
     Build: subdivide the domain once (making the fine copy of K_C full),
-    run simplicial approximation to get mu, take the barrier K_E = closed
-    star of K_C in the final fine complex, blend with the 0/1 Urysohn
-    function, and certify f -> result (and -> mu when mu already agrees on
+    run simplicial approximation to get mu, blend base (f on the final
+    fine complex) with mu across the barrier K_E = closed star of K_C
+    there, and certify f -> result (and -> mu when mu already agrees on
     |K_C|), all constant on |K_C|.
 
-    The blend is read off the vertices of the fine copy of K_C: base's
-    image there, mu's elsewhere.  These are the values `urysohn` returns
-    for K_C and its closed star, with nothing left to check: the fine
-    complex is closed (`barycentric_subdivide` requires it), the copy of
-    closed K_C is closed, a derived subdivision makes it full (Rourke and
-    Sanderson, 1972), and K_E is its closed star by definition.  Every
-    result image is base's or mu's, so a step's common carrier over t is
-    the support of base's and mu's images of t in t's result carrier,
-    read from one `map_rows` of the two maps.
+    The blend is the 0/1 Urysohn function of the fine copy C of K_C:
+    result takes base's image at the vertices of C and mu's at every other
+    vertex, affinely on each fine simplex.  C is closed (a copy of closed
+    K_C in a fine complex that `barycentric_subdivide` requires closed),
+    and a derived subdivision makes it full (Rourke and Sanderson, 1972):
+    a fine simplex whose vertices all lie in C belongs to C, so the
+    function vanishes exactly on |C| = |K_C|.  result is base there and mu
+    on every fine simplex that misses C; a simplex where it is neither
+    meets C, so lies in K_E.  Every result image is base's or mu's, so a
+    step's common carrier over t is the support of base's and mu's images
+    of t in t's result carrier, read from one `map_rows` of the two maps.
     """
     if K_C is None or len(K_C.members) == 0:
         g, cert = simplicial_approximation(f, max_rounds)

@@ -1,5 +1,6 @@
 """Integer simplicial homology: SNF groups, induced maps, exact sequences."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -36,6 +37,8 @@ Z = AbelianGroup(1)
 Z2 = AbelianGroup(2)
 ZERO = AbelianGroup(0)
 Z_MOD2 = AbelianGroup(0, (2,))
+REDUCTION_PAIRING_SHA256 = (
+    "562bac00c93b45e68d6d5ddec74103ba6298e094ce52c2f641bc790e751dff38")
 
 
 def check_column_side(A, S, Vcols, Vinv):
@@ -646,6 +649,33 @@ def test_reduction_matches_the_dense_smith_normal_form(corpus):
         assert tuple(len(red.basis.get(n, [])) for n in range(3)) == cells
 
 
+def test_reduction_pairing_is_pinned(corpus):
+    """The Morse reduction's log and residual bases over the corpus at
+    r=0-2, absolute and relative to each named subcomplex, and over a
+    closure of torus7 r=1 with four components, hash to one sha256: the
+    exact pairing order, which the critical-cell counts leave open.  The
+    digest is the one the reduction's own breadth-first walk gave before
+    the spanning forest of `complexes.spanning_tree` replaced it."""
+    cases = []
+    for name in scx.CORPUS_NAMES:
+        K, subs = corpus[name]
+        for r in range(3):
+            w = sd.iterated_subdivision(K, r)
+            cases.append(chain_complex(w.fine))
+            cases += [chain_complex(w.fine, rel=pm.restrict_members(
+                w, subs[sub].members)) for sub in sorted(subs)]
+    fine = sd.iterated_subdivision(corpus["torus7"][0], 1).fine
+    A = fine.restrict(random_closure(fine, random.Random(3)))
+    assert len(fg.pi0(A)) == 4
+    cases.append(chain_complex(A))
+    digest = hashlib.sha256()
+    for cc in cases:
+        red = cc.reduction()
+        digest.update(repr((red.log, sorted(red.basis.items()))).encode())
+    assert len(cases) == 34
+    assert digest.hexdigest() == REDUCTION_PAIRING_SHA256
+
+
 def test_random_closed_subcomplexes_agree_across_routes(corpus):
     """Seeded closures of random simplex samples of each corpus complex
     at r=1 and r=2: the Morse-reduced groups equal the dense Smith normal
@@ -870,12 +900,13 @@ def test_validation_survives_python_O():
             print("NotAChainComplex")
         from plhtpy.complexes import validate
         from plhtpy.errors import ValueOutOfRange
-        from plhtpy.plmaps import PLFunction
-        from plhtpy.subdivision import identity_witness
+        from plhtpy.plmaps import unit_time
+        from plhtpy.subdivision import iterated_subdivision
         K = validate(1, {"a": (0,), "b": (1,)}, [["a"], ["b"], ["a", "b"]])
-        for values in [{"a": 0, "b": 2}, {"a": -1, "b": 1}]:
+        for call in (lambda: iterated_subdivision(K, -1),
+                     lambda: unit_time(2)):
             try:
-                PLFunction(identity_witness(K), values)
+                call()
             except ValueOutOfRange:
                 print("ValueOutOfRange")
     """)

@@ -12,7 +12,7 @@ from plhtpy import scx
 from plhtpy import subdivision as sd
 from plhtpy.complexes import Complex, faces_with_self, simplex
 from plhtpy.errors import (CarrierClash, FixedSetMismatch, Incompatible,
-                           NotClosed, NotFull, NotSimplicial,
+                           NotClosed, NotSimplicial,
                            PointOutsidePolyhedron, RoundsExhausted,
                            ValueOutOfRange)
 from plhtpy.homology import induced_map
@@ -210,6 +210,51 @@ def test_certificate_into_a_non_closed_codomain_fails():
         False, [(0, None, "codomain is not closed")])
 
 
+def test_fixed_set_on_another_complex_is_rejected(rot, tri3):
+    """The fixed set is read by vertex name, so it must be a subcomplex of
+    each step's domain.  A one-vertex complex whose vertex zz sits at a's
+    point, which the homotopy moves, is rejected rather than read as no
+    fixed vertex; on an equal-by-value copy of tri3 the steps fare as on
+    tri3, which fails them rel {a}."""
+    steps = pm.simplicial_approximation(rot)[1].steps
+
+    def verdict(fixed):
+        return pm.verify_certificate(pm.HomotopyCertificate(steps, fixed))
+
+    zz = Complex(2, {"zz": tri3.vertices["a"]}, [("zz",)])
+    assert verdict(zz.subcomplex([("zz",)])) == (
+        False, [(0, None, "fixed set is not on the domain")])
+    rel_a = verdict(tri3.subcomplex([("a",)]))
+    assert not rel_a[0] and (0, ("a",), "not constant on fixed set") \
+        in rel_a[1]
+    copy = fresh(tri3)
+    assert verdict(copy.subcomplex([("a",)])) == rel_a
+    assert verdict(copy.subcomplex(())) == verdict(tri3.subcomplex(())) \
+        == (True, [])
+
+
+def test_simplicial_map_on_raises_in_the_checked_order(monkeypatch, tri3):
+    """`simplicial_map_on` proves its own carriers and builds no
+    `PLMap._check`, and keeps its errors' order: a missing vertex or a
+    non-simplex image is NotSimplicial before a non-closed codomain is
+    NotClosed."""
+    K = tri3.restrict([("a",), ("b",), ("a", "b")])
+    L = tri3.restrict([s for s in tri3.simplices if s != ("c",)])
+    with monkeypatch.context() as m:
+        m.setattr(pm.PLMap, "_check", None)
+        with pytest.raises(NotSimplicial, match="no image for vertex b"):
+            pm.simplicial_map(K, L, {"a": "a"})
+        with pytest.raises(NotSimplicial, match="image c of b"):
+            pm.simplicial_map(K, L, {"a": "a", "b": "c"})
+        with pytest.raises(NotClosed, match="codomain must be closed"):
+            pm.simplicial_map(K, L, {"a": "a", "b": "b"})
+        g = pm.simplicial_map(K, tri3, {"a": "a", "b": "c"})
+    assert g.target_carrier == pm.simplicial_map(
+        K, tri3, {"a": "a", "b": "c"}).target_carrier
+    assert g.vertex_image == {"a": tri3.vertices["a"],
+                              "b": tri3.vertices["c"]}
+
+
 ROT_AB = ("a", "a.b^bary")
 
 
@@ -277,18 +322,6 @@ def test_open_domain_images_are_read_per_host():
         False, [(0, t, "image outside carrier") for t in OPEN_ON_BC])
 
 
-def test_urysohn_vertex_star(disk):
-    fine = sd.barycentric_subdivide(disk).fine
-    c_ref = fine.subcomplex([("a",)])
-    lam = pm.urysohn(fine, c_ref, fine.closed_star(c_ref))
-    assert lam.values["a"] == 0
-    assert all(lam.values[v] == 1 for v in lam.values if v != "a")
-    # strictly positive on the open edges at a
-    x = tuple((p + q) / 3 for p, q in zip(fine.vertices["a"],
-                                          fine.vertices["a.b^bary"]))
-    assert 0 < lam.evaluate(x) < 1
-
-
 def test_stars_on_closed_complexes_run_no_lp(monkeypatch, corpus,
                                              perturbed_disk, disk_boundary):
     def no_lp(*args):
@@ -302,18 +335,27 @@ def test_stars_on_closed_complexes_run_no_lp(monkeypatch, corpus,
     disk = corpus["disk"][0]
     fine = sd.iterated_subdivision(disk, 3).fine
     assert len(fine.star(fine.subcomplex([("a",)])).members) == 18
-    a = fine.subcomplex([("a",)])
-    lam = pm.urysohn(fine, a, fine.closed_star(a))
-    assert lam.values["a"] == 0
     g, cert = pm.simplicialize_rel(perturbed_disk, disk_boundary)
     assert pm.verify_certificate(cert)[0]
 
 
-def test_urysohn_not_full(tri3):
-    c = tri3.subcomplex([("a",), ("b",)])
-    e = tri3.subcomplex(tri3.simplices)
-    with pytest.raises(NotFull):
-        pm.urysohn(tri3, c, e)
+@pytest.mark.parametrize("name,sub", [("cube1", "ends"),
+                                      ("cube2", "boundary"),
+                                      ("disk", "boundary")])
+def test_fine_copy_of_a_closed_subcomplex_is_closed_and_full(corpus, name,
+                                                              sub):
+    """What `simplicialize_rel` reads its 0/1 blend off: after one or more
+    barycentric subdivisions the fine copy of a closed subcomplex is
+    closed and full, every fine simplex whose vertices all lie in the copy
+    belonging to it.  Unsubdivided, none of these is full."""
+    K, subs = corpus[name]
+    for r in range(4):
+        w = sd.iterated_subdivision(K, r)
+        copy = pm.restrict_members(w, subs[sub].members)
+        cverts = {v for t in copy for v in t}
+        spanned = {t for t in w.fine.simplices if set(t) <= cverts}
+        assert w.fine.subcomplex(copy).is_closed(), r
+        assert (spanned == copy) == (r > 0), r
 
 
 def test_simplicialize_rel_empty_fixed(rot):
@@ -539,9 +581,8 @@ def forbid_other_containment_routes(m):
         def call(*args, **kwargs):
             raise AssertionError(f"{name} called")
         return call
-    for owner, name in ((pm, "urysohn"), (pm, "carrier_face"),
-                        (Complex, "closed_star"), (Complex, "support"),
-                        (Complex, "point_in_closure")):
+    for owner, name in ((pm, "carrier_face"), (Complex, "closed_star"),
+                        (Complex, "support"), (Complex, "point_in_closure")):
         m.setattr(owner, name, forbidden(name))
 
 
@@ -564,11 +605,14 @@ def test_simplicialize_rel_blends_and_carries_as_urysohn_and_carrier_face(
     base = cert_mu.steps[-1].frm
     fine = base.fine
     assert g.fine == fine
-    c_ref = fine.subcomplex(pm.restrict_members(base.dom_subdivision,
-                                                disk_boundary.members))
-    lam = pm.urysohn(fine, c_ref, fine.closed_star(c_ref))
-    assert g.vertex_image == {v: (mu if x else base).vertex_image[v]
-                              for v, x in lam.values.items()}
+    # the 0/1 Urysohn function of the fine copy of K_C: base's image on
+    # its vertices, mu's elsewhere
+    cverts = {v for t in pm.restrict_members(base.dom_subdivision,
+                                             disk_boundary.members)
+              for v in t}
+    assert g.vertex_image == {
+        v: (base if v in cverts else mu).vertex_image[v]
+        for v in fine.used_vertices()}
     carriers = {t: pm.carrier_face(f.codomain, g.target_carrier[t],
                                    base.image_points(t) + mu.image_points(t)
                                    + g.image_points(t))
