@@ -10,6 +10,11 @@ derives from its simplices: that order (`by_dim` and `vertex_ids` slice
 it), the simplex names, the used vertices, its closedness, the affine
 independence of its simplices, and its chain complex with the Morse
 reduction and the homology groups built on it (`homology.chain_complex`).
+It keeps what it derives from its coordinates too: the integer point of
+each vertex (`integer_point`), by which points are compared, the frame of
+each simplex asked (`frame`), and each barycentric answer a frame gave,
+per (simplex, integer point) (`weights`), which every `WeightRows` of the
+complex reads, so one answer serves every caller that asks it.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from math import lcm
-from operator import le
+from operator import le, or_
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
@@ -84,13 +89,14 @@ def support_face(s: Simplex, hits) -> Optional[Simplex]:
     (numerators, denominator) or None.  None when an answer is None (a
     point off the affine hull of s) or has a negative numerator (a point
     outside closed s).  The denominator is positive, so only the
-    numerators' signs are read."""
-    on = [False] * len(s)
+    numerators' signs are read: on nonnegative numerators, the bitwise or
+    of a vertex's numerators is nonzero exactly when one of them is."""
+    on = [0] * len(s)
     for hit in hits:
-        if hit is None or any(x < 0 for x in hit[0]):
+        if hit is None or min(hit[0]) < 0:
             return None
-        on = [o or x > 0 for o, x in zip(on, hit[0])]
-    return tuple(v for v, o in zip(s, on) if o)
+        on = list(map(or_, on, hit[0]))
+    return tuple(compress(s, on))
 
 
 def spanning_tree(adj: dict, start) -> dict:
@@ -110,28 +116,31 @@ def spanning_tree(adj: dict, start) -> dict:
 
 class WeightRows:
     """Barycentric rows of named points in the closed simplices of K: the
-    `AffineFrame.weights` answer at the integer point of `point[v]` in
-    simplex c of K, once per (v, c) pair however many pieces share it.  A
-    name v is any hashable key of `point`, a vertex id or a caller's own
-    label."""
+    answer `Complex.weights` keeps for simplex c of K at the integer point
+    of name v.  A name v is any hashable key of `point`, a vertex id or a
+    caller's own label.  `ints` is the table from each name to its
+    integer point, made from `point[v]` when v is first asked; a caller
+    that has a name's integer point in hand may enter it there instead.
+    The answers live on K, so names with one integer point, and other
+    `WeightRows` of K, share each (simplex, point) answer."""
 
     def __init__(self, K: "Complex", point):
         self.K = K
         self.point = point
-        self._rows: dict[tuple[str, Simplex], tuple | None] = {}
+        self.ints: dict = {}
 
-    def weights(self, v: str, c: Simplex):
-        key = (v, c)
-        try:
-            return self._rows[key]
-        except KeyError:
-            y = linalg.integer_point(self.point[v])
-            hit = self._rows[key] = self.K.frame(c).weights(y)
-            return hit
+    def integer_point(self, v) -> tuple[int, ...]:
+        y = self.ints.get(v)
+        if y is None:
+            y = self.ints[v] = linalg.integer_point(self.point[v])
+        return y
+
+    def weights(self, v, c: Simplex):
+        return self.K.weights(c, self.integer_point(v))
 
     def support(self, s, c: Simplex) -> Optional[Simplex]:
         """`support_face` of closed c on the points of the vertices of s."""
-        return support_face(c, (self.weights(v, c) for v in s))
+        return support_face(c, map(self.weights, s, repeat(c)))
 
 
 class Complex:
@@ -144,6 +153,8 @@ class Complex:
         self.simplices = frozenset(tuple(s) for s in simplices)
         self._frames: dict[Simplex, linalg.AffineFrame] = {}
         self._ints: dict[str, tuple[int, ...]] = {}
+        # (simplex, integer point) -> its frame's weights answer
+        self._answers: dict[tuple[Simplex, tuple[int, ...]], tuple | None] = {}
         self._scx: Optional[str] = None   # canonical text, see scx.emit_scx
         # chain complex, its reduction and H_n: see homology.chain_complex
         self._chains = None
@@ -172,6 +183,17 @@ class Complex:
             frame = self._frames[s] = linalg.AffineFrame(
                 [self.integer_point(v) for v in s])
         return frame
+
+    def weights(self, s: Simplex, y: tuple[int, ...]):
+        """`AffineFrame.weights` of the frame of s at the integer point y,
+        asked once per complex and kept next to the frames.  The answer is
+        shared: callers read it and never change it."""
+        key = (s, y)
+        try:
+            return self._answers[key]
+        except KeyError:
+            hit = self._answers[key] = self.frame(s).weights(y)
+            return hit
 
     def dim(self) -> int:
         return max((sdim(s) for s in self.simplices), default=-1)
@@ -240,14 +262,15 @@ class Complex:
         """Is every simplex affinely independent?  Faces of independent
         simplices are (Rourke and Sanderson, ch. 2), so only the simplices
         that are no simplex's facet are asked, the maximal ones when K is
-        closed: a vertex always is, an edge when its two points differ,
-        and a larger simplex when its kept frame, the only frames built,
-        has rows."""
+        closed: a vertex always is, an edge when the integer points of its
+        two vertices differ, and a larger simplex when its kept frame, the
+        only frames built, has rows."""
         if self._independent is None:
             facet_of = {f for s in self.simplices if len(s) > 1
                         for f in combinations(s, len(s) - 1)}
             self._independent = not any(
-                self.vertices[s[0]] == self.vertices[s[1]] if len(s) == 2
+                self.integer_point(s[0]) == self.integer_point(s[1])
+                if len(s) == 2
                 else len(s) > 2 and self.frame(s).rows is None
                 for s in self.canonical_order() if s not in facet_of)
         return self._independent
@@ -393,7 +416,9 @@ def validate(ambient_dim: int, vertex_coords: dict[str, Sequence],
     """Build a Complex, checking every structural invariant exactly.
 
     Raises DuplicateSimplex / AffinelyDependent / OverlappingSimplices with
-    the offending simplices named.  Affine independence is
+    the offending simplices named.  Two vertices share coordinates when
+    their integer points (`Complex.integer_point`, made here once per
+    vertex and kept by the Complex built) are equal.  Affine independence is
     `Complex.is_independent`, read from the simplices that are no
     simplex's facet; only when it fails are the simplices asked one by
     one, in input order, for the first dependent one to name, so accepted
@@ -406,13 +431,14 @@ def validate(ambient_dim: int, vertex_coords: dict[str, Sequence],
         if len(p) != ambient_dim:
             raise AffinelyDependent(
                 f"vertex {v} has {len(p)} coordinates, ambient dimension is {ambient_dim}")
-    by_point: dict[Point, str] = {}
+    table = Complex(ambient_dim, verts, ())     # the vertex table alone
+    by_point: dict[tuple[int, ...], str] = {}
     for v in sorted(verts):
-        p = verts[v]
-        if p in by_point:
+        y = table.integer_point(v)
+        if y in by_point:
             raise OverlappingSimplices(
-                f"vertices {by_point[p]} and {v} share coordinates {p}")
-        by_point[p] = v
+                f"vertices {by_point[y]} and {v} share coordinates {verts[v]}")
+        by_point[y] = v
 
     seen: set[Simplex] = set()
     simplices: list[Simplex] = []
@@ -431,6 +457,7 @@ def validate(ambient_dim: int, vertex_coords: dict[str, Sequence],
         simplices.append(s)
 
     K = Complex(ambient_dim, verts, simplices)
+    K._ints = table._ints
     if not K.is_independent():
         for s in simplices:
             if K.frame(s).rows is None:

@@ -27,7 +27,8 @@ simplex, screen 0 of `complexes.check_pairwise_disjoint`), and the LP
 pivots its integer tableau with the same step.  A frame answers with
 `AffineFrame.weights`: integer numerators over one positive denominator,
 so the sign tests and the relative volumes build no Fraction; `coords` is
-the Fraction form of the same answer.  `solve_linear`,
+the Fraction form of the same answer, and `integer_combination` reads an
+answer's affine image of integer points as an integer point.  `solve_linear`,
 `barycentric_coords`, `affinely_independent`, `vsub` and `mat_rank` are
 on no path of the package; tests use them as references.
 """
@@ -89,6 +90,24 @@ def integer_point(x) -> tuple[int, ...]:
     pairs = [q.as_integer_ratio() for q in x]
     den = lcm(*[d for _, d in pairs])
     return (*[n * (den // d) for n, d in pairs], den)
+
+
+def integer_combination(w: Sequence[int],
+                        ys: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The integer point of sum_j lambda_j x_j, where the integer points
+    y_j = `integer_point`(x_j) are given and lambda_j = w_j / q are the
+    barycentric coordinates of an `AffineFrame.weights` answer (w, q), so
+    the w_j sum to q > 0.  With D the least common multiple of the y_j's
+    last entries, z = sum_j w_j (D / D_j) y_j is q D (x, 1), and z over
+    the gcd of its entries is the primitive integer point with a positive
+    last entry that `integer_point` gives."""
+    den = lcm(*[y[-1] for y in ys])
+    z = [0] * len(ys[0])
+    for a, y in zip(w, ys):
+        k = a * (den // y[-1])
+        z = [s + k * b for s, b in zip(z, y)]
+    g = gcd(*z)
+    return tuple(s // g for s in z)
 
 
 def _pivot(m: list[list[int]], r: int, c: int, prev: int) -> int:

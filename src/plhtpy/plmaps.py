@@ -13,8 +13,9 @@ The pipelines evaluate through the witnesses in hand, never by searching a
 complex: `PLMap.evaluate_in` takes a fine simplex whose closure holds the
 point.  Every containment question, a producer's minimal carrier inside a
 known one as much as a verifier's proof or `PLMap._check`, is one rule:
-the support of barycentric rows that one `complexes.WeightRows` computes
-once per (named image point, carrier); `map_rows` names the images of
+the support of the barycentric rows a `complexes.WeightRows` reads for
+its named image points, answers that the codomain computes once per
+(carrier, integer point) and keeps; `map_rows` names the images of
 several maps apart.
 `PLMap.evaluate`, for a point with no witness, locates it in the small
 coarse complex of the domain subdivision and tests only the fine simplices
@@ -89,12 +90,12 @@ class PLMap:
         """Every fine simplex has a target carrier in the closed codomain,
         and the image of each of its vertices lies in that closed carrier.
 
-        An image equal, as an exact tuple, to a vertex of the carrier is a
-        point of the closed carrier, so vertex equality proves it with no
-        frame: a simplicial map builds no codomain frame.  Any other image
-        is proved by the support of its `WeightRows` row, once per
-        (carrier, vertex) pair.  A missing carrier or image is a
-        CarrierClash naming it."""
+        An image whose integer point is a vertex's of the carrier
+        (`Complex.integer_point`) is a point of the closed carrier, so
+        vertex equality proves it with no frame: a simplicial map builds no
+        codomain frame.  Any other image is proved by the support of its
+        `WeightRows` row, once per (carrier, vertex) pair.  A missing
+        carrier or image is a CarrierClash naming it."""
         L = self.codomain
         if not L.is_closed():
             raise NotClosed("codomain must be closed")
@@ -107,10 +108,10 @@ class PLMap:
             for v in t:
                 if (c, v) in proved:
                     continue
-                y = self.vertex_image.get(v)
-                if y is None:
+                if v not in self.vertex_image:
                     raise CarrierClash(f"no image for vertex {v}")
-                if not (any(L.vertices[u] == y for u in c)
+                y = rows.integer_point(v)
+                if not (any(L.integer_point(u) == y for u in c)
                         or rows.support((v,), c) is not None):
                     raise CarrierClash(
                         f"image of vertex {v} outside carrier {sname(c)}")
@@ -378,12 +379,15 @@ def verify_certificate(cert: HomotopyCertificate):
     domain subdivisions and the refinement, so each refinement simplex
     lies in its host (refinement carrier), where both maps are affine.  A
     refinement vertex at the point of a host vertex u takes u's images,
-    unevaluated; it is matched by point equality against the at most d+1
-    host vertices, never by name, so a relabelled refinement reads no
-    other vertex's image, and an identity refinement evaluates nothing.
-    Any other vertex is evaluated once per (vertex, host) by
-    `closed_coords`.  Both images are proved in the closed carrier through
-    one `WeightRows` of the codomain, and a failure is reported for every
+    unevaluated; it is matched by integer point equality
+    (`Complex.integer_point`) against the at most d+1 host vertices, never
+    by name, so a relabelled refinement reads no other vertex's image, and
+    an identity refinement evaluates nothing.  Any other vertex is
+    evaluated once per (vertex, host) on integers, from its kept weights
+    in the host (`Complex.weights`) and the integer points of the host's
+    images (`linalg.integer_combination`).  Both images are proved in the
+    closed carrier through one `WeightRows` of the codomain, whose table
+    of integer points is filled here, and a failure is reported for every
     refinement simplex and vertex it concerns.
 
     Consecutive steps chain when the maps between them share their fine
@@ -438,8 +442,8 @@ def verify_certificate(cert: HomotopyCertificate):
             problems.append((i, None, f"bad refinement: {viol[:3]}"))
             continue
         L, hosts = f.codomain, ref.coarse
-        image = {}   # (0 for f or 1 for g, name) -> image point
-        rows = WeightRows(L, image)
+        rows = WeightRows(L, {})
+        image = rows.ints   # (0 for f or 1 for g, name) -> integer point
         for t in sorted(ref.fine.simplices):
             c = step.carriers.get(t)
             if c is None or c not in L.simplices:
@@ -447,16 +451,20 @@ def verify_certificate(cert: HomotopyCertificate):
                 continue
             host = ref.carrier[t]
             for v in t:
-                x = ref.fine.vertices[v]
-                u = next((u for u in host if hosts.vertices[u] == x), None)
+                y = ref.fine.integer_point(v)
+                u = next((u for u in host if hosts.integer_point(u) == y),
+                         None)
                 name = (v, host) if u is None else u
                 if (0, name) not in image:
                     if u is None:
-                        coords = closed_coords(hosts, host, x)
-                        ys = [linalg.vcomb(coords, h.image_points(host))
-                              for h in (f, g)]
+                        # in closed host, as verify_subdivision proved
+                        w, _ = hosts.weights(host, y)
+                        ys = [linalg.integer_combination(w, [
+                            linalg.integer_point(p)
+                            for p in h.image_points(host)]) for h in (f, g)]
                     else:
-                        ys = [h.vertex_image[u] for h in (f, g)]
+                        ys = [linalg.integer_point(h.vertex_image[u])
+                              for h in (f, g)]
                     image[0, name], image[1, name] = ys
                 if rows.support([(0, name), (1, name)], c) is None:
                     problems.append((i, t, "image outside carrier"))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -39,7 +40,33 @@ from .errors import FormatError
 from .linalg import vec
 
 
+# the spellings `coord_str` writes, in ASCII digits: at most 600 digits a
+# part keeps every value under the 2000-bit cap below and under the least
+# int-to-str limit Python allows (640 digits)
+_PLAIN = re.compile(r"(-?[0-9]{1,600})(?:/([0-9]{1,600}))?")
+
+
 def _parse_coord(tok: str) -> Fraction:
+    """The exact value of a coordinate token.  What `coord_str` writes,
+    `n` or `n/d` with a nonzero d in ASCII digits, is read by `int`; every
+    other spelling (a sign `+`, a decimal point, an exponent, underscores,
+    other digits, a zero denominator, a part over 600 digits) goes to
+    `_read_fraction`.  Both give the same value for a token that both
+    read, and a bad token the same message."""
+    plain = _PLAIN.fullmatch(tok)
+    if plain is not None:
+        if plain[2] is None:
+            return Fraction(int(tok))
+        den = int(plain[2])
+        if den:
+            return Fraction(int(plain[1]), den)
+    return _read_fraction(tok)
+
+
+def _read_fraction(tok: str) -> Fraction:
+    """`Fraction`'s own reading of a coordinate token, bounded so that the
+    value can be written back by `coord_str`; a ValueError names a token
+    it cannot read."""
     # Fraction raises 10 to the exponent e of m * 10**e, for hours at
     # 1e1000000000: a zero m is read as 0, and as the terms of m have
     # fewer digits than its text, |e| >= limit + len(m) gives more digits

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from math import lcm, prod
 from typing import TYPE_CHECKING
 
 from . import linalg
@@ -131,18 +131,20 @@ def iterated_subdivision(K: Complex, rounds: int) -> SubdivisionWitness:
     return w
 
 
-def relative_volume(rows) -> Fraction:
+def relative_volume(rows) -> tuple[int, int]:
     """Signed vol(fine simplex) / vol(coarse simplex), both of the same
     dimension, from the barycentric coordinates of the fine vertices in
     the coarse simplex, one (integer row, positive denominator) pair per
-    fine vertex as `AffineFrame.weights` gives them: the determinant, the
-    last pivot of `linalg.eliminate` on the integer rows over the product
-    of the denominators.  Its sign is the orientation of the fine
-    vertices, in the order given, against the coarse simplex's."""
+    fine vertex as `AffineFrame.weights` gives them, as the integer pair
+    (det, den): det is the determinant of the integer rows, the last pivot
+    of `linalg.eliminate` (0 when they are singular), and den > 0 the
+    product of the denominators, so the volume is det / den, unreduced.
+    Its sign, det's, is the orientation of the fine vertices, in the order
+    given, against the coarse simplex's.  The rows are copied, never
+    eliminated in place: they are the answers a `Complex` keeps."""
     pivots, last = linalg.eliminate([list(w) for w, _ in rows], len(rows))
-    if len(pivots) < len(rows):
-        return Fraction(0)
-    return Fraction(last, prod(q for _, q in rows))
+    return (last if len(pivots) == len(rows) else 0,
+            prod(q for _, q in rows))
 
 
 def partition_violations(rows: WeightRows, pieces, carrier,
@@ -160,7 +162,10 @@ def partition_violations(rows: WeightRows, pieces, carrier,
     * closed: every facet of a piece is a piece, unless it lies on a face
       of c that the coarse complex leaves out;
     * the top (d-dimensional) pieces are nondegenerate and their relative
-      volumes sum to 1;
+      volumes sum to 1.  The sum is kept as integers: each volume is the
+      pair (det, den) of `relative_volume`, and the running sum a
+      numerator over the lcm of the denominators so far; a Fraction is
+      built only to name a sum other than 1 in its message;
     * every lower-dimensional piece is a face of a nondegenerate top
       piece through its first vertex;
     * every facet f carried by c has exactly two top cofaces, on opposite
@@ -198,7 +203,7 @@ def partition_violations(rows: WeightRows, pieces, carrier,
                 if f not in pieces and rows.support(f, c) in coarse.simplices:
                     violations.append((f, c, f"{what}face of {sname(t)} "
                                              "missing"))
-        total = Fraction(0)
+        total, whole = 0, 1      # the coverage so far, total / whole
         # vertex -> the nondegenerate top pieces through it
         through: dict[str, list[frozenset]] = defaultdict(list)
         # facet -> the side of each top coface, +1 or -1 up to a factor
@@ -207,15 +212,18 @@ def partition_violations(rows: WeightRows, pieces, carrier,
         for t in mine:
             if len(t) != len(c):
                 continue
-            vol = relative_volume([rows.weights(v, c) for v in t])
-            if vol == 0:
+            det, den = relative_volume([rows.weights(v, c) for v in t])
+            if det == 0:
                 violations.append((t, c, what + "degenerate"))
                 continue
-            total += abs(vol)
+            common = lcm(whole, den)
+            total = (total * (common // whole)
+                     + abs(det) * (common // den))
+            whole = common
             top = frozenset(t)
             for v in t:
                 through[v].append(top)
-            side = 1 if vol > 0 else -1
+            side = 1 if det > 0 else -1
             for f in facets(t):
                 cofaces.setdefault(f, []).append(side)
                 side = -side
@@ -241,8 +249,9 @@ def partition_violations(rows: WeightRows, pieces, carrier,
                 if len(f) == len(e) and f not in cofaces:
                     violations.append((f, c, f"{what}boundary facet with "
                                              "0 top cofaces"))
-        if total != 1:
-            violations.append((None, c, f"{what}coverage {total} != 1"))
+        if total != whole:
+            violations.append((None, c, f"{what}coverage "
+                                        f"{Fraction(total, whole)} != 1"))
     return violations
 
 

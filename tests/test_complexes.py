@@ -263,9 +263,16 @@ def test_identity_witness_of_a_dependent_triangle_gets_the_full_check(
                                                        ("a", "b")])
     assert not sd.verify_subdivision(sd.identity_witness(pinched))[0]
     assert len(calls) == 2
+    # one point spelled 1/2 and 2/4
+    respelled = Complex(1, {"a": (scx._parse_coord("1/2"),),
+                            "b": (scx._parse_coord("2/4"),)},
+                        [("a",), ("b",), ("a", "b")])
+    ok, violations = sd.verify_subdivision(sd.identity_witness(respelled))
+    assert not ok and len(calls) == 3
+    assert (("a", "b"), ("a", "b"), "not inside carrier") in violations
     disk = Complex(2, DISK_VERTS, sims)
     assert sd.verify_subdivision(sd.identity_witness(disk)) == (True, [])
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 def test_validate_overlapping_triangles():
@@ -813,9 +820,19 @@ def test_barycenter_of_integer_vertices_is_exact():
 
 
 def test_validate_rejects_aliased_vertices():
+    """Two vertices at one point share coordinates however the point is
+    spelled (points are compared as integer points), and the message
+    names both and the point."""
     verts = {"a": (0, 0), "b": (1, 0), "bb": (1, 0)}
-    with pytest.raises(Exception):
+    with pytest.raises(OverlappingSimplices) as exc:
         validate(2, verts, [["a"], ["b"], ["bb"]])
+    assert str(exc.value) == ("vertices b and bb share coordinates "
+                              "(Fraction(1, 1), Fraction(0, 1))")
+    text = "ambient 1\nvertex a 1/2\nvertex b 2/4\nsimplex a\nsimplex b\n"
+    with pytest.raises(OverlappingSimplices) as exc:
+        scx.load_complex(text)
+    assert str(exc.value) == \
+        "vertices a and b share coordinates (Fraction(1, 2),)"
 
 
 def test_equality_needs_every_used_vertex_on_both_sides():

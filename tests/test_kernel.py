@@ -268,6 +268,33 @@ def random_matrix(rng, nr, nc, big):
 
 
 @pytest.mark.parametrize("big", [False, True])
+def test_integer_combination_is_the_fraction_combination(big):
+    """The integer point `verify_certificate` evaluates from a point's
+    weights and the integer points of the images is the integer point of
+    the Fraction combination of the images by its coordinates, for points
+    inside, on a face of and outside a simplex, and images of any
+    dimension, repeated ones included."""
+    rng = random.Random(4141 + big)
+    for d in range(4):
+        for k in range(1, d + 2):
+            for _ in range(10):
+                pts = random_points(rng, d, k, big)
+                frame = frame_on(pts)
+                e = rng.randint(1, 3)
+                images = [tuple(rational(rng, big) for _ in range(e))
+                          for _ in range(k)]
+                images[-1] = rng.choice(images)
+                for x in queries(rng, pts, big):
+                    hit = frame.weights(linalg.integer_point(x))
+                    if hit is None:
+                        continue
+                    want = linalg.integer_point(
+                        linalg.vcomb(frame.coords(x), images))
+                    assert linalg.integer_combination(hit[0], [
+                        linalg.integer_point(y) for y in images]) == want
+
+
+@pytest.mark.parametrize("big", [False, True])
 def test_rank_and_volume_match_minors(big):
     rng = random.Random(606 + big)
     deficient = zero = 0
@@ -280,7 +307,7 @@ def test_rank_and_volume_match_minors(big):
         sq = random_matrix(rng, n, n, big)
         det = leibniz_det(sq)
         rows = [(y[:-1], y[-1]) for y in map(linalg.integer_point, sq)]
-        assert sd.relative_volume(rows) == det, sq
+        assert F(*sd.relative_volume(rows)) == det, sq
         zero += det == 0
     assert deficient and zero
 

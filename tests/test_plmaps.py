@@ -2,6 +2,7 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -619,6 +620,48 @@ def test_simplicialize_rel_blends_and_carries_as_urysohn_and_carrier_face(
                 for t in fine.simplices}
     assert cert.steps and all(step.carriers == carriers
                               for step in cert.steps)
+
+
+@pytest.fixture
+def weights_asked(monkeypatch):
+    """How often `AffineFrame.weights` computes each (frame, integer point)
+    answer from now on; a frame belongs to one simplex of one Complex."""
+    asked = Counter()
+    weights = linalg.AffineFrame.weights
+
+    def counted(frame, y):
+        asked[frame, tuple(y)] += 1
+        return weights(frame, y)
+    monkeypatch.setattr(linalg.AffineFrame, "weights", counted)
+    return asked
+
+
+def test_verifier_computes_each_weights_answer_once(
+        weights_asked, rot, deg2, perturbed_disk, disk_boundary):
+    """Loading and verifying the `approximate` certificates of rot,
+    perturbed_disk and deg2 and the `simplicialize_rel` certificate of
+    perturbed_disk, in their file form, computes each barycentric answer
+    once per complex: the loader's carrier check, the partition check and
+    the image check read the answers the complex keeps, whatever the name
+    of the point asked."""
+    certs = [pm.simplicial_approximation(f)[1]
+             for f in (rot, perturbed_disk, deg2)]
+    certs.append(pm.simplicialize_rel(perturbed_disk, disk_boundary)[1])
+    objs = [certio.cert_to_obj(cert) for cert in certs]
+    weights_asked.clear()
+    for obj in objs:
+        assert pm.verify_certificate(certio.cert_from_obj(obj)) == (True, [])
+    assert weights_asked and max(weights_asked.values()) == 1
+
+
+def test_simplicialize_rel_computes_each_weights_answer_once(weights_asked):
+    """On disk r=2 rel its boundary, the rows of base's and mu's images,
+    which agree at most vertices, are computed once per (carrier, point)."""
+    K, subs = scx.load_corpus("disk")
+    f = pm.identity_map_on(sd.iterated_subdivision(K, 2))
+    weights_asked.clear()
+    pm.simplicialize_rel(f, subs["boundary"])
+    assert weights_asked and max(weights_asked.values()) == 1
 
 
 def common_carriers(f, g):

@@ -188,6 +188,25 @@ def test_exponent_bound_keeps_messages(coord, cause):
         scx.parse_scx(f"ambient 1\nvertex a {coord}\n")
 
 
+@pytest.mark.parametrize("tok", [
+    "0", "-0", "007", "2/4", "-17/6", "+3", "3/-4", "1/0", "0/0", "/3",
+    "3/", "-", "1.5", "1e3", "1_000", "\u0661\u0662", "\u00b2",
+    "7" * 599, "-" + "9" * 600, "7" * 700, "1/" + "3" * 600,
+    "-" + "3" * 600 + "/" + "9" * 600, "1/" + "3" * 700])
+def test_plain_coordinates_read_as_fraction_reads_them(tok):
+    """`_parse_coord` reads what `coord_str` writes by `int`, and hands
+    every other token to `_read_fraction`, `Fraction`'s own reading: on
+    each token the two give the same exact value or the same message."""
+    def read(route):
+        try:
+            q = route(tok)
+        except ValueError as exc:
+            return "ValueError", str(exc)
+        return type(q), q
+
+    assert read(scx._parse_coord) == read(scx._read_fraction)
+
+
 def test_cli_validate_negative_ambient_exit2(tmp_path):
     bad = tmp_path / "neg.scx"
     bad.write_text("ambient -1\n")

@@ -301,8 +301,8 @@ def partition_reference(coarse, pieces, point, carrier, what="",
         for t in mine:
             if len(t) != len(c):
                 continue
-            vol = abs(sd.relative_volume([coarse.frame(c).weights(
-                linalg.integer_point(point[v])) for v in t]))
+            vol = abs(F(*sd.relative_volume([coarse.frame(c).weights(
+                linalg.integer_point(point[v])) for v in t])))
             if vol == 0:
                 violations.append((t, c, what + "degenerate"))
                 continue
@@ -383,9 +383,11 @@ def test_partition_sides_match_the_reference(disk):
     """Seeded forgeries of disk r=1..2 and the closed tetrahedron r=1,
     images moved as the benchmark's image_shift tamper moves them or
     folded across a facet, and the forged partitions of the triangle
-    (the benchmark's whole family, open and closed):
-    the violation lists, in order, are those of the reference under
-    either side test, and some put two top cofaces on one side."""
+    (the benchmark's whole family, open and closed), and a second copy
+    of the triangle or half of it over the triangle: the violation lists,
+    in order, are those of the reference, which sums the coverage in
+    Fractions, under either side test; some put two top cofaces on one
+    side, and some name a coverage of 2 or of 1/2."""
     tetra = closed_tetra()
     rng = random.Random(2121)
     moves = random.Random(3535)
@@ -395,6 +397,14 @@ def test_partition_sides_match_the_reference(disk):
             ref = forged_witness(disk, closed, x, t)
             cases.append((disk, ref.fine.vertices, ref.fine.simplices,
                           ref.carrier, ""))
+    whole = ("a", "b", "c")
+    doubled = dict(disk.vertices, **{v + "2": disk.vertices[v] for v in whole})
+    halved = dict(disk.vertices, m=(F(1, 2), F(1, 2)))
+    for point, tops in ((doubled, [whole, ("a2", "b2", "c2")]),
+                        (halved, [("a", "b", "m")])):
+        carrier = {s: s for s in disk.simplices if s != whole}
+        carrier.update(dict.fromkeys(tops, whole))
+        cases.append((disk, point, frozenset(carrier), carrier, ""))
     for K, r in ((disk, 1), (disk, 2), (tetra, 1)):
         w = sd.iterated_subdivision(K, r)
         cases.append((K, w.fine.vertices, w.fine.simplices, w.carrier, ""))
@@ -413,7 +423,8 @@ def test_partition_sides_match_the_reference(disk):
                                               what, one_side)
         seen.update(m[len(what):] for _, _, m in got)
     assert {"top cofaces on one side", "degenerate",
-            "boundary facet with 0 top cofaces"} <= seen, seen
+            "boundary facet with 0 top cofaces", "coverage 2 != 1",
+            "coverage 1/2 != 1"} <= seen, seen
 
 
 def stray_pieces(w, rng):

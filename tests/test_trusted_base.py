@@ -44,7 +44,7 @@ UNTRUSTED = {"Complex.try_locate": Complex.try_locate,
 # a reason.  Python 3.10 compiles the same code objects (each function,
 # lambda, comprehension and generator expression its own); 3.12 inlines
 # comprehensions (PEP 709), so there the count can only drop.
-MAX_CODE_OBJECTS = {"verify-cert": 135, "verify-normal": 106}
+MAX_CODE_OBJECTS = {"verify-cert": 133, "verify-normal": 104}
 
 
 def traced_cli(*args):

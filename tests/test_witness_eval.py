@@ -3,6 +3,7 @@ pipelines that never search a complex, and the verifier checks that make
 evaluating through a witness sound."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -189,21 +190,26 @@ def test_wrong_refinement_carrier_rejected_before_evaluation(rot, monkeypatch):
     monkeypatch.setattr(pm.PLMap, "evaluate_in", evaluate)
     monkeypatch.setattr(pm.PLMap, "evaluate", evaluate)
     monkeypatch.setattr(pm, "closed_coords", evaluate)
+    monkeypatch.setattr(linalg, "integer_combination", evaluate)
     ok, problems = pm.verify_certificate(cert)
     assert not ok
     assert problems[0][2].startswith("bad refinement")
 
 
 @pytest.fixture
-def coords_calls(monkeypatch):
-    """The (complex, host, point) of every `closed_coords` call."""
+def evaluations(monkeypatch):
+    """The (complex, host, integer point) of every evaluation that
+    `verify_certificate` makes: each asks `Complex.weights` of the host
+    itself, where every other weights question goes through a
+    `WeightRows`."""
     calls = []
-    closed = pm.closed_coords
+    weights = Complex.weights
 
-    def counted(K, t, x):
-        calls.append((id(K), t, tuple(x)))
-        return closed(K, t, x)
-    monkeypatch.setattr(pm, "closed_coords", counted)
+    def counted(K, t, y):
+        if sys._getframe(1).f_code is pm.verify_certificate.__code__:
+            calls.append((id(K), t, y))
+        return weights(K, t, y)
+    monkeypatch.setattr(Complex, "weights", counted)
     return calls
 
 
@@ -239,29 +245,29 @@ def bary_refined(cert, rename=None):
 
 
 @pytest.mark.parametrize("name", ["rot", "deg2", "perturbed_disk"])
-def test_identity_refinements_evaluate_nothing(request, name, coords_calls):
+def test_identity_refinements_evaluate_nothing(request, name, evaluations):
     """Every refinement vertex of an identity refinement is a vertex of
     its host, so its images are the host vertex's, with no evaluation; as
     in verify-cert, the certificate goes through its file form."""
     _, cert = pm.simplicial_approximation(request.getfixturevalue(name))
     loaded = certio.cert_from_obj(certio.cert_to_obj(cert))
-    coords_calls.clear()
+    evaluations.clear()
     assert pm.verify_certificate(cert) == (True, [])
     assert pm.verify_certificate(loaded) == (True, [])
-    assert coords_calls == []
+    assert evaluations == []
 
 
 @pytest.mark.parametrize("name", ["rot", "perturbed_disk"])
 def test_bary_refinements_evaluate_once_per_vertex_and_host(request, name,
-                                                            coords_calls):
+                                                            evaluations):
     _, cert = pm.simplicial_approximation(request.getfixturevalue(name))
     cert = bary_refined(cert)
-    coords_calls.clear()
+    evaluations.clear()
     assert pm.verify_certificate(cert) == (True, [])
     ref = cert.steps[0].refinement
     pairs = {(v, ref.carrier[t]) for t in ref.fine.simplices for v in t
              if ref.fine.vertices[v] not in ref.coarse.points(ref.carrier[t])}
-    assert len(set(coords_calls)) == len(coords_calls) == len(pairs) > 0
+    assert len(set(evaluations)) == len(evaluations) == len(pairs) > 0
 
 
 def reference_verify(cert):
